@@ -17,12 +17,11 @@ from .errors import (
     VacuumError,
     VeflowError,
 )
-from .fields import FREQUENCY, PHYSICAL, ScalarField, TensorField, VectorField, transform
+from .fields import FREQUENCY, PHYSICAL, ScalarField, TensorField, VectorField
 from .grid import Grid
 from .operators import (
     apply_multiplier,
     curl_matrix,
-    dealias,
     div,
     div_tensor,
     grad,
@@ -33,7 +32,6 @@ from .operators import (
     l2_norm,
     lam,
     laplacian,
-    lp_norm,
     project_mean_zero,
     sobolev_norm,
 )
@@ -46,7 +44,6 @@ from .semigroup import (
     apply_linear_semigroup,
     decay_exponent,
     eigenvalues,
-    propagator,
     propagator_integral,
 )
 from .quadrature import RadialProfile, gaussian_profile, whole_space_norm

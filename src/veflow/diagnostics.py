@@ -17,7 +17,6 @@ integrated with the trapezoid rule along the run.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,7 @@ CSV_COLUMNS = (
     "diss_acc1",
     "diss_acc2",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 @dataclass
@@ -162,13 +162,12 @@ class TimeSeriesRecord:
     def times(self) -> np.ndarray:
         return self.array("t")
 
+    def csv_row(self, i: int) -> str:
+        """Line of sample ``i`` in the CSV table, every value written with repr."""
+        return ",".join(repr(float(self.columns[c][i])) for c in CSV_COLUMNS) + "\n"
+
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for i in range(len(self)):
-            writer.writerow([repr(float(self.columns[c][i])) for c in CSV_COLUMNS])
-        return buf.getvalue()
+        return CSV_HEADER + "".join(self.csv_row(i) for i in range(len(self)))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:

@@ -9,7 +9,13 @@ coefficients normalized so the k = 0 coefficient is the mean,
 
 With this pairing Parseval reads  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
 Fields are immutable after construction; frequency data of a real field is
-Hermitian-symmetric.
+Hermitian-symmetric.  That symmetry is checked once, where frequency data
+enters from outside (:meth:`from_frequency`, used by the snapshot reader),
+not on every inverse transform.
+
+This module is the one transform layer of the package: every other module
+goes through :func:`to_spectrum`, :func:`to_samples` and
+:func:`half_to_samples`.
 """
 
 from __future__ import annotations
@@ -43,20 +49,19 @@ def _check_payload(grid: Grid, data: np.ndarray, rep: str, rank: int) -> np.ndar
     return data
 
 
-def _fft(grid: Grid, samples: np.ndarray) -> np.ndarray:
+def to_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of real samples over the last three axes."""
     return np.fft.fftn(samples, axes=(-3, -2, -1)) / grid.n**3
 
 
-def _ifft(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
-    out = np.fft.ifftn(spectrum, axes=(-3, -2, -1)) * grid.n**3
-    scale = np.max(np.abs(out)) or 1.0
-    worst = np.max(np.abs(out.imag))
-    if worst > 1e-8 * scale:
-        raise FieldError(
-            f"inverse transform produced imaginary part {worst:.3e}; "
-            "frequency data is not Hermitian-symmetric"
-        )
-    return out.real
+def to_samples(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
+    """Real samples of a Hermitian spectrum; the imaginary part is dropped unchecked."""
+    return np.fft.ifftn(spectrum, axes=(-3, -2, -1)).real * grid.n**3
+
+
+def half_to_samples(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Real samples from the nonnegative-last-axis half of a Hermitian spectrum."""
+    return np.fft.irfftn(half_spectrum, s=grid.shape, axes=(-3, -2, -1)) * grid.n**3
 
 
 def hermitian_defect(spectrum: np.ndarray) -> float:
@@ -71,9 +76,25 @@ class _BaseField:
     rank = 0
 
     def __init__(self, grid: Grid, data: np.ndarray, rep: str = PHYSICAL):
+        """Wrap samples or coefficients; ``rep=FREQUENCY`` data is trusted.
+
+        Frequency data passed here must already be Hermitian-symmetric: its
+        imaginary part is dropped unchecked in :attr:`samples`.  Frequency
+        data from outside the package goes through :meth:`from_frequency`.
+        """
         self.grid = grid
         self.rep = rep
         self.data = _check_payload(grid, np.asarray(data), rep, self.rank)
+
+    @classmethod
+    def from_frequency(cls, grid: Grid, spectrum: np.ndarray):
+        """Field from frequency data given from outside; rejects non-Hermitian spectra."""
+        field = cls(grid, spectrum, FREQUENCY)
+        scale = float(np.max(np.abs(field.data))) or 1.0
+        defect = hermitian_defect(field.data)
+        if defect > 1e-10 * scale:
+            raise FieldError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
+        return field
 
     # -- representations --------------------------------------------------
 
@@ -82,7 +103,7 @@ class _BaseField:
         """Fourier coefficients (read-only complex array)."""
         if self.rep == FREQUENCY:
             return self.data
-        out = _fft(self.grid, self.data)
+        out = to_spectrum(self.grid, self.data)
         out.setflags(write=False)
         return out
 
@@ -91,7 +112,7 @@ class _BaseField:
         """Physical samples (read-only real array)."""
         if self.rep == PHYSICAL:
             return self.data
-        out = _ifft(self.grid, self.data)
+        out = to_samples(self.grid, self.data)
         out.setflags(write=False)
         return out
 
@@ -145,19 +166,6 @@ class ScalarField(_BaseField):
     rank = 0
 
     @classmethod
-    def from_physical(cls, grid: Grid, samples: np.ndarray) -> "ScalarField":
-        return cls(grid, samples, PHYSICAL)
-
-    @classmethod
-    def from_frequency(cls, grid: Grid, spectrum: np.ndarray) -> "ScalarField":
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        scale = float(np.max(np.abs(spectrum))) or 1.0
-        defect = hermitian_defect(spectrum)
-        if defect > 1e-10 * scale:
-            raise FieldError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
-        return cls(grid, spectrum, FREQUENCY)
-
-    @classmethod
     def zero(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape), PHYSICAL)
 
@@ -187,11 +195,6 @@ class VectorField(_BaseField):
     def component(self, i: int) -> ScalarField:
         return ScalarField(self.grid, self.data[i], self.rep)
 
-    def means(self) -> np.ndarray:
-        if self.rep == FREQUENCY:
-            return self.data[:, 0, 0, 0].real.copy()
-        return self.data.mean(axis=(1, 2, 3))
-
 
 class TensorField(_BaseField):
     """Real 3x3-component grid function, stored as one (3, 3, N, N, N) array."""
@@ -212,9 +215,6 @@ class TensorField(_BaseField):
     def component(self, i: int, j: int) -> ScalarField:
         return ScalarField(self.grid, self.data[i, j], self.rep)
 
-    def transpose(self) -> "TensorField":
-        return TensorField(self.grid, np.swapaxes(self.data, 0, 1), self.rep)
-
     def antisymmetric_part(self) -> "TensorField":
         """T^T - T; exactly antisymmetric by construction."""
         return TensorField(self.grid, np.swapaxes(self.data, 0, 1) - self.data, self.rep)
@@ -228,17 +228,3 @@ class TensorField(_BaseField):
             raise GridMismatchError("operands live on different grids")
         out = np.einsum("ij...,j...->i...", self.samples, v.samples)
         return VectorField(self.grid, out, PHYSICAL)
-
-    def means(self) -> np.ndarray:
-        if self.rep == FREQUENCY:
-            return self.data[:, :, 0, 0, 0].real.copy()
-        return self.data.mean(axis=(2, 3, 4))
-
-
-def transform(field, to: str):
-    """Return ``field`` in the requested representation ("physical"/"frequency")."""
-    if to == PHYSICAL:
-        return field.to_physical()
-    if to == FREQUENCY:
-        return field.to_frequency()
-    raise FieldError(f"unknown representation {to!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialDataError
-from .fields import FREQUENCY, ScalarField, TensorField, VectorField
+from .fields import FREQUENCY, ScalarField, TensorField, VectorField, to_samples
 from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
@@ -109,9 +109,7 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
 
     # A = I + grad phi with (grad phi)^{ij} = d_j phi^i
     xi = grid.xi
-    gphi = np.fft.ifftn(
-        1j * np.einsum("j...,i...->ij...", xi, phi.spectrum), axes=(-3, -2, -1)
-    ).real * grid.n**3
+    gphi = to_samples(grid, 1j * np.einsum("j...,i...->ij...", xi, phi.spectrum))
     sup = float(np.sqrt((gphi**2).sum(axis=(0, 1))).max())
     if sup >= 1.0:
         raise InitialDataError(

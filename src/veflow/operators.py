@@ -103,12 +103,6 @@ def curl_matrix(v: VectorField) -> TensorField:
     return TensorField(v.grid, gv - np.swapaxes(gv, 0, 1), FREQUENCY)
 
 
-def dealias(field):
-    """Spherical 2/3-rule truncation; returns the field in physical form."""
-    cut = field.spectrum * field.grid.dealias_mask
-    return type(field)(field.grid, cut, FREQUENCY).to_physical()
-
-
 def project_mean_zero(field, warn: bool = True, label: str = "field"):
     """Zero the k = 0 coefficient of every component."""
     spec = np.array(field.spectrum)
@@ -168,44 +162,28 @@ def l2_norm(field) -> float:
     return float(np.sqrt(field.grid.volume * np.sum(np.abs(field.spectrum) ** 2)))
 
 
+def _weighted_l2(field, first: int, last: int) -> float:
+    """sqrt(L^3 sum_xi w |u_hat|^2) with w = sum_{first <= j <= last} |xi|^(2j); first is 0 or 1."""
+    g = field.grid
+    r2 = (g.xi_mag**2) * g.nyquist_mask
+    weight = np.ones(g.shape) if first == 0 else np.zeros(g.shape)
+    acc = np.ones(g.shape)
+    for _ in range(last):
+        acc = acc * r2
+        weight = weight + acc
+    power = np.abs(field.spectrum) ** 2
+    while power.ndim > 3:
+        power = power.sum(axis=0)
+    return float(np.sqrt(g.volume * np.sum(weight * power)))
+
+
 def sobolev_norm(field, k: int) -> float:
     """|u|_{H^k} with  |u|^2 = sum_{j<=k} |grad^j u|^2, spectral derivatives."""
     if k not in (0, 1, 2, 3):
         raise FieldError(f"Sobolev order must be in 0..3, got {k}")
-    g = field.grid
-    r2 = (g.xi_mag**2) * g.nyquist_mask
-    weight = np.ones(g.shape)
-    acc = np.ones(g.shape)
-    for _ in range(k):
-        acc = acc * r2
-        weight = weight + acc
-    power = np.abs(field.spectrum) ** 2
-    while power.ndim > 3:
-        power = power.sum(axis=0)
-    return float(np.sqrt(g.volume * np.sum(weight * power)))
+    return _weighted_l2(field, 0, k)
 
 
 def gradient_sobolev_norm(field, k: int) -> float:
     """|grad u|_{H^k}: like :func:`sobolev_norm` with one extra derivative everywhere."""
-    g = field.grid
-    r2 = (g.xi_mag**2) * g.nyquist_mask
-    weight = np.zeros(g.shape)
-    acc = np.ones(g.shape)
-    for _ in range(k + 1):
-        acc = acc * r2
-        weight = weight + acc
-    power = np.abs(field.spectrum) ** 2
-    while power.ndim > 3:
-        power = power.sum(axis=0)
-    return float(np.sqrt(g.volume * np.sum(weight * power)))
-
-
-def lp_norm(field, p: float) -> float:
-    """L^p norm by grid quadrature; components enter through the pointwise magnitude."""
-    s = field.samples
-    mag2 = s**2
-    while mag2.ndim > 3:
-        mag2 = mag2.sum(axis=0)
-    if p == 2.0:
-        return float(np.sqrt(mag2.sum() * field.grid.cell_volume))
-    return float((np.sum(mag2 ** (p / 2.0)) * field.grid.cell_volume) ** (1.0 / p))
+    return _weighted_l2(field, 1, k + 1)

@@ -65,8 +65,3 @@ def rk4_block_expm(
             t_now = target
         out[idx] = m
     return out
-
-
-def rk4_matrix_exponential(nu: float, b: float, r: float, t: float, tol: float = 1e-10) -> np.ndarray:
-    """Single-point convenience wrapper around :func:`rk4_block_expm`."""
-    return rk4_block_expm(nu, b, [r], [t], tol=tol)[0, 0]

@@ -191,10 +191,6 @@ class Propagator2x2:
         return cls(float(r), float(t), m)
 
 
-def propagator(system: BlockSystem, r: float, t: float) -> Propagator2x2:
-    return Propagator2x2.build(system, r, t)
-
-
 def propagator_integral(system: BlockSystem, r: float, t: float) -> np.ndarray:
     """int_0^t e^{sA(r)} ds as a 2x2 matrix."""
     if t < 0.0:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldError
-from .fields import FREQUENCY, PHYSICAL, ScalarField, TensorField, VectorField
+from .fields import PHYSICAL, ScalarField, TensorField, VectorField
 from .grid import Grid
 from .state import FlowState, PhysState
 
@@ -73,44 +73,41 @@ def read_field(path, grid: Grid | None = None):
         return cls(grid, data.reshape(shape).astype(np.float64), PHYSICAL)
     data = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=_HEADER.size)
     data = data.reshape(shape + (2,))
-    return cls(grid, (data[..., 0] + 1j * data[..., 1]).astype(np.complex128), FREQUENCY)
+    return cls.from_frequency(grid, data[..., 0] + 1j * data[..., 1])
+
+
+def _write_triple(directory, fields, names, prefix: str) -> list[Path]:
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, f in zip(names, fields):
+        p = directory / f"{prefix}_{name}.cvf"
+        write_field(p, f)
+        paths.append(p)
+    return paths
+
+
+def _read_triple(directory, names, prefix: str) -> list:
+    """Read three snapshot files, all on the first file's grid, in physical form."""
+    directory = Path(directory)
+    first = read_field(directory / f"{prefix}_{names[0]}.cvf")
+    rest = [read_field(directory / f"{prefix}_{name}.cvf", first.grid) for name in names[1:]]
+    return [f.to_physical() for f in (first, *rest)]
 
 
 def write_state(directory, state: FlowState, prefix: str = "state") -> list[Path]:
     """Write the perturbation triple as three snapshot files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, f in zip(("n", "v", "E"), state.fields()):
-        p = directory / f"{prefix}_{name}.cvf"
-        write_field(p, f)
-        paths.append(p)
-    return paths
+    return _write_triple(directory, state.fields(), ("n", "v", "E"), prefix)
 
 
 def read_state(directory, prefix: str = "state", time: float = 0.0) -> FlowState:
-    directory = Path(directory)
-    n = read_field(directory / f"{prefix}_n.cvf")
-    v = read_field(directory / f"{prefix}_v.cvf", n.grid)
-    E = read_field(directory / f"{prefix}_E.cvf", n.grid)
-    return FlowState(n.to_physical(), v.to_physical(), E.to_physical(), time)
+    return FlowState(*_read_triple(directory, ("n", "v", "E"), prefix), time)
 
 
 def write_phys(directory, phys: PhysState, prefix: str = "ic") -> list[Path]:
     """Write a physical state as rho / u / F snapshot files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, f in zip(("rho", "u", "F"), (phys.rho, phys.u, phys.F)):
-        p = directory / f"{prefix}_{name}.cvf"
-        write_field(p, f)
-        paths.append(p)
-    return paths
+    return _write_triple(directory, (phys.rho, phys.u, phys.F), ("rho", "u", "F"), prefix)
 
 
 def read_phys(directory, prefix: str = "ic", time: float = 0.0) -> PhysState:
-    directory = Path(directory)
-    rho = read_field(directory / f"{prefix}_rho.cvf")
-    u = read_field(directory / f"{prefix}_u.cvf", rho.grid)
-    F = read_field(directory / f"{prefix}_F.cvf", rho.grid)
-    return PhysState(rho.to_physical(), u.to_physical(), F.to_physical(), time)
+    return PhysState(*_read_triple(directory, ("rho", "u", "F"), prefix), time)

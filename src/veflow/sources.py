@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, TensorField, VectorField
+from .fields import FREQUENCY, ScalarField, TensorField, VectorField
+from .fields import half_to_samples, to_samples, to_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
 from .state import FlowState, PhysState
@@ -67,26 +68,10 @@ class ConstraintReport:
         return max(self.r1, self.r2, self.r3)
 
 
-# ---------------------------------------------------------------------------
-# spectral helpers on raw arrays
-
-def _to_phys(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(spec, axes=(-3, -2, -1)).real * grid.n**3
-
-
-def _to_spec(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(phys, axes=(-3, -2, -1)) / grid.n**3
-
-
-def _half_to_phys(grid: Grid, half_spec: np.ndarray) -> np.ndarray:
-    """Inverse transform of the nonnegative-last-axis half spectrum."""
-    return np.fft.irfftn(half_spec, s=grid.shape, axes=(-3, -2, -1)) * grid.n**3
-
-
-def _dealias_phys(grid: Grid, phys: np.ndarray, enabled: bool = True) -> np.ndarray:
-    if not enabled:
-        return phys
-    return _to_phys(grid, _to_spec(grid, phys) * grid.dealias_mask)
+def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
+    """Spectrum of a physical product, 2/3-masked unless ``enabled`` is false."""
+    spec = to_spectrum(grid, phys)
+    return spec * grid.dealias_mask if enabled else spec
 
 
 def _raw_products(state: FlowState, params: ModelParams):
@@ -109,16 +94,16 @@ def _raw_products(state: FlowState, params: ModelParams):
 
     xi = grid.xi[..., :half]
     # gradients: dv[l, i] = d_l v^i, dE[l, i, j] = d_l E^{ij}
-    dn = _half_to_phys(grid, 1j * xi * n_hat[np.newaxis])
-    dv = _half_to_phys(grid, 1j * np.einsum("l...,i...->li...", xi, v_hat))
-    dE = _half_to_phys(grid, 1j * np.einsum("l...,ij...->lij...", xi, e_hat))
+    dn = half_to_samples(grid, 1j * xi * n_hat[np.newaxis])
+    dv = half_to_samples(grid, 1j * np.einsum("l...,i...->li...", xi, v_hat))
+    dE = half_to_samples(grid, 1j * np.einsum("l...,ij...->lij...", xi, e_hat))
     divv = dv[0, 0] + dv[1, 1] + dv[2, 2]
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
     xiv = np.einsum("j...,j...->...", xi, v_hat)
     visc_hat = -params.mu * (grid.xi_mag[..., :half] ** 2 * grid.nyquist_mask[..., :half]) * v_hat - (
         params.lam + params.mu
     ) * np.einsum("i...,...->i...", xi, xiv)
-    visc = _half_to_phys(grid, visc_hat)
+    visc = half_to_samples(grid, visc_hat)
 
     f = -n * divv
     adv_n = np.einsum("j...,j...->...", v, dn)
@@ -146,11 +131,11 @@ def evaluate_sources(
     grid = state.grid
     f, adv_n, g, h, adv_E = _raw_products(state, params)
     triple = SourceTriple(
-        f=ScalarField(grid, _dealias_phys(grid, f, dealias)),
-        g=VectorField(grid, _dealias_phys(grid, g, dealias)),
-        h=TensorField(grid, _dealias_phys(grid, h, dealias)),
-        adv_n=ScalarField(grid, _dealias_phys(grid, adv_n, dealias)),
-        adv_E=TensorField(grid, _dealias_phys(grid, adv_E, dealias)),
+        f=ScalarField(grid, _dealiased(grid, f, dealias), FREQUENCY),
+        g=VectorField(grid, _dealiased(grid, g, dealias), FREQUENCY),
+        h=TensorField(grid, _dealiased(grid, h, dealias), FREQUENCY),
+        adv_n=ScalarField(grid, _dealiased(grid, adv_n, dealias), FREQUENCY),
+        adv_E=TensorField(grid, _dealiased(grid, adv_E, dealias), FREQUENCY),
     )
     if with_derived:
         g1 = longitudinal_source(triple.g, state, params, dealias)
@@ -163,15 +148,14 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     """Dealiased spectra of the combined right-hand sides.
 
     Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).
-    Equals the spectra of the :func:`evaluate_sources` fields combined, at
-    half the transform cost; the time stepper uses this path.
+    Equals the spectra of the :func:`evaluate_sources` fields combined, with
+    fewer transforms; the time stepper uses this path.
     """
     grid = state.grid
     f, adv_n, g, h, adv_E = _raw_products(state, params)
-    mask = grid.dealias_mask if dealias else 1.0
-    g_n = _to_spec(grid, f - adv_n) * mask
-    g_v = _to_spec(grid, g) * mask
-    g_e = _to_spec(grid, h - adv_E) * mask
+    g_n = _dealiased(grid, f - adv_n, dealias)
+    g_v = _dealiased(grid, g, dealias)
+    g_e = _dealiased(grid, h - adv_E, dealias)
     return g_n, g_v, g_e
 
 
@@ -180,25 +164,22 @@ def longitudinal_source(
 ) -> VectorField:
     """g1 = g - a div(nE), the forcing of the reduced (n, div v) system."""
     grid = state.grid
-    nE = _dealias_phys(grid, state.n.samples[np.newaxis, np.newaxis] * state.E.samples, dealias)
-    nE_hat = _to_spec(grid, nE)
-    div_nE = _to_phys(grid, np.einsum("j...,ij...->i...", 1j * grid.xi, nE_hat))
-    return VectorField(grid, g.samples - params.a * div_nE)
+    nE_hat = _dealiased(grid, state.n.samples[np.newaxis, np.newaxis] * state.E.samples, dealias)
+    div_nE_hat = np.einsum("j...,ij...->i...", 1j * grid.xi, nE_hat)
+    return VectorField(grid, g.spectrum - params.a * div_nE_hat, FREQUENCY)
 
 
 def shear_source(state: FlowState, dealias: bool = True) -> TensorField:
     """Antisymmetric forcing S of the reduced (E^T - E, curl v) system."""
     grid = state.grid
     E = state.E.samples
-    dE = _to_phys(grid, 1j * np.einsum("l...,ij...->lij...", grid.xi, state.E.spectrum))
+    dE = to_samples(grid, 1j * np.einsum("l...,ij...->lij...", grid.xi, state.E.spectrum))
     # inner[k, i, j] = E^{lk} d_l E^{ij} - E^{lj} d_l E^{ik}
     first = np.einsum("lk...,lij...->kij...", E, dE)
     second = np.einsum("lj...,lik...->kij...", E, dE)
-    inner = _dealias_phys(grid, first - second, dealias)
-    t_hat = np.einsum("k...,kij...->ij...", 1j * grid.xi, _to_spec(grid, inner))
-    t = _to_phys(grid, t_hat)
-    s = t - np.swapaxes(t, 0, 1)
-    return TensorField(grid, s)
+    inner_hat = _dealiased(grid, first - second, dealias)
+    t_hat = np.einsum("k...,kij...->ij...", 1j * grid.xi, inner_hat)
+    return TensorField(grid, t_hat - np.swapaxes(t_hat, 0, 1), FREQUENCY)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +204,7 @@ def constraint_residuals(obj) -> ConstraintReport:
     vol = grid.volume
     xi = grid.xi
 
-    rhoF_hat = _to_spec(grid, rho[np.newaxis, np.newaxis] * F)
+    rhoF_hat = to_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
     # r1: w^k = d_j (rho F^{jk})
     w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
     r1 = float(np.sqrt(vol * np.sum(np.abs(w_hat) ** 2)))
@@ -233,9 +214,9 @@ def constraint_residuals(obj) -> ConstraintReport:
     r3 = float(np.sqrt(vol * np.sum(np.abs(q_hat) ** 2)))
 
     # r2: max over slots of ||F^{lk} d_l F^{ij} - F^{lj} d_l F^{ik}||
-    dF = _to_phys(grid, 1j * np.einsum("l...,ij...->lij...", xi, _to_spec(grid, F)))
+    dF = to_samples(grid, 1j * np.einsum("l...,ij...->lij...", xi, to_spectrum(grid, F)))
     first = np.einsum("lk...,lij...->ijk...", F, dF)
     expr = first - np.swapaxes(first, 1, 2)
-    norms = np.sqrt(vol * np.sum(np.abs(_to_spec(grid, expr)) ** 2, axis=(-3, -2, -1)))
+    norms = np.sqrt(vol * np.sum(np.abs(to_spectrum(grid, expr)) ** 2, axis=(-3, -2, -1)))
     r2 = float(norms.max())
     return ConstraintReport(r1=r1, r2=r2, r3=r3)

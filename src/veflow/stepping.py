@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, TimeSeriesRecord, sample_row
+from .diagnostics import CSV_HEADER, TimeSeriesRecord, sample_row
 from .errors import ParameterError, VacuumError
 from .grid import Grid
 from .params import ModelParams
@@ -133,7 +133,7 @@ def run(
     csv_handle = None
     if csv_path is not None:
         csv_handle = open(csv_path, "w", encoding="ascii", newline="")
-        csv_handle.write(",".join(CSV_COLUMNS) + "\n")
+        csv_handle.write(CSV_HEADER)
 
     def emit(state: FlowState):
         row = sample_row(state, config.d2)
@@ -141,10 +141,7 @@ def run(
         for sink in sinks:
             sink(state)
         if csv_handle is not None:
-            i = len(record) - 1
-            csv_handle.write(
-                ",".join(repr(float(record.columns[c][i])) for c in CSV_COLUMNS) + "\n"
-            )
+            csv_handle.write(record.csv_row(len(record) - 1))
             csv_handle.flush()
 
     worst = constraint_residuals(initial).max()

@@ -11,12 +11,13 @@ from veflow import (
     TensorField,
     VectorField,
 )
+from veflow.fields import to_spectrum
 
 
 def smooth_spectrum(grid: Grid, rng, kmax: int, shape=()) -> np.ndarray:
     """Random Hermitian spectrum supported on |k| <= kmax, zero mean."""
     raw = rng.standard_normal(shape + grid.shape)
-    spec = np.fft.fftn(raw, axes=(-3, -2, -1)) / grid.n**3
+    spec = to_spectrum(grid, raw)
     k2 = (grid.wavenumbers**2).sum(axis=0)
     spec *= k2 <= kmax**2
     spec[(Ellipsis,) + (0, 0, 0)] = 0.0

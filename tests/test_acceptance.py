@@ -29,7 +29,6 @@ from veflow import (
     make_params,
     phys_to_pert,
     piola_ic,
-    propagator,
     run,
     whole_space_norm,
 )
@@ -196,9 +195,9 @@ def test_criterion_08_operator_identities():
     for system in (COMP, SHEAR):
         for r in (0.0, 0.37, system.confluent_radius, 2.9):
             for t1, t2 in ((0.2, 0.9), (1.4, 0.6)):
-                p1 = propagator(system, r, t1).matrix
-                p2 = propagator(system, r, t2).matrix
-                p12 = propagator(system, r, t1 + t2).matrix
+                p1 = Propagator2x2.build(system, r, t1).matrix
+                p2 = Propagator2x2.build(system, r, t2).matrix
+                p12 = Propagator2x2.build(system, r, t1 + t2).matrix
                 group_err = max(group_err, float(np.max(np.abs(p12 - p2 @ p1))))
                 det_err = max(
                     det_err,

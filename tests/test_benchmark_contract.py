@@ -1,0 +1,37 @@
+"""The benchmark's span recorder must find every name it patches.
+
+``perfbench/spans.py`` replaces veflow functions, methods and numpy.fft
+entry points by name while a traced run is installed.  A refactor that
+renames or deletes one of those names breaks the traced benchmark; this
+test catches it, and checks that every patched attribute is restored.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.spans import TARGETS, Tracer  # noqa: E402
+
+
+def _owner(where: str):
+    mod_name, _, cls_name = where.partition(":")
+    owner = importlib.import_module(mod_name)
+    return getattr(owner, cls_name) if cls_name else owner
+
+
+def test_tracer_patches_and_restores_every_target():
+    before = {(w, a): inspect.getattr_static(_owner(w), a) for w, a, _ in TARGETS}
+    tracer = Tracer()
+    try:
+        with tracer:
+            for where, attr, _ in TARGETS:
+                assert inspect.getattr_static(_owner(where), attr) is not before[(where, attr)]
+    finally:
+        tracer.__exit__(None, None, None)   # also undoes a partial install
+    for where, attr, _ in TARGETS:
+        assert inspect.getattr_static(_owner(where), attr) is before[(where, attr)], (where, attr)

@@ -14,11 +14,11 @@ from veflow import (
     decay_exponent,
     eigenvalues,
     make_params,
-    propagator,
     propagator_integral,
 )
-from veflow.oracles import rk4_block_expm, rk4_matrix_exponential
-from veflow.semigroup import _entries
+from veflow.fields import hermitian_defect, to_spectrum
+from veflow.oracles import rk4_block_expm
+from veflow.semigroup import LinearPropagator, _entries
 from veflow.state import state_from_spectra
 
 
@@ -64,20 +64,20 @@ class TestEigenvalues:
 
 class TestPropagator:
     def test_identity_at_zero_time(self, comp):
-        m = propagator(comp, 1.3, 0.0).matrix
+        m = Propagator2x2.build(comp, 1.3, 0.0).matrix
         assert np.allclose(m, np.eye(2), atol=1e-15)
 
     def test_against_rk4_example(self, comp):
-        exact = propagator(comp, 1.0, 1.0).matrix
-        oracle = rk4_matrix_exponential(comp.nu, comp.b, 1.0, 1.0)
+        exact = Propagator2x2.build(comp, 1.0, 1.0).matrix
+        oracle = rk4_block_expm(comp.nu, comp.b, [1.0], [1.0])[0, 0]
         assert np.max(np.abs(exact - oracle)) < 1e-8
 
     def test_confluent_continuity(self, comp):
         rstar = comp.confluent_radius
         assert rstar == pytest.approx(np.sqrt(2.0))
-        at = propagator(comp, rstar, 1.0).matrix
-        below = propagator(comp, rstar - 1e-6, 1.0).matrix
-        above = propagator(comp, rstar + 1e-6, 1.0).matrix
+        at = Propagator2x2.build(comp, rstar, 1.0).matrix
+        below = Propagator2x2.build(comp, rstar - 1e-6, 1.0).matrix
+        above = Propagator2x2.build(comp, rstar + 1e-6, 1.0).matrix
         assert np.max(np.abs(at - below)) < 1e-5
         assert np.max(np.abs(at - above)) < 1e-5
 
@@ -87,27 +87,27 @@ class TestPropagator:
         kappa = -0.5 * comp.nu * rstar**2
         a_mat = np.array([[0.0, -rstar], [comp.b * rstar, -comp.nu * rstar**2]])
         limit = np.exp(kappa * t) * (np.eye(2) + t * (a_mat - kappa * np.eye(2)))
-        assert np.max(np.abs(propagator(comp, rstar, t).matrix - limit)) < 1e-12
+        assert np.max(np.abs(Propagator2x2.build(comp, rstar, t).matrix - limit)) < 1e-12
 
     def test_group_property(self, comp, rng):
         for _ in range(20):
             r = float(rng.uniform(0.0, 5.0))
             t1, t2 = rng.uniform(0.0, 2.0, size=2)
-            p1 = propagator(comp, r, float(t1)).matrix
-            p2 = propagator(comp, r, float(t2)).matrix
-            p12 = propagator(comp, r, float(t1 + t2)).matrix
+            p1 = Propagator2x2.build(comp, r, float(t1)).matrix
+            p2 = Propagator2x2.build(comp, r, float(t2)).matrix
+            p12 = Propagator2x2.build(comp, r, float(t1 + t2)).matrix
             assert np.max(np.abs(p12 - p2 @ p1)) < 1e-9
 
     def test_determinant_identity(self, comp, rng):
         for _ in range(20):
             r = float(rng.uniform(0.0, 5.0))
             t = float(rng.uniform(0.0, 3.0))
-            det = np.linalg.det(propagator(comp, r, t).matrix)
+            det = np.linalg.det(Propagator2x2.build(comp, r, t).matrix)
             assert abs(det - np.exp(-comp.nu * r**2 * t)) < 1e-10
 
     def test_negative_time_rejected(self, comp):
         with pytest.raises(ParameterError):
-            propagator(comp, 1.0, -0.1)
+            Propagator2x2.build(comp, 1.0, -0.1)
 
     def test_entries_real_and_finite_on_array(self, comp):
         r = np.linspace(0.0, 50.0, 400)
@@ -155,7 +155,7 @@ class TestGridSemigroup:
         n = 0.01 * np.sin(x) + np.zeros(grid16.shape)
         st = state_from_spectra(
             grid16,
-            np.fft.fftn(n) / grid16.n**3,
+            to_spectrum(grid16, n),
             np.zeros((3,) + grid16.shape, complex),
             np.zeros((3, 3) + grid16.shape, complex),
             0.0,
@@ -176,7 +176,7 @@ class TestGridSemigroup:
         st = state_from_spectra(
             grid16,
             np.zeros(grid16.shape, complex),
-            np.fft.fftn(v, axes=(-3, -2, -1)) / grid16.n**3,
+            to_spectrum(grid16, v),
             np.zeros((3, 3) + grid16.shape, complex),
             0.0,
         )
@@ -267,9 +267,10 @@ class TestGridSemigroup:
 
     def test_hermitian_output_gives_real_fields(self, grid8, params, rng):
         st = smooth_state(grid8, rng)
-        out = apply_linear_semigroup(st, params, 0.7)
-        for f in out.fields():
-            assert np.isrealobj(f.samples)
+        prop = LinearPropagator(grid8, params, 0.7)
+        out = prop.apply_spectra(st.n.spectrum, st.v.spectrum, st.E.spectrum)
+        for spec in out:
+            assert hermitian_defect(spec) <= 1e-12 * np.max(np.abs(spec))
 
     def test_vectorized_oracle_batch(self, comp):
         radii = np.linspace(0.0, 4.0, 9)

@@ -36,6 +36,18 @@ class TestFieldRoundTrips:
         assert back.rep == "frequency"
         assert np.array_equal(back.data, f.data)
 
+    def test_non_hermitian_frequency_rejected(self, tmp_path, grid8, rng):
+        f = smooth_vector(grid8, rng).to_frequency()
+        p = tmp_path / "v.cvf"
+        write_field(p, f)
+        raw = bytearray(p.read_bytes())
+        # real part of component 0 at k = (1, 0, 0), whose partner stays unchanged
+        offset = struct.calcsize("<4sIIdBB") + 16 * (grid8.n**2)
+        struct.pack_into("<d", raw, offset, 1.0 + struct.unpack_from("<d", raw, offset)[0])
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FieldError, match="Hermitian"):
+            read_field(p, grid8)
+
     def test_tensor_physical(self, tmp_path, grid8, rng):
         f = smooth_tensor(grid8, rng)
         p = tmp_path / "t.cvf"

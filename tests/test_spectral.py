@@ -21,7 +21,6 @@ from veflow import (
     lam,
     laplacian,
     sobolev_norm,
-    transform,
 )
 from veflow.operators import lam_symbol
 
@@ -98,16 +97,11 @@ class TestTransforms:
             ScalarField(grid8, bad)
 
     def test_non_hermitian_rejected(self, grid8):
-        spec = np.zeros(grid8.shape, complex)
-        spec[1, 0, 0] = 1.0  # no conjugate partner
-        with pytest.raises(FieldError):
-            ScalarField.from_frequency(grid8, spec)
-
-    def test_transform_dispatch(self, grid8, rng):
-        f = smooth_scalar(grid8, rng)
-        assert transform(f, "frequency").rep == "frequency"
-        with pytest.raises(FieldError):
-            transform(f, "fourier")
+        for cls, lead in ((ScalarField, ()), (VectorField, (3,)), (TensorField, (3, 3))):
+            spec = np.zeros(lead + grid8.shape, complex)
+            spec[..., 1, 0, 0] = 1.0  # no conjugate partner
+            with pytest.raises(FieldError, match="Hermitian"):
+                cls.from_frequency(grid8, spec)
 
     def test_grid_mismatch(self, grid8, grid16):
         a = ScalarField(grid8, np.zeros(grid8.shape))

@@ -21,6 +21,7 @@ from veflow import (
     step,
 )
 from veflow.diagnostics import h2_distance
+from veflow.fields import hermitian_defect
 from veflow.stepping import StepperConfig
 
 
@@ -57,6 +58,14 @@ class TestStep:
         one = step(st, params, dt, sources=False)
         lin = apply_linear_semigroup(st, params, dt)
         assert h2_distance(one, lin) < 1e-12
+
+    def test_output_spectra_hermitian(self, grid8, params, rng):
+        st = smooth_state(grid8, rng, amp=1e-2)
+        cur = st
+        for _ in range(3):
+            cur = step(cur, params, cfl_dt(grid8, params))
+        for f in cur.fields():
+            assert hermitian_defect(f.spectrum) <= 1e-12 * np.max(np.abs(f.spectrum))
 
     def test_multi_step_linear_matches_semigroup(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-2)
@@ -125,6 +134,15 @@ class TestRun:
         text = csv_path.read_text().strip().splitlines()
         assert text[0].startswith("t,")
         assert (tmp_path / "abort_n.cvf").exists()
+
+    def test_streamed_csv_matches_record(self, tmp_path, grid8, params, rng):
+        st = smooth_state(grid8, rng, amp=1e-3)
+        dt = cfl_dt(grid8, params)
+        cfg = StepperConfig(dt=dt, t_end=5.5 * dt, output_every=2)
+        csv_path = tmp_path / "series.csv"
+        rec = run(st, params, cfg, csv_path=csv_path)
+        assert len(rec) == 4
+        assert csv_path.read_bytes() == rec.csv_text().encode("ascii")
 
     def test_keep_states(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-3)
