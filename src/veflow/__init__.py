@@ -49,9 +49,7 @@ from .semigroup import (
 from .quadrature import RadialProfile, gaussian_profile, whole_space_norm
 from .sources import (
     ConstraintReport,
-    SourceTriple,
     constraint_residuals,
-    evaluate_sources,
     longitudinal_source,
     shear_source,
 )
@@ -76,7 +74,6 @@ from .diagnostics import (
     interpolation_gap,
     lp_norm_state,
     lyapunov_m,
-    running_sup_weighted,
     sample_row,
 )
 from .stepping import StepperConfig, cfl_dt, run, step

@@ -16,7 +16,6 @@ integrated with the trapezoid rule along the run.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,27 +168,8 @@ class TimeSeriesRecord:
     def csv_text(self) -> str:
         return CSV_HEADER + "".join(self.csv_row(i) for i in range(len(self)))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(self.csv_text())
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeriesRecord":
-        rec = cls()
-        with open(path, newline="", encoding="ascii") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                for name in _ALL_COLUMNS:
-                    rec.columns[name].append(float(row[name]) if name in row else np.nan)
-        return rec
-
 
 _ALL_COLUMNS = CSV_COLUMNS + ("diss1_inst", "diss2_inst", "Lp4", "Lp6")
-
-
-def running_sup_weighted(times: np.ndarray, values: np.ndarray, power: float = 2.5) -> np.ndarray:
-    """Running sup of (1 + t)^power * value (derived inspection column)."""
-    return np.maximum.accumulate((1.0 + np.asarray(times)) ** power * np.asarray(values))
 
 
 # ---------------------------------------------------------------------------

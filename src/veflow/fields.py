@@ -96,6 +96,14 @@ class _BaseField:
             raise FieldError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
         return field
 
+    @classmethod
+    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray):
+        """Physical field of a trusted Hermitian spectrum, kept as its :attr:`spectrum`."""
+        coeffs = _check_payload(grid, np.asarray(spectrum), FREQUENCY, cls.rank)
+        field = cls(grid, to_samples(grid, coeffs), PHYSICAL)
+        field.spectrum = coeffs  # seeds the cached property
+        return field
+
     # -- representations --------------------------------------------------
 
     @cached_property
@@ -181,14 +189,6 @@ class VectorField(_BaseField):
     rank = 1
 
     @classmethod
-    def from_components(cls, components) -> "VectorField":
-        comps = [c.to_physical() for c in components]
-        grid = comps[0].grid
-        if any(c.grid != grid for c in comps):
-            raise GridMismatchError("components live on different grids")
-        return cls(grid, np.stack([c.data for c in comps]), PHYSICAL)
-
-    @classmethod
     def zero(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros((3,) + grid.shape), PHYSICAL)
 
@@ -218,13 +218,3 @@ class TensorField(_BaseField):
     def antisymmetric_part(self) -> "TensorField":
         """T^T - T; exactly antisymmetric by construction."""
         return TensorField(self.grid, np.swapaxes(self.data, 0, 1) - self.data, self.rep)
-
-    def trace(self) -> ScalarField:
-        return ScalarField(self.grid, self.data[0, 0] + self.data[1, 1] + self.data[2, 2], self.rep)
-
-    def dot(self, v: "VectorField") -> "VectorField":
-        """Contraction over the second index, (T v)^i = T^{ij} v^j (physical)."""
-        if v.grid != self.grid:
-            raise GridMismatchError("operands live on different grids")
-        out = np.einsum("ij...,j...->i...", self.samples, v.samples)
-        return VectorField(self.grid, out, PHYSICAL)

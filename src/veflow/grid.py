@@ -26,7 +26,6 @@ class Grid:
     length: float = 2.0 * np.pi
 
     # caches, excluded from equality/repr
-    _k: np.ndarray = field(init=False, repr=False, compare=False)
     _xi: np.ndarray = field(init=False, repr=False, compare=False)
     _nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
@@ -42,7 +41,6 @@ class Grid:
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
         kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
         k = np.stack([kx, ky, kz])
-        object.__setattr__(self, "_k", _freeze(k))
 
         nyq = -(n // 2)
         mask = (kx != nyq) & (ky != nyq) & (kz != nyq)
@@ -72,11 +70,6 @@ class Grid:
     @property
     def volume(self) -> float:
         return self.length**3
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumber lattice, shape (3, N, N, N)."""
-        return self._k
 
     @property
     def xi(self) -> np.ndarray:

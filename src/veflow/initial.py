@@ -75,6 +75,8 @@ def parse_mode_file(text: str) -> DisplacementSpec:
             nums = [float(p) for p in parts[4:10]]
         except ValueError as exc:
             raise InitialDataError(f"mode file line {lineno}: {exc}") from None
+        if not all(np.isfinite(nums)):
+            raise InitialDataError(f"mode file line {lineno}: non-finite amplitude")
         amp = tuple(complex(nums[2 * i], nums[2 * i + 1]) for i in range(3))
         mode = FourierMode(k, amp)
         (phi if parts[0] == "phi" else u).append(mode)
@@ -160,7 +162,6 @@ def single_mode_spec(
 def lowerbound_profiles(
     c0: float,
     eta: float | None = None,
-    shape: str = "gaussian",
     width: float = 1.0,
 ) -> RadialProfile:
     """Profiles realizing the low-frequency lower-bound hypotheses.
@@ -173,8 +174,6 @@ def lowerbound_profiles(
         raise InitialDataError(f"lower-bound profile needs c0 > 0, got {c0}")
     if eta is not None and not eta > 0.0:
         raise InitialDataError(f"profile exponent must be positive, got {eta}")
-    if shape != "gaussian":
-        raise InitialDataError(f"unknown profile shape {shape!r}")
     return gaussian_profile(
         amp_first=c0,
         amp_second=0.0 if eta is None else 1.0,

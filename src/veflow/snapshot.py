@@ -66,6 +66,9 @@ def read_field(path, grid: Grid | None = None):
             f"{path}: snapshot grid ({n}, {length:g}) does not match ({grid.n}, {grid.length:g})"
         )
     count = 3**rank * n**3
+    size = 8 * count * (1 + rep_code)
+    if len(raw) != _HEADER.size + size:
+        raise FieldError(f"{path}: payload length {len(raw) - _HEADER.size} bytes, expected {size}")
     cls = _RANK_TO_CLS[rank]
     shape = (3,) * rank + (n, n, n)
     if rep_code == 0:

@@ -38,24 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FREQUENCY, ScalarField, TensorField, VectorField
+from .fields import FREQUENCY, TensorField, VectorField
 from .fields import half_to_samples, to_samples, to_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
 from .state import FlowState, PhysState
-
-
-@dataclass(frozen=True)
-class SourceTriple:
-    """Sources of the perturbation system plus the advection terms."""
-
-    f: ScalarField
-    g: VectorField
-    h: TensorField
-    adv_n: ScalarField      # v . grad n
-    adv_E: TensorField      # v . grad E
-    g1: VectorField | None = None
-    S: TensorField | None = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +61,12 @@ def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
     return spec * grid.dealias_mask if enabled else spec
 
 
+def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Physical d_l of every component of a half spectrum: out[l, ...] = d_l u[...]."""
+    xi = grid.xi[..., : half_spectrum.shape[-1]]
+    return half_to_samples(grid, 1j * np.einsum("l...,...->l...", xi, half_spectrum))
+
+
 def _raw_products(state: FlowState, params: ModelParams):
     """Physical-space source products before any dealiasing.
 
@@ -86,19 +79,17 @@ def _raw_products(state: FlowState, params: ModelParams):
     # derivatives through the half spectrum: the full lattice is Hermitian,
     # so slicing the cached spectra is free and irfftn recovers the samples
     half = grid.n // 2 + 1
-    n_hat = state.n.spectrum[..., :half]
     v_hat = state.v.spectrum[..., :half]
-    e_hat = state.E.spectrum[..., :half]
     v = state.v.samples
     E = state.E.samples
 
-    xi = grid.xi[..., :half]
-    # gradients: dv[l, i] = d_l v^i, dE[l, i, j] = d_l E^{ij}
-    dn = half_to_samples(grid, 1j * xi * n_hat[np.newaxis])
-    dv = half_to_samples(grid, 1j * np.einsum("l...,i...->li...", xi, v_hat))
-    dE = half_to_samples(grid, 1j * np.einsum("l...,ij...->lij...", xi, e_hat))
+    # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i, dE[l, i, j] = d_l E^{ij}
+    dn = _gradient(grid, state.n.spectrum[..., :half])
+    dv = _gradient(grid, v_hat)
+    dE = _gradient(grid, state.E.spectrum[..., :half])
     divv = dv[0, 0] + dv[1, 1] + dv[2, 2]
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
+    xi = grid.xi[..., :half]
     xiv = np.einsum("j...,j...->...", xi, v_hat)
     visc_hat = -params.mu * (grid.xi_mag[..., :half] ** 2 * grid.nyquist_mask[..., :half]) * v_hat - (
         params.lam + params.mu
@@ -121,35 +112,12 @@ def _raw_products(state: FlowState, params: ModelParams):
     return f, adv_n, g, h, adv_E
 
 
-def evaluate_sources(
-    state: FlowState,
-    params: ModelParams,
-    dealias: bool = True,
-    with_derived: bool = False,
-) -> SourceTriple:
-    """All sources and advection terms of the system at the given state."""
-    grid = state.grid
-    f, adv_n, g, h, adv_E = _raw_products(state, params)
-    triple = SourceTriple(
-        f=ScalarField(grid, _dealiased(grid, f, dealias), FREQUENCY),
-        g=VectorField(grid, _dealiased(grid, g, dealias), FREQUENCY),
-        h=TensorField(grid, _dealiased(grid, h, dealias), FREQUENCY),
-        adv_n=ScalarField(grid, _dealiased(grid, adv_n, dealias), FREQUENCY),
-        adv_E=TensorField(grid, _dealiased(grid, adv_E, dealias), FREQUENCY),
-    )
-    if with_derived:
-        g1 = longitudinal_source(triple.g, state, params, dealias)
-        s = shear_source(state, dealias)
-        triple = SourceTriple(triple.f, triple.g, triple.h, triple.adv_n, triple.adv_E, g1, s)
-    return triple
-
-
 def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     """Dealiased spectra of the combined right-hand sides.
 
-    Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).
-    Equals the spectra of the :func:`evaluate_sources` fields combined, with
-    fewer transforms; the time stepper uses this path.
+    Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).  This
+    is the one evaluator of the nonlinear sources: the time stepper uses it,
+    and :func:`longitudinal_source` builds g1 from its G_v.
     """
     grid = state.grid
     f, adv_n, g, h, adv_E = _raw_products(state, params)
@@ -160,20 +128,23 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
 
 
 def longitudinal_source(
-    g: VectorField, state: FlowState, params: ModelParams, dealias: bool = True
+    g_hat: np.ndarray, state: FlowState, params: ModelParams, dealias: bool = True
 ) -> VectorField:
-    """g1 = g - a div(nE), the forcing of the reduced (n, div v) system."""
+    """g1 = g - a div(nE), the forcing of the reduced (n, div v) system.
+
+    ``g_hat`` is the G_v spectrum of :func:`rhs_spectra` at the same state.
+    """
     grid = state.grid
     nE_hat = _dealiased(grid, state.n.samples[np.newaxis, np.newaxis] * state.E.samples, dealias)
     div_nE_hat = np.einsum("j...,ij...->i...", 1j * grid.xi, nE_hat)
-    return VectorField(grid, g.spectrum - params.a * div_nE_hat, FREQUENCY)
+    return VectorField(grid, g_hat - params.a * div_nE_hat, FREQUENCY)
 
 
 def shear_source(state: FlowState, dealias: bool = True) -> TensorField:
     """Antisymmetric forcing S of the reduced (E^T - E, curl v) system."""
     grid = state.grid
     E = state.E.samples
-    dE = to_samples(grid, 1j * np.einsum("l...,ij...->lij...", grid.xi, state.E.spectrum))
+    dE = _gradient(grid, state.E.spectrum[..., : grid.n // 2 + 1])
     # inner[k, i, j] = E^{lk} d_l E^{ij} - E^{lj} d_l E^{ik}
     first = np.einsum("lk...,lij...->kij...", E, dE)
     second = np.einsum("lj...,lik...->kij...", E, dE)

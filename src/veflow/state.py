@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, GridMismatchError, VacuumError
-from .fields import FREQUENCY, ScalarField, TensorField, VectorField
+from .fields import ScalarField, TensorField, VectorField
 from .grid import Grid
 from .operators import project_mean_zero, sobolev_norm
 from .params import ModelParams
@@ -124,15 +124,13 @@ def adjugate3(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def phys_to_pert(
-    phys: PhysState, params: ModelParams, project: bool = True, warn: bool = True
-) -> FlowState:
+def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> FlowState:
     """Change of variables (rho, u, F) -> (n, v, E) including the time rescaling."""
     grid = phys.grid
     n = ScalarField(grid, phys.rho.samples - 1.0)
     v = VectorField(grid, params.chi0 * phys.u.samples)
     E = TensorField(grid, phys.F.samples - TensorField.identity(grid).samples)
-    return FlowState.create(n, v, E, time=phys.time / params.chi0**2, project=project, warn=warn)
+    return FlowState.create(n, v, E, time=phys.time / params.chi0**2, warn=warn)
 
 
 def pert_to_phys(state: FlowState, params: ModelParams) -> PhysState:
@@ -152,17 +150,14 @@ def state_from_spectra(
     time: float,
 ) -> FlowState:
     """Assemble a state from raw spectra, zeroing the mean modes silently."""
+    # rebinding each argument to its copy frees a caller's temporary at once
     n_hat = np.array(n_hat)
     v_hat = np.array(v_hat)
     e_hat = np.array(e_hat)
     n_hat[0, 0, 0] = 0.0
     v_hat[:, 0, 0, 0] = 0.0
     e_hat[:, :, 0, 0, 0] = 0.0
-    n = ScalarField(grid, n_hat, FREQUENCY).to_physical()
-    v = VectorField(grid, v_hat, FREQUENCY).to_physical()
-    E = TensorField(grid, e_hat, FREQUENCY).to_physical()
-    # the spectra are already known; seed the lazy caches
-    for f, spec in ((n, n_hat), (v, v_hat), (E, e_hat)):
-        spec.setflags(write=False)
-        f.__dict__["spectrum"] = spec
+    n = ScalarField.from_spectrum(grid, n_hat)
+    v = VectorField.from_spectrum(grid, v_hat)
+    E = TensorField.from_spectrum(grid, e_hat)
     return FlowState(n, v, E, time)

@@ -45,7 +45,6 @@ class StepperConfig:
     dealias: bool = True
     sources: bool = True
     keep_states: bool = False
-    d2: float = 4.0
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -136,7 +135,7 @@ def run(
         csv_handle.write(CSV_HEADER)
 
     def emit(state: FlowState):
-        row = sample_row(state, config.d2)
+        row = sample_row(state)
         record.add(row, state=state, keep_state=config.keep_states)
         for sink in sinks:
             sink(state)

@@ -18,7 +18,8 @@ def smooth_spectrum(grid: Grid, rng, kmax: int, shape=()) -> np.ndarray:
     """Random Hermitian spectrum supported on |k| <= kmax, zero mean."""
     raw = rng.standard_normal(shape + grid.shape)
     spec = to_spectrum(grid, raw)
-    k2 = (grid.wavenumbers**2).sum(axis=0)
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # integer wavenumbers as floats
+    k2 = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
     spec *= k2 <= kmax**2
     spec[(Ellipsis,) + (0, 0, 0)] = 0.0
     return spec

@@ -1,9 +1,12 @@
-"""The benchmark's span recorder must find every name it patches.
+"""The benchmark must find every veflow name it patches, imports or calls.
 
 ``perfbench/spans.py`` replaces veflow functions, methods and numpy.fft
 entry points by name while a traced run is installed.  A refactor that
 renames or deletes one of those names breaks the traced benchmark; this
 test catches it, and checks that every patched attribute is restored.
+``perfbench/workloads.py`` imports veflow names and calls them with
+keyword options; importing it and running each cheap workload's set-up
+catches a deleted name or option there.
 """
 
 import importlib
@@ -16,6 +19,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.spans import TARGETS, Tracer  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
 def _owner(where: str):
@@ -35,3 +39,10 @@ def test_tracer_patches_and_restores_every_target():
         tracer.__exit__(None, None, None)   # also undoes a partial install
     for where, attr, _ in TARGETS:
         assert inspect.getattr_static(_owner(where), attr) is before[(where, attr)], (where, attr)
+
+
+def test_workload_setups_run(tmp_path):
+    for name in ("box-n32-monitor", "whole-space-decay", "propagator-check"):
+        workload = WORKLOADS[name]
+        start, end = workload.setup(workload.inputs(0), tmp_path)
+        assert end >= start, name

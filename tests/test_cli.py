@@ -94,6 +94,15 @@ class TestSimulate:
         rc = main(["simulate", "--n", "8", "--t-end", "1.0", "--ic", str(bad), "--out", str(out)])
         assert rc == 3
 
+    def test_truncated_snapshot_exit_code(self, tmp_path, modefile, capsys):
+        ic_dir = tmp_path / "ic"
+        main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(ic_dir)])
+        rho = ic_dir / "ic_rho.cvf"
+        rho.write_bytes(rho.read_bytes()[:-1])
+        rc = main(["simulate", "--t-end", "0.1", "--ic", str(ic_dir), "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "payload length" in capsys.readouterr().err
+
     def test_linear_flag(self, tmp_path, modefile):
         out = tmp_path / "lin"
         rc = main(

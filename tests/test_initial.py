@@ -93,6 +93,12 @@ class TestModeFiles:
         with pytest.raises(InitialDataError):
             parse_mode_file("# only comments\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_rejected(self, value):
+        text = f"phi 1 0 0  0.0 -0.5  0.0 0.0  0.0 0.0\nu 0 1 0  0.1 {value}  0.0 0.0  0.0 0.0\n"
+        with pytest.raises(InitialDataError, match="line 2: non-finite"):
+            parse_mode_file(text)
+
     def test_fields_are_real(self, grid8, rng):
         modes = (FourierMode((1, 2, 0), (0.3 + 0.4j, -0.2j, 0.1)),)
         f = build_vector_field(grid8, modes, 1.0)
@@ -124,7 +130,5 @@ class TestProfiles:
             lowerbound_profiles(0.0)
         with pytest.raises(InitialDataError):
             lowerbound_profiles(1.0, eta=-1.0)
-        with pytest.raises(InitialDataError):
-            lowerbound_profiles(1.0, shape="tophat")
         with pytest.raises(InitialDataError):
             eta_profile(0.0)

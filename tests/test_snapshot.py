@@ -100,6 +100,22 @@ class TestHeader:
         with pytest.raises(FieldError):
             read_field(p)
 
+    @pytest.mark.parametrize("rep", ["physical", "frequency"])
+    def test_truncated_payload_rejected(self, tmp_path, grid8, rng, rep):
+        p = tmp_path / "t.cvf"
+        f = smooth_scalar(grid8, rng)
+        write_field(p, f if rep == "physical" else f.to_frequency())
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(FieldError, match="payload length"):
+            read_field(p)
+
+    def test_overlong_payload_rejected(self, tmp_path, grid8, rng):
+        p = tmp_path / "t.cvf"
+        write_field(p, smooth_scalar(grid8, rng))
+        p.write_bytes(p.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FieldError, match="payload length"):
+            read_field(p)
+
 
 class TestStateSnapshots:
     def test_state_round_trip(self, tmp_path, grid8, rng):

@@ -12,7 +12,6 @@ from veflow import (
     VacuumError,
     VectorField,
     constraint_residuals,
-    evaluate_sources,
     l2_norm,
     longitudinal_source,
     piola_ic,
@@ -22,10 +21,14 @@ from veflow.sources import rhs_spectra
 
 
 class TestEvaluateSources:
+    """Source evaluation through its one path, rhs_spectra, and the derived g1 and S."""
+
     def test_zero_state_gives_zero_sources(self, grid8, params):
-        src = evaluate_sources(FlowState.zero(grid8), params, with_derived=True)
-        for f in (src.f, src.g, src.h, src.adv_n, src.adv_E, src.g1, src.S):
-            assert np.max(np.abs(f.samples)) == 0.0
+        st = FlowState.zero(grid8)
+        spectra = rhs_spectra(st, params)
+        g1 = longitudinal_source(spectra[1], st, params)
+        for spec in spectra + (g1.data, shear_source(st).data):
+            assert np.max(np.abs(spec)) == 0.0
 
     def test_f_for_constant_density_perturbation(self, grid16, params):
         # mean-allowed test input: construct without projection
@@ -36,37 +39,57 @@ class TestEvaluateSources:
             np.stack([np.sin(x) + np.zeros(grid16.shape)] + [np.zeros(grid16.shape)] * 2),
         )
         st = FlowState.create(n, v, TensorField.zero(grid16), project=False)
-        src = evaluate_sources(st, params)
+        g_n, _, _ = rhs_spectra(st, params)
+        # grad n = 0, so G_n is f = -n div v alone
         expected = -0.1 * (np.cos(x) + np.zeros(grid16.shape))
-        assert np.max(np.abs(src.f.samples - expected)) < 1e-12
+        assert np.max(np.abs(ScalarField(grid16, g_n, "frequency").samples - expected)) < 1e-12
 
     def test_zero_deformation_kills_elastic_terms(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01)
         st = FlowState(st.n, st.v, TensorField.zero(grid8))
-        src = evaluate_sources(st, params, with_derived=True)
-        assert np.max(np.abs(src.h.samples)) == 0.0
-        assert np.max(np.abs(src.adv_E.samples)) == 0.0
-        assert np.max(np.abs(src.S.samples)) == 0.0
+        _, _, g_e = rhs_spectra(st, params)
+        assert np.max(np.abs(g_e)) == 0.0
+        assert np.max(np.abs(shear_source(st).samples)) == 0.0
 
     def test_shear_source_antisymmetric_exactly(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.05)
         s = shear_source(st)
         assert np.array_equal(s.samples, -np.swapaxes(s.samples, 0, 1))
 
+    def test_shear_source_matches_operator_oracle(self, grid8, rng):
+        """S from full-spectrum operator derivatives, index by index, undealiased."""
+        from veflow.operators import div, grad
+
+        st = smooth_state(grid8, rng, amp=0.05)
+        E = st.E.samples
+        # dE[l][i][j] = d_l E^{ij}
+        dE = [[[None] * 3 for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                g = grad(st.E.component(i, j)).samples
+                for ll in range(3):
+                    dE[ll][i][j] = g[ll]
+        T = np.zeros((3, 3) + grid8.shape)
+        for i in range(3):
+            for j in range(3):
+                inner = np.zeros((3,) + grid8.shape)
+                for k in range(3):
+                    for ll in range(3):
+                        inner[k] += E[ll, k] * dE[ll][i][j] - E[ll, j] * dE[ll][i][k]
+                T[i, j] = div(VectorField(grid8, inner)).samples
+        expected = T - np.swapaxes(T, 0, 1)
+        got = shear_source(st, dealias=False).samples
+        assert np.max(np.abs(expected)) > 0.0
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_quadratic_scaling(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=2e-3)
         norms = []
         for theta in (1.0, 0.5, 0.25):
             scaled = FlowState(theta * st.n, theta * st.v, theta * st.E)
-            src = evaluate_sources(scaled, params)
-            norms.append(
-                {
-                    "f": l2_norm(src.f),
-                    "h": l2_norm(src.h),
-                    "g": l2_norm(src.g),
-                }
-            )
-        for key in ("f", "h", "g"):
+            spectra = rhs_spectra(scaled, params)
+            norms.append([np.sqrt(np.sum(np.abs(s) ** 2)) for s in spectra])  # Parseval
+        for key in range(3):
             for i in range(2):
                 ratio = norms[i][key] / norms[i + 1][key]
                 assert 3.0 <= ratio <= 5.0, (key, ratio)
@@ -77,22 +100,13 @@ class TestEvaluateSources:
             n, VectorField.zero(grid8), TensorField.zero(grid8), project=False
         )
         with pytest.raises(VacuumError):
-            evaluate_sources(st, params)
-
-    def test_rhs_spectra_matches_evaluate_sources(self, grid8, params, rng):
-        st = smooth_state(grid8, rng, amp=0.01)
-        src = evaluate_sources(st, params)
-        gn, gv, ge = rhs_spectra(st, params)
-        assert np.max(np.abs((src.f - src.adv_n).to_frequency().data - gn)) < 1e-15
-        assert np.max(np.abs(src.g.to_frequency().data - gv)) < 1e-15
-        assert np.max(np.abs((src.h - src.adv_E).to_frequency().data - ge)) < 1e-15
+            rhs_spectra(st, params)
 
     def test_dealias_toggle_changes_high_modes_only(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01, kmax=3)
-        raw = evaluate_sources(st, params, dealias=False)
-        cut = evaluate_sources(st, params, dealias=True)
-        diff = (raw.f - cut.f).to_frequency().data
-        assert np.max(np.abs(diff * grid8.dealias_mask)) < 1e-16
+        raw, _, _ = rhs_spectra(st, params, dealias=False)
+        cut, _, _ = rhs_spectra(st, params, dealias=True)
+        assert np.max(np.abs((raw - cut) * grid8.dealias_mask)) < 1e-16
 
 
 class TestLongitudinalIdentity:
@@ -112,8 +126,8 @@ class TestLongitudinalIdentity:
             TensorField(grid, phys.F.samples - TensorField.identity(grid).samples),
             project=False,
         )
-        src = evaluate_sources(st, params, dealias=False)
-        g1 = longitudinal_source(src.g, st, params, dealias=False)
+        _, g_hat, _ = rhs_spectra(st, params, dealias=False)
+        g1 = longitudinal_source(g_hat, st, params, dealias=False)
 
         # full velocity right-hand side, then its divergence
         rhs_v_hat = (
@@ -121,7 +135,7 @@ class TestLongitudinalIdentity:
             + grad(div(st.v)).data * (params.lam + params.mu)
             - grad(st.n).data
             + params.a * div_tensor(st.E).data
-            + src.g.to_frequency().data
+            + g_hat
         )
         lhs = div(VectorField(grid, rhs_v_hat, "frequency")).data
 

@@ -42,7 +42,7 @@ class TestGrid:
             Grid(16, -1.0)
 
     def test_frequency_lattice_symmetry(self, grid16):
-        k = grid16.wavenumbers
+        k = grid16.xi
         # away from the Nyquist planes the lattice is symmetric under k -> -k
         mask = grid16.nyquist_mask
         for axis in range(3):
@@ -246,17 +246,3 @@ class TestNormsAndProducts:
         sym = -(grid8.xi_mag**2) * grid8.nyquist_mask
         direct = apply_multiplier(u, sym).to_physical().samples
         assert np.max(np.abs(direct - laplacian(u).to_physical().samples)) < 1e-13
-
-    def test_vector_from_components(self, grid8, rng):
-        comps = [smooth_scalar(grid8, rng) for _ in range(3)]
-        v = VectorField.from_components(comps)
-        for i in range(3):
-            assert np.array_equal(v.component(i).samples, comps[i].samples)
-
-    def test_tensor_contractions(self, grid8, rng):
-        t = TensorField(grid8, rng.standard_normal((3, 3) + grid8.shape))
-        v = VectorField(grid8, rng.standard_normal((3,) + grid8.shape))
-        tr = t.trace().samples
-        assert np.array_equal(tr, t.data[0, 0] + t.data[1, 1] + t.data[2, 2])
-        tv = t.dot(v).samples
-        assert np.allclose(tv, np.einsum("ij...,j...->i...", t.data, v.data))
