@@ -77,6 +77,9 @@ def parse_mode_file(text: str) -> DisplacementSpec:
             raise InitialDataError(f"mode file line {lineno}: {exc}") from None
         if not all(np.isfinite(nums)):
             raise InitialDataError(f"mode file line {lineno}: non-finite amplitude")
+        if k == (0, 0, 0):
+            # c and conj(c) would share one index: 2 Re(c), Im(c) silently lost
+            raise InitialDataError(f"mode file line {lineno}: k = (0, 0, 0) is not a Fourier pair")
         amp = tuple(complex(nums[2 * i], nums[2 * i + 1]) for i in range(3))
         mode = FourierMode(k, amp)
         (phi if parts[0] == "phi" else u).append(mode)

@@ -5,6 +5,14 @@ batch of radii.  The step size is chosen from the standard local-error
 model h^4 ||A||^5 t / 30 <= tol together with the stability limit
 h ||A|| <= 0.5, so the oracle error stays well below the 1e-8 comparison
 tolerance on the sample grids used here.
+
+A(r) depends on neither t nor M, so one RK4 step of size h is linear in M:
+M <- M + D M, where D = (h/6)(k1 + 2 k2 + 2 k3 + k4) is the increment of a
+step taken from M = I.  D is computed once per time interval (the step
+size is fixed within it) and each step is one batched 2x2 product.  The
+step keeps the increment form M + D M rather than (I + D) M: forming I + D
+rounds D at eps * ||I|| on every step, and stepping with it raises the
+closed-form vs RK4 gap on the semigroup-check grid from 4e-14 to 6e-12.
 """
 
 from __future__ import annotations
@@ -46,9 +54,10 @@ def rk4_block_expm(
 
     order = np.argsort(times, kind="stable")
     out = np.empty((times.size, radii.size, 2, 2))
-    m = np.zeros((radii.size, 2, 2))
-    m[:, 0, 0] = 1.0
-    m[:, 1, 1] = 1.0
+    eye = np.zeros((radii.size, 2, 2))
+    eye[:, 0, 0] = 1.0
+    eye[:, 1, 1] = 1.0
+    m = eye
     t_now = 0.0
     for idx in order:
         target = float(times[idx])
@@ -56,12 +65,14 @@ def rk4_block_expm(
         if span > 0.0:
             steps = int(np.ceil(span / h))
             hh = span / steps
+            # the RK4 increment of a step from M = I; a step from any M adds D @ M
+            k1 = _rhs(nu, b, radii, eye)
+            k2 = _rhs(nu, b, radii, eye + 0.5 * hh * k1)
+            k3 = _rhs(nu, b, radii, eye + 0.5 * hh * k2)
+            k4 = _rhs(nu, b, radii, eye + hh * k3)
+            d = (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             for _ in range(steps):
-                k1 = _rhs(nu, b, radii, m)
-                k2 = _rhs(nu, b, radii, m + 0.5 * hh * k1)
-                k3 = _rhs(nu, b, radii, m + 0.5 * hh * k2)
-                k4 = _rhs(nu, b, radii, m + hh * k3)
-                m = m + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                m = m + d @ m
             t_now = target
         out[idx] = m
     return out

@@ -6,11 +6,14 @@ renames or deletes one of those names breaks the traced benchmark; this
 test catches it, and checks that every patched attribute is restored.
 ``perfbench/workloads.py`` imports veflow names and calls them with
 keyword options; importing it and running each cheap workload's set-up
-catches a deleted name or option there.
+catches a deleted name or option there.  One propagator-check solve runs
+the benchmark's closed-form vs RK4 gate and its reference comparison, so a
+change to the oracle or the closed form that fails the benchmark fails here.
 """
 
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -46,3 +49,12 @@ def test_workload_setups_run(tmp_path):
         workload = WORKLOADS[name]
         start, end = workload.setup(workload.inputs(0), tmp_path)
         assert end >= start, name
+
+
+def test_propagator_check_gate_and_reference(tmp_path):
+    workload = WORKLOADS["propagator-check"]
+    solve = workload.solve(workload.inputs(0), tmp_path)
+    assert solve.attempted == 400
+    assert not solve.failed_ops, solve.notes[:5]
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert not workload.compare(solve.outputs, reference["propagator-check"]["0"])

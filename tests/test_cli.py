@@ -40,6 +40,13 @@ class TestMakeIc:
         for name in ("ic_rho.cvf", "ic_u.cvf", "ic_F.cvf", "summary.json"):
             assert (out / name).exists()
 
+    def test_zero_wavevector_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "modes.txt"
+        bad.write_text(MODEFILE + "u   0 0 0   0.5 0.3   0.0 0.0    0.0 0.0\n")
+        rc = main(["make-ic", "--n", "8", "--modes", str(bad), "--out", str(tmp_path / "ic")])
+        assert rc == 3
+        assert "line 5" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_t_end_zero_single_row(self, tmp_path, modefile):

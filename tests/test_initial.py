@@ -99,6 +99,12 @@ class TestModeFiles:
         with pytest.raises(InitialDataError, match="line 2: non-finite"):
             parse_mode_file(text)
 
+    @pytest.mark.parametrize("field", ["phi", "u"])
+    def test_zero_wavevector_rejected(self, field):
+        text = f"phi 1 0 0  0.0 -0.5  0.0 0.0  0.0 0.0\n{field} 0 0 0  0.5 0.3  0.0 0.0  0.0 0.0\n"
+        with pytest.raises(InitialDataError, match=r"line 2: k = \(0, 0, 0\)"):
+            parse_mode_file(text)
+
     def test_fields_are_real(self, grid8, rng):
         modes = (FourierMode((1, 2, 0), (0.3 + 0.4j, -0.2j, 0.1)),)
         f = build_vector_field(grid8, modes, 1.0)

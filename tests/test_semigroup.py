@@ -1,5 +1,6 @@
 """Closed-form block propagators and the full-grid linear solution operator."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +18,7 @@ from veflow import (
     propagator_integral,
 )
 from veflow.fields import hermitian_defect, to_spectrum
-from veflow.oracles import rk4_block_expm
+from veflow.oracles import _rhs, rk4_block_expm
 from veflow.semigroup import LinearPropagator, _entries
 from veflow.state import state_from_spectra
 
@@ -25,6 +26,34 @@ from veflow.state import state_from_spectra
 @pytest.fixture(scope="module")
 def comp():
     return BlockSystem.compressible(make_params())
+
+
+BLOCKS = (BlockSystem.compressible(make_params()), BlockSystem.shear(make_params()))
+
+
+def _rk4_four_stages_per_step(nu, b, radii, times, tol=1e-10):
+    """The RK4 recurrence written out: four stages per step from the current M,
+    with the step rule of ``rk4_block_expm``."""
+    radii = np.asarray(radii, dtype=float)
+    norm = float(np.max(1.0 + radii + b * radii + nu * radii**2))
+    h_acc = (30.0 * tol / (max(max(times), 1e-6) * norm**5)) ** 0.25
+    h = min(0.5 / norm, h_acc)
+    m = np.zeros((radii.size, 2, 2))
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    out, t_now = [], 0.0
+    for t in sorted(times):
+        if t > t_now:
+            steps = int(np.ceil((t - t_now) / h))
+            hh = (t - t_now) / steps
+            for _ in range(steps):
+                k1 = _rhs(nu, b, radii, m)
+                k2 = _rhs(nu, b, radii, m + 0.5 * hh * k1)
+                k3 = _rhs(nu, b, radii, m + 0.5 * hh * k2)
+                k4 = _rhs(nu, b, radii, m + hh * k3)
+                m = m + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_now = t
+        out.append(m)
+    return np.array(out)
 
 
 class TestEigenvalues:
@@ -71,6 +100,23 @@ class TestPropagator:
         exact = Propagator2x2.build(comp, 1.0, 1.0).matrix
         oracle = rk4_block_expm(comp.nu, comp.b, [1.0], [1.0])[0, 0]
         assert np.max(np.abs(exact - oracle)) < 1e-8
+
+    @pytest.mark.parametrize("system", BLOCKS, ids=lambda s: s.kind)
+    def test_closed_form_against_extended_precision(self, system):
+        """Closed form vs 50-digit mpmath.expm across r -> 0, r* and r >> r*."""
+        rs = system.confluent_radius
+        radii = (1e-8, 1e-3, 0.5 * rs, rs * (1 - 1e-9), rs, rs * (1 + 1e-9),
+                 rs * (1 + 1e-4), 2.5 * rs, 70.0 * rs)
+        with mpmath.workdps(50):
+            for r in radii:
+                mr = mpmath.mpf(r)
+                a = mpmath.matrix([[0, -mr], [system.b * mr, -system.nu * mr**2]])
+                for t in (0.1, 1.0, 50.0):
+                    want = mpmath.expm(a * mpmath.mpf(t))
+                    want = np.array([[float(want[i, j]) for j in range(2)] for i in range(2)])
+                    got = Propagator2x2.build(system, r, t).matrix
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-10 * scale, (r, t)
 
     def test_confluent_continuity(self, comp):
         rstar = comp.confluent_radius
@@ -271,6 +317,17 @@ class TestGridSemigroup:
         out = prop.apply_spectra(st.n.spectrum, st.v.spectrum, st.E.spectrum)
         for spec in out:
             assert hermitian_defect(spec) <= 1e-12 * np.max(np.abs(spec))
+
+    @pytest.mark.parametrize("system", BLOCKS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("r_max, times", [("3r*", (0.0, 0.05, 0.1)), (4.0, (0.0, 0.5, 2.0))])
+    def test_oracle_is_the_rk4_recurrence(self, system, r_max, times):
+        """One increment per interval, applied as M + D M, is the RK4 step."""
+        if r_max == "3r*":
+            r_max = 3.0 * system.confluent_radius
+        radii = np.linspace(0.0, r_max, 9)
+        hoisted = rk4_block_expm(system.nu, system.b, radii, times)
+        literal = _rk4_four_stages_per_step(system.nu, system.b, radii, times)
+        assert np.max(np.abs(hoisted - literal)) <= 1e-13
 
     def test_vectorized_oracle_batch(self, comp):
         radii = np.linspace(0.0, 4.0, 9)
