@@ -88,17 +88,18 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 def _parse_tgrid(spec: str) -> np.ndarray:
     kind, *rest = spec.split(":")
-    if kind == "log" and len(rest) == 3:
+    if kind not in ("log", "lin") or len(rest) != 3:
+        raise ParameterError(f"t-grid must be log:a:b:n or lin:a:b:n, got {spec!r}")
+    try:
         a, b, num = float(rest[0]), float(rest[1]), int(rest[2])
-        if not (0 < a < b and num >= 2):
-            raise ParameterError(f"bad t-grid {spec!r}")
+    except ValueError:
+        raise ParameterError(f"bad t-grid {spec!r}") from None
+    start_ok = 0 < a if kind == "log" else 0 <= a
+    if not (start_ok and a < b < np.inf and num >= 2):
+        raise ParameterError(f"bad t-grid {spec!r}")
+    if kind == "log":
         return np.logspace(np.log10(a), np.log10(b), num)
-    if kind == "lin" and len(rest) == 3:
-        a, b, num = float(rest[0]), float(rest[1]), int(rest[2])
-        if not (0 <= a < b and num >= 2):
-            raise ParameterError(f"bad t-grid {spec!r}")
-        return np.linspace(a, b, num)
-    raise ParameterError(f"t-grid must be log:a:b:n or lin:a:b:n, got {spec!r}")
+    return np.linspace(a, b, num)
 
 
 def _system_from(args, params) -> BlockSystem:

@@ -7,8 +7,10 @@ test catches it, and checks that every patched attribute is restored.
 ``perfbench/workloads.py`` imports veflow names and calls them with
 keyword options; importing it and running each cheap workload's set-up
 catches a deleted name or option there.  One propagator-check solve runs
-the benchmark's closed-form vs RK4 gate and its reference comparison, so a
-change to the oracle or the closed form that fails the benchmark fails here.
+the benchmark's closed-form vs RK4 gate and its reference comparison, and one
+whole-space-decay solve its slope checks and reference comparison, so a
+change to the oracle, the closed form or the quadrature that fails the
+benchmark fails here.
 """
 
 import importlib
@@ -58,3 +60,12 @@ def test_propagator_check_gate_and_reference(tmp_path):
     assert not solve.failed_ops, solve.notes[:5]
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     assert not workload.compare(solve.outputs, reference["propagator-check"]["0"])
+
+
+def test_whole_space_decay_checks_and_reference(tmp_path):
+    workload = WORKLOADS["whole-space-decay"]
+    solve = workload.solve(workload.inputs(0), tmp_path)
+    assert solve.attempted == 256
+    assert not solve.failed_ops, solve.notes[:5]
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert not workload.compare(solve.outputs, reference["whole-space-decay"]["0"])

@@ -152,6 +152,22 @@ class TestLinearDecay:
         rc = main(["linear-decay", "--t-grid", "geom:1:2:3", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "spec", ["log:1:inf:3", "lin:0:inf:3", "log:nan:10:3", "log:1:10:abc", "lin:0:x:3"]
+    )
+    def test_malformed_tgrid_usage_error(self, tmp_path, spec):
+        rc = main(["linear-decay", "--t-grid", spec, "--out", str(tmp_path / "x")])
+        assert rc == 2
+
+    def test_wide_profile_to_large_time(self, tmp_path):
+        out = tmp_path / "wide"
+        rc = main(
+            ["linear-decay", "--width", "30", "--t-grid", "log:1:1e5:16", "--out", str(out)]
+        )
+        assert rc == 0
+        rows = (out / "decay.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 16
+
     def test_unknown_flag_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["linear-decay", "--eta", "1.0", "--out", "/tmp/x"])

@@ -11,6 +11,7 @@ from veflow import (
     make_params,
     whole_space_norm,
 )
+from veflow import quadrature
 from veflow.quadrature import RadialProfile
 
 
@@ -61,10 +62,44 @@ class TestValues:
         assert c1 == pytest.approx(np.sqrt(np.pi**1.5 / (2.0 * np.pi) ** 3), rel=1e-10)
 
 
+def _nan_profile():
+    return RadialProfile(
+        first=lambda r: np.full_like(r, np.nan),
+        second=lambda r: np.zeros_like(r),
+        env_amp=1.0,
+        env_eta=0.0,
+        env_width=1.0,
+    )
+
+
 class TestGuards:
     def test_negative_time(self, comp):
         with pytest.raises(QuadratureError):
             whole_space_norm(gaussian_profile(), comp, -1.0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"t": np.nan},
+            {"t": np.inf},
+            {"rtol": np.nan},
+            {"rtol": np.inf},
+            {"rtol": 0.0},
+            {"rtol": 1.0},
+            {"rtol": -1e-8},
+            {"k": -1},
+            {"component": 2},
+            {"rtol": 1e-20},  # below round-off: stopped by the live-panel cap
+            {"profile": "nan"},
+        ],
+        ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()),
+    )
+    def test_bad_input_rejected(self, comp, case):
+        case = dict(case)
+        profile = _nan_profile() if case.pop("profile", None) else gaussian_profile(1.0, 0.5)
+        t = case.pop("t", 1.0)
+        with pytest.raises(QuadratureError):
+            whole_space_norm(profile, comp, t, **case)
 
     def test_non_decaying_profile_rejected(self, comp):
         flat = RadialProfile(
@@ -94,3 +129,56 @@ class TestRates:
         prof = gaussian_profile(amp_first=1.0)
         ns = np.array([whole_space_norm(prof, comp, float(t)) for t in ts])
         assert np.all(np.abs(np.diff(np.log(ns))) < 0.05)
+
+
+def _reference_norm(profile, system, t, k=0, component=None, rtol=1e-8):
+    """Scalar oracle: one 20-node panel per call, recursive bisection per coarse panel."""
+    f = quadrature._integrand_factory(profile, system, t, k, component)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    bound = 4.0 * max(1.0, np.sqrt(system.b), 1.0 / np.sqrt(system.b))
+    edges = quadrature._seed_edges(system, t, k, profile.tail_radius(k, tol=1e-290, bound=bound))
+
+    def panel(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        return half * float(np.dot(weights, f(mid + half * nodes)))
+
+    def refine(a, b, whole, budget, depth):
+        mid = 0.5 * (a + b)
+        left, right = panel(a, mid), panel(mid, b)
+        if abs(left + right - whole) <= budget or depth >= 48:
+            return left + right
+        return refine(a, mid, left, 0.5 * budget, depth + 1) + refine(
+            mid, b, right, 0.5 * budget, depth + 1
+        )
+
+    coarse = [(a, b, panel(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+    total = sum(v for _, _, v in coarse)
+    share = rtol * total / len(coarse)
+    return np.sqrt(sum(refine(a, b, v, share, 0) for a, b, v in coarse))
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("block", ["compressible", "shear"])
+    def test_matches_scalar_reference(self, block):
+        system = getattr(BlockSystem, block)(make_params())
+        # 437 coarse panels at t = 1e4 span many chunks; width 30 at t = 1e5
+        # bisects some panels more than once
+        cases = [(1.0, t) for t in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4)] + [(30.0, 1e5)]
+        for width, t in cases:
+            prof = gaussian_profile(amp_first=1.0, amp_second=0.7, width=width)
+            for k in (0, 1):
+                for component in (None, 0, 1):
+                    got = whole_space_norm(prof, system, t, k=k, component=component)
+                    want = _reference_norm(prof, system, t, k=k, component=component)
+                    assert got == pytest.approx(want, rel=1e-12), (width, t, k, component)
+
+    @pytest.mark.parametrize("block", ["compressible", "shear"])
+    @pytest.mark.parametrize("width", [30.0, 100.0])
+    def test_second_refinement_level(self, block, width):
+        # wide profiles at t = 1e5 need panels bisected more than once
+        system = getattr(BlockSystem, block)(make_params())
+        prof = gaussian_profile(amp_first=1.0, amp_second=1.0, width=width)
+        for k in (0, 1):
+            got = whole_space_norm(prof, system, 1e5, k=k)
+            tight = whole_space_norm(prof, system, 1e5, k=k, rtol=1e-12)
+            assert got == pytest.approx(tight, rel=1e-8), k
