@@ -271,7 +271,6 @@ def energy_ledger(record: TimeSeriesRecord, params: ModelParams) -> LedgerReport
     d2 = record.array("diss2_inst")
     base = h2[0] ** 2 if h2[0] > 0.0 else 1.0
 
-    cross_ok = True
     h1g = record.array("H1g")
     cross = np.abs(record.array("cross1")) + np.abs(record.array("cross2"))
     # |cross| <= (1/2 + sqrt(2)) |grad(n,v,E)|_{H1}^2 by Cauchy-Schwarz

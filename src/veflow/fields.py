@@ -14,8 +14,8 @@ enters from outside (:meth:`from_frequency`, used by the snapshot reader),
 not on every inverse transform.
 
 This module is the one transform layer of the package: every other module
-goes through :func:`to_spectrum`, :func:`to_samples` and
-:func:`half_to_samples`.
+goes through :func:`to_spectrum`, :func:`to_samples`,
+:func:`to_half_spectrum` and :func:`half_to_samples`.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ def to_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
 def to_samples(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
     """Real samples of a Hermitian spectrum; the imaginary part is dropped unchecked."""
     return np.fft.ifftn(spectrum, axes=(-3, -2, -1)).real * grid.n**3
+
+
+def to_half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Nonnegative-last-axis half of the Fourier coefficients of real samples."""
+    return np.fft.rfftn(samples, axes=(-3, -2, -1)) / grid.n**3
 
 
 def half_to_samples(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
@@ -216,5 +221,5 @@ class TensorField(_BaseField):
         return ScalarField(self.grid, self.data[i, j], self.rep)
 
     def antisymmetric_part(self) -> "TensorField":
-        """T^T - T; exactly antisymmetric by construction."""
-        return TensorField(self.grid, np.swapaxes(self.data, 0, 1) - self.data, self.rep)
+        """T^T - T, formed on the spectrum; exactly antisymmetric by construction."""
+        return TensorField(self.grid, np.swapaxes(self.spectrum, 0, 1) - self.spectrum, FREQUENCY)

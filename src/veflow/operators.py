@@ -23,6 +23,7 @@ the sign and contraction being fixed by the round-trip identity.
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,19 +163,26 @@ def l2_norm(field) -> float:
     return float(np.sqrt(field.grid.volume * np.sum(np.abs(field.spectrum) ** 2)))
 
 
-def _weighted_l2(field, first: int, last: int) -> float:
-    """sqrt(L^3 sum_xi w |u_hat|^2) with w = sum_{first <= j <= last} |xi|^(2j); first is 0 or 1."""
-    g = field.grid
-    r2 = (g.xi_mag**2) * g.nyquist_mask
-    weight = np.ones(g.shape) if first == 0 else np.zeros(g.shape)
-    acc = np.ones(g.shape)
+@lru_cache(maxsize=16)
+def _sobolev_weight(grid: Grid, first: int, last: int) -> np.ndarray:
+    """Read-only w = sum_{first <= j <= last} |xi|^(2j), built once per (grid, first, last)."""
+    r2 = (grid.xi_mag**2) * grid.nyquist_mask
+    weight = np.ones(grid.shape) if first == 0 else np.zeros(grid.shape)
+    acc = np.ones(grid.shape)
     for _ in range(last):
         acc = acc * r2
         weight = weight + acc
+    weight.setflags(write=False)
+    return weight
+
+
+def _weighted_l2(field, first: int, last: int) -> float:
+    """sqrt(L^3 sum_xi w |u_hat|^2) with w = sum_{first <= j <= last} |xi|^(2j); first is 0 or 1."""
+    g = field.grid
     power = np.abs(field.spectrum) ** 2
     while power.ndim > 3:
         power = power.sum(axis=0)
-    return float(np.sqrt(g.volume * np.sum(weight * power)))
+    return float(np.sqrt(g.volume * np.sum(_sobolev_weight(g, first, last) * power)))
 
 
 def sobolev_norm(field, k: int) -> float:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FREQUENCY, TensorField, VectorField
-from .fields import half_to_samples, to_samples, to_spectrum
+from .fields import half_to_samples, to_half_spectrum, to_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
 from .state import FlowState, PhysState
@@ -158,36 +158,45 @@ def shear_source(state: FlowState, dealias: bool = True) -> TensorField:
 
 def _rho_f_of(obj) -> tuple[Grid, np.ndarray, np.ndarray]:
     if isinstance(obj, FlowState):
-        grid = obj.grid
-        rho = 1.0 + obj.n.samples
-        F = obj.E.samples.copy()
-        for i in range(3):
-            F[i, i] = F[i, i] + 1.0
-        return grid, rho, F
+        return obj.grid, 1.0 + obj.n.samples, obj.E.samples + np.eye(3).reshape(3, 3, 1, 1, 1)
     if isinstance(obj, PhysState):
         return obj.grid, obj.rho.samples, obj.F.samples
     raise TypeError(f"expected FlowState or PhysState, got {type(obj).__name__}")
 
 
+def _half_sum_sq(half_spectrum: np.ndarray) -> float:
+    """Full-lattice sum_k |u_hat(k)|^2 of a Hermitian spectrum from its kz >= 0 half:
+    weight 1 on the self-mirrored kz = 0 and kz = N/2 planes, 2 elsewhere."""
+    power = np.abs(half_spectrum) ** 2
+    return float(2.0 * np.sum(power) - np.sum(power[..., 0]) - np.sum(power[..., -1]))
+
+
+def _antisymmetric_slot_max(grid: Grid, first: np.ndarray) -> float:
+    """max over (i, j, k) of ||first[i, j, k] - first[i, k, j]|| by grid Parseval, over
+    j < k only: j = k slots are exactly 0 and (i, k, j) exactly negates (i, j, k)."""
+    j, k = np.triu_indices(3, 1)
+    expr = first[:, j, k] - first[:, k, j]
+    return float(np.sqrt(grid.cell_volume * np.sum(expr**2, axis=(-3, -2, -1))).max())
+
+
 def constraint_residuals(obj) -> ConstraintReport:
-    """Spectral L2 residuals of the two material constraints."""
+    """L2 residuals of the two material constraints, from half spectra of rho F and F."""
     grid, rho, F = _rho_f_of(obj)
     vol = grid.volume
-    xi = grid.xi
+    xi = grid.xi[..., : grid.n // 2 + 1]
 
-    rhoF_hat = to_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
+    rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
     # r1: w^k = d_j (rho F^{jk})
     w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
-    r1 = float(np.sqrt(vol * np.sum(np.abs(w_hat) ** 2)))
+    r1 = float(np.sqrt(vol * _half_sum_sq(w_hat)))
 
     # r3: d_k d_j (rho F^{jk}) = divdiv[(rho F)^T]
     q_hat = np.einsum("k...,k...->...", 1j * xi, w_hat)
-    r3 = float(np.sqrt(vol * np.sum(np.abs(q_hat) ** 2)))
+    r3 = float(np.sqrt(vol * _half_sum_sq(q_hat)))
 
     # r2: max over slots of ||F^{lk} d_l F^{ij} - F^{lj} d_l F^{ik}||
-    dF = to_samples(grid, 1j * np.einsum("l...,ij...->lij...", xi, to_spectrum(grid, F)))
-    first = np.einsum("lk...,lij...->ijk...", F, dF)
-    expr = first - np.swapaxes(first, 1, 2)
-    norms = np.sqrt(vol * np.sum(np.abs(to_spectrum(grid, expr)) ** 2, axis=(-3, -2, -1)))
-    r2 = float(norms.max())
+    # d_l F from F's samples: E's cached spectrum is equal in exact arithmetic
+    # but moves r2's rounding past the recorded benchmark references
+    dF = _gradient(grid, to_half_spectrum(grid, F))
+    r2 = _antisymmetric_slot_max(grid, np.einsum("lk...,lij...->ijk...", F, dF))
     return ConstraintReport(r1=r1, r2=r2, r3=r3)

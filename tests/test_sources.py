@@ -17,7 +17,36 @@ from veflow import (
     piola_ic,
     shear_source,
 )
-from veflow.sources import rhs_spectra
+from veflow.sources import _antisymmetric_slot_max, _half_sum_sq, rhs_spectra
+
+
+def full_spectrum_residuals(obj) -> np.ndarray:
+    """Reference (r1, r2, r3): full complex spectra, every one of the 27 r2 slots
+    transformed and its norm taken by Parseval."""
+    if isinstance(obj, PhysState):
+        grid, rho, F = obj.grid, obj.rho.samples, obj.F.samples
+    else:
+        grid, rho = obj.grid, 1.0 + obj.n.samples
+        F = obj.E.samples + TensorField.identity(grid).samples
+    axes, n3, vol, xi = (-3, -2, -1), grid.n**3, grid.volume, grid.xi
+    rhoF_hat = np.fft.fftn(rho * F, axes=axes) / n3
+    w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
+    q_hat = np.einsum("k...,k...->...", 1j * xi, w_hat)
+    F_hat = np.fft.fftn(F, axes=axes) / n3
+    dF = np.fft.ifftn(1j * np.einsum("l...,ij...->lij...", xi, F_hat), axes=axes).real * n3
+    first = np.einsum("lk...,lij...->ijk...", F, dF)
+    return np.array([
+        np.sqrt(vol * np.sum(np.abs(w_hat) ** 2)),
+        spectral_slot_max(grid, first - np.swapaxes(first, 1, 2)),
+        np.sqrt(vol * np.sum(np.abs(q_hat) ** 2)),
+    ])
+
+
+def spectral_slot_max(grid, expr: np.ndarray) -> float:
+    """max over all 27 slots of the Parseval norm of each slot's full spectrum."""
+    axes = (-3, -2, -1)
+    spec = np.fft.fftn(expr, axes=axes) / grid.n**3
+    return float(np.sqrt(grid.volume * np.sum(np.abs(spec) ** 2, axis=axes)).max())
 
 
 class TestEvaluateSources:
@@ -198,3 +227,43 @@ class TestConstraintResiduals:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             constraint_residuals(42)
+
+
+class TestResidualOracle:
+    """The half-spectrum r1/r3 and the 9-slot grid-Parseval r2 against the
+    full-spectrum, 27-slot form."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("amp", [1e-3, 1e-2])
+    def test_matches_full_spectrum_along_a_run(self, n, amp, params):
+        from veflow import Grid, phys_to_pert
+        from veflow.stepping import cfl_dt, step
+
+        grid = Grid(n)
+        phys = piola_ic(generic_piola_spec(amp), grid, params)
+        state = phys_to_pert(phys, params, warn=False)
+        objs = [phys, state]
+        for _ in range(3):
+            state = step(state, params, cfl_dt(grid, params, 0.5))
+            objs.append(state)
+        want = np.array([full_spectrum_residuals(o) for o in objs])
+        got = np.array([[r.r1, r.r2, r.r3] for r in map(constraint_residuals, objs)])
+        assert np.all(want[1:] > 0.0)
+        # per column, relative to the column's largest value along the run
+        assert np.all(np.abs(got - want) <= 1e-8 * want.max(axis=0)), np.abs(got - want) / want.max(axis=0)
+
+    def test_half_spectrum_sum_is_parseval(self, grid8, rng):
+        u = rng.standard_normal((2,) + grid8.shape)
+        full = np.sum(np.abs(np.fft.fftn(u, axes=(-3, -2, -1))) ** 2)
+        half = _half_sum_sq(np.fft.rfftn(u, axes=(-3, -2, -1)))
+        assert half == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("slot", [(i, j, k) for i in range(3) for j, k in ((0, 1), (0, 2), (1, 2))])
+    def test_grid_parseval_r2_equals_spectral(self, grid8, rng, slot):
+        # one slot dominates, so leaving any (i, j < k) slot out changes the max
+        first = rng.standard_normal((3, 3, 3) + grid8.shape)
+        first[slot] *= 10.0
+        expr = first - np.swapaxes(first, 1, 2)
+        want = spectral_slot_max(grid8, expr)
+        assert _antisymmetric_slot_max(grid8, first) == pytest.approx(want, rel=1e-12)
+
