@@ -44,7 +44,6 @@ from .semigroup import (
     apply_linear_semigroup,
     decay_exponent,
     eigenvalues,
-    propagator_integral,
 )
 from .quadrature import RadialProfile, gaussian_profile, whole_space_norm
 from .sources import (

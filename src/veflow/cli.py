@@ -3,8 +3,8 @@
 Subcommands: make-ic, simulate, linear-decay, lower-bound, semigroup-check,
 fit.  Every run writes a manifest (all resolved inputs plus a content hash)
 into the output directory before computing, so a run can be reproduced
-bit-for-bit from its manifest.  Exit codes: 0 success, 2 usage error,
-3 numerical abort.
+bit-for-bit from its manifest.  Exit codes: 0 success, 2 usage error
+(including a missing input file), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -169,6 +169,14 @@ def _cmd_simulate(args) -> int:
         phys = piola_ic(spec, Grid(args.n, args.box), params)
     grid = phys.grid
     dt = args.dt if args.dt is not None else cfl_dt(grid, params, args.cfl_safety)
+    config = StepperConfig(
+        dt=dt,
+        t_end=args.t_end,
+        cfl_safety=args.cfl_safety,
+        output_every=args.output_every,
+        dealias=not args.no_dealias,
+        sources=not args.linear,
+    )
     resolved = {
         "grid": {"n": grid.n, "box": grid.length},
         "params": _params_from(args),
@@ -183,14 +191,6 @@ def _cmd_simulate(args) -> int:
     _write_manifest(out, "simulate", resolved, extra)
 
     initial = phys_to_pert(phys, params, warn=False)
-    config = StepperConfig(
-        dt=dt,
-        t_end=args.t_end,
-        cfl_safety=args.cfl_safety,
-        output_every=args.output_every,
-        dealias=not args.no_dealias,
-        sources=not args.linear,
-    )
     t0 = _time.perf_counter()
     record = run(initial, params, config, csv_path=out / "series.csv", dump_dir=out)
     wall = _time.perf_counter() - t0
@@ -323,6 +323,12 @@ def _cmd_duhamel(args) -> int:
     params = make_params(**_params_from(args))
     grid = Grid(args.n, args.box)
     text = Path(args.ic).read_text()
+    config = StepperConfig(
+        dt=cfl_dt(grid, params, args.cfl_safety),
+        t_end=args.t_end,
+        output_every=args.output_every,
+        keep_states=True,
+    )
     resolved = {
         "grid": {"n": args.n, "box": args.box},
         "params": _params_from(args),
@@ -335,12 +341,6 @@ def _cmd_duhamel(args) -> int:
     for delta in (args.delta, 0.5 * args.delta):
         spec = parse_mode_file(text).scaled(delta)
         initial = phys_to_pert(piola_ic(spec, grid, params), params, warn=False)
-        config = StepperConfig(
-            dt=cfl_dt(grid, params, args.cfl_safety),
-            t_end=args.t_end,
-            output_every=args.output_every,
-            keep_states=True,
-        )
         record = run(initial, params, config)
         reports[delta] = duhamel_compare(record, params, initial)
     ratio = reports[args.delta].max_deviation / reports[0.5 * args.delta].max_deviation
@@ -399,8 +399,11 @@ def _cmd_fit(args) -> int:
     ys = np.atleast_1d(rows[args.column])
     window = None
     if args.window:
-        lo, hi = args.window.split(":")
-        window = (float(lo), float(hi))
+        try:
+            lo, hi = (float(x) for x in args.window.split(":"))
+        except ValueError:
+            raise ParameterError(f"fit window must be t0:t1, got {args.window!r}") from None
+        window = (lo, hi)
     fit = decay_fit(ts, ys, window=window, band_exponent=args.band_exponent)
     print(f"fit of {args.column} over t in [{fit.window[0]:g}, {fit.window[1]:g}]")
     print(f"  slope     = {fit.slope:+.6f}")
@@ -501,7 +504,7 @@ def main(argv=None) -> int:
         logging.getLogger().setLevel(logging.DEBUG)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except VeflowError as exc:

@@ -57,20 +57,24 @@ CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 @dataclass
 class LyapunovValue:
     total: float
-    gradient_h1_sq: float
+    gradient_terms: tuple[float, float, float]  # |grad f|_{H1}^2 for f = n, v, E
     cross_div: float
     cross_curl: float
+
+    @property
+    def gradient_h1_sq(self) -> float:
+        return sum(self.gradient_terms)
 
 
 def lyapunov_m(state: FlowState, d2: float = 4.0) -> LyapunovValue:
     """Monitored functional M with its component breakdown."""
     if not d2 > 0.0:
         raise ParameterError(f"weight D2 must be positive, got {d2}")
-    grad_sq = sum(gradient_sobolev_norm(f, 1) ** 2 for f in state.fields())
+    terms = tuple(gradient_sobolev_norm(f, 1) ** 2 for f in state.fields())
     cross1 = inner_product(div(state.v), laplacian(state.n))
     asym = state.E.antisymmetric_part()
     cross2 = inner_product(curl_matrix(state.v), laplacian(asym))
-    return LyapunovValue(d2 * grad_sq + cross1 + cross2, grad_sq, cross1, cross2)
+    return LyapunovValue(d2 * sum(terms) + cross1 + cross2, terms, cross1, cross2)
 
 
 def lp_norm_state(state: FlowState, p: float) -> float:
@@ -97,7 +101,8 @@ def sample_row(state: FlowState, d2: float = 4.0) -> dict:
     """All monitored quantities of one state, as a plain dict."""
     lyap = lyapunov_m(state, d2)
     res = constraint_residuals(state)
-    diss1 = sum(gradient_sobolev_norm(f, 1) ** 2 for f in (state.n, state.E))
+    grad_n, _, grad_e = lyap.gradient_terms
+    diss1 = grad_n + grad_e
     diss2 = gradient_sobolev_norm(state.v, 2) ** 2
     return {
         "t": state.time,

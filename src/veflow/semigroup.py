@@ -18,9 +18,10 @@ eigenvalues coalesce and the limit e^{kt}(I + t(A - kI)) applies.
 
 The grid-level solver evolves each mode of the full linearized system by
 splitting the velocity and the deformation columns along xi: the
-longitudinal triple (n, d, xi.E xi) reduces to the compressible block plus
-a frozen invariant, the two transverse pairs reduce to the shear block,
-and the remaining deformation components are constant in time.  This
+longitudinal triple (n, d, xi.E xi) keeps s = n + xi.E xi frozen and is
+the compressible block shifted by its steady state (n*, d*) = (a s/(1 + a), 0),
+the two transverse pairs reduce to the shear block, and the remaining
+deformation components are constant in time.  This
 reproduces the exact solution operator for arbitrary mean-zero data and
 coincides with the two-block picture on constraint-satisfying data.
 """
@@ -37,7 +38,6 @@ from .params import ModelParams
 from .state import FlowState, state_from_spectra
 
 _SMALL_DIFF = 1e-5   # switch to expm1 form below this |dk * t|
-_SERIES_CUT = 0.25   # Taylor series for the time integral below this |A| t
 
 
 @dataclass(frozen=True)
@@ -120,60 +120,6 @@ def _entries(nu: float, b: float, r: np.ndarray, t: float):
     return p11, p12, p21, p22
 
 
-def _integral_entries(nu: float, b: float, r: np.ndarray, t: float, entries=None):
-    """Entries of J(t) = int_0^t e^{sA(r)} ds.
-
-    Uses J = A^{-1}(e^{tA} - I) away from the origin and a Taylor series in
-    tA where the matrix is small, which covers r -> 0 (there J -> t I).
-    """
-    r = np.asarray(r, dtype=float)
-    r2 = r * r
-    if entries is None:
-        entries = _entries(nu, b, r, t)
-    p11, p12, p21, p22 = entries
-
-    small = (r + b * r + nu * r2) * t < _SERIES_CUT
-
-    # closed form via the explicit inverse of A
-    denom = np.where(r2 > 0.0, b * r2, 1.0)
-    j11_c = (-nu * r2 * (p11 - 1.0) + r * p21) / denom
-    j12_c = (-nu * r2 * p12 + r * (p22 - 1.0)) / denom
-    safe_r = np.where(r > 0.0, r, 1.0)
-    j21_c = -(p11 - 1.0) / safe_r
-    j22_c = -p12 / safe_r
-
-    # series sum_m t (tA)^m / (m+1)!
-    a11 = np.zeros_like(r)
-    a12 = -r
-    a21 = b * r
-    a22 = -nu * r2
-    m11, m12, m21, m22 = np.ones_like(r), np.zeros_like(r), np.zeros_like(r), np.ones_like(r)
-    j11_s = np.full_like(r, t)
-    j12_s = np.zeros_like(r)
-    j21_s = np.zeros_like(r)
-    j22_s = np.full_like(r, t)
-    fact = 1.0
-    for m in range(1, 10):
-        m11, m12, m21, m22 = (
-            m11 * a11 + m12 * a21,
-            m11 * a12 + m12 * a22,
-            m21 * a11 + m22 * a21,
-            m21 * a12 + m22 * a22,
-        )
-        fact *= m + 1
-        coef = t ** (m + 1) / fact
-        j11_s += coef * m11
-        j12_s += coef * m12
-        j21_s += coef * m21
-        j22_s += coef * m22
-
-    j11 = np.where(small, j11_s, j11_c)
-    j12 = np.where(small, j12_s, j12_c)
-    j21 = np.where(small, j21_s, j21_c)
-    j22 = np.where(small, j22_s, j22_c)
-    return j11, j12, j21, j22
-
-
 @dataclass(frozen=True)
 class Propagator2x2:
     """e^{tA(r)} for one block at a single (r, t)."""
@@ -189,14 +135,6 @@ class Propagator2x2:
         p11, p12, p21, p22 = _entries(system.nu, system.b, np.asarray(float(r)), float(t))
         m = np.array([[float(p11), float(p12)], [float(p21), float(p22)]])
         return cls(float(r), float(t), m)
-
-
-def propagator_integral(system: BlockSystem, r: float, t: float) -> np.ndarray:
-    """int_0^t e^{sA(r)} ds as a 2x2 matrix."""
-    if t < 0.0:
-        raise ParameterError(f"integral needs t >= 0, got {t}")
-    j11, j12, j21, j22 = _integral_entries(system.nu, system.b, np.asarray(float(r)), float(t))
-    return np.array([[float(j11), float(j12)], [float(j21), float(j22)]])
 
 
 def decay_exponent(l: float, k: int) -> float:
@@ -219,7 +157,6 @@ class LinearPropagator:
         self.t = float(t)
 
         r = grid.xi_mag * grid.nyquist_mask
-        self._r = r
         with np.errstate(invalid="ignore", divide="ignore"):
             rhat = np.where(r > 0.0, grid.xi / np.where(r > 0.0, r, 1.0), 0.0)
         self._rhat = rhat
@@ -228,14 +165,10 @@ class LinearPropagator:
         shear = BlockSystem.shear(params)
         self._comp = _entries(comp.nu, comp.b, r, self.t)
         self._shear = _entries(shear.nu, shear.b, r, self.t)
-        # only the second column of J feeds the frozen-forcing correction
-        _, j12, _, j22 = _integral_entries(comp.nu, comp.b, r, self.t, entries=self._comp)
-        self._j12 = j12
-        self._j22 = j22
 
     def apply_spectra(self, n_hat, v_hat, e_hat):
         """Advance raw spectra (n, v, E) by t; returns new spectra."""
-        r, rhat = self._r, self._rhat
+        rhat = self._rhat
         a = self.params.a
         p11, p12, p21, p22 = self._comp
         q11, q12, q21, q22 = self._shear
@@ -245,10 +178,13 @@ class LinearPropagator:
         c = np.einsum("ij...,j...->i...", e_hat, rhat)
         cpar = np.einsum("i...,i...->...", rhat, c)
         s = n_hat + cpar
-        forcing = -(a * r) * s
+        # (n*, 0) with n* = a s / (1 + a) is the steady state under the
+        # frozen forcing -a r s, so (n - n*, d) follows the compressible block;
+        # the (1 - p11) form keeps r = 0 modes (e^{tA} = I) exact bit for bit
+        n_star = (a / (1.0 + a)) * s
 
-        n1 = p11 * n_hat + p12 * d0 + self._j12 * forcing
-        d1 = p21 * n_hat + p22 * d0 + self._j22 * forcing
+        n1 = p11 * n_hat + p12 * d0 + (1.0 - p11) * n_star
+        d1 = p21 * n_hat + p22 * d0 - p21 * n_star
         cpar1 = s - n1
         vpar1 = -1j * d1
 

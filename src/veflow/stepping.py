@@ -47,10 +47,10 @@ class StepperConfig:
     keep_states: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ParameterError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0.0 < self.dt < np.inf:
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ParameterError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.output_every < 1:
             raise ParameterError("output_every must be >= 1")
 

@@ -47,6 +47,11 @@ class TestMakeIc:
         assert rc == 3
         assert "line 5" in capsys.readouterr().err
 
+    def test_missing_modes_file_usage_error(self, tmp_path, capsys):
+        rc = main(["make-ic", "--modes", str(tmp_path / "none.txt"), "--out", str(tmp_path / "ic")])
+        assert rc == 2
+        assert "none.txt" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_t_end_zero_single_row(self, tmp_path, modefile):
@@ -66,6 +71,25 @@ class TestSimulate:
         assert len(lines) == 2
         assert (out / "manifest.json").exists()
         assert (out / "final_n.cvf").exists()
+
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-inf"])
+    def test_non_finite_horizon_usage_error(self, tmp_path, modefile, t_end):
+        out = tmp_path / "run"
+        args = ["simulate", "--n", "8", f"--t-end={t_end}", "--ic", str(modefile), "--delta", "1e-3"]
+        rc = main(args + ["--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["none.txt", "ic_F.cvf"])
+    def test_missing_input_usage_error(self, tmp_path, modefile, capsys, missing):
+        ic = tmp_path / missing
+        if missing == "ic_F.cvf":
+            ic = tmp_path / "ic"
+            main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(ic)])
+            (ic / missing).unlink()
+        rc = main(["simulate", "--t-end", "0.1", "--ic", str(ic), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert missing in capsys.readouterr().err
 
     def test_from_snapshot_directory(self, tmp_path, modefile):
         ic_dir = tmp_path / "ic"
@@ -199,6 +223,17 @@ class TestDuhamel:
         summary = json.loads((out / "summary.json").read_text())
         assert 3.0 <= summary["ratio"] <= 5.0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-end=nan"], ["--t-end=inf"], ["--t-end=-inf"], ["--ic", "none.txt"]],
+        ids=["t-end-nan", "t-end-inf", "t-end-neg-inf", "missing-ic"],
+    )
+    def test_bad_input_usage_error(self, tmp_path, modefile, flags):
+        args = ["duhamel", "--n", "8", "--ic", str(modefile), "--out", str(tmp_path / "duh")]
+        rc = main(args + [f if f != "none.txt" else str(tmp_path / f) for f in flags])
+        assert rc == 2
+        assert not (tmp_path / "duh").exists()
+
 
 class TestFit:
     def test_fit_of_decay_csv(self, tmp_path, capsys):
@@ -234,6 +269,18 @@ class TestFit:
         rows = "".join(f"{float(t)},nan\n" for t in range(1, 13))
         csv.write_text("t,a\n" + rows)
         rc = main(["fit", "--csv", str(csv), "--column", "a"])
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--window", "1"], ["--window", "1:abc"], ["--csv", "none.csv"]],
+        ids=["window-1", "window-1:abc", "missing-csv"],
+    )
+    def test_bad_input_usage_error(self, tmp_path, flags):
+        csv = tmp_path / "z.csv"
+        csv.write_text("t,a\n" + "".join(f"{float(t)},{1.0 / t}\n" for t in range(1, 13)))
+        flags = [f if f != "none.csv" else str(tmp_path / f) for f in flags]
+        rc = main(["fit", "--csv", str(csv), "--column", "a"] + flags)
         assert rc == 2
 
     def test_fit_of_simulate_csv(self, tmp_path, modefile, capsys):

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_linear_generator, single_mode_state, smooth_state
 from veflow import (
@@ -15,7 +17,6 @@ from veflow import (
     decay_exponent,
     eigenvalues,
     make_params,
-    propagator_integral,
 )
 from veflow.fields import hermitian_defect, to_spectrum
 from veflow.oracles import _rhs, rk4_block_expm
@@ -161,20 +162,6 @@ class TestPropagator:
             for e in _entries(comp.nu, comp.b, r, t):
                 assert np.all(np.isfinite(e))
 
-    def test_integral_against_quadrature(self, comp):
-        # Simpson on the closed-form entries is an independent check of J
-        for r in (0.0, 1e-4, 0.3, np.sqrt(2.0), 3.0):
-            t = 1.7
-            ts = np.linspace(0.0, t, 4001)
-            vals = np.stack(
-                [np.stack(_entries(comp.nu, comp.b, np.asarray(float(r)), float(s))) for s in ts]
-            ).reshape(len(ts), 2, 2)
-            from scipy.integrate import simpson
-
-            ref = simpson(vals, x=ts, axis=0)
-            got = propagator_integral(comp, float(r), t)
-            assert np.max(np.abs(got - ref)) < 1e-9
-
 
 class TestDecayExponent:
     @pytest.mark.parametrize(
@@ -254,7 +241,7 @@ class TestGridSemigroup:
         for k in st_modes:
             u0 = 0.01 * (rng.standard_normal(13) + 1j * rng.standard_normal(13))
             st = single_mode_state(grid8, k, u0)
-            for t in (0.4, 1.7):
+            for t in (1e-3, 0.4, 1.7, 20.0):
                 out = apply_linear_semigroup(st, params, t)
                 xi = (2.0 * np.pi / grid8.length) * np.array(k, dtype=float)
                 u_exact = scipy.linalg.expm(dense_linear_generator(xi, params) * t) @ u0
@@ -337,3 +324,48 @@ class TestGridSemigroup:
             for ir, r in enumerate(radii):
                 exact = Propagator2x2.build(comp, float(r), float(t)).matrix
                 assert np.max(np.abs(exact - batch[it, ir])) < 1e-8
+
+
+_times = st.floats(1e-6, 20.0)
+
+
+def _random_spectra(grid, seed):
+    """Hermitian (n, v, E) spectra on every mode, zero mode and Nyquist planes too."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        to_spectrum(grid, rng.standard_normal(shape + grid.shape))
+        for shape in ((), (3,), (3, 3))
+    )
+
+
+class TestGridSemigroupProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.floats(0.05, 3.0),
+        lam_ratio=st.floats(-0.6, 2.0),
+        alpha=st.one_of(st.sampled_from([0.3, 1.0, 2.7]), st.floats(0.05, 5.0)),
+        t1=_times,
+        t2=_times,
+    )
+    @example(seed=0, mu=1.0, lam_ratio=0.0, alpha=0.3, t1=0.4, t2=1.7)
+    def test_group_law_and_exact_identity_where_r_is_zero(
+        self, grid8, seed, mu, lam_ratio, alpha, t1, t2
+    ):
+        """K(t2) K(t1) = K(t1 + t2), and modes with r = 0 (zero mode, Nyquist
+        planes) pass unchanged bit for bit: there e^{tA} = I exactly, and the
+        steady-state shift must not round n through n - n* + n*."""
+        params = make_params(mu=mu, lam=lam_ratio * mu, alpha=alpha)
+        spectra = _random_spectra(grid8, seed)
+
+        k1 = LinearPropagator(grid8, params, t1)
+        k2 = LinearPropagator(grid8, params, t2)
+        once = LinearPropagator(grid8, params, t1 + t2).apply_spectra(*spectra)
+        twice = k2.apply_spectra(*k1.apply_spectra(*spectra))
+        for x, y, x0 in zip(once, twice, spectra):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x0))
+
+        still = (grid8.xi_mag * grid8.nyquist_mask) == 0.0
+        assert 0 < still.sum() < still.size
+        for x0, x in zip(spectra, k1.apply_spectra(*spectra)):
+            assert np.array_equal(x[..., still], x0[..., still])

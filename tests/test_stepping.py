@@ -102,6 +102,13 @@ class TestRun:
         assert len(rec) == 1
         assert rec.times[0] == 0.0
 
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        kwargs = {"dt": 0.01, "t_end": 1.0, field: value}
+        with pytest.raises(ParameterError, match=field):
+            StepperConfig(**kwargs)
+
     def test_sample_cadence_and_final(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-3)
         dt = cfl_dt(grid8, params)
