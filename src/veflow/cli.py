@@ -37,14 +37,31 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
+def _finite(positive: bool = False):
+    """argparse type for a finite float (and > 0 when ``positive``): a bad value
+    is a usage error, exit 2, raised before any output is written."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not np.isfinite(value) or (positive and not value > 0.0):
+            kind = "positive and finite" if positive else "finite"
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=1.0, help="shear viscosity (> 0)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="second viscosity")
-    p.add_argument("--alpha", type=float, default=1.0, help="elastic coupling (> 0)")
-    p.add_argument("--gamma", type=float, default=2.0, help="pressure-law exponent (>= 1)")
+    p.add_argument("--mu", type=_finite(), default=1.0, help="shear viscosity (> 0)")
+    p.add_argument("--lambda", dest="lam", type=_finite(), default=0.0, help="second viscosity")
+    p.add_argument("--alpha", type=_finite(), default=1.0, help="elastic coupling (> 0)")
+    p.add_argument("--gamma", type=_finite(), default=2.0, help="pressure-law exponent (>= 1)")
     p.add_argument(
         "--pressure-scale",
-        type=float,
+        type=_finite(),
         default=1.0,
         help="pressure-law prefactor; equals P'(1)",
     )
@@ -52,7 +69,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=32, help="grid points per axis (even)")
-    p.add_argument("--box", type=float, default=2.0 * np.pi, help="box length L")
+    p.add_argument("--box", type=_finite(positive=True), default=2.0 * np.pi, help="box length L")
 
 
 def _params_from(args) -> dict:
@@ -430,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_model_flags(p)
     p.add_argument("--modes", required=True, help="mode-list file (phi/u lines)")
-    p.add_argument("--delta", type=float, default=1.0, help="displacement amplitude scale")
-    p.add_argument("--delta-u", type=float, default=None, help="velocity amplitude scale")
+    p.add_argument("--delta", type=_finite(), default=1.0, help="displacement amplitude scale")
+    p.add_argument("--delta-u", type=_finite(), default=None, help="velocity amplitude scale")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_ic)
 
@@ -442,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl-safety", type=float, default=0.5)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--ic", required=True, help="mode-list file or snapshot directory")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--delta-u", type=float, default=None)
+    p.add_argument("--delta", type=_finite(), default=1.0)
+    p.add_argument("--delta-u", type=_finite(), default=None)
     p.add_argument("--output-every", type=int, default=10)
     p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--linear", action="store_true", help="drop the nonlinear sources")
@@ -453,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linear-decay", help="whole-space decay of the linear flow")
     _add_model_flags(p)
     p.add_argument("--profile", default="gaussian")
-    p.add_argument("--width", type=float, default=1.0)
+    p.add_argument("--width", type=_finite(positive=True), default=1.0)
     p.add_argument("--system", choices=["compressible", "shear"], default="compressible")
     p.add_argument("--t-grid", default="log:1:1e4:64")
     p.add_argument("--out", required=True)
@@ -461,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower-bound", help="lower-bound band experiments")
     _add_model_flags(p)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--width", type=float, default=1.0)
+    p.add_argument("--c0", type=_finite(positive=True), default=1.0)
+    p.add_argument("--eta", type=_finite(positive=True), default=None)
+    p.add_argument("--width", type=_finite(positive=True), default=1.0)
     p.add_argument("--system", choices=["compressible", "shear"], default="compressible")
     p.add_argument("--t-grid", default="log:10:1e4:64")
-    p.add_argument("--target", type=float, default=-0.75, help="band exponent")
+    p.add_argument("--target", type=_finite(), default=-0.75, help="band exponent")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lower_bound)
 
@@ -474,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_model_flags(p)
     p.add_argument("--ic", required=True, help="mode-list file")
-    p.add_argument("--delta", type=float, default=1e-3)
+    p.add_argument("--delta", type=_finite(positive=True), default=1e-3)
     p.add_argument("--t-end", type=float, default=4.0)
     p.add_argument("--cfl-safety", type=float, default=0.5)
     p.add_argument("--output-every", type=int, default=5)
@@ -484,14 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semigroup-check", help="closed-form propagator vs RK4 oracle")
     _add_model_flags(p)
     p.add_argument("--system", choices=["compressible", "shear", "both"], default="both")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite(positive=True), default=1e-8)
     p.set_defaults(func=_cmd_semigroup_check)
 
     p = sub.add_parser("fit", help="decay-slope fit of a time-series CSV column")
     p.add_argument("--csv", required=True)
     p.add_argument("--column", default="norm_L2")
     p.add_argument("--window", default=None, help="t0:t1")
-    p.add_argument("--band-exponent", type=float, default=None)
+    p.add_argument("--band-exponent", type=_finite(), default=None)
     p.set_defaults(func=_cmd_fit)
     return parser
 

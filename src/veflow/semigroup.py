@@ -195,10 +195,17 @@ class LinearPropagator:
         y1 = q21 * x0 + q22 * vperp
         cperp1 = -1j * x1
 
-        frozen = e_hat - np.einsum("i...,j...->ij...", c, rhat)
         c1 = cpar1 * rhat + cperp1
         v1 = vpar1 * rhat + y1
-        e1 = np.einsum("i...,j...->ij...", c1, rhat) + frozen
+        # e1[i, j] = c1[i] rhat[j] + (e[i, j] - c[i] rhat[j]), one component at a
+        # time; einsum, not multiply, so that zero products stay +0.0 bit for bit
+        e1 = np.empty(e_hat.shape, dtype=np.complex128)
+        frozen = np.empty(e_hat.shape[2:], dtype=np.complex128)
+        for i, j in np.ndindex(3, 3):
+            np.einsum("...,...->...", c[i], rhat[j], out=frozen)
+            np.subtract(e_hat[i, j], frozen, out=frozen)
+            np.einsum("...,...->...", c1[i], rhat[j], out=e1[i, j])
+            e1[i, j] += frozen
         return n1, v1, e1
 
     def __call__(self, state: FlowState) -> FlowState:

@@ -14,6 +14,11 @@ from veflow import (
 from veflow.fields import to_spectrum
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: stricter than np.array_equal, for which -0.0 == 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def smooth_spectrum(grid: Grid, rng, kmax: int, shape=()) -> np.ndarray:
     """Random Hermitian spectrum supported on |k| <= kmax, zero mean."""
     raw = rng.standard_normal(shape + grid.shape)

@@ -21,6 +21,20 @@ def modefile(tmp_path):
     return p
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_outputs(tmp_path):
+    """Every manifest.json and summary.json a CLI test writes parses as strict
+    JSON: Python's json module writes NaN and Infinity, which JSON forbids."""
+    yield
+    for path in sorted(tmp_path.rglob("*.json")):
+        if path.name in ("manifest.json", "summary.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 class TestMakeIc:
     def test_writes_snapshots_and_manifest(self, tmp_path, modefile):
         out = tmp_path / "ic"
@@ -198,12 +212,78 @@ class TestLinearDecay:
         assert exc.value.code == 2
 
 
+class TestLowerBound:
+    def test_band_columns(self, tmp_path):
+        out = tmp_path / "lb"
+        rc = main(["lower-bound", "--t-grid", "log:10:100:8", "--out", str(out)])
+        assert rc == 0
+        lines = (out / "lowerbound.csv").read_text().strip().splitlines()
+        assert lines[0] == "t,norm_comp1,norm_comp2,band_comp1,band_comp2"
+        assert len(lines) == 9
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 < summary["comp1"]["band_low"] <= summary["comp1"]["band_high"]
+
+
+# (subcommand with its required flags, flag, bad value)
+_BAD_VALUES = [
+    ("make-ic", "--delta", "nan"),
+    ("make-ic", "--delta", "inf"),
+    ("make-ic", "--delta-u", "nan"),
+    ("simulate", "--delta", "nan"),
+    ("simulate", "--delta-u", "-inf"),
+    ("duhamel", "--delta", "nan"),
+    ("duhamel", "--delta", "0"),
+    ("simulate", "--box", "inf"),
+    ("simulate", "--gamma", "inf"),
+    ("linear-decay", "--mu", "inf"),
+    ("lower-bound", "--alpha", "nan"),
+    ("linear-decay", "--width", "nan"),
+    ("linear-decay", "--width", "-1"),
+    ("linear-decay", "--width", "0"),
+    ("linear-decay", "--width", "inf"),
+    ("lower-bound", "--width", "nan"),
+    ("lower-bound", "--c0", "nan"),
+    ("lower-bound", "--c0", "0"),
+    ("lower-bound", "--eta", "nan"),
+    ("lower-bound", "--eta", "-1"),
+    ("lower-bound", "--target", "nan"),
+    ("lower-bound", "--target", "inf"),
+    ("lower-bound", "--target", "abc"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", _BAD_VALUES, ids=[f"{c}{f}={v}" for c, f, v in _BAD_VALUES]
+)
+def test_bad_value_is_usage_error(tmp_path, modefile, capsys, command, flag, value):
+    """Rejected where the value enters: exit 2, before the manifest is written."""
+    required = {
+        "make-ic": ["--n", "8", "--modes", str(modefile)],
+        "simulate": ["--n", "8", "--t-end", "0", "--ic", str(modefile)],
+        "duhamel": ["--n", "8", "--ic", str(modefile)],
+        "linear-decay": ["--t-grid", "log:1:10:3"],
+        "lower-bound": ["--t-grid", "log:10:100:8"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, f"{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSemigroupCheck:
     def test_passes_tolerance(self, capsys):
         rc = main(["semigroup-check"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "OK" in out
+
+    def test_nan_tolerance_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["semigroup-check", "--tol=nan"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestDuhamel:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import smooth_scalar, smooth_vector
+from helpers import same_bits, smooth_scalar, smooth_vector
 from veflow import (
     FieldError,
     Grid,
@@ -22,7 +24,9 @@ from veflow import (
     laplacian,
     sobolev_norm,
 )
+from veflow.fields import half_to_samples, to_half_spectrum, to_samples, to_spectrum
 from veflow.operators import lam_symbol
+from veflow.sources import _gradient
 
 VOL = (2.0 * np.pi) ** 3
 
@@ -108,6 +112,86 @@ class TestTransforms:
         b = ScalarField(grid16, np.zeros(grid16.shape))
         with pytest.raises(GridMismatchError):
             _ = a + b
+
+
+AXES = (-3, -2, -1)
+LEADS = [(), (3,), (3, 3), (3, 3, 3)]
+
+
+class TestComponentTransforms:
+    """The component-at-a-time transforms against the one batched numpy call each replaces."""
+
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_bit_identical_to_batched_call(self, n, lead):
+        grid = Grid(n)
+        u = np.random.default_rng(n + len(lead)).standard_normal(lead + grid.shape)
+        spec = np.fft.fftn(u, axes=AXES) / n**3
+        half = np.fft.rfftn(u, axes=AXES) / n**3
+        assert same_bits(to_spectrum(grid, u), spec)
+        assert same_bits(to_samples(grid, spec), np.fft.ifftn(spec, axes=AXES).real * n**3)
+        assert same_bits(to_half_spectrum(grid, u), half)
+        batched = np.fft.irfftn(half, s=grid.shape, axes=AXES) * n**3
+        assert same_bits(half_to_samples(grid, half), batched)
+
+    @pytest.mark.parametrize("lead", LEADS[:3], ids=str)
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_gradient_bit_identical_to_batched_einsum(self, n, lead):
+        grid = Grid(n)
+        u = np.random.default_rng(10 * n + len(lead)).standard_normal(lead + grid.shape)
+        half = to_half_spectrum(grid, u)
+        xi = grid.xi[..., : n // 2 + 1]
+        batched = half_to_samples(grid, 1j * np.einsum("l...,...->l...", xi, half))
+        assert same_bits(_gradient(grid, half), batched)
+
+
+_even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
+_lead = st.sampled_from(LEADS[:3])
+_seed = st.integers(0, 2**32 - 1)
+
+
+class TestTransformProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=_even_n, lead=_lead, seed=_seed)
+    def test_parseval(self, n, lead, seed):
+        grid = Grid(n)
+        u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+        physical = grid.cell_volume * np.sum(u**2, axis=AXES)
+        spectral = grid.volume * np.sum(np.abs(to_spectrum(grid, u)) ** 2, axis=AXES)
+        assert np.all(np.abs(spectral - physical) <= 1e-12 * physical)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=_even_n, lead=_lead, seed=_seed)
+    def test_half_spectrum_is_nonnegative_kz_slice(self, n, lead, seed):
+        grid = Grid(n)
+        u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+        full = to_spectrum(grid, u)
+        half = to_half_spectrum(grid, u)
+        assert half.shape == lead + (n, n, n // 2 + 1)
+        assert np.max(np.abs(half - full[..., : n // 2 + 1])) <= 1e-15 * np.max(np.abs(full))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=_even_n, lead=_lead, seed=_seed)
+    def test_round_trip(self, n, lead, seed):
+        grid = Grid(n)
+        u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+        back = to_samples(grid, to_spectrum(grid, u))
+        assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
+        back = half_to_samples(grid, to_half_spectrum(grid, u))
+        assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=_even_n, lead=_lead, seed=_seed)
+    def test_gradient_mask_kills_nyquist_planes(self, n, lead, seed):
+        """Data living only on the k = -N/2 planes has exactly zero derivative."""
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        shape = lead + (n, n, n // 2 + 1)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        nyquist = ~grid.nyquist_mask[..., : n // 2 + 1]
+        half *= nyquist
+        assert np.count_nonzero(half) > 0
+        assert np.count_nonzero(_gradient(grid, half)) == 0
 
 
 class TestMultipliers:
