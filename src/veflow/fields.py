@@ -20,14 +20,18 @@ goes through :func:`to_spectrum`, :func:`to_samples`,
 The four transforms work one component at a time: each leading index
 (none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
 gradients) gets its own numpy n-d transform written straight into its slice
-of one preallocated result, normalised in place.  The output is bit for bit
-that of one batched call over all components, because numpy transforms
-every 1-d line of a stack independently with the same plan.  The reason is
-memory traffic: at N = 64 a 9-component complex array is 37.7 MB, above
-glibc's 32 MB mmap ceiling, so each batched temporary (and numpy's n-d
-transform allocates one per axis pass) is a fresh mapping that page-faults
-on first touch, while one component (4 MB) is reused from the heap and
-stays in cache between its passes.
+of one preallocated result (``out=``, numpy >= 2.0), normalised in place.
+The output is bit for bit that of one batched call over all components,
+because numpy transforms every 1-d line of a stack independently with the
+same plan.  The reason is memory traffic: at N = 64 a 9-component complex
+array is 37.7 MB, above glibc's 32 MB mmap ceiling, so each batched
+temporary (numpy's n-d transform allocates one per axis pass) is a fresh
+mapping that page-faults on first touch, and each axis pass streams the
+whole stack through memory.  One component (4 MB) is reused from the heap
+and stays in cache between its passes.  A batched call given ``out=``
+drops the per-pass temporaries but not the streaming, and recovers under
+half of the gain at N = 64.  Below N = 32 the loop's per-call Python cost
+outweighs both, which is accepted: the grids that cost time are large.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ def to_half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
 
 def half_to_samples(grid: Grid, half_spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples from the nonnegative-last-axis half of a Hermitian spectrum,
-    written into ``out`` when it is given."""
+    written into ``out`` when it is given; ``out`` must then be a C-contiguous
+    float64 array of shape ``half_spectrum.shape[:-3] + grid.shape``."""
     if out is None:
         out = np.empty(half_spectrum.shape[:-3] + grid.shape, dtype=np.float64)
     for comp in np.ndindex(half_spectrum.shape[:-3]):

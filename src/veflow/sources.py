@@ -64,19 +64,17 @@ def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
 def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     """Physical d_l of every component of a half spectrum: out[l, ...] = d_l u[...].
 
-    Each 1j xi_l u_hat is formed in one component-sized buffer and inverse
-    transformed straight into its slice of the output, with the einsum kernel
-    of the batched form (a zero product is +0.0 there, -0.0 under multiply).
+    Each 1j xi_l u_hat is formed in one buffer the size of ``half_spectrum`` and
+    inverse transformed straight into out[l], with the einsum kernel of the
+    batched form (a zero product is +0.0 there, -0.0 under multiply).
     """
     xi = grid.xi[..., : half_spectrum.shape[-1]]
-    lead = half_spectrum.shape[:-3]
-    out = np.empty((3,) + lead + grid.shape)
-    buf = np.empty(half_spectrum.shape[-3:], dtype=np.complex128)
+    out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
+    buf = np.empty(half_spectrum.shape, dtype=np.complex128)
     for l in range(3):
-        for comp in np.ndindex(lead):
-            np.einsum("...,...->...", xi[l], half_spectrum[comp], out=buf)
-            buf *= 1j
-            half_to_samples(grid, buf, out=out[(l,) + comp])
+        np.einsum("...,...->...", xi[l], half_spectrum, out=buf)
+        buf *= 1j
+        half_to_samples(grid, buf, out=out[l])
     return out
 
 
