@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Subcommands: make-ic, simulate, linear-decay, lower-bound, semigroup-check,
-fit.  Every run writes a manifest (all resolved inputs plus a content hash)
-into the output directory before computing, so a run can be reproduced
+Subcommands: make-ic, simulate, linear-decay, lower-bound, duhamel,
+semigroup-check, fit.  A command with ``--out`` first runs every check that
+can reject its inputs, then writes ``manifest.json`` before computing: every
+parsed flag under its argparse name, the values derived from them, and a
+content hash over both and the input bytes, so a run can be reproduced
 bit-for-bit from its manifest.  Exit codes: 0 success, 2 usage error
-(including a missing input file), 3 numerical abort.
+(including a missing input file), 3 numerical abort or bad initial data.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import decay_fit
+from .diagnostics import MIN_FIT_SAMPLES, decay_fit
 from .errors import ParameterError, VeflowError
 from .grid import Grid
 from .initial import lowerbound_profiles, eta_profile, parse_mode_file, piola_ic
@@ -29,7 +31,7 @@ from .quadrature import gaussian_profile, whole_space_norm
 from .semigroup import BlockSystem, Propagator2x2
 from .snapshot import read_phys, write_phys, write_state
 from .state import phys_to_pert
-from .stepping import StepperConfig, cfl_dt, run
+from .stepping import StepperConfig, cfl_dt, check_cfl, run
 
 logger = logging.getLogger(__name__)
 
@@ -82,20 +84,24 @@ def _params_from(args) -> dict:
     )
 
 
-def _content_hash(payload: dict, extra_bytes: bytes = b"") -> str:
-    blob = json.dumps(payload, sort_keys=True).encode() + extra_bytes
-    return hashlib.sha1(blob).hexdigest()
+# parsed names that route the command rather than shape what it computes
+_UNRECORDED = ("func", "command", "out", "verbose")
 
 
-def _write_manifest(out: Path, command: str, resolved: dict, extra_bytes: bytes = b"") -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _write_manifest(out: Path, args, input_bytes: bytes = b"", **derived) -> None:
+    """Record every parsed flag plus the ``derived`` values, hashed together
+    with the input bytes (mode-file text or snapshot field data)."""
+    resolved = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    resolved.update(derived)
+    blob = json.dumps(resolved, sort_keys=True, allow_nan=False).encode() + input_bytes
     manifest = {
         "tool": f"veflow {__version__}",
-        "command": command,
+        "command": args.command,
         "resolved": resolved,
-        "content_hash": _content_hash(resolved, extra_bytes),
+        "content_hash": hashlib.sha1(blob).hexdigest(),
         "started_at": _time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -112,19 +118,18 @@ def _parse_tgrid(spec: str) -> np.ndarray:
     except ValueError:
         raise ParameterError(f"bad t-grid {spec!r}") from None
     start_ok = 0 < a if kind == "log" else 0 <= a
-    if not (start_ok and a < b < np.inf and num >= 2):
-        raise ParameterError(f"bad t-grid {spec!r}")
+    if not (start_ok and a < b < np.inf and num >= MIN_FIT_SAMPLES):
+        need = f"0 <= a < b < inf, a > 0 for log, n >= {MIN_FIT_SAMPLES} for the fit"
+        raise ParameterError(f"bad t-grid {spec!r}: need {need}")
     if kind == "log":
         return np.logspace(np.log10(a), np.log10(b), num)
     return np.linspace(a, b, num)
 
 
-def _system_from(args, params) -> BlockSystem:
-    if args.system == "compressible":
+def _system_from(kind: str, params) -> BlockSystem:
+    if kind == "compressible":
         return BlockSystem.compressible(params)
-    if args.system == "shear":
-        return BlockSystem.shear(params)
-    raise ParameterError(f"unknown system {args.system!r}")
+    return BlockSystem.shear(params)
 
 
 def _running_slope(ts, ys) -> list[float]:
@@ -139,6 +144,19 @@ def _running_slope(ts, ys) -> list[float]:
     return out
 
 
+def _norm_series(profile, system: BlockSystem, tgrid, **kw) -> list[float]:
+    """``whole_space_norm`` at every time of the grid; ``kw`` selects k or component."""
+    return [whole_space_norm(profile, system, t, **kw) for t in tgrid]
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Each value as the repr of a Python float, which reads back exactly."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -148,17 +166,10 @@ def _cmd_make_ic(args) -> int:
     grid = Grid(args.n, args.box)
     text = Path(args.modes).read_text()
     spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
-    resolved = {
-        "grid": {"n": args.n, "box": args.box},
-        "params": _params_from(args),
-        "delta": args.delta,
-        "delta_u": args.delta_u,
-        "modes_file": str(args.modes),
-    }
-    _write_manifest(out, "make-ic", resolved, text.encode())
     phys = piola_ic(spec, grid, params)
-    write_phys(out, phys)
     pert = phys_to_pert(phys, params, warn=False)
+    _write_manifest(out, args, text.encode())
+    write_phys(out, phys)
     _write_summary(
         out,
         {
@@ -176,38 +187,27 @@ def _cmd_simulate(args) -> int:
     params = make_params(**_params_from(args))
 
     ic_path = Path(args.ic)
-    extra = b""
     if ic_path.is_dir():
         phys = read_phys(ic_path)
+        input_bytes = b"".join(f.samples.tobytes() for f in (phys.rho, phys.u, phys.F))
     else:
         text = ic_path.read_text()
-        extra = text.encode()
+        input_bytes = text.encode()
         spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
         phys = piola_ic(spec, Grid(args.n, args.box), params)
     grid = phys.grid
+    initial = phys_to_pert(phys, params, warn=False)
     dt = args.dt if args.dt is not None else cfl_dt(grid, params, args.cfl_safety)
+    check_cfl(grid, params, dt)
     config = StepperConfig(
         dt=dt,
         t_end=args.t_end,
-        cfl_safety=args.cfl_safety,
         output_every=args.output_every,
         dealias=not args.no_dealias,
         sources=not args.linear,
     )
-    resolved = {
-        "grid": {"n": grid.n, "box": grid.length},
-        "params": _params_from(args),
-        "dt": dt,
-        "t_end": args.t_end,
-        "ic": str(args.ic),
-        "delta": args.delta,
-        "output_every": args.output_every,
-        "dealias": not args.no_dealias,
-        "sources": not args.linear,
-    }
-    _write_manifest(out, "simulate", resolved, extra)
+    _write_manifest(out, args, input_bytes, dt=dt, grid={"n": grid.n, "box": grid.length})
 
-    initial = phys_to_pert(phys, params, warn=False)
     t0 = _time.perf_counter()
     record = run(initial, params, config, csv_path=out / "series.csv", dump_dir=out)
     wall = _time.perf_counter() - t0
@@ -233,27 +233,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_linear_decay(args) -> int:
     out = Path(args.out)
     params = make_params(**_params_from(args))
-    system = _system_from(args, params)
-    if args.profile != "gaussian":
-        raise ParameterError(f"linear-decay supports the gaussian profile, got {args.profile!r}")
+    system = _system_from(args.system, params)
     profile = gaussian_profile(amp_first=1.0, amp_second=1.0, width=args.width)
     tgrid = _parse_tgrid(args.t_grid)
-    resolved = {
-        "params": _params_from(args),
-        "system": args.system,
-        "profile": args.profile,
-        "width": args.width,
-        "t_grid": args.t_grid,
-    }
-    _write_manifest(out, "linear-decay", resolved)
-    norms = [whole_space_norm(profile, system, t, k=0) for t in tgrid]
-    gnorms = [whole_space_norm(profile, system, t, k=1) for t in tgrid]
+    _write_manifest(out, args)
+    norms = _norm_series(profile, system, tgrid, k=0)
+    gnorms = _norm_series(profile, system, tgrid, k=1)
     slopes = _running_slope(tgrid, norms)
     csv_path = out / "decay.csv"
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("t,norm_L2,norm_grad_L2,fitted_slope_so_far\n")
-        for t, a, b, s in zip(tgrid, norms, gnorms, slopes):
-            fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(s)!r}\n")
+    _write_csv(
+        csv_path, "t,norm_L2,norm_grad_L2,fitted_slope_so_far", zip(tgrid, norms, gnorms, slopes)
+    )
     fit = decay_fit(tgrid, norms)
     gfit = decay_fit(tgrid, gnorms)
     _write_summary(
@@ -275,32 +265,22 @@ def _cmd_linear_decay(args) -> int:
 def _cmd_lower_bound(args) -> int:
     out = Path(args.out)
     params = make_params(**_params_from(args))
-    system = _system_from(args, params)
+    system = _system_from(args.system, params)
     if args.eta is None:
         profile = lowerbound_profiles(args.c0, width=args.width)
     else:
         profile = eta_profile(args.eta, width=args.width)
     tgrid = _parse_tgrid(args.t_grid)
-    resolved = {
-        "params": _params_from(args),
-        "system": args.system,
-        "c0": args.c0,
-        "eta": args.eta,
-        "width": args.width,
-        "t_grid": args.t_grid,
-        "target": args.target,
-    }
-    _write_manifest(out, "lower-bound", resolved)
-    first = [whole_space_norm(profile, system, t, component=0) for t in tgrid]
-    second = [whole_space_norm(profile, system, t, component=1) for t in tgrid]
+    _write_manifest(out, args)
+    first = _norm_series(profile, system, tgrid, component=0)
+    second = _norm_series(profile, system, tgrid, component=1)
+    weights = [(1.0 + float(t)) ** (-args.target) for t in tgrid]
     csv_path = out / "lowerbound.csv"
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("t,norm_comp1,norm_comp2,band_comp1,band_comp2\n")
-        for t, a, b in zip(tgrid, first, second):
-            w = (1.0 + float(t)) ** (-args.target)
-            fh.write(
-                f"{float(t)!r},{float(a)!r},{float(b)!r},{float(w * a)!r},{float(w * b)!r}\n"
-            )
+    _write_csv(
+        csv_path,
+        "t,norm_comp1,norm_comp2,band_comp1,band_comp2",
+        ((t, a, b, w * a, w * b) for t, a, b, w in zip(tgrid, first, second, weights)),
+    )
     summary = {"system": args.system, "target": args.target}
     for name, series in (("comp1", first), ("comp2", second)):
         vals = np.asarray(series)
@@ -340,37 +320,26 @@ def _cmd_duhamel(args) -> int:
     params = make_params(**_params_from(args))
     grid = Grid(args.n, args.box)
     text = Path(args.ic).read_text()
-    config = StepperConfig(
-        dt=cfl_dt(grid, params, args.cfl_safety),
-        t_end=args.t_end,
-        output_every=args.output_every,
-        keep_states=True,
-    )
-    resolved = {
-        "grid": {"n": args.n, "box": args.box},
-        "params": _params_from(args),
-        "delta": args.delta,
-        "t_end": args.t_end,
-        "ic": str(args.ic),
-    }
-    _write_manifest(out, "duhamel", resolved, text.encode())
-    reports = {}
-    for delta in (args.delta, 0.5 * args.delta):
-        spec = parse_mode_file(text).scaled(delta)
-        initial = phys_to_pert(piola_ic(spec, grid, params), params, warn=False)
-        record = run(initial, params, config)
-        reports[delta] = duhamel_compare(record, params, initial)
-    ratio = reports[args.delta].max_deviation / reports[0.5 * args.delta].max_deviation
+    spec = parse_mode_file(text)
+    initials = [
+        phys_to_pert(piola_ic(spec.scaled(delta), grid, params), params, warn=False)
+        for delta in (args.delta, 0.5 * args.delta)
+    ]
+    dt = cfl_dt(grid, params, args.cfl_safety)
+    check_cfl(grid, params, dt)
+    config = StepperConfig(dt, args.t_end, output_every=args.output_every, keep_states=True)
+    _write_manifest(out, args, text.encode(), dt=dt)
+    full, half = (duhamel_compare(run(init, params, config), params, init) for init in initials)
     summary = {
         "delta": args.delta,
-        "max_deviation": reports[args.delta].max_deviation,
-        "max_deviation_half": reports[0.5 * args.delta].max_deviation,
-        "ratio": ratio,
+        "max_deviation": full.max_deviation,
+        "max_deviation_half": half.max_deviation,
+        "ratio": full.max_deviation / half.max_deviation,
     }
     _write_summary(out, summary)
     print(
         f"duhamel: max H2 deviation {summary['max_deviation']:.6e} at delta, "
-        f"{summary['max_deviation_half']:.6e} at delta/2, ratio {ratio:.3f}"
+        f"{summary['max_deviation_half']:.6e} at delta/2, ratio {summary['ratio']:.3f}"
     )
     return 0
 
@@ -379,11 +348,8 @@ def _cmd_semigroup_check(args) -> int:
     from .oracles import rk4_block_expm
 
     params = make_params(**_params_from(args))
-    systems = (
-        [BlockSystem.compressible(params), BlockSystem.shear(params)]
-        if args.system == "both"
-        else [_system_from(args, params)]
-    )
+    kinds = ("compressible", "shear") if args.system == "both" else (args.system,)
+    systems = [_system_from(kind, params) for kind in kinds]
     worst_overall = 0.0
     print(f"{'system':>14} {'points':>8} {'worst_r':>12} {'worst_t':>8} {'max_err':>12}")
     for system in systems:
@@ -455,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="advance the nonlinear system")
     _add_grid_flags(p)
     _add_model_flags(p)
-    p.add_argument("--dt", type=float, default=None, help="timestep (default: CFL)")
-    p.add_argument("--cfl-safety", type=float, default=0.5)
+    p.add_argument("--dt", type=_finite(positive=True), help="time step (default: CFL)")
+    p.add_argument("--cfl-safety", type=_finite(positive=True), default=0.5)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--ic", required=True, help="mode-list file or snapshot directory")
     p.add_argument("--delta", type=_finite(), default=1.0)
@@ -469,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linear-decay", help="whole-space decay of the linear flow")
     _add_model_flags(p)
-    p.add_argument("--profile", default="gaussian")
+    p.add_argument("--profile", choices=["gaussian"], default="gaussian")
     p.add_argument("--width", type=_finite(positive=True), default=1.0)
     p.add_argument("--system", choices=["compressible", "shear"], default="compressible")
     p.add_argument("--t-grid", default="log:1:1e4:64")
@@ -493,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic", required=True, help="mode-list file")
     p.add_argument("--delta", type=_finite(positive=True), default=1e-3)
     p.add_argument("--t-end", type=float, default=4.0)
-    p.add_argument("--cfl-safety", type=float, default=0.5)
+    p.add_argument("--cfl-safety", type=_finite(positive=True), default=0.5)
     p.add_argument("--output-every", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_duhamel)

@@ -191,6 +191,9 @@ class DecayFit:
     n_samples: int
 
 
+MIN_FIT_SAMPLES = 8
+
+
 def decay_fit(
     times,
     values,
@@ -210,8 +213,9 @@ def decay_fit(
     if not hi > lo or lo < 0.0:
         raise ParameterError(f"bad fit window {window}")
     sel = (t >= lo) & (t <= hi)
-    if int(sel.sum()) < 8:
-        raise ParameterError(f"fit needs at least 8 samples in window, got {int(sel.sum())}")
+    count = int(sel.sum())
+    if count < MIN_FIT_SAMPLES:
+        raise ParameterError(f"fit needs >= {MIN_FIT_SAMPLES} samples in window, got {count}")
     if not np.all(np.isfinite(y[sel])):
         raise ParameterError("fit window contains non-finite values")
     if np.any(y[sel] <= 0.0):

@@ -162,43 +162,21 @@ def single_mode_spec(
 # ---------------------------------------------------------------------------
 # radial spectral profiles for the whole-space experiments
 
-def lowerbound_profiles(
-    c0: float,
-    eta: float | None = None,
-    width: float = 1.0,
-) -> RadialProfile:
-    """Profiles realizing the low-frequency lower-bound hypotheses.
+def lowerbound_profiles(c0: float, width: float = 1.0) -> RadialProfile:
+    """Profile realizing the low-frequency lower-bound hypothesis.
 
     First slot: c0 * exp(-r^2/(2 width^2)), bounded below by c0/2 for
-    r <= width.  Second slot: zero, or r^eta times the same envelope when
-    ``eta`` is given.
+    r <= width.  Second slot: zero.
     """
     if not c0 > 0.0:
         raise InitialDataError(f"lower-bound profile needs c0 > 0, got {c0}")
-    if eta is not None and not eta > 0.0:
-        raise InitialDataError(f"profile exponent must be positive, got {eta}")
-    return gaussian_profile(
-        amp_first=c0,
-        amp_second=0.0 if eta is None else 1.0,
-        eta_second=0.0 if eta is None else eta,
-        width=width,
-        label=f"lowerbound(c0={c0:g}, eta={eta})",
-    )
+    return gaussian_profile(amp_first=c0, width=width, label=f"lowerbound(c0={c0:g})")
 
 
-def eta_profile(eta: float, width: float = 1.0, slot: str = "second") -> RadialProfile:
-    """|U0_hat| <= r^eta data: r^eta envelope in the chosen slot(s), nothing else."""
+def eta_profile(eta: float, width: float = 1.0) -> RadialProfile:
+    """|U0_hat| <= r^eta data: r^eta times the envelope in the second slot, zero in the first."""
     if not eta > 0.0:
         raise InitialDataError(f"profile exponent must be positive, got {eta}")
-    first = slot in ("first", "both")
-    second = slot in ("second", "both")
-    if not (first or second):
-        raise InitialDataError(f"unknown slot {slot!r}")
     return gaussian_profile(
-        amp_first=1.0 if first else 0.0,
-        amp_second=1.0 if second else 0.0,
-        eta_first=eta if first else 0.0,
-        eta_second=eta if second else 0.0,
-        width=width,
-        label=f"eta(eta={eta:g}, slot={slot})",
+        amp_first=0.0, amp_second=1.0, eta_second=eta, width=width, label=f"eta(eta={eta:g})"
     )

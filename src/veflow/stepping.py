@@ -61,7 +61,8 @@ def cfl_dt(grid: Grid, params: ModelParams, cfl_safety: float = 0.5) -> float:
     return cfl_safety / (speed * grid.xi_max())
 
 
-def _check_cfl(grid: Grid, params: ModelParams, dt: float) -> None:
+def check_cfl(grid: Grid, params: ModelParams, dt: float) -> None:
+    """Reject a step beyond the acoustic CFL bound (``cfl_dt`` at safety 1)."""
     bound = cfl_dt(grid, params, cfl_safety=1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ParameterError(
@@ -119,7 +120,7 @@ def run(
 ) -> TimeSeriesRecord:
     """March the system to t_end, sampling diagnostics every ``output_every`` steps."""
     grid = initial.grid
-    _check_cfl(grid, params, config.dt)
+    check_cfl(grid, params, config.dt)
 
     record = TimeSeriesRecord(
         meta={

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from veflow import (
     DisplacementSpec,
@@ -10,8 +11,23 @@ from veflow import (
     ScalarField,
     TensorField,
     VectorField,
+    make_params,
 )
 from veflow.fields import to_spectrum
+
+even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
+
+# every draw passes make_params: 2 mu + 3 lam >= 0.2 mu > 0, gamma >= 1
+valid_params = st.builds(
+    lambda mu, lam_ratio, alpha, gamma, pressure_scale: make_params(
+        mu=mu, lam=lam_ratio * mu, alpha=alpha, gamma=gamma, pressure_scale=pressure_scale
+    ),
+    mu=st.floats(0.05, 3.0),
+    lam_ratio=st.floats(-0.6, 2.0),
+    alpha=st.floats(0.05, 5.0),
+    gamma=st.floats(1.0, 4.0),
+    pressure_scale=st.floats(0.2, 5.0),
+)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

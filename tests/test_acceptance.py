@@ -112,7 +112,7 @@ def test_criterion_02_lower_bound_bands():
 def test_criterion_03_eta_improved_decay():
     """|U0_hat| <= r data in the second slot: slope at most -1.20 (target -1.25)."""
     ts = np.logspace(1, 4, 64)
-    profile = eta_profile(1.0, slot="second")
+    profile = eta_profile(1.0)
     norms = [whole_space_norm(profile, COMP, float(t)) for t in ts]
     fit = decay_fit(ts, norms)
     ok = fit.slope <= -1.20

@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from veflow.cli import main
+from veflow import VectorField
+from veflow.cli import build_parser, main
+from veflow.snapshot import read_field, write_field
 
 MODEFILE = """
 phi 1 0 0   0.0 0.0   0.0 -0.5   0.0 0.25
 phi 0 1 0   0.3 0.0   0.0 0.0   -0.2 0.0
 u   1 0 0   0.4 0.0   0.0 0.1    0.0 0.0
 """
+ZERO_MODE = "u   0 0 0   0.5 0.3   0.0 0.0    0.0 0.0\n"
 
 
 @pytest.fixture
@@ -19,6 +22,29 @@ def modefile(tmp_path):
     p = tmp_path / "modes.txt"
     p.write_text(MODEFILE)
     return p
+
+
+def _cheap(command, modefile):
+    """argv of a small, valid run of a subcommand that writes a manifest; no --out."""
+    modes = str(modefile)
+    return {
+        "make-ic": ["make-ic", "--n", "8", "--modes", modes, "--delta", "1e-3"],
+        "simulate": ["simulate", "--n", "8", "--t-end", "0", "--ic", modes, "--delta", "1e-3"],
+        "duhamel": ["duhamel", "--n", "8", "--ic", modes, "--t-end", "0.2"],
+        "linear-decay": ["linear-decay", "--t-grid", "log:1:10:8"],
+        "lower-bound": ["lower-bound", "--t-grid", "log:10:100:8"],
+    }[command]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _manifest(out):
+    return json.loads((out / "manifest.json").read_text())
 
 
 def _reject_constant(name):
@@ -56,10 +82,11 @@ class TestMakeIc:
 
     def test_zero_wavevector_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "modes.txt"
-        bad.write_text(MODEFILE + "u   0 0 0   0.5 0.3   0.0 0.0    0.0 0.0\n")
+        bad.write_text(MODEFILE + ZERO_MODE)
         rc = main(["make-ic", "--n", "8", "--modes", str(bad), "--out", str(tmp_path / "ic")])
         assert rc == 3
         assert "line 5" in capsys.readouterr().err
+        assert not (tmp_path / "ic").exists()
 
     def test_missing_modes_file_usage_error(self, tmp_path, capsys):
         rc = main(["make-ic", "--modes", str(tmp_path / "none.txt"), "--out", str(tmp_path / "ic")])
@@ -249,6 +276,11 @@ _BAD_VALUES = [
     ("lower-bound", "--target", "nan"),
     ("lower-bound", "--target", "inf"),
     ("lower-bound", "--target", "abc"),
+    ("simulate", "--dt", "nan"),
+    ("simulate", "--dt", "0"),
+    ("simulate", "--cfl-safety", "nan"),
+    ("simulate", "--cfl-safety", "-0.5"),
+    ("duhamel", "--cfl-safety", "inf"),
 ]
 
 
@@ -257,19 +289,95 @@ _BAD_VALUES = [
 )
 def test_bad_value_is_usage_error(tmp_path, modefile, capsys, command, flag, value):
     """Rejected where the value enters: exit 2, before the manifest is written."""
-    required = {
-        "make-ic": ["--n", "8", "--modes", str(modefile)],
-        "simulate": ["--n", "8", "--t-end", "0", "--ic", str(modefile)],
-        "duhamel": ["--n", "8", "--ic", str(modefile)],
-        "linear-decay": ["--t-grid", "log:1:10:3"],
-        "lower-bound": ["--t-grid", "log:10:100:8"],
-    }[command]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([command, *required, f"{flag}={value}", "--out", str(out)])
+        main([*_cheap(command, modefile), f"{flag}={value}", "--out", str(out)])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# (subcommand, flags added to its small run, exit code); "ZERO" is a mode file
+# with a k = (0, 0, 0) line
+_REJECTED = [
+    ("simulate", ["--dt", "5"], 2),  # beyond the CFL bound
+    ("simulate", ["--dt", "0.05", "--cfl-safety", "nan"], 2),
+    ("duhamel", ["--cfl-safety", "4"], 2),  # beyond the CFL bound
+    ("duhamel", ["--ic", "ZERO"], 3),
+    ("simulate", ["--ic", "ZERO"], 3),
+    ("linear-decay", ["--t-grid", "log:1:10:7"], 2),  # the decay fit needs 8 points
+    ("lower-bound", ["--t-grid", "lin:10:100:7"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, code", _REJECTED, ids=[f"{c}{' '.join(f)}" for c, f, _ in _REJECTED]
+)
+def test_rejected_input_leaves_no_output(tmp_path, modefile, command, flags, code):
+    """Every check that can reject an input runs before the manifest is written."""
+    zero = tmp_path / "zero.txt"
+    zero.write_text(MODEFILE + ZERO_MODE)
+    flags = [str(zero) if f == "ZERO" else f for f in flags]
+    out = tmp_path / "out"
+    assert _exit_code([*_cheap(command, modefile), *flags, "--out", str(out)]) == code
+    assert not out.exists()
+
+
+class TestManifest:
+    DERIVED = {"simulate": {"dt", "grid"}, "duhamel": {"dt"}}
+
+    @pytest.mark.parametrize(
+        "command", ["make-ic", "simulate", "duhamel", "linear-decay", "lower-bound"]
+    )
+    def test_records_every_parsed_flag(self, tmp_path, modefile, command):
+        argv = [*_cheap(command, modefile), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        manifest = _manifest(tmp_path / "out")
+        parsed = vars(build_parser().parse_args(argv))
+        flags = {k: v for k, v in parsed.items() if k not in ("func", "command", "out", "verbose")}
+        derived = self.DERIVED.get(command, set())
+        assert manifest["command"] == command
+        assert set(manifest["resolved"]) == set(flags) | derived
+        for name in set(flags) - derived:
+            assert manifest["resolved"][name] == flags[name]
+
+    # (subcommand, flags of the first run, flags of the second)
+    ONE_FLAG = [
+        ("simulate", ["--delta-u", "1e-3"], ["--delta-u", "2e-3"]),
+        ("simulate", [], ["--no-dealias"]),
+        ("simulate", [], ["--linear"]),
+        ("duhamel", ["--output-every", "1"], ["--output-every", "2"]),
+        ("duhamel", ["--cfl-safety", "0.5"], ["--cfl-safety", "0.25"]),
+        ("linear-decay", ["--width", "1"], ["--width", "2"]),
+        ("lower-bound", ["--target", "-0.75"], ["--target", "-0.5"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, first, second", ONE_FLAG, ids=[f"{c}{b[0]}" for c, _, b in ONE_FLAG]
+    )
+    def test_one_flag_changes_hash(self, tmp_path, modefile, command, first, second):
+        hashes = []
+        for tag, flags in (("a", first), ("b", first), ("c", second)):
+            out = tmp_path / tag
+            assert main([*_cheap(command, modefile), *flags, "--out", str(out)]) == 0
+            hashes.append(_manifest(out)["content_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+
+    def test_snapshot_sample_changes_hash(self, tmp_path, modefile):
+        ic = tmp_path / "ic"
+        assert main([*_cheap("make-ic", modefile), "--out", str(ic)]) == 0
+
+        def content_hash(tag):
+            out = tmp_path / tag
+            assert main(["simulate", "--t-end", "0", "--ic", str(ic), "--out", str(out)]) == 0
+            return _manifest(out)["content_hash"]
+
+        before = content_hash("a")
+        u = read_field(ic / "ic_u.cvf")
+        samples = u.samples.copy()
+        samples[0, 1, 2, 3] += 1e-9
+        write_field(ic / "ic_u.cvf", VectorField(u.grid, samples))
+        assert content_hash("b") != before
 
 
 class TestSemigroupCheck:

@@ -119,22 +119,8 @@ class TestProfiles:
         assert np.all(first >= 0.5)
         assert np.all(second == 0.0)
 
-    def test_eta_bound_near_zero(self):
-        prof = lowerbound_profiles(1.0, eta=1.0)
-        r = np.linspace(1e-6, 0.5, 50)
-        _, second = prof.components(r)
-        assert np.all(np.abs(second) <= r)
-
-    def test_eta_profile_slots(self):
-        prof = eta_profile(2.0, slot="both")
-        r = np.linspace(1e-3, 0.3, 20)
-        a, b = prof.components(r)
-        assert np.all(np.abs(a) <= r**2) and np.all(np.abs(b) <= r**2)
-
     def test_guards(self):
         with pytest.raises(InitialDataError):
             lowerbound_profiles(0.0)
-        with pytest.raises(InitialDataError):
-            lowerbound_profiles(1.0, eta=-1.0)
         with pytest.raises(InitialDataError):
             eta_profile(0.0)

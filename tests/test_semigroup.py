@@ -7,7 +7,14 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_linear_generator, same_bits, single_mode_state, smooth_state
+from helpers import (
+    dense_linear_generator,
+    even_n,
+    same_bits,
+    single_mode_state,
+    smooth_state,
+    valid_params,
+)
 from veflow import (
     BlockSystem,
     FlowState,
@@ -420,3 +427,19 @@ class TestGridSemigroupProperties:
         assert 0 < still.sum() < still.size
         for x0, x in zip(spectra, k1.apply_spectra(*spectra)):
             assert np.array_equal(x[..., still], x0[..., still])
+
+
+class TestHermitianOutput:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=even_n, params=valid_params, t=_times, seed=st.integers(0, 2**32 - 1))
+    def test_apply_spectra(self, n, params, t, seed):
+        """Spectra of real data stay spectra of real data.  The entries depend on
+        |xi| and on the unit vector r_hat, odd in k, only through i r_hat, so a
+        mirrored mode gets the conjugate arithmetic: the input's own defect
+        (transform round-off, at most 4.8e-16 of its max in 60 random cases) is
+        all that is left, 5.6e-16 at most; 1e-13 of the input max is a 100x
+        margin, while a symbol that breaks the mirror gives an O(1) defect."""
+        grid = Grid(n)
+        spectra = _random_spectra(grid, seed)
+        for out in LinearPropagator(grid, params, t).apply_spectra(*spectra):
+            assert hermitian_defect(out) <= 1e-13 * max(np.max(np.abs(x)) for x in spectra)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from helpers import generic_piola_spec, smooth_state
+from helpers import even_n, generic_piola_spec, smooth_state, valid_params
 from veflow import (
     FlowState,
     PhysState,
@@ -17,6 +19,7 @@ from veflow import (
     piola_ic,
     shear_source,
 )
+from veflow.fields import hermitian_defect
 from veflow.sources import _antisymmetric_slot_max, _half_sum_sq, rhs_spectra
 
 
@@ -177,6 +180,24 @@ class TestLongitudinalIdentity:
         num = l2_norm(ScalarField(grid, lhs - rhs, "frequency"))
         den = l2_norm(ScalarField(grid, lhs, "frequency"))
         assert num < 1e-8 * max(den, 1.0)
+
+
+class TestHermitianOutput:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=even_n, params=valid_params, dealias=hst.booleans(), seed=hst.integers(0, 2**32 - 1)
+    )
+    def test_rhs_spectra(self, n, params, dealias, seed):
+        """The sources are products of real fields, so their spectra are
+        Hermitian up to transform round-off: at most 4.9e-16 of the max in 60
+        random cases (with and without dealiasing); 1e-13 is a 100x margin,
+        while a mask or product that breaks the k / -k mirror gives O(1)."""
+        from veflow import Grid
+
+        grid = Grid(n)
+        state = smooth_state(grid, np.random.default_rng(seed), amp=1e-2, kmax=n // 2)
+        for out in rhs_spectra(state, params, dealias=dealias):
+            assert hermitian_defect(out) <= 1e-13 * np.max(np.abs(out))
 
 
 class TestConstraintResiduals:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import same_bits, smooth_scalar, smooth_vector
+from helpers import even_n, same_bits, smooth_scalar, smooth_vector
 from veflow import (
     FieldError,
     Grid,
@@ -145,14 +145,13 @@ class TestComponentTransforms:
         assert same_bits(_gradient(grid, half), batched)
 
 
-_even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
 _lead = st.sampled_from(LEADS[:3])
 _seed = st.integers(0, 2**32 - 1)
 
 
 class TestTransformProperties:
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(n=_even_n, lead=_lead, seed=_seed)
+    @given(n=even_n, lead=_lead, seed=_seed)
     def test_parseval(self, n, lead, seed):
         grid = Grid(n)
         u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
@@ -161,7 +160,7 @@ class TestTransformProperties:
         assert np.all(np.abs(spectral - physical) <= 1e-12 * physical)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(n=_even_n, lead=_lead, seed=_seed)
+    @given(n=even_n, lead=_lead, seed=_seed)
     def test_half_spectrum_is_nonnegative_kz_slice(self, n, lead, seed):
         grid = Grid(n)
         u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
@@ -171,7 +170,7 @@ class TestTransformProperties:
         assert np.max(np.abs(half - full[..., : n // 2 + 1])) <= 1e-15 * np.max(np.abs(full))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(n=_even_n, lead=_lead, seed=_seed)
+    @given(n=even_n, lead=_lead, seed=_seed)
     def test_round_trip(self, n, lead, seed):
         grid = Grid(n)
         u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
@@ -181,7 +180,7 @@ class TestTransformProperties:
         assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(n=_even_n, lead=_lead, seed=_seed)
+    @given(n=even_n, lead=_lead, seed=_seed)
     def test_gradient_mask_kills_nyquist_planes(self, n, lead, seed):
         """Data living only on the k = -N/2 planes has exactly zero derivative."""
         grid = Grid(n)
@@ -272,6 +271,22 @@ class TestHodge:
         d1, om1 = hodge_decompose(v)
         assert np.max(np.abs(d1.to_physical().samples - d0.samples)) < 1e-12
         assert np.max(np.abs(om1.to_physical().samples - om0.samples)) < 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=even_n, seed=_seed)
+    def test_round_trip_property(self, n, seed):
+        """Any mean-zero field with nothing on the Nyquist planes (where the
+        gradient symbol is zero by design) comes back.  Each mode passes through
+        a few products with the unit vector of xi and two transforms, so the
+        error is round-off: at most 7.6e-16 of max |v| over 60 random cases;
+        1e-13 leaves a 100x margin, while a lost Hodge sector is an O(1) error."""
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        spec = to_spectrum(grid, rng.standard_normal((3,) + grid.shape)) * grid.nyquist_mask
+        spec[:, 0, 0, 0] = 0.0
+        v = VectorField(grid, spec, "frequency").to_physical()
+        back = hodge_reconstruct(*hodge_decompose(v)).to_physical()
+        assert np.max(np.abs(back.samples - v.samples)) <= 1e-13 * np.max(np.abs(v.samples))
 
     def test_reconstruct_rejects_non_antisymmetric(self, grid8):
         omega = TensorField.identity(grid8)
