@@ -36,21 +36,16 @@ from .operators import (
     sobolev_norm,
 )
 from .params import ModelParams, make_params, pressure_coefficient
-from .state import FlowState, PhysState, pert_to_phys, phys_to_pert
+from .state import FlowState, PhysState, phys_to_pert
 from .semigroup import (
     BlockSystem,
     LinearPropagator,
     Propagator2x2,
-    apply_linear_semigroup,
-    decay_exponent,
-    eigenvalues,
 )
 from .quadrature import RadialProfile, gaussian_profile, whole_space_norm
 from .sources import (
     ConstraintReport,
     constraint_residuals,
-    longitudinal_source,
-    shear_source,
 )
 from .initial import (
     DisplacementSpec,
@@ -59,18 +54,14 @@ from .initial import (
     lowerbound_profiles,
     parse_mode_file,
     piola_ic,
-    single_mode_spec,
 )
 from .diagnostics import (
     DecayFit,
     DuhamelReport,
-    LedgerReport,
     TimeSeriesRecord,
     decay_fit,
     duhamel_compare,
-    energy_ledger,
     h2_distance,
-    interpolation_gap,
     lp_norm_state,
     lyapunov_m,
     sample_row,

@@ -69,9 +69,16 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+# defaults of the grid and amplitude flags; a snapshot --ic fixes all four,
+# so simulate resolves them only for a mode-file --ic
+_IC_DEFAULTS = {"n": 32, "box": 2.0 * np.pi, "delta": 1.0, "delta_u": None}
+
+
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=32, help="grid points per axis (even)")
-    p.add_argument("--box", type=_finite(positive=True), default=2.0 * np.pi, help="box length L")
+    p.add_argument("--n", type=int, default=_IC_DEFAULTS["n"], help="grid points per axis (even)")
+    p.add_argument(
+        "--box", type=_finite(positive=True), default=_IC_DEFAULTS["box"], help="box length L"
+    )
 
 
 def _params_from(args) -> dict:
@@ -188,9 +195,18 @@ def _cmd_simulate(args) -> int:
 
     ic_path = Path(args.ic)
     if ic_path.is_dir():
+        given = ["--" + k.replace("_", "-") for k in _IC_DEFAULTS if getattr(args, k) is not None]
+        if given:
+            raise ParameterError(
+                f"{', '.join(given)} cannot be combined with a snapshot --ic, "
+                "which fixes the grid and the amplitudes"
+            )
         phys = read_phys(ic_path)
         input_bytes = b"".join(f.samples.tobytes() for f in (phys.rho, phys.u, phys.F))
     else:
+        for k, default in _IC_DEFAULTS.items():
+            if getattr(args, k) is None:
+                setattr(args, k, default)
         text = ic_path.read_text()
         input_bytes = text.encode()
         spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
@@ -319,6 +335,8 @@ def _cmd_duhamel(args) -> int:
     out = Path(args.out)
     params = make_params(**_params_from(args))
     grid = Grid(args.n, args.box)
+    if not args.t_end > 0.0:
+        raise ParameterError(f"--t-end must be positive for a comparison, got {args.t_end}")
     text = Path(args.ic).read_text()
     spec = parse_mode_file(text)
     initials = [
@@ -425,13 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl-safety", type=_finite(positive=True), default=0.5)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--ic", required=True, help="mode-list file or snapshot directory")
-    p.add_argument("--delta", type=_finite(), default=1.0)
+    p.add_argument("--delta", type=_finite())
     p.add_argument("--delta-u", type=_finite(), default=None)
     p.add_argument("--output-every", type=int, default=10)
     p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--linear", action="store_true", help="drop the nonlinear sources")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    # None marks a flag not given: a mode file resolves it, a snapshot rejects it
+    p.set_defaults(func=_cmd_simulate, n=None, box=None)
 
     p = sub.add_parser("linear-decay", help="whole-space decay of the linear flow")
     _add_model_flags(p)

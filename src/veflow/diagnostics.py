@@ -89,14 +89,6 @@ def lp_norm_state(state: FlowState, p: float) -> float:
     return float((np.sum(mag2 ** (p / 2.0)) * state.grid.cell_volume) ** (1.0 / p))
 
 
-def interpolation_gap(state: FlowState, p: float = 4.0) -> float:
-    """||U||_p - ||U||_2^theta ||U||_6^(1-theta) with theta = (6-p)/(2p); <= 0 up to roundoff."""
-    theta = (6.0 - p) / (2.0 * p)
-    lhs = lp_norm_state(state, p)
-    rhs = lp_norm_state(state, 2.0) ** theta * lp_norm_state(state, 6.0) ** (1.0 - theta)
-    return lhs - rhs
-
-
 def sample_row(state: FlowState, d2: float = 4.0) -> dict:
     """All monitored quantities of one state, as a plain dict."""
     lyap = lyapunov_m(state, d2)
@@ -130,7 +122,6 @@ class TimeSeriesRecord:
 
     columns: dict = field(default_factory=lambda: {name: [] for name in _ALL_COLUMNS})
     states: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
     final_state: object = None
 
     def add(self, row: dict, state: FlowState | None = None, keep_state: bool = False):
@@ -237,85 +228,6 @@ def decay_fit(
         band_low=float(band.min()),
         band_high=float(band.max()),
         n_samples=int(sel.sum()),
-    )
-
-
-# ---------------------------------------------------------------------------
-# energy ledger
-
-@dataclass(frozen=True)
-class LedgerReport:
-    h2_growth: float                 # max_t H2(t)^2 / H2(0)^2
-    dissipation_nonnegative: bool
-    accumulators_monotone: bool
-    accumulators_finite: bool
-    elliptic_constant: float | None  # max ||grad E||^2 / ||grad (n, E^T-E)||^2
-    cross_within_cs: bool
-    energy_nonincreasing: bool | None
-    bounded_constant: float          # max_t (H2^2 + acc1 + acc2) / H2(0)^2
-
-    def verdicts(self) -> dict:
-        out = {
-            "h2_bounded_2x": self.h2_growth <= 2.0,
-            "dissipation_nonnegative": self.dissipation_nonnegative,
-            "accumulators_monotone": self.accumulators_monotone,
-            "accumulators_finite": self.accumulators_finite,
-            "cross_within_cs": self.cross_within_cs,
-        }
-        if self.elliptic_constant is not None:
-            out["elliptic_constant_le_10"] = self.elliptic_constant <= 10.0
-        if self.energy_nonincreasing is not None:
-            out["energy_nonincreasing"] = self.energy_nonincreasing
-        return out
-
-
-def energy_ledger(record: TimeSeriesRecord, params: ModelParams) -> LedgerReport:
-    """Discrete analogues of the energy and dissipation inequalities along a run."""
-    if len(record) == 0:
-        raise VeflowError("empty record")
-    h2 = record.array("H2")
-    acc1 = record.array("diss_acc1")
-    acc2 = record.array("diss_acc2")
-    d1 = record.array("diss1_inst")
-    d2 = record.array("diss2_inst")
-    base = h2[0] ** 2 if h2[0] > 0.0 else 1.0
-
-    h1g = record.array("H1g")
-    cross = np.abs(record.array("cross1")) + np.abs(record.array("cross2"))
-    # |cross| <= (1/2 + sqrt(2)) |grad(n,v,E)|_{H1}^2 by Cauchy-Schwarz
-    cross_ok = bool(np.all(cross <= (0.5 + np.sqrt(2.0)) * h1g**2 + 1e-12 * (1.0 + h1g**2)))
-
-    elliptic = None
-    if record.states:
-        ratios = []
-        for st in record.states:
-            num = gradient_sobolev_norm(st.E, 0) ** 2
-            den = (
-                gradient_sobolev_norm(st.n, 0) ** 2
-                + gradient_sobolev_norm(st.E.antisymmetric_part(), 0) ** 2
-            )
-            if den > 0.0:
-                ratios.append(num / den)
-        elliptic = max(ratios) if ratios else None
-
-    energy_flag = None
-    if record.meta.get("sources_enabled") is False:
-        e = (
-            record.array("L2_n") ** 2
-            + record.array("L2_v") ** 2
-            + params.a * record.array("L2_E") ** 2
-        )
-        energy_flag = bool(np.all(np.diff(e) <= 1e-10 * max(e[0], 1.0)))
-
-    return LedgerReport(
-        h2_growth=float((h2**2).max() / base),
-        dissipation_nonnegative=bool(np.all(d1 >= 0.0) and np.all(d2 >= 0.0)),
-        accumulators_monotone=bool(np.all(np.diff(acc1) >= -1e-15) and np.all(np.diff(acc2) >= -1e-15)),
-        accumulators_finite=bool(np.all(np.isfinite(acc1)) and np.all(np.isfinite(acc2))),
-        elliptic_constant=elliptic,
-        cross_within_cs=cross_ok,
-        energy_nonincreasing=energy_flag,
-        bounded_constant=float(((h2**2 + acc1 + acc2).max()) / base),
     )
 
 

@@ -145,20 +145,6 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
     return state
 
 
-def single_mode_spec(
-    axis_wave: tuple[int, int, int] = (1, 0, 0),
-    direction: int = 1,
-    scale: float = 1.0,
-    u_modes: tuple[FourierMode, ...] = (),
-) -> DisplacementSpec:
-    """Convenience builder: phi = scale * sin(k.x) e_direction."""
-    amp = [0j, 0j, 0j]
-    amp[direction] = -0.5j  # -i/2 at +k makes the pair sum to sin(k.x)
-    return DisplacementSpec(
-        (FourierMode(axis_wave, tuple(amp)),), u_modes, scale
-    )
-
-
 # ---------------------------------------------------------------------------
 # radial spectral profiles for the whole-space experiments
 

@@ -41,12 +41,6 @@ class ModelParams:
         """Elastic coupling of the rescaled system, alpha / P'(1)."""
         return self.alpha / self.p_prime_1
 
-    def pressure(self, rho):
-        return self.pressure_scale * rho**self.gamma / self.gamma
-
-    def pressure_derivative(self, rho):
-        return self.pressure_scale * rho ** (self.gamma - 1.0)
-
 
 def make_params(
     mu: float = 1.0,

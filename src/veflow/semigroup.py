@@ -70,20 +70,6 @@ class BlockSystem:
         return float(np.sqrt(self.b))
 
 
-def eigenvalues(system: BlockSystem, r):
-    """Roots (k+, k-) of kappa^2 + nu r^2 kappa + b r^2, k+ the slow one."""
-    r = np.asarray(r, dtype=float)
-    nu, b = system.nu, system.b
-    disc = (nu * r**2) ** 2 - 4.0 * b * r**2
-    sq = np.sqrt(np.abs(disc)).astype(complex)
-    sq = np.where(disc >= 0.0, sq, 1j * sq)
-    kp = 0.5 * (-nu * r**2 + sq)
-    km = 0.5 * (-nu * r**2 - sq)
-    if kp.ndim == 0:
-        return complex(kp), complex(km)
-    return kp, km
-
-
 def _entries(nu: float, b: float, r: np.ndarray, t: float):
     """Real entries (p11, p12, p21, p22) of e^{tA(r)}, vectorized over r >= 0."""
     r = np.asarray(r, dtype=float)
@@ -135,11 +121,6 @@ class Propagator2x2:
         p11, p12, p21, p22 = _entries(system.nu, system.b, np.asarray(float(r)), float(t))
         m = np.array([[float(p11), float(p12)], [float(p21), float(p22)]])
         return cls(float(r), float(t), m)
-
-
-def decay_exponent(l: float, k: int) -> float:
-    """Whole-space decay rate of the k-th derivative in L2 for data in L^l."""
-    return 1.5 * (1.0 / l - 0.5) + 0.5 * k
 
 
 class LinearPropagator:
@@ -214,7 +195,3 @@ class LinearPropagator:
         )
         return state_from_spectra(self.grid, n1, v1, e1, state.time + self.t)
 
-
-def apply_linear_semigroup(state: FlowState, params: ModelParams, t: float) -> FlowState:
-    """Evolve the state by the exact linearized flow for a time t."""
-    return LinearPropagator(state.grid, params, t)(state)

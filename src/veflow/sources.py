@@ -19,12 +19,6 @@ and every quadratic output is cleaned with the spherical 2/3 rule.  The
 1/(1+n) factors are evaluated pointwise (no series truncation); a vacuum
 guard aborts when min(1+n) <= 0.5.
 
-Auxiliary quantities for the reduced systems:
-
-    g1 = g - a div(nE)                       (longitudinal forcing)
-    S^{ij} = T^{ij} - T^{ji},                (shear forcing, antisymmetric)
-    T^{ij} = d_k (E^{lk} d_l E^{ij} - E^{lj} d_l E^{ik}).
-
 Constraint residuals, reported as L2 norms:
 
     r1 = ||d_j(rho F^{jk})||                 (momentum-compatible density)
@@ -38,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FREQUENCY, TensorField, VectorField
 from .fields import half_to_samples, to_half_spectrum, to_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
@@ -127,8 +120,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     """Dealiased spectra of the combined right-hand sides.
 
     Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).  This
-    is the one evaluator of the nonlinear sources: the time stepper uses it,
-    and :func:`longitudinal_source` builds g1 from its G_v.
+    is the one evaluator of the nonlinear sources.
     """
     grid = state.grid
     f, adv_n, g, h, adv_E = _raw_products(state, params)
@@ -136,32 +128,6 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     g_v = _dealiased(grid, g, dealias)
     g_e = _dealiased(grid, h - adv_E, dealias)
     return g_n, g_v, g_e
-
-
-def longitudinal_source(
-    g_hat: np.ndarray, state: FlowState, params: ModelParams, dealias: bool = True
-) -> VectorField:
-    """g1 = g - a div(nE), the forcing of the reduced (n, div v) system.
-
-    ``g_hat`` is the G_v spectrum of :func:`rhs_spectra` at the same state.
-    """
-    grid = state.grid
-    nE_hat = _dealiased(grid, state.n.samples[np.newaxis, np.newaxis] * state.E.samples, dealias)
-    div_nE_hat = np.einsum("j...,ij...->i...", 1j * grid.xi, nE_hat)
-    return VectorField(grid, g_hat - params.a * div_nE_hat, FREQUENCY)
-
-
-def shear_source(state: FlowState, dealias: bool = True) -> TensorField:
-    """Antisymmetric forcing S of the reduced (E^T - E, curl v) system."""
-    grid = state.grid
-    E = state.E.samples
-    dE = _gradient(grid, state.E.spectrum[..., : grid.n // 2 + 1])
-    # inner[k, i, j] = E^{lk} d_l E^{ij} - E^{lj} d_l E^{ik}
-    first = np.einsum("lk...,lij...->kij...", E, dE)
-    second = np.einsum("lj...,lik...->kij...", E, dE)
-    inner_hat = _dealiased(grid, first - second, dealias)
-    t_hat = np.einsum("k...,kij...->ij...", 1j * grid.xi, inner_hat)
-    return TensorField(grid, t_hat - np.swapaxes(t_hat, 0, 1), FREQUENCY)
 
 
 # ---------------------------------------------------------------------------

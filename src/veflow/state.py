@@ -133,15 +133,6 @@ def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> Flo
     return FlowState.create(n, v, E, time=phys.time / params.chi0**2, warn=warn)
 
 
-def pert_to_phys(state: FlowState, params: ModelParams) -> PhysState:
-    """Inverse change of variables."""
-    grid = state.grid
-    rho = ScalarField(grid, 1.0 + state.n.samples)
-    u = VectorField(grid, state.v.samples / params.chi0)
-    F = TensorField(grid, state.E.samples + TensorField.identity(grid).samples)
-    return PhysState(rho, u, F, time=state.time * params.chi0**2)
-
-
 def state_from_spectra(
     grid: Grid,
     n_hat: np.ndarray,

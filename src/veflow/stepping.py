@@ -122,14 +122,7 @@ def run(
     grid = initial.grid
     check_cfl(grid, params, config.dt)
 
-    record = TimeSeriesRecord(
-        meta={
-            "sources_enabled": config.sources,
-            "dt": config.dt,
-            "t_end": config.t_end,
-            "dealias": config.dealias,
-        }
-    )
+    record = TimeSeriesRecord()
     csv_handle = None
     if csv_path is not None:
         csv_handle = open(csv_path, "w", encoding="ascii", newline="")

@@ -136,9 +136,23 @@ class TestSimulate:
         ic_dir = tmp_path / "ic"
         main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(ic_dir)])
         out = tmp_path / "run"
-        rc = main(["simulate", "--n", "8", "--t-end", "0.1", "--ic", str(ic_dir), "--out", str(out)])
+        rc = main(["simulate", "--t-end", "0.1", "--ic", str(ic_dir), "--out", str(out)])
         assert rc == 0
         assert (out / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "8"), ("--box", "6.0"), ("--delta", "1e-3"), ("--delta-u", "1e-3")]
+    )
+    def test_snapshot_rejects_the_flags_it_fixes(self, tmp_path, modefile, capsys, flag, value):
+        """A snapshot fixes the grid and the amplitudes: a flag it would ignore is an
+        error, exit 2, before any output."""
+        ic_dir = tmp_path / "ic"
+        main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(ic_dir)])
+        out = tmp_path / "run"
+        rc = main(["simulate", "--t-end", "0.1", "--ic", str(ic_dir), flag, value, "--out", str(out)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path, modefile):
         outs = []
@@ -303,6 +317,7 @@ _REJECTED = [
     ("simulate", ["--dt", "5"], 2),  # beyond the CFL bound
     ("simulate", ["--dt", "0.05", "--cfl-safety", "nan"], 2),
     ("duhamel", ["--cfl-safety", "4"], 2),  # beyond the CFL bound
+    ("duhamel", ["--t-end", "0"], 2),  # no step, so no remainder to compare
     ("duhamel", ["--ic", "ZERO"], 3),
     ("simulate", ["--ic", "ZERO"], 3),
     ("linear-decay", ["--t-grid", "log:1:10:7"], 2),  # the decay fit needs 8 points
@@ -325,6 +340,8 @@ def test_rejected_input_leaves_no_output(tmp_path, modefile, command, flags, cod
 
 class TestManifest:
     DERIVED = {"simulate": {"dt", "grid"}, "duhamel": {"dt"}}
+    # a mode-file --ic resolves the grid flags that simulate parses as None
+    RESOLVED = {"simulate": {"box": 2.0 * np.pi}}
 
     @pytest.mark.parametrize(
         "command", ["make-ic", "simulate", "duhamel", "linear-decay", "lower-bound"]
@@ -335,6 +352,7 @@ class TestManifest:
         manifest = _manifest(tmp_path / "out")
         parsed = vars(build_parser().parse_args(argv))
         flags = {k: v for k, v in parsed.items() if k not in ("func", "command", "out", "verbose")}
+        flags.update(self.RESOLVED.get(command, {}))
         derived = self.DERIVED.get(command, set())
         assert manifest["command"] == command
         assert set(manifest["resolved"]) == set(flags) | derived
@@ -378,6 +396,20 @@ class TestManifest:
         samples[0, 1, 2, 3] += 1e-9
         write_field(ic / "ic_u.cvf", VectorField(u.grid, samples))
         assert content_hash("b") != before
+
+    def test_snapshot_runs_hash_alike(self, tmp_path, modefile):
+        """A snapshot fixes the grid and the amplitudes, so the manifest records
+        their flags as null and two runs of one snapshot hash alike."""
+        ic = tmp_path / "ic"
+        assert main([*_cheap("make-ic", modefile), "--out", str(ic)]) == 0
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["simulate", "--t-end", "0.1", "--ic", str(ic), "--out", str(out)]) == 0
+        first, second = (_manifest(out) for out in runs)
+        assert first["content_hash"] == second["content_hash"]
+        assert (runs[0] / "series.csv").read_bytes() == (runs[1] / "series.csv").read_bytes()
+        assert [first["resolved"][k] for k in ("n", "box", "delta", "delta_u")] == [None] * 4
+        assert first["resolved"]["grid"] == {"n": 8, "box": 2.0 * np.pi}
 
 
 class TestSemigroupCheck:

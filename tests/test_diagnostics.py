@@ -1,14 +1,13 @@
-"""Monitored functionals, decay fits, ledgers, and the Duhamel comparison."""
+"""Monitored functionals, decay fits, records, and the Duhamel comparison."""
 
 import io
 
 import numpy as np
 import pytest
 
-from helpers import generic_piola_spec, smooth_state
+from helpers import smooth_state
 from veflow import (
     FlowState,
-    Grid,
     ParameterError,
     ScalarField,
     TensorField,
@@ -16,12 +15,8 @@ from veflow import (
     cfl_dt,
     decay_fit,
     duhamel_compare,
-    energy_ledger,
-    interpolation_gap,
     lp_norm_state,
     lyapunov_m,
-    phys_to_pert,
-    piola_ic,
     run,
     sample_row,
 )
@@ -97,7 +92,9 @@ class TestInterpolation:
     def test_gap_nonpositive_on_random_states(self, grid8, rng):
         for amp in (1e-3, 1e-1):
             st = smooth_state(grid8, rng, amp=amp)
-            assert interpolation_gap(st, p=4.0) <= 1e-10
+            # ||U||_4 <= ||U||_2^(1/4) ||U||_6^(3/4)
+            bound = lp_norm_state(st, 2.0) ** 0.25 * lp_norm_state(st, 6.0) ** 0.75
+            assert lp_norm_state(st, 4.0) <= bound + 1e-10
 
     def test_lp_ordering(self, grid8, rng):
         st = smooth_state(grid8, rng, amp=1e-2)
@@ -126,38 +123,6 @@ class TestRecord:
             assert np.array_equal(back[col], rec.array(col))
 
 
-class TestLedger:
-    def test_linear_run_energy_nonincreasing(self, grid16, params, rng):
-        st = smooth_state(grid16, rng, amp=1e-2)
-        dt = cfl_dt(grid16, params)
-        cfg = StepperConfig(dt=dt, t_end=1.0, output_every=2, sources=False, keep_states=True)
-        rec = run(st, params, cfg)
-        report = energy_ledger(rec, params)
-        verdicts = report.verdicts()
-        assert verdicts["energy_nonincreasing"]
-        assert verdicts["dissipation_nonnegative"]
-        assert verdicts["accumulators_monotone"]
-        assert verdicts["cross_within_cs"]
-
-    def test_zero_run_all_zero(self, grid8, params):
-        cfg = StepperConfig(dt=0.01, t_end=0.05, output_every=1)
-        rec = run(FlowState.zero(grid8), params, cfg)
-        report = energy_ledger(rec, params)
-        assert report.h2_growth == pytest.approx(1.0) or rec.array("H2")[0] == 0.0
-        assert report.bounded_constant == 0.0
-
-    def test_elliptic_constant_on_admissible_run(self, params):
-        grid = Grid(16)
-        st = phys_to_pert(piola_ic(generic_piola_spec(1e-3), grid, params), params, warn=False)
-        cfg = StepperConfig(
-            dt=cfl_dt(grid, params), t_end=0.5, output_every=3, keep_states=True
-        )
-        rec = run(st, params, cfg)
-        report = energy_ledger(rec, params)
-        assert report.elliptic_constant is not None
-        assert report.elliptic_constant <= 10.0
-
-
 class TestDuhamel:
     def test_linear_run_has_no_deviation(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-2)
@@ -166,6 +131,9 @@ class TestDuhamel:
         rec = run(st, params, cfg)
         report = duhamel_compare(rec, params, st)
         assert report.max_deviation < 1e-10
+        # the linear flow dissipates n^2 + v^2 + a E^2
+        e = rec.array("L2_n") ** 2 + rec.array("L2_v") ** 2 + params.a * rec.array("L2_E") ** 2
+        assert np.all(np.diff(e) <= 1e-10 * max(e[0], 1.0))
 
     def test_zero_initial_data(self, grid8, params):
         cfg = StepperConfig(dt=0.01, t_end=0.03, keep_states=True)

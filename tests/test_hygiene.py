@@ -1,0 +1,101 @@
+"""Code hygiene of ``src/veflow``: no unused import, no public name that nothing calls.
+
+Parsed with the standard library's ``ast``; ``__init__.py`` is skipped because
+its imports are the package's exports, not uses.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "veflow").glob("*.py") if p.name != "__init__.py")
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+# public names kept although no module calls them
+ORACLES = {
+    # test oracles: criterion 8's Hodge round trip and the g1 identity
+    "grad",
+    "div_tensor",
+    "hodge_decompose",
+    "hodge_reconstruct",
+    # reader of the final_ and abort_ snapshots that simulate writes
+    "read_state",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Names a module looks up: bare names, attributes, and identifier strings
+    (the benchmark patches functions by their string name)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) of every import that binds a name, except __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".", 1)[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _loaded_names(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        loaded = _loaded_names(tree)
+        unused += [
+            f"{path.name}:{line}: {name}" for name, line in _imports(tree) if name not in loaded
+        ]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class is called from another module, from its own
+    module outside its definition, or from the benchmark."""
+    trees = {path: _tree(path) for path in MODULES}
+    benchmark = set()
+    for path in BENCHMARK:
+        benchmark |= _used_names(_tree(path))
+    uncalled, defined = [], set()
+    for path, tree in trees.items():
+        others = set(benchmark)
+        for other, other_tree in trees.items():
+            if other != path:
+                others |= _used_names(other_tree)
+        for definition in _public_definitions(tree):
+            defined.add(definition.name)
+            own = set()
+            for node in tree.body:
+                if node is not definition:
+                    own |= _used_names(node)
+            if definition.name not in ORACLES | others | own:
+                uncalled.append(f"{path.name}:{definition.lineno}: {definition.name}")
+    assert not uncalled, "public names that no module or benchmark calls:\n" + "\n".join(uncalled)
+    assert ORACLES <= defined, f"allow-listed names no longer defined: {ORACLES - defined}"

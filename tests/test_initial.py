@@ -15,7 +15,6 @@ from veflow import (
     parse_mode_file,
     phys_to_pert,
     piola_ic,
-    single_mode_spec,
 )
 from veflow.initial import build_vector_field
 
@@ -30,8 +29,8 @@ class TestPiola:
         assert rep.max() == 0.0
 
     def test_single_mode_residuals_at_spectral_floor(self, params):
-        grid = Grid(32)
-        phys = piola_ic(single_mode_spec((1, 0, 0), direction=1, scale=0.01), grid, params)
+        spec = DisplacementSpec((FourierMode((1, 0, 0), (0j, -0.5j, 0j)),), scale=0.01)
+        phys = piola_ic(spec, Grid(32), params)
         rep = constraint_residuals(phys)
         assert rep.max() <= 1e-10
 
@@ -41,12 +40,12 @@ class TestPiola:
         assert phys.rho.mean() == pytest.approx(1.0, abs=1e-15)
 
     def test_large_displacement_rejected(self, grid16, params):
-        spec = single_mode_spec((1, 0, 0), direction=1, scale=1.2)
+        spec = DisplacementSpec((FourierMode((1, 0, 0), (0j, -0.5j, 0j)),), scale=1.2)
         with pytest.raises(InitialDataError, match="grad phi"):
             piola_ic(spec, grid16, params)
 
     def test_unresolvable_mode_rejected(self, grid8, params):
-        spec = single_mode_spec((7, 0, 0), direction=1, scale=0.01)
+        spec = DisplacementSpec((FourierMode((7, 0, 0), (0j, -0.5j, 0j)),), scale=0.01)
         with pytest.raises(InitialDataError, match="resolvable"):
             piola_ic(spec, grid8, params)
 
@@ -78,12 +77,6 @@ class TestModeFiles:
         phi = build_vector_field(grid16, spec.phi_modes, 1.0)
         x, _, _ = grid16.axes()
         assert np.max(np.abs(phi.samples[0] - np.sin(x) - 0 * phi.samples[0])) < 1e-12
-
-    def test_sin_builder(self, grid16):
-        spec = single_mode_spec((1, 0, 0), direction=2, scale=0.5)
-        phi = build_vector_field(grid16, spec.phi_modes, spec.scale)
-        x, _, _ = grid16.axes()
-        assert np.max(np.abs(phi.samples[2] - 0.5 * np.sin(x) - 0 * phi.samples[2])) < 1e-13
 
     def test_bad_lines_rejected(self):
         with pytest.raises(InitialDataError):

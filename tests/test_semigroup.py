@@ -21,9 +21,6 @@ from veflow import (
     Grid,
     ParameterError,
     Propagator2x2,
-    apply_linear_semigroup,
-    decay_exponent,
-    eigenvalues,
     make_params,
 )
 from veflow.fields import hermitian_defect, to_spectrum
@@ -66,36 +63,7 @@ def _rk4_four_stages_per_step(nu, b, radii, times, tol=1e-10):
     return np.array(out)
 
 
-class TestEigenvalues:
-    def test_oscillatory_example(self, comp):
-        kp, km = eigenvalues(comp, 1.0)
-        assert kp == pytest.approx(-1.0 + 1.0j, abs=1e-14)
-        assert km == pytest.approx(-1.0 - 1.0j, abs=1e-14)
-
-    def test_zero_frequency(self, comp):
-        assert eigenvalues(comp, 0.0) == (0.0, 0.0)
-
-    def test_overdamped_example(self, comp):
-        kp, km = eigenvalues(comp, 2.0)
-        assert kp == pytest.approx(-4.0 + 2.0 * np.sqrt(2.0), abs=1e-12)
-        assert km == pytest.approx(-4.0 - 2.0 * np.sqrt(2.0), abs=1e-12)
-
-    def test_vieta_relations(self, comp, rng):
-        for r in rng.uniform(0.0, 8.0, size=25):
-            kp, km = eigenvalues(comp, r)
-            assert abs(kp * km - comp.b * r**2) < 1e-12 * (1.0 + r**2)
-            assert abs(kp + km + comp.nu * r**2) < 1e-12 * (1.0 + r**2)
-
-    def test_spectral_stability(self, rng):
-        for nu, b in [(0.1, 0.5), (1.0, 1.0), (2.0, 2.0), (5.0, 0.2), (0.3, 7.0)]:
-            system = BlockSystem(nu, b)
-            for r in np.concatenate([[0.0], rng.uniform(0, 10, 40)]):
-                kp, km = eigenvalues(system, float(r))
-                assert kp.real <= 1e-15
-                assert km.real <= 1e-15
-                if r > 0:
-                    assert kp.real < 0.0
-
+class TestBlockSystem:
     def test_invalid_block(self):
         with pytest.raises(ParameterError):
             BlockSystem(-1.0, 1.0)
@@ -172,23 +140,14 @@ class TestPropagator:
                 assert np.all(np.isfinite(e))
 
 
-class TestDecayExponent:
-    @pytest.mark.parametrize(
-        "l,k,want",
-        [(1, 0, 0.75), (1, 1, 1.25), (2, 0, 0.0), (2, 1, 0.5), (1, 2, 1.75)],
-    )
-    def test_rate_table(self, l, k, want):
-        assert decay_exponent(l, k) == pytest.approx(want)
-
-
 class TestGridSemigroup:
     def test_zero_state_stays_zero(self, grid8, params):
-        out = apply_linear_semigroup(FlowState.zero(grid8), params, 2.0)
+        out = LinearPropagator(grid8, params, 2.0)(FlowState.zero(grid8))
         assert out.h_norm(2) == 0.0
 
     def test_identity_at_zero_time(self, grid8, params, rng):
         st = smooth_state(grid8, rng)
-        out = apply_linear_semigroup(st, params, 0.0)
+        out = LinearPropagator(grid8, params, 0.0)(st)
         for f0, f1 in zip(st.fields(), out.fields()):
             assert np.max(np.abs(f0.samples - f1.samples)) < 1e-13
 
@@ -202,7 +161,7 @@ class TestGridSemigroup:
             np.zeros((3, 3) + grid16.shape, complex),
             0.0,
         )
-        out = apply_linear_semigroup(st, params, 1.5)
+        out = LinearPropagator(grid16, params, 1.5)(st)
         # transverse velocity and curl stay zero: v stays along e1, mode (1,0,0)
         from veflow import curl_matrix, hodge_decompose
 
@@ -223,7 +182,7 @@ class TestGridSemigroup:
             0.0,
         )
         t = 0.9
-        out = apply_linear_semigroup(st, params, t)
+        out = LinearPropagator(grid16, params, t)(st)
         assert np.max(np.abs(out.n.samples)) < 1e-12
         from veflow import div, hodge_decompose
 
@@ -251,7 +210,7 @@ class TestGridSemigroup:
             u0 = 0.01 * (rng.standard_normal(13) + 1j * rng.standard_normal(13))
             st = single_mode_state(grid8, k, u0)
             for t in (1e-3, 0.4, 1.7, 20.0):
-                out = apply_linear_semigroup(st, params, t)
+                out = LinearPropagator(grid8, params, t)(st)
                 xi = (2.0 * np.pi / grid8.length) * np.array(k, dtype=float)
                 u_exact = scipy.linalg.expm(dense_linear_generator(xi, params) * t) @ u0
                 idx = tuple(kk % grid8.n for kk in k)
@@ -302,7 +261,7 @@ class TestGridSemigroup:
             e = e + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         reference = state_from_spectra(g, n, v, e, t_end)
 
-        out = apply_linear_semigroup(st, params, t_end)
+        out = LinearPropagator(grid8, params, t_end)(st)
         from veflow.diagnostics import h2_distance
 
         assert h2_distance(out, reference) < 1e-6

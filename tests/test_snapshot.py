@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import smooth_scalar, smooth_state, smooth_tensor, smooth_vector
+from helpers import generic_piola_spec, smooth_scalar, smooth_state, smooth_tensor, smooth_vector
 from veflow import FieldError, Grid, ScalarField, TensorField
 from veflow.snapshot import (
     read_field,
@@ -15,8 +15,7 @@ from veflow.snapshot import (
     write_phys,
     write_state,
 )
-from veflow.state import pert_to_phys
-from veflow import make_params
+from veflow import make_params, piola_ic
 
 
 class TestFieldRoundTrips:
@@ -125,9 +124,8 @@ class TestStateSnapshots:
         for f0, f1 in zip(st.fields(), back.fields()):
             assert np.array_equal(f0.samples, f1.samples)
 
-    def test_phys_round_trip(self, tmp_path, grid8, rng):
-        params = make_params()
-        phys = pert_to_phys(smooth_state(grid8, rng, amp=1e-2), params)
+    def test_phys_round_trip(self, tmp_path, grid8):
+        phys = piola_ic(generic_piola_spec(1e-2), grid8, make_params())
         write_phys(tmp_path, phys)
         back = read_phys(tmp_path)
         assert np.array_equal(back.rho.samples, phys.rho.samples)

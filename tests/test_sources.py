@@ -1,4 +1,4 @@
-"""Nonlinear source terms, auxiliary forcings, and constraint residuals."""
+"""Nonlinear source terms, the longitudinal reduction, and constraint residuals."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,7 @@ from veflow import (
     VectorField,
     constraint_residuals,
     l2_norm,
-    longitudinal_source,
     piola_ic,
-    shear_source,
 )
 from veflow.fields import hermitian_defect
 from veflow.sources import _antisymmetric_slot_max, _half_sum_sq, rhs_spectra
@@ -53,13 +51,11 @@ def spectral_slot_max(grid, expr: np.ndarray) -> float:
 
 
 class TestEvaluateSources:
-    """Source evaluation through its one path, rhs_spectra, and the derived g1 and S."""
+    """Source evaluation through its one path, rhs_spectra."""
 
     def test_zero_state_gives_zero_sources(self, grid8, params):
         st = FlowState.zero(grid8)
-        spectra = rhs_spectra(st, params)
-        g1 = longitudinal_source(spectra[1], st, params)
-        for spec in spectra + (g1.data, shear_source(st).data):
+        for spec in rhs_spectra(st, params):
             assert np.max(np.abs(spec)) == 0.0
 
     def test_f_for_constant_density_perturbation(self, grid16, params):
@@ -81,38 +77,6 @@ class TestEvaluateSources:
         st = FlowState(st.n, st.v, TensorField.zero(grid8))
         _, _, g_e = rhs_spectra(st, params)
         assert np.max(np.abs(g_e)) == 0.0
-        assert np.max(np.abs(shear_source(st).samples)) == 0.0
-
-    def test_shear_source_antisymmetric_exactly(self, grid8, params, rng):
-        st = smooth_state(grid8, rng, amp=0.05)
-        s = shear_source(st)
-        assert np.array_equal(s.samples, -np.swapaxes(s.samples, 0, 1))
-
-    def test_shear_source_matches_operator_oracle(self, grid8, rng):
-        """S from full-spectrum operator derivatives, index by index, undealiased."""
-        from veflow.operators import div, grad
-
-        st = smooth_state(grid8, rng, amp=0.05)
-        E = st.E.samples
-        # dE[l][i][j] = d_l E^{ij}
-        dE = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                g = grad(st.E.component(i, j)).samples
-                for ll in range(3):
-                    dE[ll][i][j] = g[ll]
-        T = np.zeros((3, 3) + grid8.shape)
-        for i in range(3):
-            for j in range(3):
-                inner = np.zeros((3,) + grid8.shape)
-                for k in range(3):
-                    for ll in range(3):
-                        inner[k] += E[ll, k] * dE[ll][i][j] - E[ll, j] * dE[ll][i][k]
-                T[i, j] = div(VectorField(grid8, inner)).samples
-        expected = T - np.swapaxes(T, 0, 1)
-        got = shear_source(st, dealias=False).samples
-        assert np.max(np.abs(expected)) > 0.0
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_quadratic_scaling(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=2e-3)
@@ -159,7 +123,9 @@ class TestLongitudinalIdentity:
             project=False,
         )
         _, g_hat, _ = rhs_spectra(st, params, dealias=False)
-        g1 = longitudinal_source(g_hat, st, params, dealias=False)
+        # g1 = g - a div(nE), the forcing of the reduced (n, div v) system
+        n_e = TensorField(grid, st.n.samples * st.E.samples)
+        g1 = VectorField(grid, g_hat - params.a * div_tensor(n_e).data, "frequency")
 
         # full velocity right-hand side, then its divergence
         rhs_v_hat = (

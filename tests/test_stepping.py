@@ -12,7 +12,6 @@ from veflow import (
     TensorField,
     VacuumError,
     VectorField,
-    apply_linear_semigroup,
     cfl_dt,
     make_params,
     phys_to_pert,
@@ -22,6 +21,8 @@ from veflow import (
 )
 from veflow.diagnostics import h2_distance
 from veflow.fields import hermitian_defect
+from veflow.operators import gradient_sobolev_norm
+from veflow.semigroup import LinearPropagator
 from veflow.stepping import StepperConfig
 
 
@@ -56,7 +57,7 @@ class TestStep:
         st = smooth_state(grid8, rng, amp=1e-2)
         dt = cfl_dt(grid8, params)
         one = step(st, params, dt, sources=False)
-        lin = apply_linear_semigroup(st, params, dt)
+        lin = LinearPropagator(grid8, params, dt)(st)
         assert h2_distance(one, lin) < 1e-12
 
     def test_output_spectra_hermitian(self, grid8, params, rng):
@@ -73,7 +74,7 @@ class TestStep:
         cur = st
         for _ in range(10):
             cur = step(cur, params, dt, sources=False)
-        lin = apply_linear_semigroup(st, params, 10 * dt)
+        lin = LinearPropagator(grid8, params, 10 * dt)(st)
         assert h2_distance(cur, lin) < 1e-10
 
     def test_second_order_convergence(self, params):
@@ -119,15 +120,27 @@ class TestRun:
         assert rec.times[-1] == pytest.approx(10.5 * dt)
 
     def test_energy_bounded_small_run(self, params):
+        """H2 growth, dissipation, the Cauchy-Schwarz bound on the cross terms of M,
+        and the elliptic estimate on admissible states."""
         grid = Grid(16)
         st = phys_to_pert(piola_ic(generic_piola_spec(1e-3), grid, params), params, warn=False)
-        cfg = StepperConfig(dt=cfl_dt(grid, params), t_end=1.0, output_every=5)
+        cfg = StepperConfig(dt=cfl_dt(grid, params), t_end=1.0, output_every=5, keep_states=True)
         rec = run(st, params, cfg)
         h2 = rec.array("H2")
         assert np.max(h2**2) <= 2.0 * h2[0] ** 2
         acc1 = rec.array("diss_acc1")
         acc2 = rec.array("diss_acc2")
         assert np.all(np.diff(acc1) >= 0.0) and np.all(np.diff(acc2) >= 0.0)
+        # |cross1| + |cross2| <= (1/2 + sqrt(2)) |grad(n, v, E)|_{H1}^2
+        h1g = rec.array("H1g")
+        cross = np.abs(rec.array("cross1")) + np.abs(rec.array("cross2"))
+        assert np.all(cross <= (0.5 + np.sqrt(2.0)) * h1g**2 + 1e-12 * (1.0 + h1g**2))
+        # ||grad E||^2 <= 10 (||grad n||^2 + ||grad (E^T - E)||^2)
+        for kept in rec.states:
+            grad_e = gradient_sobolev_norm(kept.E, 0) ** 2
+            grad_n = gradient_sobolev_norm(kept.n, 0) ** 2
+            grad_asym = gradient_sobolev_norm(kept.E.antisymmetric_part(), 0) ** 2
+            assert grad_e <= 10.0 * (grad_n + grad_asym)
 
     def test_abort_flushes_partial_csv(self, tmp_path, grid8, params):
         n = ScalarField(grid8, np.full(grid8.shape, -0.52))
