@@ -17,7 +17,7 @@ from .errors import (
     VacuumError,
     VeflowError,
 )
-from .fields import FREQUENCY, PHYSICAL, ScalarField, TensorField, VectorField
+from .fields import ScalarField, TensorField, VectorField
 from .grid import Grid
 from .operators import (
     apply_multiplier,

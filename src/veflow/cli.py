@@ -193,6 +193,10 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     params = make_params(**_params_from(args))
 
+    if args.dt is not None and args.cfl_safety is not None:
+        raise ParameterError("--dt sets the step: it cannot be combined with --cfl-safety")
+    if args.dt is None and args.cfl_safety is None:
+        args.cfl_safety = 0.5
     ic_path = Path(args.ic)
     if ic_path.is_dir():
         given = ["--" + k.replace("_", "-") for k in _IC_DEFAULTS if getattr(args, k) is not None]
@@ -440,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_model_flags(p)
     p.add_argument("--dt", type=_finite(positive=True), help="time step (default: CFL)")
-    p.add_argument("--cfl-safety", type=_finite(positive=True), default=0.5)
+    p.add_argument(
+        "--cfl-safety", type=_finite(positive=True), help="CFL step fraction (default 0.5)"
+    )
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--ic", required=True, help="mode-list file or snapshot directory")
     p.add_argument("--delta", type=_finite())

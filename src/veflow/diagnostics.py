@@ -161,9 +161,6 @@ class TimeSeriesRecord:
         """Line of sample ``i`` in the CSV table, every value written with repr."""
         return ",".join(repr(float(self.columns[c][i])) for c in CSV_COLUMNS) + "\n"
 
-    def csv_text(self) -> str:
-        return CSV_HEADER + "".join(self.csv_row(i) for i in range(len(self)))
-
 
 _ALL_COLUMNS = CSV_COLUMNS + ("diss1_inst", "diss2_inst", "Lp4", "Lp6")
 

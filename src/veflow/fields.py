@@ -1,15 +1,16 @@
-"""Grid functions with physical and frequency representations.
+"""Real grid functions, each viewed as its samples and as its spectrum.
 
 Scalar, vector (3 components) and tensor (3x3 components) fields share one
-storage convention: a real array of samples, or a complex array of Fourier
+convention: a real array of samples and a complex array of Fourier
 coefficients normalized so the k = 0 coefficient is the mean,
 
     u_hat(k) = N^-3 * sum_x u(x) exp(-i xi.x),
     u(x)     = sum_k u_hat(k) exp(+i xi.x).
 
 With this pairing Parseval reads  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
-Fields are immutable after construction; frequency data of a real field is
-Hermitian-symmetric.  That symmetry is checked once, where frequency data
+A field is built from one view, samples or spectrum, and computes the other
+on first use; both are read-only.  The spectrum of a real field is
+Hermitian-symmetric.  That symmetry is checked once, where a spectrum
 enters from outside (:meth:`from_frequency`, used by the snapshot reader),
 not on every inverse transform.
 
@@ -43,23 +44,15 @@ import numpy as np
 from .errors import FieldError, GridMismatchError
 from .grid import Grid
 
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
-
 _RANK_SHAPE = {0: (), 1: (3,), 2: (3, 3)}
 _AXES = (-3, -2, -1)
 
 
-def _check_payload(grid: Grid, data: np.ndarray, rep: str, rank: int) -> np.ndarray:
+def _check_payload(grid: Grid, data, dtype, rank: int) -> np.ndarray:
+    data = np.ascontiguousarray(data, dtype=dtype)
     want = _RANK_SHAPE[rank] + grid.shape
     if data.shape != want:
         raise FieldError(f"expected shape {want}, got {data.shape}")
-    if rep == PHYSICAL:
-        data = np.ascontiguousarray(data, dtype=np.float64)
-    elif rep == FREQUENCY:
-        data = np.ascontiguousarray(data, dtype=np.complex128)
-    else:
-        raise FieldError(f"unknown representation {rep!r}")
     if not np.all(np.isfinite(data)):
         raise FieldError("field contains non-finite values")
     data.setflags(write=False)
@@ -115,99 +108,61 @@ def hermitian_defect(spectrum: np.ndarray) -> float:
 
 
 class _BaseField:
+    """Real grid function with two read-only views, :attr:`samples` and
+    :attr:`spectrum`; a constructor sets one, the other is computed on first use."""
+
     rank = 0
 
-    def __init__(self, grid: Grid, data: np.ndarray, rep: str = PHYSICAL):
-        """Wrap samples or coefficients; ``rep=FREQUENCY`` data is trusted.
-
-        Frequency data passed here must already be Hermitian-symmetric: its
-        imaginary part is dropped unchecked in :attr:`samples`.  Frequency
-        data from outside the package goes through :meth:`from_frequency`.
-        """
+    def __init__(self, grid: Grid, samples: np.ndarray):
         self.grid = grid
-        self.rep = rep
-        self.data = _check_payload(grid, np.asarray(data), rep, self.rank)
+        self.samples = _check_payload(grid, samples, np.float64, self.rank)
+
+    @classmethod
+    def zero(cls, grid: Grid):
+        return cls(grid, np.zeros(_RANK_SHAPE[cls.rank] + grid.shape))
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray):
+        """Field of a trusted Hermitian spectrum: the imaginary part of its
+        inverse transform is dropped unchecked in :attr:`samples`."""
+        field = cls.__new__(cls)
+        field.grid = grid
+        field.spectrum = _check_payload(grid, spectrum, np.complex128, cls.rank)
+        return field
 
     @classmethod
     def from_frequency(cls, grid: Grid, spectrum: np.ndarray):
-        """Field from frequency data given from outside; rejects non-Hermitian spectra."""
-        field = cls(grid, spectrum, FREQUENCY)
-        scale = float(np.max(np.abs(field.data))) or 1.0
-        defect = hermitian_defect(field.data)
+        """Field from a spectrum given from outside; rejects non-Hermitian spectra."""
+        field = cls.from_spectrum(grid, spectrum)
+        scale = float(np.max(np.abs(field.spectrum))) or 1.0
+        defect = hermitian_defect(field.spectrum)
         if defect > 1e-10 * scale:
             raise FieldError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
         return field
 
-    @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray):
-        """Physical field of a trusted Hermitian spectrum, kept as its :attr:`spectrum`."""
-        coeffs = _check_payload(grid, np.asarray(spectrum), FREQUENCY, cls.rank)
-        field = cls(grid, to_samples(grid, coeffs), PHYSICAL)
-        field.spectrum = coeffs  # seeds the cached property
-        return field
-
-    # -- representations --------------------------------------------------
-
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Fourier coefficients (read-only complex array)."""
-        if self.rep == FREQUENCY:
-            return self.data
-        out = to_spectrum(self.grid, self.data)
+        out = to_spectrum(self.grid, self.samples)
         out.setflags(write=False)
         return out
 
     @cached_property
     def samples(self) -> np.ndarray:
         """Physical samples (read-only real array)."""
-        if self.rep == PHYSICAL:
-            return self.data
-        out = to_samples(self.grid, self.data)
+        out = to_samples(self.grid, self.spectrum)
         out.setflags(write=False)
         return out
 
-    def to_physical(self):
-        if self.rep == PHYSICAL:
-            return self
-        return type(self)(self.grid, self.samples, PHYSICAL)
-
-    def to_frequency(self):
-        if self.rep == FREQUENCY:
-            return self
-        return type(self)(self.grid, self.spectrum, FREQUENCY)
-
-    # -- basic algebra -----------------------------------------------------
-
-    def _binary(self, other, op):
+    def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatchError("fields live on different grids")
-        if other.rep != self.rep:
-            other = other.to_physical() if self.rep == PHYSICAL else other.to_frequency()
-        return type(self)(self.grid, op(self.data, other.data), self.rep)
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __neg__(self):
-        return type(self)(self.grid, -self.data, self.rep)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return type(self)(self.grid, self.data * scalar, self.rep)
-
-    __rmul__ = __mul__
+        return type(self)(self.grid, self.samples - other.samples)
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}(n={self.grid.n}, L={self.grid.length:g}, "
-            f"rep={self.rep})"
-        )
+        return f"{type(self).__name__}(n={self.grid.n}, L={self.grid.length:g})"
 
 
 class ScalarField(_BaseField):
@@ -215,48 +170,26 @@ class ScalarField(_BaseField):
 
     rank = 0
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape), PHYSICAL)
-
-    def mean(self) -> float:
-        if self.rep == FREQUENCY:
-            return float(self.data[0, 0, 0].real)
-        return float(self.data.mean())
-
 
 class VectorField(_BaseField):
-    """Real 3-component grid function, stored as one (3, N, N, N) array."""
+    """Real 3-component grid function, viewed as one (3, N, N, N) array."""
 
     rank = 1
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros((3,) + grid.shape), PHYSICAL)
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i], self.rep)
-
 
 class TensorField(_BaseField):
-    """Real 3x3-component grid function, stored as one (3, 3, N, N, N) array."""
+    """Real 3x3-component grid function, viewed as one (3, 3, N, N, N) array."""
 
     rank = 2
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "TensorField":
-        return cls(grid, np.zeros((3, 3) + grid.shape), PHYSICAL)
 
     @classmethod
     def identity(cls, grid: Grid) -> "TensorField":
         data = np.zeros((3, 3) + grid.shape)
         for i in range(3):
             data[i, i] = 1.0
-        return cls(grid, data, PHYSICAL)
-
-    def component(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i, j], self.rep)
+        return cls(grid, data)
 
     def antisymmetric_part(self) -> "TensorField":
         """T^T - T, formed on the spectrum; exactly antisymmetric by construction."""
-        return TensorField(self.grid, np.swapaxes(self.spectrum, 0, 1) - self.spectrum, FREQUENCY)
+        spec = self.spectrum
+        return TensorField.from_spectrum(self.grid, np.swapaxes(spec, 0, 1) - spec)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialDataError
-from .fields import FREQUENCY, ScalarField, TensorField, VectorField, to_samples
+from .fields import ScalarField, TensorField, VectorField, to_samples
 from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
@@ -103,7 +103,7 @@ def build_vector_field(grid: Grid, modes, scale: float = 1.0) -> VectorField:
         for i in range(3):
             spec[(i,) + idx] += scale * mode.amplitude[i]
             spec[(i,) + conj_idx] += scale * np.conj(mode.amplitude[i])
-    return VectorField(grid, spec, FREQUENCY).to_physical()
+    return VectorField(grid, to_samples(grid, spec))
 
 
 def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysState:

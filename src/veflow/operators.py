@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FieldError, GridMismatchError
-from .fields import FREQUENCY, ScalarField, TensorField, VectorField
+from .fields import ScalarField, TensorField, VectorField
 from .grid import Grid
 
 logger = logging.getLogger(__name__)
@@ -41,8 +41,7 @@ MEAN_WARN = 1e-13
 
 def apply_multiplier(field, symbol: np.ndarray):
     """Multiply the field's spectrum by ``symbol`` (broadcast over components)."""
-    out = field.spectrum * symbol
-    return type(field)(field.grid, out, FREQUENCY)
+    return type(field).from_spectrum(field.grid, field.spectrum * symbol)
 
 
 def _grad_symbols(grid: Grid) -> np.ndarray:
@@ -67,12 +66,12 @@ def lam_symbol(grid: Grid, s: float) -> np.ndarray:
 
 def grad(f: ScalarField) -> VectorField:
     sym = _grad_symbols(f.grid)
-    return VectorField(f.grid, sym * f.spectrum[np.newaxis], FREQUENCY)
+    return VectorField.from_spectrum(f.grid, sym * f.spectrum[np.newaxis])
 
 
 def div(v: VectorField) -> ScalarField:
     sym = _grad_symbols(v.grid)
-    return ScalarField(v.grid, (sym * v.spectrum).sum(axis=0), FREQUENCY)
+    return ScalarField.from_spectrum(v.grid, (sym * v.spectrum).sum(axis=0))
 
 
 def laplacian(field):
@@ -88,20 +87,19 @@ def lam(field, s: float):
 def grad_vector(v: VectorField) -> TensorField:
     """(grad v)^{ij} = d_j v^i."""
     sym = _grad_symbols(v.grid)
-    out = v.spectrum[:, np.newaxis] * sym[np.newaxis, :]
-    return TensorField(v.grid, out, FREQUENCY)
+    return TensorField.from_spectrum(v.grid, v.spectrum[:, np.newaxis] * sym[np.newaxis, :])
 
 
 def div_tensor(t: TensorField) -> VectorField:
     """(div T)^i = d_j T^{ij}."""
     sym = _grad_symbols(t.grid)
-    return VectorField(t.grid, (t.spectrum * sym[np.newaxis, :]).sum(axis=1), FREQUENCY)
+    return VectorField.from_spectrum(t.grid, (t.spectrum * sym[np.newaxis, :]).sum(axis=1))
 
 
 def curl_matrix(v: VectorField) -> TensorField:
     """W^{ij} = d_j v^i - d_i v^j (antisymmetric matrix curl)."""
-    gv = grad_vector(v).data
-    return TensorField(v.grid, gv - np.swapaxes(gv, 0, 1), FREQUENCY)
+    gv = grad_vector(v).spectrum
+    return TensorField.from_spectrum(v.grid, gv - np.swapaxes(gv, 0, 1))
 
 
 def project_mean_zero(field, warn: bool = True, label: str = "field"):
@@ -112,7 +110,7 @@ def project_mean_zero(field, warn: bool = True, label: str = "field"):
     if warn and worst > MEAN_WARN:
         logger.warning("projecting %s mean of size %.3e to zero", label, worst)
     spec[zero] = 0.0
-    return type(field)(field.grid, spec, FREQUENCY)
+    return type(field).from_spectrum(field.grid, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +128,8 @@ def hodge_reconstruct(d: ScalarField, omega: TensorField) -> VectorField:
     """Inverse of :func:`hodge_decompose`; omega must be antisymmetric."""
     if omega.grid != d.grid:
         raise GridMismatchError("d and omega live on different grids")
-    asym = np.max(np.abs(omega.data + np.swapaxes(omega.data, 0, 1)))
-    scale = float(np.max(np.abs(omega.data))) or 1.0
+    asym = np.max(np.abs(omega.spectrum + np.swapaxes(omega.spectrum, 0, 1)))
+    scale = float(np.max(np.abs(omega.spectrum))) or 1.0
     if asym > 1e-10 * scale:
         raise FieldError(f"omega is not antisymmetric (defect {asym:.3e})")
     d = project_mean_zero(d, label="d")
@@ -140,7 +138,7 @@ def hodge_reconstruct(d: ScalarField, omega: TensorField) -> VectorField:
     grad_part = sym * d.spectrum[np.newaxis]
     curl_part = (sym[:, np.newaxis] * omega.spectrum).sum(axis=0)  # d_j omega^{ji}
     inv = lam_symbol(d.grid, -1.0)
-    return VectorField(d.grid, inv * (curl_part - grad_part), FREQUENCY)
+    return VectorField.from_spectrum(d.grid, inv * (curl_part - grad_part))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ Layout, little-endian throughout:
     payload      components in row-major order, each N^3 values;
                  f64 samples (physical) or interleaved f64 re/im pairs
                  (frequency)
+
+The writer always emits samples (representation 0).  The reader also
+accepts a frequency payload: it checks that the spectrum is Hermitian and
+returns the field of its samples, as it would have been written.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldError
-from .fields import PHYSICAL, ScalarField, TensorField, VectorField
+from .fields import ScalarField, TensorField, VectorField
 from .grid import Grid
 from .state import FlowState, PhysState
 
@@ -34,18 +38,10 @@ _CLS_TO_RANK = {ScalarField: 0, VectorField: 1, TensorField: 2}
 
 def write_field(path, field) -> None:
     rank = _CLS_TO_RANK[type(field)]
-    rep_code = 0 if field.rep == PHYSICAL else 1
-    header = _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.length, rank, rep_code)
-    if field.rep == PHYSICAL:
-        payload = np.ascontiguousarray(field.data, dtype="<f8").tobytes()
-    else:
-        inter = np.empty(field.data.shape + (2,), dtype="<f8")
-        inter[..., 0] = field.data.real
-        inter[..., 1] = field.data.imag
-        payload = inter.tobytes()
+    header = _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.length, rank, 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(field.samples, dtype="<f8").tobytes())
 
 
 def read_field(path, grid: Grid | None = None):
@@ -73,10 +69,10 @@ def read_field(path, grid: Grid | None = None):
     shape = (3,) * rank + (n, n, n)
     if rep_code == 0:
         data = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
-        return cls(grid, data.reshape(shape).astype(np.float64), PHYSICAL)
+        return cls(grid, data.reshape(shape).astype(np.float64))
     data = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=_HEADER.size)
     data = data.reshape(shape + (2,))
-    return cls.from_frequency(grid, data[..., 0] + 1j * data[..., 1])
+    return cls(grid, cls.from_frequency(grid, data[..., 0] + 1j * data[..., 1]).samples)
 
 
 def _write_triple(directory, fields, names, prefix: str) -> list[Path]:
@@ -91,11 +87,11 @@ def _write_triple(directory, fields, names, prefix: str) -> list[Path]:
 
 
 def _read_triple(directory, names, prefix: str) -> list:
-    """Read three snapshot files, all on the first file's grid, in physical form."""
+    """Read three snapshot files, all on the first file's grid."""
     directory = Path(directory)
     first = read_field(directory / f"{prefix}_{names[0]}.cvf")
     rest = [read_field(directory / f"{prefix}_{name}.cvf", first.grid) for name in names[1:]]
-    return [f.to_physical() for f in (first, *rest)]
+    return [first, *rest]
 
 
 def write_state(directory, state: FlowState, prefix: str = "state") -> list[Path]:

@@ -41,18 +41,12 @@ class FlowState:
 
     @classmethod
     def create(
-        cls,
-        n: ScalarField,
-        v: VectorField,
-        E: TensorField,
-        time: float = 0.0,
-        project: bool = True,
-        warn: bool = True,
+        cls, n: ScalarField, v: VectorField, E: TensorField, time: float = 0.0, warn: bool = True
     ) -> "FlowState":
-        if project:
-            n = project_mean_zero(n, warn=warn, label="n")
-            v = project_mean_zero(v, warn=warn, label="v")
-            E = project_mean_zero(E, warn=warn, label="E")
+        """State of the mean-zero projections of n, v and E."""
+        n = project_mean_zero(n, warn=warn, label="n")
+        v = project_mean_zero(v, warn=warn, label="v")
+        E = project_mean_zero(E, warn=warn, label="E")
         return cls(n, v, E, time)
 
     @classmethod
@@ -93,11 +87,6 @@ class PhysState:
     @property
     def grid(self) -> Grid:
         return self.rho.grid
-
-    @classmethod
-    def equilibrium(cls, grid: Grid) -> "PhysState":
-        rho = ScalarField(grid, np.ones(grid.shape))
-        return cls(rho, VectorField.zero(grid), TensorField.identity(grid))
 
 
 def det3(t: np.ndarray) -> np.ndarray:

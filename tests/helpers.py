@@ -13,7 +13,7 @@ from veflow import (
     VectorField,
     make_params,
 )
-from veflow.fields import to_spectrum
+from veflow.fields import to_samples, to_spectrum
 
 even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
 
@@ -48,17 +48,17 @@ def smooth_spectrum(grid: Grid, rng, kmax: int, shape=()) -> np.ndarray:
 
 def smooth_scalar(grid: Grid, rng, kmax: int = None, amp: float = 1.0) -> ScalarField:
     kmax = kmax if kmax is not None else grid.n // 3
-    return amp * ScalarField(grid, smooth_spectrum(grid, rng, kmax), "frequency").to_physical()
+    return ScalarField(grid, amp * to_samples(grid, smooth_spectrum(grid, rng, kmax)))
 
 
 def smooth_vector(grid: Grid, rng, kmax: int = None, amp: float = 1.0) -> VectorField:
     kmax = kmax if kmax is not None else grid.n // 3
-    return amp * VectorField(grid, smooth_spectrum(grid, rng, kmax, (3,)), "frequency").to_physical()
+    return VectorField(grid, amp * to_samples(grid, smooth_spectrum(grid, rng, kmax, (3,))))
 
 
 def smooth_tensor(grid: Grid, rng, kmax: int = None, amp: float = 1.0) -> TensorField:
     kmax = kmax if kmax is not None else grid.n // 3
-    return amp * TensorField(grid, smooth_spectrum(grid, rng, kmax, (3, 3)), "frequency").to_physical()
+    return TensorField(grid, amp * to_samples(grid, smooth_spectrum(grid, rng, kmax, (3, 3))))
 
 
 def smooth_state(grid: Grid, rng, amp: float = 1e-2, kmax: int = 3) -> FlowState:
@@ -105,9 +105,9 @@ def single_mode_state(grid: Grid, k, values: np.ndarray, scale: float = 1.0) -> 
             ehat[(i, j) + idx] = u[4 + 3 * i + j]
             ehat[(i, j) + cidx] = np.conj(u[4 + 3 * i + j])
     return FlowState(
-        ScalarField(grid, nhat, "frequency").to_physical(),
-        VectorField(grid, vhat, "frequency").to_physical(),
-        TensorField(grid, ehat, "frequency").to_physical(),
+        ScalarField(grid, to_samples(grid, nhat)),
+        VectorField(grid, to_samples(grid, vhat)),
+        TensorField(grid, to_samples(grid, ehat)),
     )
 
 

@@ -182,12 +182,12 @@ def test_criterion_08_operator_identities():
     rng = np.random.default_rng(7)
     v = smooth_vector(grid, rng)
     d, omega = hodge_decompose(v)
-    back = hodge_reconstruct(d, omega).to_physical()
+    back = hodge_reconstruct(d, omega)
     hodge_err = float(np.max(np.abs(back.samples - v.samples)) / np.max(np.abs(v.samples)))
 
     u = smooth_scalar(grid, rng)
-    lam2 = lam(lam(u, 1.0), 1.0).to_physical().samples
-    lap = -laplacian(u).to_physical().samples
+    lam2 = lam(lam(u, 1.0), 1.0).samples
+    lap = -laplacian(u).samples
     lam_err = float(np.max(np.abs(lam2 - lap)) / max(np.max(np.abs(lap)), 1.0))
 
     group_err = 0.0

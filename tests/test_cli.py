@@ -316,6 +316,7 @@ def test_bad_value_is_usage_error(tmp_path, modefile, capsys, command, flag, val
 _REJECTED = [
     ("simulate", ["--dt", "5"], 2),  # beyond the CFL bound
     ("simulate", ["--dt", "0.05", "--cfl-safety", "nan"], 2),
+    ("simulate", ["--dt", "0.05", "--cfl-safety", "0.5"], 2),  # --dt fixes the step
     ("duhamel", ["--cfl-safety", "4"], 2),  # beyond the CFL bound
     ("duhamel", ["--t-end", "0"], 2),  # no step, so no remainder to compare
     ("duhamel", ["--ic", "ZERO"], 3),
@@ -341,7 +342,8 @@ def test_rejected_input_leaves_no_output(tmp_path, modefile, command, flags, cod
 class TestManifest:
     DERIVED = {"simulate": {"dt", "grid"}, "duhamel": {"dt"}}
     # a mode-file --ic resolves the grid flags that simulate parses as None
-    RESOLVED = {"simulate": {"box": 2.0 * np.pi}}
+    # and the CFL fraction that it parses as None when --dt is absent
+    RESOLVED = {"simulate": {"box": 2.0 * np.pi, "cfl_safety": 0.5}}
 
     @pytest.mark.parametrize(
         "command", ["make-ic", "simulate", "duhamel", "linear-decay", "lower-bound"]
@@ -364,6 +366,7 @@ class TestManifest:
         ("simulate", ["--delta-u", "1e-3"], ["--delta-u", "2e-3"]),
         ("simulate", [], ["--no-dealias"]),
         ("simulate", [], ["--linear"]),
+        ("simulate", ["--cfl-safety", "0.5"], ["--cfl-safety", "0.25"]),
         ("duhamel", ["--output-every", "1"], ["--output-every", "2"]),
         ("duhamel", ["--cfl-safety", "0.5"], ["--cfl-safety", "0.25"]),
         ("linear-decay", ["--width", "1"], ["--width", "2"]),
@@ -380,6 +383,16 @@ class TestManifest:
             assert main([*_cheap(command, modefile), *flags, "--out", str(out)]) == 0
             hashes.append(_manifest(out)["content_hash"])
         assert hashes[0] == hashes[1] != hashes[2]
+
+    def test_dt_runs_hash_alike(self, tmp_path, modefile):
+        """--dt fixes the step, so the CFL fraction is recorded as null."""
+        manifests = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            assert main([*_cheap("simulate", modefile), "--dt", "0.05", "--out", str(out)]) == 0
+            manifests.append(_manifest(out))
+        assert manifests[0]["resolved"]["cfl_safety"] is None
+        assert manifests[0]["content_hash"] == manifests[1]["content_hash"]
 
     def test_snapshot_sample_changes_hash(self, tmp_path, modefile):
         ic = tmp_path / "ic"

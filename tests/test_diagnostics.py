@@ -112,11 +112,11 @@ class TestRecord:
         with pytest.raises(VeflowError):
             rec.add(dict(row))
 
-    def test_csv_round_trip(self, grid8, params, rng):
+    def test_csv_round_trip(self, tmp_path, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-3)
         cfg = StepperConfig(dt=0.02, t_end=0.1, output_every=2)
-        rec = run(st, params, cfg)
-        text = rec.csv_text()
+        rec = run(st, params, cfg, csv_path=tmp_path / "series.csv")
+        text = (tmp_path / "series.csv").read_text()
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
         back = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
         for col in CSV_COLUMNS:

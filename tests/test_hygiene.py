@@ -1,4 +1,5 @@
-"""Code hygiene of ``src/veflow``: no unused import, no public name that nothing calls.
+"""Code hygiene of ``src/veflow``: no unused import, no public name or method
+that nothing calls.
 
 Parsed with the standard library's ``ast``; ``__init__.py`` is skipped because
 its imports are the package's exports, not uses.
@@ -65,6 +66,15 @@ def _public_definitions(tree: ast.Module):
             yield node
 
 
+def _public_methods(tree: ast.Module):
+    """(class name, definition) of every public method and property of a class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item
+
+
 def test_no_unused_imports():
     unused = []
     for path in MODULES:
@@ -99,3 +109,18 @@ def test_every_public_name_has_a_caller():
                 uncalled.append(f"{path.name}:{definition.lineno}: {definition.name}")
     assert not uncalled, "public names that no module or benchmark calls:\n" + "\n".join(uncalled)
     assert ORACLES <= defined, f"allow-listed names no longer defined: {ORACLES - defined}"
+
+
+def test_every_public_method_has_a_user():
+    """A public method or property is looked up, by name or identifier string,
+    somewhere in a module or the benchmark."""
+    used = set()
+    for path in MODULES + BENCHMARK:
+        used |= _used_names(_tree(path))
+    unused = [
+        f"{path.name}:{method.lineno}: {cls}.{method.name}"
+        for path in MODULES
+        for cls, method in _public_methods(_tree(path))
+        if method.name not in used
+    ]
+    assert not unused, "public methods that no module or benchmark uses:\n" + "\n".join(unused)

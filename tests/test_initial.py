@@ -37,7 +37,7 @@ class TestPiola:
     def test_density_mean_exactly_one(self, params):
         grid = Grid(16)
         phys = piola_ic(generic_piola_spec(0.05), grid, params)
-        assert phys.rho.mean() == pytest.approx(1.0, abs=1e-15)
+        assert phys.rho.samples.mean() == pytest.approx(1.0, abs=1e-15)
 
     def test_large_displacement_rejected(self, grid16, params):
         spec = DisplacementSpec((FourierMode((1, 0, 0), (0j, -0.5j, 0j)),), scale=1.2)

@@ -166,9 +166,9 @@ class TestGridSemigroup:
         from veflow import curl_matrix, hodge_decompose
 
         d, omega = hodge_decompose(out.v)
-        assert np.max(np.abs(omega.to_physical().samples)) < 1e-12
+        assert np.max(np.abs(omega.samples)) < 1e-12
         assert np.max(np.abs(out.v.samples[1:])) < 1e-12
-        assert np.max(np.abs(curl_matrix(out.v).to_physical().samples)) < 1e-12
+        assert np.max(np.abs(curl_matrix(out.v).samples)) < 1e-12
 
     def test_shear_sector_invariance_and_oracle(self, grid16, params):
         _, y, _ = grid16.axes()
@@ -186,7 +186,7 @@ class TestGridSemigroup:
         assert np.max(np.abs(out.n.samples)) < 1e-12
         from veflow import div, hodge_decompose
 
-        assert np.max(np.abs(div(out.v).to_physical().samples)) < 1e-12
+        assert np.max(np.abs(div(out.v).samples)) < 1e-12
         # per-mode oracle at k = (0, 1, 0)
         xi = np.array([0.0, 1.0, 0.0])
         L = dense_linear_generator(xi, params)

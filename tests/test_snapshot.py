@@ -1,12 +1,22 @@
 """Binary snapshot format: header layout, endianness, round trips."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import generic_piola_spec, smooth_scalar, smooth_state, smooth_tensor, smooth_vector
-from veflow import FieldError, Grid, ScalarField, TensorField
+from helpers import (
+    generic_piola_spec,
+    same_bits,
+    smooth_scalar,
+    smooth_state,
+    smooth_tensor,
+    smooth_vector,
+)
+from veflow import FieldError, Grid, ScalarField, TensorField, VectorField, parse_mode_file
+from veflow.cli import main
+from veflow.fields import to_samples
 from veflow.snapshot import (
     read_field,
     read_phys,
@@ -15,7 +25,21 @@ from veflow.snapshot import (
     write_phys,
     write_state,
 )
-from veflow import make_params, piola_ic
+from veflow import make_params, phys_to_pert, piola_ic
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+HEADER = struct.Struct("<4sIIdBB")
+
+
+def write_frequency_file(path, grid, rank, spectrum):
+    """A CVF1 file with a frequency payload (representation byte 1): the
+    header, then interleaved little-endian re/im pairs in row-major order."""
+    inter = np.empty(spectrum.shape + (2,), dtype="<f8")
+    inter[..., 0] = spectrum.real
+    inter[..., 1] = spectrum.imag
+    path.write_bytes(HEADER.pack(b"CVF1", 1, grid.n, grid.length, rank, 1) + inter.tobytes())
 
 
 class TestFieldRoundTrips:
@@ -23,27 +47,23 @@ class TestFieldRoundTrips:
         f = smooth_scalar(grid8, rng)
         p = tmp_path / "s.cvf"
         write_field(p, f)
+        assert HEADER.unpack_from(p.read_bytes())[-1] == 0
         back = read_field(p)
-        assert back.rep == "physical"
-        assert np.array_equal(back.samples, f.samples)
+        assert same_bits(back.samples, f.samples)
 
     def test_vector_frequency(self, tmp_path, grid8, rng):
-        f = smooth_vector(grid8, rng).to_frequency()
+        spec = smooth_vector(grid8, rng).spectrum
         p = tmp_path / "v.cvf"
-        write_field(p, f)
+        write_frequency_file(p, grid8, 1, spec)
         back = read_field(p, grid8)
-        assert back.rep == "frequency"
-        assert np.array_equal(back.data, f.data)
+        assert isinstance(back, VectorField)
+        assert same_bits(back.samples, to_samples(grid8, spec))
 
     def test_non_hermitian_frequency_rejected(self, tmp_path, grid8, rng):
-        f = smooth_vector(grid8, rng).to_frequency()
+        spec = np.array(smooth_vector(grid8, rng).spectrum)
+        spec[0, 1, 0, 0] += 1.0  # its partner at k = (-1, 0, 0) stays unchanged
         p = tmp_path / "v.cvf"
-        write_field(p, f)
-        raw = bytearray(p.read_bytes())
-        # real part of component 0 at k = (1, 0, 0), whose partner stays unchanged
-        offset = struct.calcsize("<4sIIdBB") + 16 * (grid8.n**2)
-        struct.pack_into("<d", raw, offset, 1.0 + struct.unpack_from("<d", raw, offset)[0])
-        p.write_bytes(bytes(raw))
+        write_frequency_file(p, grid8, 1, spec)
         with pytest.raises(FieldError, match="Hermitian"):
             read_field(p, grid8)
 
@@ -103,7 +123,10 @@ class TestHeader:
     def test_truncated_payload_rejected(self, tmp_path, grid8, rng, rep):
         p = tmp_path / "t.cvf"
         f = smooth_scalar(grid8, rng)
-        write_field(p, f if rep == "physical" else f.to_frequency())
+        if rep == "physical":
+            write_field(p, f)
+        else:
+            write_frequency_file(p, grid8, 0, f.spectrum)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FieldError, match="payload length"):
             read_field(p)
@@ -130,3 +153,18 @@ class TestStateSnapshots:
         back = read_phys(tmp_path)
         assert np.array_equal(back.rho.samples, phys.rho.samples)
         assert np.array_equal(back.F.samples, phys.F.samples)
+
+    def test_zero_step_run_writes_samples(self, tmp_path):
+        """A run that takes no step writes its initial state, built from spectra,
+        as samples; they read back bit for bit."""
+        text = (ROOT / "sample_ic.txt").read_text()
+        argv = ["simulate", "--n", "8", "--ic", str(ROOT / "sample_ic.txt"), "--delta", "1e-3"]
+        assert main(argv + ["--t-end", "0", "--out", str(tmp_path)]) == 0
+        for name in ("n", "v", "E"):
+            assert HEADER.unpack_from((tmp_path / f"final_{name}.cvf").read_bytes())[-1] == 0
+        params = make_params()
+        phys = piola_ic(parse_mode_file(text).scaled(1e-3), Grid(8), params)
+        initial = phys_to_pert(phys, params, warn=False)
+        back = read_state(tmp_path, prefix="final")
+        for f0, f1 in zip(initial.fields(), back.fields()):
+            assert same_bits(f1.samples, f0.samples)

@@ -19,7 +19,7 @@ from veflow import (
     run,
     step,
 )
-from veflow.diagnostics import h2_distance
+from veflow.diagnostics import CSV_HEADER, h2_distance
 from veflow.fields import hermitian_defect
 from veflow.operators import gradient_sobolev_norm
 from veflow.semigroup import LinearPropagator
@@ -144,9 +144,7 @@ class TestRun:
 
     def test_abort_flushes_partial_csv(self, tmp_path, grid8, params):
         n = ScalarField(grid8, np.full(grid8.shape, -0.52))
-        bad = FlowState.create(
-            n, VectorField.zero(grid8), TensorField.zero(grid8), project=False
-        )
+        bad = FlowState(n, VectorField.zero(grid8), TensorField.zero(grid8))
         csv_path = tmp_path / "partial.csv"
         cfg = StepperConfig(dt=0.01, t_end=1.0)
         with pytest.raises(VacuumError):
@@ -162,7 +160,8 @@ class TestRun:
         csv_path = tmp_path / "series.csv"
         rec = run(st, params, cfg, csv_path=csv_path)
         assert len(rec) == 4
-        assert csv_path.read_bytes() == rec.csv_text().encode("ascii")
+        expected = CSV_HEADER + "".join(rec.csv_row(i) for i in range(len(rec)))
+        assert csv_path.read_bytes() == expected.encode("ascii")
 
     def test_keep_states(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-3)
