@@ -57,7 +57,6 @@ from .initial import (
 )
 from .diagnostics import (
     DecayFit,
-    DuhamelReport,
     TimeSeriesRecord,
     decay_fit,
     duhamel_compare,

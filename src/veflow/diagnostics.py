@@ -6,8 +6,9 @@ The monitored energy functional is
 
 whose cross terms are Cauchy-Schwarz dominated by half the leading term
 once D2 >= 4, giving the equivalence band [D2 - 2, D2 + 2] on admissible
-states.  Per-sample rows also carry Sobolev norms, constraint residuals
-and the two dissipation accumulators
+states.  The weight is the module constant ``D2 = 4.0``, the least value
+for which that domination holds.  Per-sample rows also carry Sobolev
+norms, constraint residuals and the two dissipation accumulators
 
     acc1 = int |grad (n, E)|_{H1}^2,   acc2 = int |grad v|_{H2}^2,
 
@@ -53,6 +54,8 @@ CSV_COLUMNS = (
 )
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
+D2 = 4.0  # weight of the leading term of M
+
 
 @dataclass
 class LyapunovValue:
@@ -66,15 +69,13 @@ class LyapunovValue:
         return sum(self.gradient_terms)
 
 
-def lyapunov_m(state: FlowState, d2: float = 4.0) -> LyapunovValue:
+def lyapunov_m(state: FlowState) -> LyapunovValue:
     """Monitored functional M with its component breakdown."""
-    if not d2 > 0.0:
-        raise ParameterError(f"weight D2 must be positive, got {d2}")
     terms = tuple(gradient_sobolev_norm(f, 1) ** 2 for f in state.fields())
     cross1 = inner_product(div(state.v), laplacian(state.n))
     asym = state.E.antisymmetric_part()
     cross2 = inner_product(curl_matrix(state.v), laplacian(asym))
-    return LyapunovValue(d2 * sum(terms) + cross1 + cross2, terms, cross1, cross2)
+    return LyapunovValue(D2 * sum(terms) + cross1 + cross2, terms, cross1, cross2)
 
 
 def lp_norm_state(state: FlowState, p: float) -> float:
@@ -84,14 +85,12 @@ def lp_norm_state(state: FlowState, p: float) -> float:
         + (state.v.samples**2).sum(axis=0)
         + (state.E.samples**2).sum(axis=(0, 1))
     )
-    if p == 2.0:
-        return float(np.sqrt(mag2.sum() * state.grid.cell_volume))
     return float((np.sum(mag2 ** (p / 2.0)) * state.grid.cell_volume) ** (1.0 / p))
 
 
-def sample_row(state: FlowState, d2: float = 4.0) -> dict:
+def sample_row(state: FlowState) -> dict:
     """All monitored quantities of one state, as a plain dict."""
-    lyap = lyapunov_m(state, d2)
+    lyap = lyapunov_m(state)
     res = constraint_residuals(state)
     grad_n, _, grad_e = lyap.gradient_terms
     diss1 = grad_n + grad_e
@@ -118,13 +117,12 @@ def sample_row(state: FlowState, d2: float = 4.0) -> dict:
 
 @dataclass
 class TimeSeriesRecord:
-    """Sampled diagnostics of one run; optionally the sampled states themselves."""
+    """Sampled diagnostics of one run, and the state it ended on."""
 
     columns: dict = field(default_factory=lambda: {name: [] for name in _ALL_COLUMNS})
-    states: list = field(default_factory=list)
     final_state: object = None
 
-    def add(self, row: dict, state: FlowState | None = None, keep_state: bool = False):
+    def add(self, row: dict):
         times = self.columns["t"]
         if times and row["t"] <= times[-1]:
             raise VeflowError("sample times must be strictly increasing")
@@ -144,8 +142,6 @@ class TimeSeriesRecord:
         stored["diss_acc2"] = acc2
         for name in _ALL_COLUMNS:
             self.columns[name].append(stored[name])
-        if keep_state and state is not None:
-            self.states.append(state)
 
     def __len__(self) -> int:
         return len(self.columns["t"])
@@ -231,13 +227,6 @@ def decay_fit(
 # ---------------------------------------------------------------------------
 # linear-vs-nonlinear comparison
 
-@dataclass(frozen=True)
-class DuhamelReport:
-    times: np.ndarray
-    deviations: np.ndarray
-    max_deviation: float
-
-
 def h2_distance(a: FlowState, b: FlowState) -> float:
     """H2 norm of the componentwise difference of two states."""
     total = 0.0
@@ -246,20 +235,9 @@ def h2_distance(a: FlowState, b: FlowState) -> float:
     return float(np.sqrt(total))
 
 
-def duhamel_compare(
-    record: TimeSeriesRecord, params: ModelParams, initial: FlowState
-) -> DuhamelReport:
-    """Max-over-time H2 distance between a recorded run and the exact linear flow."""
-    if not record.states:
-        raise VeflowError(
-            "record carries no states; rerun with keep_states enabled to compare"
-        )
-    times = []
-    devs = []
-    for st in record.states:
-        lin = LinearPropagator(st.grid, params, st.time - initial.time)(initial)
-        times.append(st.time)
-        devs.append(h2_distance(st, lin))
-    times = np.asarray(times)
-    devs = np.asarray(devs)
-    return DuhamelReport(times, devs, float(devs.max()))
+def duhamel_compare(states: list[FlowState], params: ModelParams, initial: FlowState) -> float:
+    """Max over ``states`` (a run's samples) of the H2 distance to the exact linear flow."""
+    return float(np.max([
+        h2_distance(st, LinearPropagator(st.grid, params, st.time - initial.time)(initial))
+        for st in states
+    ]))

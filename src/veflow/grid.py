@@ -4,14 +4,20 @@ The box is [0, L)^3 sampled on N points per axis (N even).  Wavevectors are
 xi = (2*pi/L) * k with integer k per axis in [-N/2, N/2).  Transforms are
 normalized so the forward coefficient at k = 0 equals the field mean.
 
-The k = -N/2 planes carry no derivative sign, so every differential
-multiplier zeroes them (``nyquist_mask``).  Nonlinear products are cleaned
-with the spherical 2/3 rule (``dealias_mask``).
+The k = -N/2 planes carry no derivative sign, so they are zeroed in every
+component of ``xi`` (``nyquist_mask``), and so in ``xi_mag`` and every
+multiplier built from them.  Nonlinear products are cleaned with the
+spherical 2/3 rule (``dealias_mask``).
+
+Constructing a grid only validates (N, L).  Each lattice array is built on
+its first use from broadcast 1-D views of k, then kept read-only; the full
+integer lattice is never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,16 +26,10 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, L)^3 with cached spectral lattices."""
+    """Uniform periodic grid on [0, L)^3; equality and hashing use (n, length) only."""
 
     n: int
     length: float = 2.0 * np.pi
-
-    # caches, excluded from equality/repr
-    _xi: np.ndarray = field(init=False, repr=False, compare=False)
-    _nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _xi_mag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
@@ -37,21 +37,10 @@ class Grid:
         if not (self.length > 0.0):
             raise ParameterError(f"box length must be positive, got {self.length}")
 
-        n = self.n
-        k1 = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-        k = np.stack([kx, ky, kz])
-
-        nyq = -(n // 2)
-        mask = (kx != nyq) & (ky != nyq) & (kz != nyq)
-        object.__setattr__(self, "_nyquist_mask", _freeze(mask))
-
-        xi = (2.0 * np.pi / self.length) * k * mask
-        object.__setattr__(self, "_xi", _freeze(xi))
-        object.__setattr__(self, "_xi_mag", _freeze(np.sqrt((xi**2).sum(axis=0))))
-
-        k2 = kx**2 + ky**2 + kz**2
-        object.__setattr__(self, "_dealias_mask", _freeze(k2 <= (n / 3.0) ** 2))
+    def _k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integer wavenumbers per axis as broadcastable (N,1,1), (1,N,1), (1,1,N) views."""
+        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)  # exact integers as floats
+        return k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), k1.reshape(1, 1, -1)
 
     # -- lattice views ----------------------------------------------------
 
@@ -71,25 +60,29 @@ class Grid:
     def volume(self) -> float:
         return self.length**3
 
-    @property
-    def xi(self) -> np.ndarray:
-        """Physical wavevectors with Nyquist planes zeroed, shape (3, N, N, N)."""
-        return self._xi
-
-    @property
-    def xi_mag(self) -> np.ndarray:
-        """|xi| built from the Nyquist-zeroed lattice."""
-        return self._xi_mag
-
-    @property
+    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """False on any k = -N/2 plane."""
-        return self._nyquist_mask
+        nyq = -(self.n // 2)
+        kx, ky, kz = self._k()
+        return _freeze((kx != nyq) & (ky != nyq) & (kz != nyq))
 
-    @property
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Physical wavevectors with Nyquist planes zeroed, shape (3, N, N, N)."""
+        scale = 2.0 * np.pi / self.length
+        return _freeze(np.stack([scale * k * self.nyquist_mask for k in self._k()]))
+
+    @cached_property
+    def xi_mag(self) -> np.ndarray:
+        """|xi| built from the Nyquist-zeroed lattice."""
+        return _freeze(np.sqrt((self.xi**2).sum(axis=0)))
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Spherical 2/3-rule mask, |k| <= N/3."""
-        return self._dealias_mask
+        kx, ky, kz = self._k()
+        return _freeze(kx**2 + ky**2 + kz**2 <= (self.n / 3.0) ** 2)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Open (broadcastable) coordinate arrays along each axis."""

@@ -58,7 +58,7 @@ def lam_symbol(grid: Grid, s: float) -> np.ndarray:
         out[nz] = 1.0
     else:
         out[nz] = r[nz] ** s
-    return out * grid.nyquist_mask
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def div(v: VectorField) -> ScalarField:
 
 def laplacian(field):
     g = field.grid
-    sym = -(g.xi_mag**2) * g.nyquist_mask
+    sym = -(g.xi_mag**2)
     return apply_multiplier(field, sym)
 
 
@@ -164,7 +164,7 @@ def l2_norm(field) -> float:
 @lru_cache(maxsize=16)
 def _sobolev_weight(grid: Grid, first: int, last: int) -> np.ndarray:
     """Read-only w = sum_{first <= j <= last} |xi|^(2j), built once per (grid, first, last)."""
-    r2 = (grid.xi_mag**2) * grid.nyquist_mask
+    r2 = grid.xi_mag**2
     weight = np.ones(grid.shape) if first == 0 else np.zeros(grid.shape)
     acc = np.ones(grid.shape)
     for _ in range(last):

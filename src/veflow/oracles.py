@@ -2,7 +2,7 @@
 
 Classic fixed-step RK4 on  M'(t) = A(r) M(t),  M(0) = I,  vectorized over a
 batch of radii.  The step size is chosen from the standard local-error
-model h^4 ||A||^5 t / 30 <= tol together with the stability limit
+model h^4 ||A||^5 t / 30 <= _TOL = 1e-10 together with the stability limit
 h ||A|| <= 0.5, so the oracle error stays well below the 1e-8 comparison
 tolerance on the sample grids used here.
 
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_TOL = 1e-10
+
 
 def _rhs(nu: float, b: float, r: np.ndarray, m: np.ndarray) -> np.ndarray:
     """A(r) @ M for a batch: m has shape (len(r), 2, 2)."""
@@ -30,13 +32,7 @@ def _rhs(nu: float, b: float, r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def rk4_block_expm(
-    nu: float,
-    b: float,
-    radii,
-    times,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def rk4_block_expm(nu: float, b: float, radii, times) -> np.ndarray:
     """e^{t A(r)} for every (t, r) pair; shape (len(times), len(radii), 2, 2).
 
     ``times`` must be nonnegative; they are visited in sorted order and the
@@ -49,7 +45,7 @@ def rk4_block_expm(
 
     norm = float(np.max(1.0 + radii + b * radii + nu * radii**2))
     t_max = float(times.max()) if times.size else 0.0
-    h_acc = (30.0 * tol / (max(t_max, 1e-6) * norm**5)) ** 0.25
+    h_acc = (30.0 * _TOL / (max(t_max, 1e-6) * norm**5)) ** 0.25
     h = min(0.5 / norm, h_acc)
 
     order = np.argsort(times, kind="stable")

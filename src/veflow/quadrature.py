@@ -73,12 +73,11 @@ class RadialProfile:
 def gaussian_profile(
     amp_first: float = 1.0,
     amp_second: float = 0.0,
-    eta_first: float = 0.0,
     eta_second: float = 0.0,
     width: float = 1.0,
     label: str = "gaussian",
 ) -> RadialProfile:
-    """Profiles amp * r^eta * exp(-r^2 / (2 width^2)) in each slot."""
+    """Profiles amp * r^eta * exp(-r^2 / (2 width^2)) in each slot; eta = 0 in the first."""
 
     def _make(amp, eta):
         if amp == 0.0:
@@ -90,11 +89,11 @@ def gaussian_profile(
         )
 
     env_amp = max(abs(amp_first), abs(amp_second))
-    env_eta = min(eta_first if amp_first else np.inf, eta_second if amp_second else np.inf)
+    env_eta = min(0.0 if amp_first else np.inf, eta_second if amp_second else np.inf)
     if not np.isfinite(env_eta):
         env_eta = 0.0
     return RadialProfile(
-        _make(amp_first, eta_first),
+        _make(amp_first, 0.0),
         _make(amp_second, eta_second),
         env_amp=env_amp if env_amp > 0.0 else 1.0,
         env_eta=env_eta,

@@ -110,8 +110,6 @@ def _entries(nu: float, b: float, r: np.ndarray, t: float):
 class Propagator2x2:
     """e^{tA(r)} for one block at a single (r, t)."""
 
-    r: float
-    t: float
     matrix: np.ndarray
 
     @classmethod
@@ -120,7 +118,7 @@ class Propagator2x2:
             raise ParameterError(f"propagator needs t >= 0, got {t}")
         p11, p12, p21, p22 = _entries(system.nu, system.b, np.asarray(float(r)), float(t))
         m = np.array([[float(p11), float(p12)], [float(p21), float(p22)]])
-        return cls(float(r), float(t), m)
+        return cls(m)
 
 
 class LinearPropagator:
@@ -137,7 +135,7 @@ class LinearPropagator:
         self.params = params
         self.t = float(t)
 
-        r = grid.xi_mag * grid.nyquist_mask
+        r = grid.xi_mag
         with np.errstate(invalid="ignore", divide="ignore"):
             rhat = np.where(r > 0.0, grid.xi / np.where(r > 0.0, r, 1.0), 0.0)
         self._rhat = rhat

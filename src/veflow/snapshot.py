@@ -55,16 +55,19 @@ def read_field(path, grid: Grid | None = None):
         raise FieldError(f"{path}: unsupported version {version}")
     if rank not in _RANK_TO_CLS or rep_code not in (0, 1):
         raise FieldError(f"{path}: bad rank/representation ({rank}, {rep_code})")
-    if grid is None:
-        grid = Grid(n, length)
-    elif grid.n != n or grid.length != length:
+    if n < 4 or n % 2 != 0 or not 0.0 < length < np.inf:
+        raise FieldError(f"{path}: bad grid ({n}, {length:g}), need N even >= 4 and 0 < L < inf")
+    if grid is not None and (grid.n != n or grid.length != length):
         raise FieldError(
             f"{path}: snapshot grid ({n}, {length:g}) does not match ({grid.n}, {grid.length:g})"
         )
+    # the payload length is checked before any lattice is built for the header's N
     count = 3**rank * n**3
     size = 8 * count * (1 + rep_code)
     if len(raw) != _HEADER.size + size:
         raise FieldError(f"{path}: payload length {len(raw) - _HEADER.size} bytes, expected {size}")
+    if grid is None:
+        grid = Grid(n, length)
     cls = _RANK_TO_CLS[rank]
     shape = (3,) * rank + (n, n, n)
     if rep_code == 0:

@@ -95,7 +95,7 @@ def _raw_products(state: FlowState, params: ModelParams):
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
     xi = grid.xi[..., :half]
     xiv = np.einsum("j...,j...->...", xi, v_hat)
-    visc_hat = -params.mu * (grid.xi_mag[..., :half] ** 2 * grid.nyquist_mask[..., :half]) * v_hat - (
+    visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
         params.lam + params.mu
     ) * np.einsum("i...,...->i...", xi, xiv)
     visc = half_to_samples(grid, visc_hat)

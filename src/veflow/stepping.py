@@ -44,7 +44,6 @@ class StepperConfig:
     output_every: int = 1
     dealias: bool = True
     sources: bool = True
-    keep_states: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
@@ -118,7 +117,8 @@ def run(
     csv_path=None,
     dump_dir=None,
 ) -> TimeSeriesRecord:
-    """March the system to t_end, sampling diagnostics every ``output_every`` steps."""
+    """March the system to t_end, sampling diagnostics every ``output_every`` steps;
+    each of ``sinks`` is called once with every sampled state, in order."""
     grid = initial.grid
     check_cfl(grid, params, config.dt)
 
@@ -130,7 +130,7 @@ def run(
 
     def emit(state: FlowState):
         row = sample_row(state)
-        record.add(row, state=state, keep_state=config.keep_states)
+        record.add(row)
         for sink in sinks:
             sink(state)
         if csv_handle is not None:

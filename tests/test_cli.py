@@ -1,6 +1,7 @@
 """Command-line interface: manifests, determinism, exit codes, outputs."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,19 @@ class TestSimulate:
         assert rc == 3
         assert "payload length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [5, 2**20])
+    def test_bad_snapshot_grid_exit_code(self, tmp_path, modefile, n):
+        """A header N that no grid takes (odd), or whose payload is missing, is bad
+        data (exit 3), found before any lattice is built and before any output."""
+        ic_dir = tmp_path / "ic"
+        main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(ic_dir)])
+        rho = ic_dir / "ic_rho.cvf"
+        raw = rho.read_bytes()
+        rho.write_bytes(raw[:8] + struct.pack("<I", n) + raw[12:])
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.1", "--ic", str(ic_dir), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_linear_flag(self, tmp_path, modefile):
         out = tmp_path / "lin"
         rc = main(
@@ -214,7 +228,6 @@ class TestLinearDecay:
         rc = main(
             [
                 "linear-decay",
-                "--profile", "gaussian",
                 "--system", "compressible",
                 "--t-grid", "log:100:10000:12",
                 "--out", str(out),
@@ -323,6 +336,7 @@ _REJECTED = [
     ("simulate", ["--ic", "ZERO"], 3),
     ("linear-decay", ["--t-grid", "log:1:10:7"], 2),  # the decay fit needs 8 points
     ("lower-bound", ["--t-grid", "lin:10:100:7"], 2),
+    ("lower-bound", ["--eta", "1", "--c0", "2"], 2),  # --eta selects a profile without c0
 ]
 
 
@@ -343,7 +357,8 @@ class TestManifest:
     DERIVED = {"simulate": {"dt", "grid"}, "duhamel": {"dt"}}
     # a mode-file --ic resolves the grid flags that simulate parses as None
     # and the CFL fraction that it parses as None when --dt is absent
-    RESOLVED = {"simulate": {"box": 2.0 * np.pi, "cfl_safety": 0.5}}
+    # and lower-bound resolves --c0 to 1 when --eta is absent
+    RESOLVED = {"simulate": {"box": 2.0 * np.pi, "cfl_safety": 0.5}, "lower-bound": {"c0": 1.0}}
 
     @pytest.mark.parametrize(
         "command", ["make-ic", "simulate", "duhamel", "linear-decay", "lower-bound"]

@@ -113,6 +113,17 @@ class TestHeader:
         with pytest.raises(FieldError, match="grid"):
             read_field(p, grid16)
 
+    @pytest.mark.parametrize(
+        "n, length", [(5, 2 * np.pi), (2, 2 * np.pi), (2**20, 2 * np.pi), (8, 0.0), (8, np.nan)]
+    )
+    def test_bad_header_grid_rejected(self, tmp_path, n, length):
+        """An odd or small N, a bad L, or a payload shorter than N^3 values is bad
+        data, rejected before a grid is built."""
+        p = tmp_path / "h.cvf"
+        p.write_bytes(HEADER.pack(b"CVF1", 1, n, length, 0, 0))
+        with pytest.raises(FieldError, match="bad grid|payload length"):
+            read_field(p)
+
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "t.cvf"
         p.write_bytes(b"CV")
