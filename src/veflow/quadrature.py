@@ -5,16 +5,19 @@ of grad^k K(t) U0 over R^3 reduces to a radial integral,
 
     ||grad^k K(t) U0||^2 = (2 pi)^-3 * 4 pi * int_0^inf r^(2k) |e^{tA(r)} U0_hat(r)|^2 r^2 dr,
 
-which this module evaluates with adaptive bisected 20-node Gauss-Legendre
-panels. Seed panels resolve both the shrinking parabolic envelope (scale
-1/sqrt(nu t)) and the acoustic oscillation (wavelength 2 pi / (sqrt(b) t)), so
-refinement converges quickly even at t ~ 1e4.
+which this module evaluates with adaptive bisected 21-point Gauss-Kronrod
+panels (the G10-K21 pair of QUADPACK, Piessens et al., 1983). Seed panels
+resolve both the shrinking parabolic envelope (scale 1/sqrt(nu t)) and the
+acoustic oscillation (wavelength 2 pi / (sqrt(b) t)), so refinement converges
+quickly even at t ~ 1e4.
 
-Refinement runs level by level: all seed panels are evaluated in one pass,
-then all halves of the panels still open at each level, with the nodes of up
-to 128 panels gathered into one integrand call. A panel is accepted when its
-halves agree with it to within its share of the error budget, which halves
-per level. A non-finite integrand value, or a level that would hold more than
+A panel's value is its 21-node Kronrod sum K21; its error estimate is
+|K21 - G10|, where the 10-node Gauss rule G10 reuses 10 of the same nodes, so
+one integrand pass gives both. Refinement runs level by level: all seed panels
+are evaluated in one pass, then both halves of every panel still open, with the
+nodes of up to 128 panels gathered into one integrand call. A panel is accepted
+when its estimate is within its share of the error budget, which halves per
+level. A non-finite integrand value, or a level that would hold more than
 2**16 live panels, raises QuadratureError instead of refining further.
 """
 
@@ -28,9 +31,36 @@ import numpy as np
 from .errors import QuadratureError
 from .semigroup import BlockSystem, _entries
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# QUADPACK qk21: Kronrod nodes in [0, 1] (descending, odd positions are the
+# G10 nodes), their K21 weights and the G10 weights of the odd positions
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980178870, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))  # 21 nodes on [-1, 1], ascending
+_G10 = np.zeros(11)
+_G10[1::2] = _WG
+# column 0 gives K21, column 1 gives G10 (zero weight on the other 11 nodes)
+_WEIGHTS = np.stack([np.concatenate((w[:-1], w[::-1])) for w in (_WGK, _G10)], axis=1)
 _MAX_DEPTH = 48
-_CHUNK = 128  # panels per integrand call: bounds the node temporaries at 2560 values
+_CHUNK = 128  # panels per integrand call: bounds the node temporaries at 2688 values
 _MAX_PANELS = 2**16  # live panels per bisection level
 
 
@@ -123,19 +153,19 @@ def _integrand_factory(profile, system, t, k, component):
     return f
 
 
-def _panels(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """20-node Gauss-Legendre values of the panels [a_i, b_i], _CHUNK panels per call of f."""
+def _kronrod(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 values of the panels [a_i, b_i] and |K21 - G10|, _CHUNK panels per call of f."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    out = np.empty(a.size)
+    out = np.empty((a.size, 2))
     for lo in range(0, a.size, _CHUNK):
         hi = lo + _CHUNK
-        nodes = mid[lo:hi, None] + half[lo:hi, None] * _GL_NODES
+        nodes = mid[lo:hi, None] + half[lo:hi, None] * _NODES
         vals = f(nodes.ravel()).reshape(nodes.shape)
-        out[lo:hi] = half[lo:hi] * (vals @ _GL_WEIGHTS)
+        out[lo:hi] = half[lo:hi, None] * (vals @ _WEIGHTS)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("integrand is not finite on the quadrature nodes")
-    return out
+    return out[:, 0], np.abs(out[:, 0] - out[:, 1])
 
 
 def _seed_edges(system: BlockSystem, t: float, k: int, r_tail: float) -> np.ndarray:
@@ -147,12 +177,11 @@ def _seed_edges(system: BlockSystem, t: float, k: int, r_tail: float) -> np.ndar
     width = max(wavelength / 3.0, r_core / 512.0)
     n_core = int(np.ceil(r_core / width))
     n_core = min(max(n_core, 8), 8192)
-    edges = list(np.linspace(0.0, r_core, n_core + 1))
-    r = r_core
-    while r < r_tail:
-        r = min(2.0 * r, r_tail)
-        edges.append(r)
-    return np.array(edges)
+    # the tail doubles out from r_core (exact in binary) and stops at r_tail;
+    # r_core >= 1e-4 r_tail, so 2**14 r_core is past it
+    grow = r_core * 2.0 ** np.arange(15)
+    tail = np.minimum(2.0 * grow[grow < r_tail], r_tail)
+    return np.concatenate((np.linspace(0.0, r_core, n_core + 1), tail))
 
 
 def whole_space_norm(
@@ -179,8 +208,8 @@ def whole_space_norm(
 
     edges = _seed_edges(system, t, k, r_tail)
     a, b = edges[:-1], edges[1:]
-    whole = _panels(f, a, b)
-    total = float(whole.sum())
+    panel, gap = _kronrod(f, a, b)
+    total = float(panel.sum())
     if total <= 0.0:
         return 0.0
 
@@ -189,12 +218,8 @@ def whole_space_norm(
     value = 0.0
     err = 0.0
     for depth in range(_MAX_DEPTH + 1):
-        mid = 0.5 * (a + b)
-        halves = _panels(f, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        pair = halves[: a.size] + halves[a.size :]
-        gap = np.abs(pair - whole)
         done = (gap <= share) | (depth == _MAX_DEPTH)
-        value += float(pair[done].sum())
+        value += float(panel[done].sum())
         err += float(gap[done].sum())
         todo = ~done
         live = 2 * int(todo.sum())
@@ -204,8 +229,9 @@ def whole_space_norm(
             raise QuadratureError(
                 f"quadrature needs more than {_MAX_PANELS} live panels at depth {depth + 1}"
             )
+        mid = 0.5 * (a + b)
         a, b = np.concatenate((a[todo], mid[todo])), np.concatenate((mid[todo], b[todo]))
-        whole = halves[np.tile(todo, 2)]
+        panel, gap = _kronrod(f, a, b)
         share *= 0.5
     if err > budget * 4.0:
         raise QuadratureError(

@@ -71,35 +71,46 @@ class BlockSystem:
 
 
 def _entries(nu: float, b: float, r: np.ndarray, t: float):
-    """Real entries (p11, p12, p21, p22) of e^{tA(r)}, vectorized over r >= 0."""
+    """Real entries (p11, p12, p21, p22) of e^{tA(r)}, vectorized over r >= 0.
+
+    Each branch, and each side of _SMALL_DIFF, runs on its own radii only.
+    """
     r = np.asarray(r, dtype=float)
     r2 = r * r
     disc = (nu * r2) ** 2 - 4.0 * b * r2
-    osc = disc < 0.0
-
     sigma = -0.5 * nu * r2
+    d = np.empty_like(r)
+    p11 = np.empty_like(r)
+
     # oscillatory branch: kappa = sigma +- i beta
-    beta = np.sqrt(np.where(osc, -disc, 0.0)) * 0.5
-    env = np.exp(sigma * t)
-    d_osc = env * t * np.sinc(beta * t / np.pi)
-    p11_osc = env * np.cos(beta * t) - sigma * d_osc
+    osc = disc < 0.0
+    if osc.any():
+        s = sigma[osc]
+        beta = np.sqrt(-disc[osc]) * 0.5
+        env = np.exp(s * t)
+        d_osc = env * t * np.sinc(beta * t / np.pi)
+        d[osc] = d_osc
+        p11[osc] = env * np.cos(beta * t) - s * d_osc
 
     # overdamped branch: kappa- = sigma - h, kappa+ = sigma + h
-    h = np.sqrt(np.where(osc, 0.0, disc)) * 0.5
-    km = sigma - h
-    dk_t = 2.0 * h * t
-    exp_km = np.exp(km * t)
-    direct = (np.exp((km + 2.0 * h) * t) - exp_km) / np.where(dk_t > 0.0, 2.0 * h, 1.0)
-    # stable difference quotient near coalescence, clamped where unused
-    z = np.minimum(dk_t, 1.0)
-    phi = np.expm1(z) / np.where(z > 0.0, z, 1.0)
-    phi = np.where(z > 0.0, phi, 1.0)
-    series = exp_km * t * phi
-    d_over = np.where(dk_t > _SMALL_DIFF, direct, series)
-    p11_over = exp_km - km * d_over
+    over = ~osc
+    if over.any():
+        h = np.sqrt(disc[over]) * 0.5
+        km = sigma[over] - h
+        dk_t = 2.0 * h * t
+        exp_km = np.exp(km * t)
+        d_over = np.empty_like(h)
+        big = dk_t > _SMALL_DIFF
+        hb = h[big]
+        d_over[big] = (np.exp((km[big] + 2.0 * hb) * t) - exp_km[big]) / (2.0 * hb)
+        # stable difference quotient near coalescence: expm1(z)/z -> 1 as z -> 0
+        small = ~big
+        z = dk_t[small]
+        phi = np.where(z > 0.0, np.expm1(z) / np.where(z > 0.0, z, 1.0), 1.0)
+        d_over[small] = exp_km[small] * t * phi
+        d[over] = d_over
+        p11[over] = exp_km - km * d_over
 
-    d = np.where(osc, d_osc, d_over)
-    p11 = np.where(osc, p11_osc, p11_over)
     p12 = -r * d
     p21 = b * r * d
     p22 = p11 - nu * r2 * d
@@ -114,8 +125,10 @@ class Propagator2x2:
 
     @classmethod
     def build(cls, system: BlockSystem, r: float, t: float) -> "Propagator2x2":
-        if t < 0.0:
-            raise ParameterError(f"propagator needs t >= 0, got {t}")
+        if not 0.0 <= t < np.inf:
+            raise ParameterError(f"propagator needs finite t >= 0, got {t}")
+        if not np.isfinite(r):
+            raise ParameterError(f"propagator needs a finite radius, got {r}")
         p11, p12, p21, p22 = _entries(system.nu, system.b, np.asarray(float(r)), float(t))
         m = np.array([[float(p11), float(p12)], [float(p21), float(p22)]])
         return cls(m)
@@ -129,8 +142,8 @@ class LinearPropagator:
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
-        if t < 0.0:
-            raise ParameterError(f"semigroup needs t >= 0, got {t}")
+        if not 0.0 <= t < np.inf:
+            raise ParameterError(f"semigroup needs finite t >= 0, got {t}")
         self.grid = grid
         self.params = params
         self.t = float(t)

@@ -1,5 +1,7 @@
 """Whole-space radial quadrature of propagated profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from veflow import (
     whole_space_norm,
 )
 from veflow import quadrature
+from veflow.cli import _parse_tgrid
 from veflow.quadrature import RadialProfile
 
 
@@ -129,6 +132,63 @@ class TestRates:
         prof = gaussian_profile(amp_first=1.0)
         ns = np.array([whole_space_norm(prof, comp, float(t)) for t in ts])
         assert np.all(np.abs(np.diff(np.log(ns))) < 0.05)
+
+
+class TestKronrodTable:
+    def test_gauss_subset_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(quadrature._NODES[1::2], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(quadrature._WEIGHTS[1::2, 1], weights, rtol=0, atol=1e-15)
+        assert not np.any(quadrature._WEIGHTS[::2, 1])
+
+    @pytest.mark.parametrize("rule, degree", [(0, 31), (1, 19)], ids=["K21", "G10"])
+    def test_polynomial_exactness(self, rule, degree):
+        x, w = quadrature._NODES, quadrature._WEIGHTS[:, rule]
+        for j in range(degree + 1):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(np.dot(w, x**j) - exact) <= 1e-15, j
+        # and no further: the next even power is not integrated exactly
+        j = degree + 1 if degree % 2 else degree + 2
+        assert abs(np.dot(w, x**j) - 2.0 / (j + 1)) > 1e-13
+
+
+def _panel_levels(profile, system, t, k):
+    """Bisection level of every panel that whole_space_norm evaluates, by a
+    counting wrapper on profile.first: 0 for a seed panel, 1 for its halves."""
+    seen = []
+
+    def first(r):
+        seen.append(np.array(r, dtype=float).reshape(-1, quadrature._NODES.size))
+        return profile.first(r)
+
+    whole_space_norm(dataclasses.replace(profile, first=first), system, t, k=k)
+    panels = np.concatenate(seen)
+    bound = 4.0 * max(1.0, np.sqrt(system.b), 1.0 / np.sqrt(system.b))
+    edges = quadrature._seed_edges(system, t, k, profile.tail_radius(k, tol=1e-290, bound=bound))
+    mid = panels[:, quadrature._NODES.size // 2]  # the centre node is the panel midpoint
+    width = (panels[:, -1] - panels[:, 0]) / quadrature._NODES[-1]
+    seed = np.diff(edges)[np.searchsorted(edges, mid) - 1]
+    levels = np.rint(np.log2(seed / width)).astype(int)
+    return levels, edges.size - 1
+
+
+class TestRefinementPasses:
+    @pytest.mark.parametrize("block", ["compressible", "shear"])
+    def test_default_linear_decay_grid_needs_one_pass(self, block):
+        system = getattr(BlockSystem, block)(make_params())
+        prof = gaussian_profile(amp_first=1.0, amp_second=1.0)
+        for t in _parse_tgrid("log:1:1e4:64"):
+            for k in (0, 1):
+                levels, seeds = _panel_levels(prof, system, t, k)
+                assert levels.size == seeds and not np.any(levels), (t, k)
+
+    @pytest.mark.parametrize("block", ["compressible", "shear"])
+    def test_wide_profile_bisects_more_than_once(self, block):
+        system = getattr(BlockSystem, block)(make_params())
+        prof = gaussian_profile(amp_first=1.0, amp_second=1.0, width=30.0)
+        levels, seeds = _panel_levels(prof, system, 1e5, 0)
+        assert np.sum(levels == 0) == seeds
+        assert levels.max() >= 2
 
 
 def _reference_norm(profile, system, t, k=0, component=None, rtol=1e-8):

@@ -25,7 +25,7 @@ from veflow import (
 )
 from veflow.fields import hermitian_defect, to_spectrum
 from veflow.oracles import _rhs, rk4_block_expm
-from veflow.semigroup import LinearPropagator, _entries
+from veflow.semigroup import _SMALL_DIFF, LinearPropagator, _entries
 from veflow.state import state_from_spectra
 from veflow.stepping import cfl_dt
 
@@ -133,6 +133,34 @@ class TestPropagator:
         with pytest.raises(ParameterError):
             Propagator2x2.build(comp, 1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "r, t", [(1.0, np.nan), (1.0, np.inf), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0)]
+    )
+    def test_non_finite_time_or_radius_rejected(self, comp, r, t):
+        with pytest.raises(ParameterError):
+            Propagator2x2.build(comp, r, t)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 50.0])
+    def test_entries_exact_elementwise(self, comp, t):
+        """Each radius goes through its own branch only, so one call on an array
+        that crosses both branches, both sides of _SMALL_DIFF, r = 0 and r = r*
+        equals the per-element 0-d calls bit for bit, and 0-d in gives 0-d out."""
+        rs = comp.confluent_radius
+        r = np.concatenate(
+            ([0.0, rs], np.linspace(0.0, 3.0 * rs, 13), rs * (1.0 + np.logspace(-14, -2, 13)))
+        )
+        r2 = r * r
+        disc = (comp.nu * r2) ** 2 - 4.0 * comp.b * r2
+        dk_t = np.sqrt(np.maximum(disc, 0.0)) * t
+        if t > 0.0:
+            assert np.any(disc < 0.0) and np.any(dk_t > _SMALL_DIFF)
+            assert np.any((disc > 0.0) & (dk_t <= _SMALL_DIFF))
+        batch = _entries(comp.nu, comp.b, r, t)
+        for i, x in enumerate(r):
+            for got, want in zip(_entries(comp.nu, comp.b, np.asarray(x), t), batch):
+                assert got.shape == ()
+                assert same_bits(got, np.asarray(want[i])), (x, t)
+
     def test_entries_real_and_finite_on_array(self, comp):
         r = np.linspace(0.0, 50.0, 400)
         for t in (0.0, 0.01, 1.0, 100.0, 1e4):
@@ -141,6 +169,11 @@ class TestPropagator:
 
 
 class TestGridSemigroup:
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_bad_time_rejected(self, grid8, params, t):
+        with pytest.raises(ParameterError):
+            LinearPropagator(grid8, params, t)
+
     def test_zero_state_stays_zero(self, grid8, params):
         out = LinearPropagator(grid8, params, 2.0)(FlowState.zero(grid8))
         assert out.h_norm(2) == 0.0
