@@ -57,9 +57,9 @@ from .initial import (
 )
 from .diagnostics import (
     DecayFit,
+    DuhamelDeviation,
     TimeSeriesRecord,
     decay_fit,
-    duhamel_compare,
     h2_distance,
     lp_norm_state,
     lyapunov_m,

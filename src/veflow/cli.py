@@ -331,7 +331,7 @@ def sample_grid_for_check(system: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_duhamel(args) -> int:
-    from .diagnostics import duhamel_compare
+    from .diagnostics import DuhamelDeviation
 
     out = Path(args.out)
     params = make_params(**_params_from(args))
@@ -350,9 +350,9 @@ def _cmd_duhamel(args) -> int:
     _write_manifest(out, args, text.encode(), dt=dt)
     deviations = []
     for init in initials:
-        states = []
-        run(init, params, config, sinks=(states.append,))
-        deviations.append(duhamel_compare(states, params, init))
+        deviation = DuhamelDeviation(params, init)
+        run(init, params, config, sinks=(deviation,))
+        deviations.append(deviation.max_deviation)
     full, half = deviations
     summary = {
         "delta": args.delta,

@@ -235,9 +235,14 @@ def h2_distance(a: FlowState, b: FlowState) -> float:
     return float(np.sqrt(total))
 
 
-def duhamel_compare(states: list[FlowState], params: ModelParams, initial: FlowState) -> float:
-    """Max over ``states`` (a run's samples) of the H2 distance to the exact linear flow."""
-    return float(np.max([
-        h2_distance(st, LinearPropagator(st.grid, params, st.time - initial.time)(initial))
-        for st in states
-    ]))
+class DuhamelDeviation:
+    """Sink for ``run`` that keeps the running max, over the sampled states, of
+    the H2 distance to the exact linear flow from ``initial``; no state is kept."""
+
+    def __init__(self, params: ModelParams, initial: FlowState):
+        self.params, self.initial, self.max_deviation = params, initial, 0.0
+
+    def __call__(self, state: FlowState) -> None:
+        t = state.time - self.initial.time
+        linear = LinearPropagator(state.grid, self.params, t)(self.initial)
+        self.max_deviation = max(self.max_deviation, h2_distance(state, linear))

@@ -175,20 +175,31 @@ class LinearPropagator:
         # the (1 - p11) form keeps r = 0 modes (e^{tA} = I) exact bit for bit
         n_star = (a / (1.0 + a)) * s
 
-        n1 = p11 * n_hat + p12 * d0 + (1.0 - p11) * n_star
-        d1 = p21 * n_hat + p22 * d0 - p21 * n_star
-        cpar1 = s - n1
-        vpar1 = -1j * d1
-
+        # sums accumulate in place, left to right, with each product's operands in
+        # the order of the one-line form, and temporaries die after their last use
+        n1 = p11 * n_hat
+        n1 += p12 * d0
+        n1 += (1.0 - p11) * n_star  # p11 n + p12 d0 + (1 - p11) n*
+        d1 = p21 * n_hat
+        d1 += p22 * d0
+        d1 -= p21 * n_star  # p21 n + p22 d0 - p21 n*
+        cpar1 = np.subtract(s, n1, out=s)
+        vpar1 = np.multiply(-1j, d1, out=d1)
         cperp = c - cpar * rhat
         vperp = v_hat - vpar * rhat
-        x0 = 1j * cperp
-        x1 = q11 * x0 + q12 * vperp
-        y1 = q21 * x0 + q22 * vperp
-        cperp1 = -1j * x1
-
-        c1 = cpar1 * rhat + cperp1
-        v1 = vpar1 * rhat + y1
+        del d0, n_star, s, d1, cpar, vpar
+        x0 = np.multiply(1j, cperp, out=cperp)
+        x1 = q11 * x0
+        x1 += q12 * vperp  # q11 x0 + q12 vperp
+        y1 = q21 * x0
+        y1 += q22 * vperp  # q21 x0 + q22 vperp
+        del cperp, x0, vperp
+        cperp1 = np.multiply(-1j, x1, out=x1)
+        c1 = cpar1 * rhat
+        c1 += cperp1
+        v1 = vpar1 * rhat
+        v1 += y1
+        del cpar1, vpar1, x1, cperp1, y1
         # e1[i, j] = c1[i] rhat[j] + (e[i, j] - c[i] rhat[j]), one component at a
         # time; einsum, not multiply, so that zero products stay +0.0 bit for bit
         e1 = np.empty(e_hat.shape, dtype=np.complex128)

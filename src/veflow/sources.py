@@ -49,9 +49,11 @@ class ConstraintReport:
 
 
 def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
-    """Spectrum of a physical product, 2/3-masked unless ``enabled`` is false."""
+    """Spectrum of a physical product, 2/3-masked in place unless ``enabled`` is false."""
     spec = to_spectrum(grid, phys)
-    return spec * grid.dealias_mask if enabled else spec
+    if enabled:
+        spec *= grid.dealias_mask
+    return spec
 
 
 def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
@@ -71,10 +73,13 @@ def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raw_products(state: FlowState, params: ModelParams):
-    """Physical-space source products before any dealiasing.
+def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
+    """Dealiased spectra of the combined right-hand sides.
 
-    Returns (f, adv_n, g, h, adv_E) as raw arrays.
+    Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).  This
+    is the one evaluator of the nonlinear sources.  Each source is formed in
+    physical space, transformed and freed before the next one is formed, and
+    each gradient is freed after its last use.
     """
     grid = state.grid
     n = state.n.samples
@@ -90,8 +95,11 @@ def _raw_products(state: FlowState, params: ModelParams):
     # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i, dE[l, i, j] = d_l E^{ij}
     dn = _gradient(grid, state.n.spectrum[..., :half])
     dv = _gradient(grid, v_hat)
-    dE = _gradient(grid, state.E.spectrum[..., :half])
-    divv = dv[0, 0] + dv[1, 1] + dv[2, 2]
+    f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
+    f -= np.einsum("j...,j...->...", v, dn)
+    g_n = _dealiased(grid, f, dealias)
+    del f
+
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
     xi = grid.xi[..., :half]
     xiv = np.einsum("j...,j...->...", xi, v_hat)
@@ -99,35 +107,21 @@ def _raw_products(state: FlowState, params: ModelParams):
         params.lam + params.mu
     ) * np.einsum("i...,...->i...", xi, xiv)
     visc = half_to_samples(grid, visc_hat)
-
-    f = -n * divv
-    adv_n = np.einsum("j...,j...->...", v, dn)
-    h = np.einsum("ki...,kj...->ij...", dv, E)
-    adv_E = np.einsum("k...,kij...->ij...", v, dE)
-
-    ratio = n / (1.0 + n)
-    coef = pressure_coefficient(state.n, params).samples
-    g = (
-        params.a * np.einsum("jk...,jik...->i...", E, dE)
-        - np.einsum("...,i...->i...", ratio, visc)
-        - np.einsum("j...,ji...->i...", v, dv)
-        - np.einsum("...,i...->i...", coef, dn)
-    )
-    return f, adv_n, g, h, adv_E
-
-
-def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
-    """Dealiased spectra of the combined right-hand sides.
-
-    Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).  This
-    is the one evaluator of the nonlinear sources.
-    """
-    grid = state.grid
-    f, adv_n, g, h, adv_E = _raw_products(state, params)
-    g_n = _dealiased(grid, f - adv_n, dealias)
+    del visc_hat
+    dE = _gradient(grid, state.E.spectrum[..., :half])
+    g = params.a * np.einsum("jk...,jik...->i...", E, dE)
+    g -= np.einsum("...,i...->i...", n / (1.0 + n), visc)
+    g -= np.einsum("j...,ji...->i...", v, dv)
+    g -= np.einsum("...,i...->i...", pressure_coefficient(state.n, params).samples, dn)
+    del visc, dn
     g_v = _dealiased(grid, g, dealias)
-    g_e = _dealiased(grid, h - adv_E, dealias)
-    return g_n, g_v, g_e
+    del g
+
+    h = np.einsum("ki...,kj...->ij...", dv, E)
+    del dv
+    h -= np.einsum("k...,kij...->ij...", v, dE)
+    del dE
+    return g_n, g_v, _dealiased(grid, h, dealias)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +156,10 @@ def constraint_residuals(obj) -> ConstraintReport:
     vol = grid.volume
     xi = grid.xi[..., : grid.n // 2 + 1]
 
-    rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
     # r1: w^k = d_j (rho F^{jk})
+    rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
     w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
+    del rhoF_hat
     r1 = float(np.sqrt(vol * _half_sum_sq(w_hat)))
 
     # r3: d_k d_j (rho F^{jk}) = divdiv[(rho F)^T]
@@ -175,5 +170,7 @@ def constraint_residuals(obj) -> ConstraintReport:
     # d_l F from F's samples: E's cached spectrum is equal in exact arithmetic
     # but moves r2's rounding past the recorded benchmark references
     dF = _gradient(grid, to_half_spectrum(grid, F))
-    r2 = _antisymmetric_slot_max(grid, np.einsum("lk...,lij...->ijk...", F, dF))
+    first = np.einsum("lk...,lij...->ijk...", F, dF)
+    del dF, F, rho  # before the slot differences allocate theirs
+    r2 = _antisymmetric_slot_max(grid, first)
     return ConstraintReport(r1=r1, r2=r2, r3=r3)

@@ -129,11 +129,10 @@ def state_from_spectra(
     e_hat: np.ndarray,
     time: float,
 ) -> FlowState:
-    """Assemble a state from raw spectra, zeroing the mean modes silently."""
-    # rebinding each argument to its copy frees a caller's temporary at once
-    n_hat = np.array(n_hat)
-    v_hat = np.array(v_hat)
-    e_hat = np.array(e_hat)
+    """Assemble a state from raw spectra, zeroing the mean modes silently.
+
+    The state owns the three arrays, uncopied: their mean modes are zeroed in
+    place and they are frozen, so pass arrays that nothing else holds."""
     n_hat[0, 0, 0] = 0.0
     v_hat[:, 0, 0, 0] = 0.0
     e_hat[:, :, 0, 0, 0] = 0.0

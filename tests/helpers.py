@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -11,9 +13,15 @@ from veflow import (
     ScalarField,
     TensorField,
     VectorField,
+    cfl_dt,
     make_params,
+    phys_to_pert,
+    piola_ic,
+    sample_row,
+    step,
 )
 from veflow.fields import to_samples, to_spectrum
+from veflow.semigroup import LinearPropagator
 
 even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
 
@@ -131,3 +139,75 @@ def dense_linear_generator(xi: np.ndarray, params) -> np.ndarray:
             L[1 + i, eidx(i, j)] = a * 1j * xi[j]
             L[eidx(i, j), 1 + i] = 1j * xi[j]
     return L
+
+
+def random_spectra(grid, seed):
+    """Hermitian (n, v, E) spectra on every mode, zero mode and Nyquist planes too."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        to_spectrum(grid, rng.standard_normal(shape + grid.shape))
+        for shape in ((), (3,), (3, 3))
+    )
+
+
+def einsum_apply(prop, n_hat, v_hat, e_hat):
+    """``LinearPropagator.apply_spectra`` in its batched form: the deformation
+    update built from two 9-component einsum outer products and the frozen part."""
+    rhat = prop._rhat
+    a = prop.params.a
+    p11, p12, p21, p22 = prop._comp
+    q11, q12, q21, q22 = prop._shear
+    vpar = np.einsum("j...,j...->...", rhat, v_hat)
+    d0 = 1j * vpar
+    c = np.einsum("ij...,j...->i...", e_hat, rhat)
+    cpar = np.einsum("i...,i...->...", rhat, c)
+    s = n_hat + cpar
+    n_star = (a / (1.0 + a)) * s
+    n1 = p11 * n_hat + p12 * d0 + (1.0 - p11) * n_star
+    d1 = p21 * n_hat + p22 * d0 - p21 * n_star
+    cpar1 = s - n1
+    vpar1 = -1j * d1
+    cperp = c - cpar * rhat
+    vperp = v_hat - vpar * rhat
+    x0 = 1j * cperp
+    x1 = q11 * x0 + q12 * vperp
+    y1 = q21 * x0 + q22 * vperp
+    cperp1 = -1j * x1
+    frozen = e_hat - np.einsum("i...,j...->ij...", c, rhat)
+    c1 = cpar1 * rhat + cperp1
+    v1 = vpar1 * rhat + y1
+    e1 = np.einsum("i...,j...->ij...", c1, rhat) + frozen
+    return n1, v1, e1
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes above the level at the call, over one call of ``fn``
+    (numpy reports its array buffers to tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def step_memory(n: int) -> tuple[float, float]:
+    """Traced peaks of one ``step`` and one ``sample_row`` at grid size n, in
+    multiples of the state's spectrum bytes (13 complex components).  Each call
+    gets the criterion-5 data fresh from a CFL-0.5 step, as ``run`` hands it
+    on: its samples are computed on first use, inside the call."""
+    grid = Grid(n)
+    params = make_params()
+    dt = cfl_dt(grid, params, 0.5)
+    props = LinearPropagator(grid, params, 0.5 * dt), LinearPropagator(grid, params, dt)
+    initial = phys_to_pert(piola_ic(generic_piola_spec(1e-3), grid, params), params, warn=False)
+    state = step(initial, params, dt, True, *props)
+    size = sum(f.spectrum.nbytes for f in state.fields())
+    step_peak = traced_peak(lambda: step(state, params, dt, True, *props))
+    fresh = step(state, params, dt, True, *props)
+    return step_peak / size, traced_peak(lambda: sample_row(fresh)) / size

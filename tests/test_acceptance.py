@@ -13,12 +13,12 @@ import pytest
 from helpers import generic_piola_spec, smooth_scalar, smooth_vector
 from veflow import (
     BlockSystem,
+    DuhamelDeviation,
     Grid,
     Propagator2x2,
     cfl_dt,
     constraint_residuals,
     decay_fit,
-    duhamel_compare,
     eta_profile,
     gaussian_profile,
     hodge_decompose,
@@ -67,9 +67,9 @@ def duhamel_pair():
         phys = piola_ic(generic_piola_spec(delta), grid, PARAMS)
         initial = phys_to_pert(phys, PARAMS, warn=False)
         config = StepperConfig(dt=cfl_dt(grid, PARAMS, 0.5), t_end=4.0, output_every=5)
-        states = []
-        run(initial, PARAMS, config, sinks=(states.append,))
-        deviations[delta] = duhamel_compare(states, PARAMS, initial)
+        deviation = DuhamelDeviation(PARAMS, initial)
+        run(initial, PARAMS, config, sinks=(deviation,))
+        deviations[delta] = deviation.max_deviation
     return deviations
 
 

@@ -13,8 +13,8 @@ from veflow import (
     TensorField,
     VectorField,
     cfl_dt,
+    DuhamelDeviation,
     decay_fit,
-    duhamel_compare,
     lp_norm_state,
     lyapunov_m,
     run,
@@ -124,15 +124,15 @@ class TestDuhamel:
         st = smooth_state(grid8, rng, amp=1e-2)
         dt = cfl_dt(grid8, params)
         cfg = StepperConfig(dt=dt, t_end=10 * dt, output_every=2, sources=False)
-        states = []
-        rec = run(st, params, cfg, sinks=(states.append,))
-        assert duhamel_compare(states, params, st) < 1e-10
+        deviation = DuhamelDeviation(params, st)
+        rec = run(st, params, cfg, sinks=(deviation,))
+        assert deviation.max_deviation < 1e-10
         # the linear flow dissipates n^2 + v^2 + a E^2
         e = rec.array("L2_n") ** 2 + rec.array("L2_v") ** 2 + params.a * rec.array("L2_E") ** 2
         assert np.all(np.diff(e) <= 1e-10 * max(e[0], 1.0))
 
     def test_zero_initial_data(self, grid8, params):
         cfg = StepperConfig(dt=0.01, t_end=0.03)
-        states = []
-        run(FlowState.zero(grid8), params, cfg, sinks=(states.append,))
-        assert duhamel_compare(states, params, FlowState.zero(grid8)) == 0.0
+        deviation = DuhamelDeviation(params, FlowState.zero(grid8))
+        run(FlowState.zero(grid8), params, cfg, sinks=(deviation,))
+        assert deviation.max_deviation == 0.0

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     dense_linear_generator,
+    einsum_apply,
     even_n,
+    random_spectra,
     same_bits,
     single_mode_state,
     smooth_state,
@@ -330,45 +332,6 @@ class TestGridSemigroup:
 _times = st.floats(1e-6, 20.0)
 
 
-def _random_spectra(grid, seed):
-    """Hermitian (n, v, E) spectra on every mode, zero mode and Nyquist planes too."""
-    rng = np.random.default_rng(seed)
-    return tuple(
-        to_spectrum(grid, rng.standard_normal(shape + grid.shape))
-        for shape in ((), (3,), (3, 3))
-    )
-
-
-def _einsum_apply(prop, n_hat, v_hat, e_hat):
-    """``LinearPropagator.apply_spectra`` in its batched form: the deformation
-    update built from two 9-component einsum outer products and the frozen part."""
-    rhat = prop._rhat
-    a = prop.params.a
-    p11, p12, p21, p22 = prop._comp
-    q11, q12, q21, q22 = prop._shear
-    vpar = np.einsum("j...,j...->...", rhat, v_hat)
-    d0 = 1j * vpar
-    c = np.einsum("ij...,j...->i...", e_hat, rhat)
-    cpar = np.einsum("i...,i...->...", rhat, c)
-    s = n_hat + cpar
-    n_star = (a / (1.0 + a)) * s
-    n1 = p11 * n_hat + p12 * d0 + (1.0 - p11) * n_star
-    d1 = p21 * n_hat + p22 * d0 - p21 * n_star
-    cpar1 = s - n1
-    vpar1 = -1j * d1
-    cperp = c - cpar * rhat
-    vperp = v_hat - vpar * rhat
-    x0 = 1j * cperp
-    x1 = q11 * x0 + q12 * vperp
-    y1 = q21 * x0 + q22 * vperp
-    cperp1 = -1j * x1
-    frozen = e_hat - np.einsum("i...,j...->ij...", c, rhat)
-    c1 = cpar1 * rhat + cperp1
-    v1 = vpar1 * rhat + y1
-    e1 = np.einsum("i...,j...->ij...", c1, rhat) + frozen
-    return n1, v1, e1
-
-
 class TestComponentApply:
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -380,11 +343,11 @@ class TestComponentApply:
         params = make_params(alpha=alpha)
         dt = cfl_dt(grid, params)
         for seed in range(2):
-            spectra = _random_spectra(grid, seed)
+            spectra = random_spectra(grid, seed)
             masked = tuple(x * grid.dealias_mask for x in spectra)
             for prop in (LinearPropagator(grid, params, 0.5 * dt), LinearPropagator(grid, params, dt)):
                 for data in (spectra, masked):
-                    for got, want in zip(prop.apply_spectra(*data), _einsum_apply(prop, *data)):
+                    for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
                         assert same_bits(got, want)
 
 
@@ -406,7 +369,7 @@ class TestGridSemigroupProperties:
         planes) pass unchanged bit for bit: there e^{tA} = I exactly, and the
         steady-state shift must not round n through n - n* + n*."""
         params = make_params(mu=mu, lam=lam_ratio * mu, alpha=alpha)
-        spectra = _random_spectra(grid8, seed)
+        spectra = random_spectra(grid8, seed)
 
         k1 = LinearPropagator(grid8, params, t1)
         k2 = LinearPropagator(grid8, params, t2)
@@ -432,6 +395,6 @@ class TestHermitianOutput:
         all that is left, 5.6e-16 at most; 1e-13 of the input max is a 100x
         margin, while a symbol that breaks the mirror gives an O(1) defect."""
         grid = Grid(n)
-        spectra = _random_spectra(grid, seed)
+        spectra = random_spectra(grid, seed)
         for out in LinearPropagator(grid, params, t).apply_spectra(*spectra):
             assert hermitian_defect(out) <= 1e-13 * max(np.max(np.abs(x)) for x in spectra)

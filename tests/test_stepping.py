@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import generic_piola_spec, smooth_state
+from helpers import (
+    einsum_apply,
+    generic_piola_spec,
+    random_spectra,
+    same_bits,
+    smooth_state,
+    step_memory,
+)
 from veflow import (
     FlowState,
     Grid,
@@ -20,9 +27,12 @@ from veflow import (
     step,
 )
 from veflow.diagnostics import CSV_HEADER, h2_distance
-from veflow.fields import hermitian_defect
+from veflow.fields import half_to_samples, hermitian_defect, to_spectrum
 from veflow.operators import gradient_sobolev_norm
+from veflow.params import pressure_coefficient
 from veflow.semigroup import LinearPropagator
+from veflow.sources import _gradient
+from veflow.state import state_from_spectra
 from veflow.stepping import StepperConfig
 
 
@@ -94,6 +104,102 @@ class TestStep:
         e2 = h2_distance(advance(dt0 / 2.0), ref)
         ratio = e1 / e2
         assert 3.2 <= ratio <= 4.8, ratio
+
+
+def _batched_rhs(state, params, dealias):
+    """``rhs_spectra`` with every gradient and product alive until the three
+    sources are transformed, and each mask a new array."""
+    grid = state.grid
+    n = state.n.samples
+    half = grid.n // 2 + 1
+    v_hat = state.v.spectrum[..., :half]
+    v = state.v.samples
+    E = state.E.samples
+    dn = _gradient(grid, state.n.spectrum[..., :half])
+    dv = _gradient(grid, v_hat)
+    dE = _gradient(grid, state.E.spectrum[..., :half])
+    divv = dv[0, 0] + dv[1, 1] + dv[2, 2]
+    xi = grid.xi[..., :half]
+    xiv = np.einsum("j...,j...->...", xi, v_hat)
+    visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
+        params.lam + params.mu
+    ) * np.einsum("i...,...->i...", xi, xiv)
+    visc = half_to_samples(grid, visc_hat)
+    f = -n * divv
+    adv_n = np.einsum("j...,j...->...", v, dn)
+    h = np.einsum("ki...,kj...->ij...", dv, E)
+    adv_E = np.einsum("k...,kij...->ij...", v, dE)
+    ratio = n / (1.0 + n)
+    coef = pressure_coefficient(state.n, params).samples
+    g = (
+        params.a * np.einsum("jk...,jik...->i...", E, dE)
+        - np.einsum("...,i...->i...", ratio, visc)
+        - np.einsum("j...,ji...->i...", v, dv)
+        - np.einsum("...,i...->i...", coef, dn)
+    )
+    spectra = [to_spectrum(grid, x) for x in (f - adv_n, g, h - adv_E)]
+    return tuple(x * grid.dealias_mask if dealias else x for x in spectra)
+
+
+def _one_line_step(state, params, dt, dealias, half_prop, full_prop, sources):
+    """``step`` with K(dt) U formed first and every sum a new array, on the
+    batched apply and source forms."""
+    grid = state.grid
+    n0, v0, e0 = state.n.spectrum, state.v.spectrum, state.E.spectrum
+    nf, vf, ef = einsum_apply(full_prop, n0, v0, e0)
+    if not sources:
+        return state_from_spectra(grid, nf, vf, ef, state.time + dt)
+    gn0, gv0, ge0 = _batched_rhs(state, params, dealias)
+    nh, vh, eh = einsum_apply(half_prop, n0, v0, e0)
+    mid = state_from_spectra(
+        grid,
+        nh + 0.5 * dt * gn0,
+        vh + 0.5 * dt * gv0,
+        eh + 0.5 * dt * ge0,
+        state.time + 0.5 * dt,
+    )
+    gn1, gv1, ge1 = _batched_rhs(mid, params, dealias)
+    kn, kv, ke = einsum_apply(half_prop, gn1, gv1, ge1)
+    return state_from_spectra(grid, nf + dt * kn, vf + dt * kv, ef + dt * ke, state.time + dt)
+
+
+class TestLeanStep:
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("sources", [True, False])
+    def test_bit_identical_to_one_line_form(self, n, dealias, sources):
+        """Freeing each spectrum after its last use and summing in place round
+        exactly as the one-line step, also on 2/3-masked data with exact zeros,
+        where -0.0 and 0.0 differ."""
+        grid = Grid(n)
+        params = make_params()
+        dt = cfl_dt(grid, params)
+        props = LinearPropagator(grid, params, 0.5 * dt), LinearPropagator(grid, params, dt)
+        for seed in range(2):
+            spectra = tuple(1e-2 * x for x in random_spectra(grid, seed))
+            for data in (spectra, tuple(x * grid.dealias_mask for x in spectra)):
+                st = state_from_spectra(grid, *(x.copy() for x in data), 0.25)
+                got = step(st, params, dt, dealias, *props, sources=sources)
+                want = _one_line_step(st, params, dt, dealias, *props, sources)
+                assert got.time == want.time
+                for a, b in zip(got.fields(), want.fields()):
+                    assert same_bits(a.spectrum, b.spectrum)
+
+
+class TestMemory:
+    """Traced peaks at N = 16 in multiples of the state's spectrum bytes; the
+    bounds sit between the step that freed nothing early (9.6x, 4.5x) and the
+    lean one (4.4x, 3.1x)."""
+
+    @pytest.fixture(scope="class")
+    def peaks(self):
+        return step_memory(16)
+
+    def test_step_peak(self, peaks):
+        assert peaks[0] < 7.0
+
+    def test_sample_row_peak(self, peaks):
+        assert peaks[1] < 3.75
 
 
 class TestRun:
@@ -182,7 +288,7 @@ class TestRun:
         Constraint drift tracks the dealiased band, so the residual ceiling
         here is the N = 16 truncation level, not the N = 32 one.
         """
-        from veflow.diagnostics import duhamel_compare
+        from veflow.diagnostics import DuhamelDeviation
 
         p = make_params(mu=0.8, lam=0.3, alpha=2.0, gamma=3.0, pressure_scale=4.0)
         assert p.a == pytest.approx(0.5)
@@ -191,10 +297,10 @@ class TestRun:
         for delta in (1e-3, 5e-4):
             st = phys_to_pert(piola_ic(generic_piola_spec(delta), grid, p), p, warn=False)
             cfg = StepperConfig(dt=cfl_dt(grid, p), t_end=1.5, output_every=5)
-            states = []
-            rec = run(st, p, cfg, sinks=(states.append,))
+            deviation = DuhamelDeviation(p, st)
+            rec = run(st, p, cfg, sinks=(deviation,))
             h2 = rec.array("H2")
             assert np.max(h2**2) <= 2.0 * h2[0] ** 2
             assert max(rec.array("r1").max(), rec.array("r3").max()) < 1e-7
-            devs[delta] = duhamel_compare(states, p, st)
+            devs[delta] = deviation.max_deviation
         assert 3.0 <= devs[1e-3] / devs[5e-4] <= 5.0
