@@ -61,7 +61,7 @@ from .diagnostics import (
     TimeSeriesRecord,
     decay_fit,
     h2_distance,
-    lp_norm_state,
+    lp_norms,
     lyapunov_m,
     sample_row,
 )

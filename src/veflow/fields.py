@@ -188,8 +188,3 @@ class TensorField(_BaseField):
         for i in range(3):
             data[i, i] = 1.0
         return cls(grid, data)
-
-    def antisymmetric_part(self) -> "TensorField":
-        """T^T - T, formed on the spectrum; exactly antisymmetric by construction."""
-        spec = self.spectrum
-        return TensorField.from_spectrum(self.grid, np.swapaxes(spec, 0, 1) - spec)

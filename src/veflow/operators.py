@@ -49,6 +49,14 @@ def _grad_symbols(grid: Grid) -> np.ndarray:
     return 1j * grid.xi * grid.nyquist_mask
 
 
+@lru_cache(maxsize=4)
+def _laplacian_symbol(grid: Grid) -> np.ndarray:
+    """Read-only -|xi|^2, built once per grid."""
+    sym = -(grid.xi_mag**2)
+    sym.setflags(write=False)
+    return sym
+
+
 def lam_symbol(grid: Grid, s: float) -> np.ndarray:
     """|xi|^s on the Nyquist-zeroed lattice; zero mode maps to 0 for every s."""
     r = grid.xi_mag
@@ -75,9 +83,7 @@ def div(v: VectorField) -> ScalarField:
 
 
 def laplacian(field):
-    g = field.grid
-    sym = -(g.xi_mag**2)
-    return apply_multiplier(field, sym)
+    return apply_multiplier(field, _laplacian_symbol(field.grid))
 
 
 def lam(field, s: float):

@@ -135,8 +135,8 @@ def run(
         csv_handle = open(csv_path, "w", encoding="ascii", newline="")
         csv_handle.write(CSV_HEADER)
 
-    def emit(state: FlowState):
-        row = sample_row(state)
+    def emit(state: FlowState, residuals=None):
+        row = sample_row(state, residuals)
         record.add(row)
         for sink in sinks:
             sink(state)
@@ -144,7 +144,9 @@ def run(
             csv_handle.write(record.csv_row(len(record) - 1))
             csv_handle.flush()
 
-    worst = constraint_residuals(initial).max()
+    # one residual pass at t = 0: the warning's report is the first row's
+    initial_residuals = constraint_residuals(initial)
+    worst = initial_residuals.max()
     if worst > 1e-6:
         logger.warning(
             "initial data violates the material constraints (residual %.3e)", worst
@@ -156,7 +158,7 @@ def run(
 
     state = initial
     try:
-        emit(state)
+        emit(state, initial_residuals)
         for k in range(n_steps):
             dt = min(config.dt, config.t_end - k * config.dt)
             if dt < config.dt * (1.0 - 1e-9):

@@ -14,6 +14,9 @@ from veflow import (
     TensorField,
     VectorField,
     cfl_dt,
+    curl_matrix,
+    inner_product,
+    laplacian,
     make_params,
     phys_to_pert,
     piola_ic,
@@ -148,6 +151,28 @@ def random_spectra(grid, seed):
         to_spectrum(grid, rng.standard_normal(shape + grid.shape))
         for shape in ((), (3,), (3, 3))
     )
+
+
+def antisymmetric_part(t: TensorField) -> TensorField:
+    """T^T - T, formed on the spectrum; exactly antisymmetric by construction."""
+    spec = t.spectrum
+    return TensorField.from_spectrum(t.grid, np.swapaxes(spec, 0, 1) - spec)
+
+
+def cross_curl_oracle(state: FlowState) -> float:
+    """<W, lap(E^T - E)> over all nine slots through the named operators: the
+    oracle of the three-slot sum in ``lyapunov_m``."""
+    return inner_product(curl_matrix(state.v), laplacian(antisymmetric_part(state.E)))
+
+
+def lp_norm_oracle(state: FlowState, p: float) -> float:
+    """L^p norm of the full triple, one exponent per call (the per-exponent formula)."""
+    mag2 = (
+        state.n.samples**2
+        + (state.v.samples**2).sum(axis=0)
+        + (state.E.samples**2).sum(axis=(0, 1))
+    )
+    return float((np.sum(mag2 ** (p / 2.0)) * state.grid.cell_volume) ** (1.0 / p))
 
 
 def einsum_apply(prop, n_hat, v_hat, e_hat):

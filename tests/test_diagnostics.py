@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from helpers import smooth_state
+from helpers import cross_curl_oracle, lp_norm_oracle, random_spectra, smooth_state
 from veflow import (
     FlowState,
+    Grid,
     ParameterError,
     ScalarField,
     TensorField,
@@ -15,13 +16,14 @@ from veflow import (
     cfl_dt,
     DuhamelDeviation,
     decay_fit,
-    lp_norm_state,
+    lp_norms,
     lyapunov_m,
     run,
     sample_row,
 )
 from veflow.diagnostics import CSV_COLUMNS, TimeSeriesRecord
 from veflow.errors import VeflowError
+from veflow.state import state_from_spectra
 from veflow.stepping import StepperConfig
 
 
@@ -46,6 +48,31 @@ class TestLyapunov:
             val = lyapunov_m(st)
             ratio = val.total / val.gradient_h1_sq
             assert 2.0 <= ratio <= 8.0
+
+
+class TestCrossCurl:
+    """cross2 from the three slots i < j against the nine-slot inner product
+    <curl_matrix(v), lap(E^T - E)>."""
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_matches_nine_slot_form(self, n):
+        grid = Grid(n)
+        for seed in range(3):
+            spectra = tuple(1e-2 * x for x in random_spectra(grid, seed))
+            for data in (spectra, tuple(x * grid.dealias_mask for x in spectra)):
+                st = state_from_spectra(grid, *(x.copy() for x in data), 0.0)
+                got, want = lyapunov_m(st).cross_curl, cross_curl_oracle(st)
+                assert want != 0.0
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_zero_on_zero_state(self, grid8):
+        assert lyapunov_m(FlowState.zero(grid8)).cross_curl == 0.0
+
+    def test_zero_on_symmetric_deformation(self, grid8):
+        n_hat, v_hat, e_hat = (1e-2 * x for x in random_spectra(grid8, 7))
+        sym = e_hat + np.swapaxes(e_hat, 0, 1)
+        st = state_from_spectra(grid8, n_hat, v_hat, sym, 0.0)
+        assert lyapunov_m(st).cross_curl == 0.0
 
 
 class TestDecayFit:
@@ -89,15 +116,23 @@ class TestInterpolation:
         for amp in (1e-3, 1e-1):
             st = smooth_state(grid8, rng, amp=amp)
             # ||U||_4 <= ||U||_2^(1/4) ||U||_6^(3/4)
-            bound = lp_norm_state(st, 2.0) ** 0.25 * lp_norm_state(st, 6.0) ** 0.75
-            assert lp_norm_state(st, 4.0) <= bound + 1e-10
+            l2, l4, l6 = lp_norms(st, 2.0, 4.0, 6.0)
+            bound = l2**0.25 * l6**0.75
+            assert l4 <= bound + 1e-10
 
     def test_lp_ordering(self, grid8, rng):
         st = smooth_state(grid8, rng, amp=1e-2)
         # on a probability-normalized box L2 <= L4 <= L6 fails in general,
         # but Hoelder gives L4 <= L2^(1/4) L6^(3/4); check the raw values exist
-        for p in (2.0, 4.0, 6.0):
-            assert lp_norm_state(st, p) > 0.0
+        assert all(norm > 0.0 for norm in lp_norms(st, 2.0, 4.0, 6.0))
+
+    def test_matches_per_exponent_formula(self, grid8, rng):
+        """One magnitude for every exponent, and each norm bit for bit the
+        norm of its own pass."""
+        for amp in (1e-3, 1e-1):
+            st = smooth_state(grid8, rng, amp=amp)
+            exponents = (2.0, 4.0, 6.0)
+            assert lp_norms(st, *exponents) == tuple(lp_norm_oracle(st, p) for p in exponents)
 
 
 class TestRecord:

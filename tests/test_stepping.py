@@ -1,9 +1,12 @@
 """Exponential-midpoint integrator: CFL, exactness, convergence, runs."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from helpers import (
+    antisymmetric_part,
     einsum_apply,
     generic_piola_spec,
     random_spectra,
@@ -31,7 +34,7 @@ from veflow.fields import half_to_samples, hermitian_defect, to_spectrum
 from veflow.operators import gradient_sobolev_norm
 from veflow.params import pressure_coefficient
 from veflow.semigroup import LinearPropagator
-from veflow.sources import _gradient
+from veflow.sources import _gradient, constraint_residuals
 from veflow.state import state_from_spectra
 from veflow.stepping import StepperConfig
 
@@ -189,17 +192,74 @@ class TestLeanStep:
 class TestMemory:
     """Traced peaks at N = 16 in multiples of the state's spectrum bytes; the
     bounds sit between the step that freed nothing early (9.6x, 4.5x) and the
-    lean one (4.4x, 3.1x)."""
+    lean one with its one-component gradient buffer (4.1x, 3.1x)."""
 
     @pytest.fixture(scope="class")
     def peaks(self):
         return step_memory(16)
 
     def test_step_peak(self, peaks):
-        assert peaks[0] < 7.0
+        assert peaks[0] < 5.0
 
     def test_sample_row_peak(self, peaks):
-        assert peaks[1] < 3.75
+        assert peaks[1] < 3.5
+
+
+class TestResidualPasses:
+    """One constraint-residual pass per sampled state: ``run`` hands the report
+    of its t = 0 warning to the first row."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import veflow.diagnostics
+        import veflow.stepping
+
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return constraint_residuals(obj)
+
+        for module in (veflow.stepping, veflow.diagnostics):
+            monkeypatch.setattr(module, "constraint_residuals", counting)
+        return calls
+
+    @pytest.mark.parametrize("steps, every, samples", [(0, 1, 1), (4.5, 2, 4), (6, 1, 7)])
+    def test_one_pass_per_sample(self, counted, grid8, params, rng, steps, every, samples):
+        st = smooth_state(grid8, rng, amp=1e-3)
+        dt = cfl_dt(grid8, params)
+        cfg = StepperConfig(dt=dt, t_end=steps * dt, output_every=every)
+        rec = run(st, params, cfg)
+        assert len(rec) == samples
+        assert len(counted) == samples
+        assert counted[0] is st
+
+    def test_first_row_is_the_initial_report(self, tmp_path, grid8, params, rng):
+        st = smooth_state(grid8, rng, amp=1e-3)
+        cfg = StepperConfig(dt=cfl_dt(grid8, params), t_end=0.0)
+        csv_path = tmp_path / "series.csv"
+        run(st, params, cfg, csv_path=csv_path)
+        header, first = csv_path.read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        want = constraint_residuals(st)
+        for name in ("r1", "r2", "r3"):
+            assert row[name] == repr(getattr(want, name))
+
+    def test_warning_precedes_first_row(self, tmp_path, grid8, params, rng, caplog):
+        """Data off the constraints is reported before its first row is written."""
+        st = smooth_state(grid8, rng, amp=1e-2)
+        csv_path = tmp_path / "series.csv"
+        seen = []
+
+        def sink(state):
+            warned = [r for r in caplog.records if "violates the material constraints" in r.message]
+            data_rows = csv_path.read_text().splitlines()[1:]
+            seen.append((len(warned), data_rows))
+
+        cfg = StepperConfig(dt=cfl_dt(grid8, params), t_end=0.0)
+        with caplog.at_level(logging.WARNING, logger="veflow.stepping"):
+            run(st, params, cfg, sinks=(sink,), csv_path=csv_path)
+        assert seen == [(1, [])]
 
 
 class TestRun:
@@ -246,7 +306,7 @@ class TestRun:
         for state in kept:
             grad_e = gradient_sobolev_norm(state.E, 0) ** 2
             grad_n = gradient_sobolev_norm(state.n, 0) ** 2
-            grad_asym = gradient_sobolev_norm(state.E.antisymmetric_part(), 0) ** 2
+            grad_asym = gradient_sobolev_norm(antisymmetric_part(state.E), 0) ** 2
             assert grad_e <= 10.0 * (grad_n + grad_asym)
 
     def test_abort_flushes_partial_csv(self, tmp_path, grid8, params):
