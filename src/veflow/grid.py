@@ -32,10 +32,10 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ParameterError(f"grid size must be even and >= 4, got {self.n}")
-        if not (self.length > 0.0):
-            raise ParameterError(f"box length must be positive, got {self.length}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 4 or self.n % 2 != 0:
+            raise ParameterError(f"grid size must be an even integer >= 4, got {self.n!r}")
+        if not 0.0 < self.length < np.inf:
+            raise ParameterError(f"box length must be positive and finite, got {self.length}")
 
     def _k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer wavenumbers per axis as broadcastable (N,1,1), (1,N,1), (1,1,N) views."""
@@ -77,6 +77,19 @@ class Grid:
     def xi_mag(self) -> np.ndarray:
         """|xi| built from the Nyquist-zeroed lattice."""
         return _freeze(np.sqrt((self.xi**2).sum(axis=0)))
+
+    @cached_property
+    def unit_xi(self) -> np.ndarray:
+        """xi / |xi|, and 0 where |xi| = 0, shape (3, N, N, N)."""
+        r = self.xi_mag
+        return _freeze(np.where(r > 0.0, self.xi / np.where(r > 0.0, r, 1.0), 0.0))
+
+    @cached_property
+    def distinct_radii(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct values of ``xi_mag`` and, per lattice point, the index
+        of its value: ``radii[index] == xi_mag`` bit for bit."""
+        radii, index = np.unique(self.xi_mag, return_inverse=True)
+        return _freeze(radii), _freeze(index.reshape(self.shape))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

@@ -138,7 +138,8 @@ class LinearPropagator:
     """Grid-level solution operator of the linearized system at a fixed step t.
 
     Precomputes the per-mode block entries once so repeated applications
-    (time stepping, Duhamel comparisons) cost only array arithmetic.
+    (time stepping, Duhamel comparisons) cost only array arithmetic; the unit
+    wavevectors are the grid's, shared by every propagator on it.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -148,15 +149,13 @@ class LinearPropagator:
         self.params = params
         self.t = float(t)
 
-        r = grid.xi_mag
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rhat = np.where(r > 0.0, grid.xi / np.where(r > 0.0, r, 1.0), 0.0)
-        self._rhat = rhat
-
+        self._rhat = grid.unit_xi
+        # the entries depend on |xi| only: evaluate once per distinct radius, gather
+        radii, index = grid.distinct_radii
         comp = BlockSystem.compressible(params)
         shear = BlockSystem.shear(params)
-        self._comp = _entries(comp.nu, comp.b, r, self.t)
-        self._shear = _entries(shear.nu, shear.b, r, self.t)
+        self._comp = tuple(p[index] for p in _entries(comp.nu, comp.b, radii, self.t))
+        self._shear = tuple(p[index] for p in _entries(shear.nu, shear.b, radii, self.t))
 
     def apply_spectra(self, n_hat, v_hat, e_hat):
         """Advance raw spectra (n, v, E) by t; returns new spectra."""

@@ -23,8 +23,9 @@ from veflow import (
     sample_row,
     step,
 )
-from veflow.fields import to_samples, to_spectrum
+from veflow.fields import to_half_spectrum, to_samples, to_spectrum
 from veflow.semigroup import LinearPropagator
+from veflow.sources import _gradient, _rho_f_of
 
 even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
 
@@ -173,6 +174,24 @@ def lp_norm_oracle(state: FlowState, p: float) -> float:
         + (state.E.samples**2).sum(axis=(0, 1))
     )
     return float((np.sum(mag2 ** (p / 2.0)) * state.grid.cell_volume) ** (1.0 / p))
+
+
+def antisymmetric_slot_max(grid: Grid, first: np.ndarray) -> float:
+    """max over (i, j, k) of ||first[i, j, k] - first[i, k, j]|| by grid Parseval, over
+    j < k only: j = k slots are exactly 0 and (i, k, j) exactly negates (i, j, k)."""
+    j, k = np.triu_indices(3, 1)
+    expr = first[:, j, k] - first[:, k, j]
+    return float(np.sqrt(grid.cell_volume * np.sum(expr**2, axis=(-3, -2, -1))).max())
+
+
+def r2_oracle(obj) -> float:
+    """r2 of ``constraint_residuals`` in its 27-slot form: all 27 gradients
+    d_l F^{ij} at once, the product first[i, j, k] = F^{lk} d_l F^{ij} in one
+    einsum, then the slot differences."""
+    grid, _, F = _rho_f_of(obj)
+    dF = _gradient(grid, to_half_spectrum(grid, F))
+    first = np.einsum("lk...,lij...->ijk...", F, dF)
+    return antisymmetric_slot_max(grid, first)
 
 
 def einsum_apply(prop, n_hat, v_hat, e_hat):

@@ -1,5 +1,7 @@
 """Initial-data generators: Piola construction, mode lists, radial profiles."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from veflow import (
     constraint_residuals,
     eta_profile,
     lowerbound_profiles,
+    make_params,
     parse_mode_file,
     phys_to_pert,
     piola_ic,
@@ -63,6 +66,40 @@ class TestPiola:
             st = phys_to_pert(piola_ic(generic_piola_spec(delta), grid, params), params, warn=False)
             h2.append(st.h_norm(2))
         assert h2[0] / h2[1] == pytest.approx(2.0, rel=0.1)
+
+
+class TestLogOnlyH2:
+    """The raw-data H2 is computed only for its DEBUG line; the state is the same."""
+
+    def _build(self, monkeypatch, caplog, level):
+        import veflow.initial
+        from veflow.operators import sobolev_norm
+
+        calls = []
+
+        def counting(field, k):
+            calls.append(k)
+            return sobolev_norm(field, k)
+
+        monkeypatch.setattr(veflow.initial, "sobolev_norm", counting)
+        caplog.set_level(level, logger="veflow.initial")
+        phys = piola_ic(generic_piola_spec(1e-3), Grid(8), make_params())
+        return calls, [f.samples.tobytes() for f in (phys.rho, phys.u, phys.F)]
+
+    def test_no_norm_at_info(self, monkeypatch, caplog):
+        calls, _ = self._build(monkeypatch, caplog, logging.INFO)
+        assert calls == []
+        assert "H2" not in caplog.text
+
+    def test_norm_and_line_at_debug(self, monkeypatch, caplog):
+        calls, _ = self._build(monkeypatch, caplog, logging.DEBUG)
+        assert calls == [2, 2, 2]
+        assert "|(rho0-1, u0, F0-I)|_H2 = " in caplog.text
+
+    def test_state_bytes_independent_of_level(self, monkeypatch, caplog):
+        _, quiet = self._build(monkeypatch, caplog, logging.INFO)
+        _, verbose = self._build(monkeypatch, caplog, logging.DEBUG)
+        assert quiet == verbose
 
 
 class TestModeFiles:

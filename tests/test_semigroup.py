@@ -351,6 +351,29 @@ class TestComponentApply:
                         assert same_bits(got, want)
 
 
+class TestEntriesPerRadius:
+    @pytest.mark.parametrize("n", [6, 10, 12, 16])
+    @pytest.mark.parametrize("length", [2.0 * np.pi, 3.7])
+    def test_gathered_entries_equal_full_lattice(self, n, length):
+        """Entries evaluated once per distinct |xi| and gathered equal ``_entries``
+        on the full lattice bit for bit, for both blocks at t = 0, dt/2 and dt;
+        N that are not powers of two and L != 2 pi give radii that are not
+        integer square roots."""
+        grid = Grid(n, length)
+        params = make_params()
+        dt = cfl_dt(grid, params)
+        for t in (0.0, 0.5 * dt, dt):
+            prop = LinearPropagator(grid, params, t)
+            for block, got in zip(BLOCKS, (prop._comp, prop._shear)):
+                want = _entries(block.nu, block.b, grid.xi_mag, t)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_propagators_share_unit_wavevectors(self, grid8):
+        params = make_params()
+        props = LinearPropagator(grid8, params, 0.1), LinearPropagator(grid8, params, 0.2)
+        assert props[0]._rhat is props[1]._rhat is grid8.unit_xi
+
+
 class TestGridSemigroupProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from helpers import even_n, generic_piola_spec, smooth_state, valid_params
+from helpers import (
+    antisymmetric_slot_max,
+    even_n,
+    generic_piola_spec,
+    r2_oracle,
+    smooth_state,
+    valid_params,
+)
 from veflow import (
     FlowState,
     PhysState,
@@ -18,7 +25,7 @@ from veflow import (
     piola_ic,
 )
 from veflow.fields import hermitian_defect
-from veflow.sources import _antisymmetric_slot_max, _half_sum_sq, rhs_spectra
+from veflow.sources import _half_sum_sq, rhs_spectra
 
 
 def full_spectrum_residuals(obj) -> np.ndarray:
@@ -252,5 +259,25 @@ class TestResidualOracle:
         first[slot] *= 10.0
         expr = first - np.swapaxes(first, 1, 2)
         want = spectral_slot_max(grid8, expr)
-        assert _antisymmetric_slot_max(grid8, first) == pytest.approx(want, rel=1e-12)
+        assert antisymmetric_slot_max(grid8, first) == pytest.approx(want, rel=1e-12)
 
+
+class TestR2RowAtATime:
+    """r2 formed one row of d_l F^{ij} at a time rounds exactly as the 27-slot
+    form (``helpers.r2_oracle``) on the criterion-5 data."""
+
+    @pytest.fixture(scope="class")
+    def objs(self, params):
+        from veflow import Grid, phys_to_pert
+        from veflow.stepping import cfl_dt, step
+
+        grid = Grid(32)
+        phys = piola_ic(generic_piola_spec(1e-3), grid, params)
+        state = phys_to_pert(phys, params, warn=False)
+        return {"phys": phys, "state": state, "stepped": step(state, params, cfl_dt(grid, params, 0.5))}
+
+    @pytest.mark.parametrize("name", ["phys", "state", "stepped"])
+    def test_bit_identical_to_27_slot_form(self, objs, name):
+        got = constraint_residuals(objs[name]).r2
+        assert got > 0.0
+        assert got.hex() == r2_oracle(objs[name]).hex()

@@ -45,6 +45,33 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid(16, -1.0)
 
+    @pytest.mark.parametrize("n", [8.0, "8", None, np.float64(8.0)])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ParameterError):
+            Grid(n)
+
+    @pytest.mark.parametrize("length", [float("inf"), float("nan"), 0.0, -np.inf])
+    def test_rejects_unusable_length(self, length):
+        with pytest.raises(ParameterError):
+            Grid(8, length)
+
+    def test_accepts_numpy_integer_n(self):
+        assert Grid(np.int64(8)) == Grid(8)
+
+    def test_distinct_radii_rebuild_xi_mag(self):
+        for grid in (Grid(6), Grid(10, 3.7), Grid(16)):
+            radii, index = grid.distinct_radii
+            assert np.all(np.diff(radii) > 0.0)
+            assert index.shape == grid.shape
+            assert same_bits(radii[index], grid.xi_mag)
+
+    def test_unit_xi(self, grid16):
+        r = grid16.xi_mag
+        assert np.all(grid16.unit_xi[:, r == 0.0] == 0.0)
+        norm = np.sqrt((grid16.unit_xi**2).sum(axis=0))
+        assert np.allclose(norm[r > 0.0], 1.0, rtol=0, atol=1e-15)
+        assert not grid16.unit_xi.flags.writeable
+
     def test_frequency_lattice_symmetry(self, grid16):
         k = grid16.xi
         # away from the Nyquist planes the lattice is symmetric under k -> -k
