@@ -19,22 +19,7 @@ from .errors import (
 )
 from .fields import ScalarField, TensorField, VectorField
 from .grid import Grid
-from .operators import (
-    apply_multiplier,
-    curl_matrix,
-    div,
-    div_tensor,
-    grad,
-    grad_vector,
-    hodge_decompose,
-    hodge_reconstruct,
-    inner_product,
-    l2_norm,
-    lam,
-    laplacian,
-    project_mean_zero,
-    sobolev_norm,
-)
+from .operators import apply_multiplier, div, inner_product, l2_norm, laplacian, sobolev_norm
 from .params import ModelParams, make_params, pressure_coefficient
 from .state import FlowState, PhysState, phys_to_pert
 from .semigroup import (
@@ -66,4 +51,4 @@ from .diagnostics import (
     sample_row,
 )
 from .stepping import StepperConfig, cfl_dt, run, step
-from .snapshot import read_field, read_phys, read_state, write_field, write_phys, write_state
+from .snapshot import read_field, read_phys, write_field, write_phys, write_state

@@ -10,13 +10,15 @@ coefficients normalized so the k = 0 coefficient is the mean,
 With this pairing Parseval reads  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
 A field is built from one view, samples or spectrum, and computes the other
 on first use; both are read-only.  The spectrum of a real field is
-Hermitian-symmetric.  That symmetry is checked once, where a spectrum
-enters from outside (:meth:`from_frequency`, used by the snapshot reader),
-not on every inverse transform.
+Hermitian-symmetric.  Spectra come only from the package's own transforms
+and multipliers, which keep that symmetry, so it is never checked: every
+field that enters from outside (the snapshot reader, the initial data)
+enters as samples.
 
 This module is the one transform layer of the package: every other module
 goes through :func:`to_spectrum`, :func:`to_samples`,
-:func:`to_half_spectrum` and :func:`half_to_samples`.
+:func:`to_half_spectrum` and :func:`half_to_samples`.  It also holds the
+one elementwise product kernel of the spectral code, :func:`product`.
 
 The four transforms work one component at a time: each leading index
 (none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
@@ -99,12 +101,18 @@ def half_to_samples(grid: Grid, half_spectrum: np.ndarray, out: np.ndarray | Non
     return out
 
 
-def hermitian_defect(spectrum: np.ndarray) -> float:
-    """Max |u_hat(k) - conj(u_hat(-k))| over the lattice."""
-    flipped = spectrum
-    for ax in (-3, -2, -1):
-        flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-    return float(np.max(np.abs(spectrum - np.conj(flipped))))
+def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Broadcast elementwise a * b, written into ``out`` when it is given, with
+    the bits of ``np.einsum("...,...->...", a, b)``.
+
+    einsum sums each product into a zeroed output, so a zero product is +0.0
+    there, where a bare multiply can give -0.0 (say 0.0 * -1.0).  Adding +0.0
+    turns -0.0 into +0.0 and leaves every other value unchanged.  A real
+    operand of a complex product is cast to complex by the multiply loop, as
+    einsum casts it, without einsum's buffered copy."""
+    out = np.multiply(a, b, out=out)
+    out += 0.0
+    return out
 
 
 class _BaseField:
@@ -128,16 +136,6 @@ class _BaseField:
         field = cls.__new__(cls)
         field.grid = grid
         field.spectrum = _check_payload(grid, spectrum, np.complex128, cls.rank)
-        return field
-
-    @classmethod
-    def from_frequency(cls, grid: Grid, spectrum: np.ndarray):
-        """Field from a spectrum given from outside; rejects non-Hermitian spectra."""
-        field = cls.from_spectrum(grid, spectrum)
-        scale = float(np.max(np.abs(field.spectrum))) or 1.0
-        defect = hermitian_defect(field.spectrum)
-        if defect > 1e-10 * scale:
-            raise FieldError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
         return field
 
     @cached_property

@@ -97,15 +97,6 @@ class Grid:
         kx, ky, kz = self._k()
         return _freeze(kx**2 + ky**2 + kz**2 <= (self.n / 3.0) ** 2)
 
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Open (broadcastable) coordinate arrays along each axis."""
-        x = np.arange(self.n) * self.spacing
-        return (
-            x.reshape(-1, 1, 1),
-            x.reshape(1, -1, 1),
-            x.reshape(1, 1, -1),
-        )
-
     def xi_max(self) -> float:
         """Largest per-axis wavevector magnitude after Nyquist zeroing."""
         return (2.0 * np.pi / self.length) * (self.n / 2 - 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialDataError
-from .fields import ScalarField, TensorField, VectorField, to_samples
+from .fields import ScalarField, TensorField, VectorField, product, to_samples
 from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
@@ -113,10 +113,9 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
     u = build_vector_field(grid, spec.u_modes, u_scale)
 
     # A = I + grad phi with (grad phi)^{ij} = d_j phi^i, one component at a time
-    # with the einsum kernel of the batched outer product
     gphi = np.empty((3, 3) + grid.shape)
     for i, j in np.ndindex(3, 3):
-        gphi[i, j] = to_samples(grid, 1j * np.einsum("...,...->...", grid.xi[j], phi.spectrum[i]))
+        gphi[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi.spectrum[i]))
     sup = float(np.sqrt((gphi**2).sum(axis=(0, 1))).max())
     if sup >= 1.0:
         raise InitialDataError(

@@ -9,6 +9,7 @@ away from their unit-normalized values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,10 @@ def make_params(
     pressure_scale: float = 1.0,
 ) -> ModelParams:
     """Validate and assemble model parameters; raises naming the failed condition."""
+    given = {"mu": mu, "lam": lam, "alpha": alpha, "gamma": gamma, "pressure_scale": pressure_scale}
+    for name, value in given.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if not mu > 0.0:
         raise ParameterError(f"viscosity condition mu > 0 failed (mu = {mu})")
     if not 2.0 * mu + 3.0 * lam > 0.0:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .fields import product
 from .grid import Grid
 from .params import ModelParams
 from .state import FlowState, state_from_spectra
@@ -199,14 +200,13 @@ class LinearPropagator:
         v1 = vpar1 * rhat
         v1 += y1
         del cpar1, vpar1, x1, cperp1, y1
-        # e1[i, j] = c1[i] rhat[j] + (e[i, j] - c[i] rhat[j]), one component at a
-        # time; einsum, not multiply, so that zero products stay +0.0 bit for bit
+        # e1[i, j] = c1[i] rhat[j] + (e[i, j] - c[i] rhat[j]), one component at a time
         e1 = np.empty(e_hat.shape, dtype=np.complex128)
         frozen = np.empty(e_hat.shape[2:], dtype=np.complex128)
         for i, j in np.ndindex(3, 3):
-            np.einsum("...,...->...", c[i], rhat[j], out=frozen)
+            product(c[i], rhat[j], out=frozen)
             np.subtract(e_hat[i, j], frozen, out=frozen)
-            np.einsum("...,...->...", c1[i], rhat[j], out=e1[i, j])
+            product(c1[i], rhat[j], out=e1[i, j])
             e1[i, j] += frozen
         return n1, v1, e1
 

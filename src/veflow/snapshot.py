@@ -7,14 +7,12 @@ Layout, little-endian throughout:
     u32          N (points per axis)
     f64          L (box length)
     u8           rank: 0 scalar, 1 vector, 2 tensor
-    u8           representation: 0 physical, 1 frequency
-    payload      components in row-major order, each N^3 values;
-                 f64 samples (physical) or interleaved f64 re/im pairs
-                 (frequency)
+    u8           representation: 0 physical
+    payload      components in row-major order, each N^3 f64 samples
 
-The writer always emits samples (representation 0).  The reader also
-accepts a frequency payload: it checks that the spectrum is Hermitian and
-returns the field of its samples, as it would have been written.
+The writer emits samples only, and the reader accepts nothing else: a
+representation byte of 1 (the frequency payload of older files, N^3
+interleaved f64 re/im pairs per component) is a format error.
 """
 
 from __future__ import annotations
@@ -53,8 +51,10 @@ def read_field(path, grid: Grid | None = None):
         raise FieldError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FieldError(f"{path}: unsupported version {version}")
-    if rank not in _RANK_TO_CLS or rep_code not in (0, 1):
-        raise FieldError(f"{path}: bad rank/representation ({rank}, {rep_code})")
+    if rank not in _RANK_TO_CLS or rep_code != 0:
+        raise FieldError(
+            f"{path}: bad rank/representation ({rank}, {rep_code}), need rank 0-2 and samples (0)"
+        )
     if n < 4 or n % 2 != 0 or not 0.0 < length < np.inf:
         raise FieldError(f"{path}: bad grid ({n}, {length:g}), need N even >= 4 and 0 < L < inf")
     if grid is not None and (grid.n != n or grid.length != length):
@@ -63,19 +63,14 @@ def read_field(path, grid: Grid | None = None):
         )
     # the payload length is checked before any lattice is built for the header's N
     count = 3**rank * n**3
-    size = 8 * count * (1 + rep_code)
-    if len(raw) != _HEADER.size + size:
-        raise FieldError(f"{path}: payload length {len(raw) - _HEADER.size} bytes, expected {size}")
+    if len(raw) != _HEADER.size + 8 * count:
+        raise FieldError(
+            f"{path}: payload length {len(raw) - _HEADER.size} bytes, expected {8 * count}"
+        )
     if grid is None:
         grid = Grid(n, length)
-    cls = _RANK_TO_CLS[rank]
-    shape = (3,) * rank + (n, n, n)
-    if rep_code == 0:
-        data = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
-        return cls(grid, data.reshape(shape).astype(np.float64))
-    data = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=_HEADER.size)
-    data = data.reshape(shape + (2,))
-    return cls(grid, cls.from_frequency(grid, data[..., 0] + 1j * data[..., 1]).samples)
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
+    return _RANK_TO_CLS[rank](grid, data.reshape((3,) * rank + (n, n, n)).astype(np.float64))
 
 
 def _write_triple(directory, fields, names, prefix: str) -> list[Path]:
@@ -100,10 +95,6 @@ def _read_triple(directory, names, prefix: str) -> list:
 def write_state(directory, state: FlowState, prefix: str = "state") -> list[Path]:
     """Write the perturbation triple as three snapshot files."""
     return _write_triple(directory, state.fields(), ("n", "v", "E"), prefix)
-
-
-def read_state(directory, prefix: str = "state", time: float = 0.0) -> FlowState:
-    return FlowState(*_read_triple(directory, ("n", "v", "E"), prefix), time)
 
 
 def write_phys(directory, phys: PhysState, prefix: str = "ic") -> list[Path]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import half_to_samples, to_half_spectrum, to_spectrum
+from .fields import half_to_samples, product, to_half_spectrum, to_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
 from .state import FlowState, PhysState
@@ -60,15 +60,14 @@ def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     """Physical d_l of every component of a half spectrum: out[l, ...] = d_l u[...].
 
     Each 1j xi_l u_hat is formed one component at a time in one buffer and
-    inverse transformed straight into its slice of out[l], with the einsum kernel
-    of the batched form (a zero product is +0.0 there, -0.0 under multiply).
+    inverse transformed straight into its slice of out[l].
     """
     xi = grid.xi[..., : half_spectrum.shape[-1]]
     out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
     buf = np.empty(half_spectrum.shape[-3:], dtype=np.complex128)
     for l in range(3):
         for comp in np.ndindex(half_spectrum.shape[:-3]):
-            np.einsum("...,...->...", xi[l], half_spectrum[comp], out=buf)
+            product(xi[l], half_spectrum[comp], out=buf)
             buf *= 1j
             half_to_samples(grid, buf, out=out[(l,) + comp])
     return out
@@ -106,14 +105,14 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     xiv = np.einsum("j...,j...->...", xi, v_hat)
     visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
         params.lam + params.mu
-    ) * np.einsum("i...,...->i...", xi, xiv)
+    ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
     del visc_hat
     dE = _gradient(grid, state.E.spectrum[..., :half])
     g = params.a * np.einsum("jk...,jik...->i...", E, dE)
-    g -= np.einsum("...,i...->i...", n / (1.0 + n), visc)
+    g -= product(n / (1.0 + n), visc)
     g -= np.einsum("j...,ji...->i...", v, dv)
-    g -= np.einsum("...,i...->i...", pressure_coefficient(state.n, params).samples, dn)
+    g -= product(pressure_coefficient(state.n, params).samples, dn)
     del visc, dn
     g_v = _dealiased(grid, g, dealias)
     del g

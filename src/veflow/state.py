@@ -6,22 +6,28 @@ to the perturbation triple
     n = rho - 1,   v = chi0 * u,   E = F - I,
 
 with time rescaled by chi0^2 (grid points are relabelled, not resampled:
-the box length is interpreted in the perturbation frame).  Perturbation
-fields are projected to mean zero at construction because the inverse-order
-multipliers are undefined at the zero mode.
+the box length is interpreted in the perturbation frame).  The initial
+state and every stepped state are assembled from three spectra by
+:func:`state_from_spectra`, which zeroes their mean modes: the perturbation
+system is posed on mean-zero fields.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FieldError, GridMismatchError, VacuumError
-from .fields import ScalarField, TensorField, VectorField
+from .fields import ScalarField, TensorField, VectorField, to_spectrum
 from .grid import Grid
-from .operators import project_mean_zero, sobolev_norm
+from .operators import sobolev_norm
 from .params import ModelParams
+
+logger = logging.getLogger(__name__)
+
+MEAN_WARN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -38,16 +44,6 @@ class FlowState:
             raise GridMismatchError("state components live on different grids")
         if float(self.n.samples.min()) <= -1.0:
             raise VacuumError("1 + n must stay positive", state=self)
-
-    @classmethod
-    def create(
-        cls, n: ScalarField, v: VectorField, E: TensorField, time: float = 0.0, warn: bool = True
-    ) -> "FlowState":
-        """State of the mean-zero projections of n, v and E."""
-        n = project_mean_zero(n, warn=warn, label="n")
-        v = project_mean_zero(v, warn=warn, label="v")
-        E = project_mean_zero(E, warn=warn, label="E")
-        return cls(n, v, E, time)
 
     @classmethod
     def zero(cls, grid: Grid, time: float = 0.0) -> "FlowState":
@@ -114,12 +110,20 @@ def adjugate3(t: np.ndarray) -> np.ndarray:
 
 
 def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> FlowState:
-    """Change of variables (rho, u, F) -> (n, v, E) including the time rescaling."""
+    """Change of variables (rho, u, F) -> (n, v, E) including the time rescaling;
+    a mean mode above ``MEAN_WARN`` is logged, when ``warn`` is true, before it
+    is zeroed."""
     grid = phys.grid
-    n = ScalarField(grid, phys.rho.samples - 1.0)
-    v = VectorField(grid, params.chi0 * phys.u.samples)
-    E = TensorField(grid, phys.F.samples - TensorField.identity(grid).samples)
-    return FlowState.create(n, v, E, time=phys.time / params.chi0**2, warn=warn)
+    spectra = (
+        to_spectrum(grid, phys.rho.samples - 1.0),
+        to_spectrum(grid, params.chi0 * phys.u.samples),
+        to_spectrum(grid, phys.F.samples - TensorField.identity(grid).samples),
+    )
+    for label, spec in zip(("n", "v", "E"), spectra):
+        worst = float(np.max(np.abs(spec[..., 0, 0, 0])))
+        if warn and worst > MEAN_WARN:
+            logger.warning("projecting %s mean of size %.3e to zero", label, worst)
+    return state_from_spectra(grid, *spectra, phys.time / params.chi0**2)
 
 
 def state_from_spectra(

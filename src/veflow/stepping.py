@@ -57,8 +57,9 @@ class StepperConfig:
             raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.t_end < np.inf:
             raise ParameterError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if self.output_every < 1:
-            raise ParameterError("output_every must be >= 1")
+        every = self.output_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise ParameterError(f"output_every must be an integer >= 1, got {every!r}")
 
 
 def cfl_dt(grid: Grid, params: ModelParams, cfl_safety: float = 0.5) -> float:

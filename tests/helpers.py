@@ -1,5 +1,10 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the operators and readers that only
+the suite uses: the gradient, tensor divergence, matrix curl, fractional
+operator and Hodge pair that criterion 8 and the operator identities are
+checked with, the per-field mean projection that ``phys_to_pert``'s bits are
+pinned against, and the reader of the snapshots that ``simulate`` writes."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -14,7 +19,7 @@ from veflow import (
     TensorField,
     VectorField,
     cfl_dt,
-    curl_matrix,
+    div,
     inner_product,
     laplacian,
     make_params,
@@ -23,9 +28,15 @@ from veflow import (
     sample_row,
     step,
 )
+from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import to_half_spectrum, to_samples, to_spectrum
+from veflow.operators import _grad_symbols, apply_multiplier
 from veflow.semigroup import LinearPropagator
+from veflow.snapshot import _read_triple
 from veflow.sources import _gradient, _rho_f_of
+from veflow.state import MEAN_WARN
+
+logger = logging.getLogger(__name__)
 
 even_n = st.integers(2, 8).map(lambda h: 2 * h)  # N in [4, 16]
 
@@ -255,3 +266,119 @@ def step_memory(n: int) -> tuple[float, float]:
     step_peak = traced_peak(lambda: step(state, params, dt, True, *props))
     fresh = step(state, params, dt, True, *props)
     return step_peak / size, traced_peak(lambda: sample_row(fresh)) / size
+
+
+# ---------------------------------------------------------------------------
+# operators only the suite uses, in the package's conventions:
+# (grad v)^{ij} = d_j v^i, (div T)^i = d_j T^{ij}, W^{ij} = d_j v^i - d_i v^j,
+# lam(u, s) = F^-1(|xi|^s u_hat); the Hodge pair is d = lam^-1 div v and
+# omega = lam^-1 W, inverted by v^i = -lam^-1 d_i d + lam^-1 d_j omega^{ji}
+
+def lam_symbol(grid: Grid, s: float) -> np.ndarray:
+    """|xi|^s on the Nyquist-zeroed lattice; zero mode maps to 0 for every s."""
+    r = grid.xi_mag
+    out = np.zeros_like(r)
+    nz = r > 0.0
+    if s == 0.0:
+        out[nz] = 1.0
+    else:
+        out[nz] = r[nz] ** s
+    return out
+
+
+def grad(f: ScalarField) -> VectorField:
+    sym = _grad_symbols(f.grid)
+    return VectorField.from_spectrum(f.grid, sym * f.spectrum[np.newaxis])
+
+
+def lam(field, s: float):
+    return apply_multiplier(field, lam_symbol(field.grid, s))
+
+
+def grad_vector(v: VectorField) -> TensorField:
+    """(grad v)^{ij} = d_j v^i."""
+    sym = _grad_symbols(v.grid)
+    return TensorField.from_spectrum(v.grid, v.spectrum[:, np.newaxis] * sym[np.newaxis, :])
+
+
+def div_tensor(t: TensorField) -> VectorField:
+    """(div T)^i = d_j T^{ij}."""
+    sym = _grad_symbols(t.grid)
+    return VectorField.from_spectrum(t.grid, (t.spectrum * sym[np.newaxis, :]).sum(axis=1))
+
+
+def curl_matrix(v: VectorField) -> TensorField:
+    """W^{ij} = d_j v^i - d_i v^j (antisymmetric matrix curl)."""
+    gv = grad_vector(v).spectrum
+    return TensorField.from_spectrum(v.grid, gv - np.swapaxes(gv, 0, 1))
+
+
+def project_mean_zero(field, warn: bool = True, label: str = "field"):
+    """Zero the k = 0 coefficient of every component."""
+    spec = np.array(field.spectrum)
+    zero = (Ellipsis,) + (0, 0, 0)
+    worst = float(np.max(np.abs(spec[zero])))
+    if warn and worst > MEAN_WARN:
+        logger.warning("projecting %s mean of size %.3e to zero", label, worst)
+    spec[zero] = 0.0
+    return type(field).from_spectrum(field.grid, spec)
+
+
+def projected_phys_to_pert(phys, params, warn: bool = True) -> FlowState:
+    """``phys_to_pert`` through fields of the three samples, each projected to
+    mean zero by :func:`project_mean_zero`, which copies its spectrum."""
+    grid = phys.grid
+    n = ScalarField(grid, phys.rho.samples - 1.0)
+    v = VectorField(grid, params.chi0 * phys.u.samples)
+    E = TensorField(grid, phys.F.samples - TensorField.identity(grid).samples)
+    n = project_mean_zero(n, warn=warn, label="n")
+    v = project_mean_zero(v, warn=warn, label="v")
+    E = project_mean_zero(E, warn=warn, label="E")
+    return FlowState(n, v, E, phys.time / params.chi0**2)
+
+
+def hodge_decompose(v: VectorField) -> tuple[ScalarField, TensorField]:
+    """Split v into (d, omega): compressible scalar and transverse antisymmetric matrix."""
+    v = project_mean_zero(v, label="velocity")
+    d = lam(div(v), -1.0)
+    omega = lam(curl_matrix(v), -1.0)
+    return d, omega
+
+
+def hodge_reconstruct(d: ScalarField, omega: TensorField) -> VectorField:
+    """Inverse of :func:`hodge_decompose`; omega must be antisymmetric."""
+    if omega.grid != d.grid:
+        raise GridMismatchError("d and omega live on different grids")
+    asym = np.max(np.abs(omega.spectrum + np.swapaxes(omega.spectrum, 0, 1)))
+    scale = float(np.max(np.abs(omega.spectrum))) or 1.0
+    if asym > 1e-10 * scale:
+        raise FieldError(f"omega is not antisymmetric (defect {asym:.3e})")
+    d = project_mean_zero(d, label="d")
+    omega = project_mean_zero(omega, label="omega")
+    sym = _grad_symbols(d.grid)
+    grad_part = sym * d.spectrum[np.newaxis]
+    curl_part = (sym[:, np.newaxis] * omega.spectrum).sum(axis=0)  # d_j omega^{ji}
+    inv = lam_symbol(d.grid, -1.0)
+    return VectorField.from_spectrum(d.grid, inv * (curl_part - grad_part))
+
+
+def hermitian_defect(spectrum: np.ndarray) -> float:
+    """Max |u_hat(k) - conj(u_hat(-k))| over the lattice."""
+    flipped = spectrum
+    for ax in (-3, -2, -1):
+        flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
+    return float(np.max(np.abs(spectrum - np.conj(flipped))))
+
+
+def axes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Open (broadcastable) coordinate arrays along each axis."""
+    x = np.arange(grid.n) * grid.spacing
+    return (
+        x.reshape(-1, 1, 1),
+        x.reshape(1, -1, 1),
+        x.reshape(1, 1, -1),
+    )
+
+
+def read_state(directory, prefix: str = "state", time: float = 0.0) -> FlowState:
+    return FlowState(*_read_triple(directory, ("n", "v", "E"), prefix), time)

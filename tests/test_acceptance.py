@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import generic_piola_spec, smooth_scalar, smooth_vector
+from helpers import (
+    generic_piola_spec,
+    hodge_decompose,
+    hodge_reconstruct,
+    lam,
+    smooth_scalar,
+    smooth_vector,
+)
 from veflow import (
     BlockSystem,
     DuhamelDeviation,
@@ -21,9 +28,6 @@ from veflow import (
     decay_fit,
     eta_profile,
     gaussian_profile,
-    hodge_decompose,
-    hodge_reconstruct,
-    lam,
     laplacian,
     lowerbound_profiles,
     make_params,

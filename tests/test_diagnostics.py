@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from helpers import cross_curl_oracle, lp_norm_oracle, random_spectra, smooth_state
+from helpers import axes, cross_curl_oracle, lp_norm_oracle, random_spectra, smooth_state
 from veflow import (
     FlowState,
     Grid,
@@ -34,7 +34,7 @@ class TestLyapunov:
 
     def test_single_mode_value(self, grid16):
         eps = 1e-3
-        x, _, _ = grid16.axes()
+        x, _, _ = axes(grid16)
         n = ScalarField(grid16, eps * np.sin(x) + np.zeros(grid16.shape))
         st = FlowState(n, VectorField.zero(grid16), TensorField.zero(grid16))
         val = lyapunov_m(st)

@@ -1,5 +1,6 @@
 """Code hygiene of ``src/veflow``: no unused import, no public name or method
-that nothing calls.
+that nothing in ``src/`` or the benchmark calls.  Test oracles live in the
+test suite (``tests/helpers.py``), so nothing is exempt.
 
 Parsed with the standard library's ``ast``; ``__init__.py`` is skipped because
 its imports are the package's exports, not uses.
@@ -11,17 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "veflow").glob("*.py") if p.name != "__init__.py")
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
-
-# public names kept although no module calls them
-ORACLES = {
-    # test oracles: criterion 8's Hodge round trip and the g1 identity
-    "grad",
-    "div_tensor",
-    "hodge_decompose",
-    "hodge_reconstruct",
-    # reader of the final_ and abort_ snapshots that simulate writes
-    "read_state",
-}
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -43,6 +34,20 @@ def _used_names(tree: ast.AST) -> set:
             if node.value.isidentifier():
                 used.add(node.value)
     return used
+
+
+def _attributes(tree: ast.AST) -> set:
+    """Names a module looks up as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _patched_attributes() -> set:
+    """Attribute names in the benchmark tracer's ``TARGETS`` table, each entry
+    a (module or "module:Class", attribute, span name) triple."""
+    for node in _tree(SPANS).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return {attribute for _, attribute, _ in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
 
 
 def _imports(tree: ast.Module):
@@ -93,30 +98,31 @@ def test_every_public_name_has_a_caller():
     benchmark = set()
     for path in BENCHMARK:
         benchmark |= _used_names(_tree(path))
-    uncalled, defined = [], set()
+    uncalled = []
     for path, tree in trees.items():
         others = set(benchmark)
         for other, other_tree in trees.items():
             if other != path:
                 others |= _used_names(other_tree)
         for definition in _public_definitions(tree):
-            defined.add(definition.name)
             own = set()
             for node in tree.body:
                 if node is not definition:
                     own |= _used_names(node)
-            if definition.name not in ORACLES | others | own:
+            if definition.name not in others | own:
                 uncalled.append(f"{path.name}:{definition.lineno}: {definition.name}")
     assert not uncalled, "public names that no module or benchmark calls:\n" + "\n".join(uncalled)
-    assert ORACLES <= defined, f"allow-listed names no longer defined: {ORACLES - defined}"
 
 
 def test_every_public_method_has_a_user():
-    """A public method or property is looked up, by name or identifier string,
-    somewhere in a module or the benchmark."""
-    used = set()
+    """A public method or property is looked up as an attribute (``x.name``)
+    somewhere in a module or the benchmark, or patched by the benchmark's
+    tracer.  A bare name or a string equal to the method's name is no use of
+    it: a local variable ``axes`` or the keyword ``"axes"`` calls no
+    ``Grid.axes``."""
+    used = _patched_attributes()
     for path in MODULES + BENCHMARK:
-        used |= _used_names(_tree(path))
+        used |= _attributes(_tree(path))
     unused = [
         f"{path.name}:{method.lineno}: {cls}.{method.name}"
         for path in MODULES

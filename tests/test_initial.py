@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import generic_piola_spec
+from helpers import axes, generic_piola_spec
 from veflow import (
     DisplacementSpec,
     FourierMode,
@@ -112,7 +112,7 @@ class TestModeFiles:
         spec = parse_mode_file(text)
         assert len(spec.phi_modes) == 1 and len(spec.u_modes) == 1
         phi = build_vector_field(grid16, spec.phi_modes, 1.0)
-        x, _, _ = grid16.axes()
+        x, _, _ = axes(grid16)
         assert np.max(np.abs(phi.samples[0] - np.sin(x) - 0 * phi.samples[0])) < 1e-12
 
     def test_bad_lines_rejected(self):

@@ -5,9 +5,17 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import smooth_scalar, smooth_tensor, smooth_vector
+from helpers import (
+    generic_piola_spec,
+    projected_phys_to_pert,
+    same_bits,
+    smooth_scalar,
+    smooth_tensor,
+    smooth_vector,
+)
 from veflow import (
     FlowState,
+    Grid,
     ParameterError,
     PhysState,
     ScalarField,
@@ -16,6 +24,7 @@ from veflow import (
     VectorField,
     make_params,
     phys_to_pert,
+    piola_ic,
     pressure_coefficient,
 )
 
@@ -38,6 +47,14 @@ class TestMakeParams:
     def test_alpha_positive(self):
         with pytest.raises(ParameterError, match="alpha"):
             make_params(alpha=0.0)
+
+    @pytest.mark.parametrize("name", ["mu", "lam", "alpha", "gamma", "pressure_scale"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, name, value):
+        """Rejected where they enter, naming the parameter: pressure_scale = inf
+        would give chi0 = a = 0, and alpha = inf a = inf, NaN entries later."""
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            make_params(**{name: value})
 
     @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0, 5.0])
     def test_p_prime_one_for_default_scale(self, gamma):
@@ -143,15 +160,65 @@ class TestChangeOfVariables:
             )
 
 
+def offset_phys(grid, rng) -> PhysState:
+    """Small smooth data whose rho - 1, u and F - I all have nonzero means."""
+    F = TensorField.identity(grid).samples * 1.01 + smooth_tensor(grid, rng, amp=1e-2).samples
+    F[0, 1] += 0.02
+    return PhysState(
+        ScalarField(grid, 1.02 + smooth_scalar(grid, rng, amp=1e-2).samples),
+        VectorField(grid, 0.1 + smooth_vector(grid, rng, amp=1e-2).samples),
+        TensorField(grid, F),
+        time=0.7,
+    )
+
+
 class TestMeanProjection:
     def test_projection_logged(self, grid8, caplog):
-        n = ScalarField(grid8, np.full(grid8.shape, 0.01))
-        with caplog.at_level(logging.WARNING, logger="veflow.operators"):
-            st = FlowState.create(
-                n, VectorField.zero(grid8), TensorField.zero(grid8), warn=True
-            )
-        assert st.n.spectrum[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert any("projecting" in r.message for r in caplog.records)
+        phys = PhysState(
+            ScalarField(grid8, np.full(grid8.shape, 1.01)),
+            VectorField.zero(grid8),
+            TensorField.identity(grid8),
+        )
+        with caplog.at_level(logging.WARNING, logger="veflow.state"):
+            st = phys_to_pert(phys, make_params(), warn=True)
+        assert st.n.spectrum[0, 0, 0] == 0.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "projecting n mean of size 1.000e-02 to zero"
+        ]
+
+    @pytest.mark.parametrize("data", ["criterion-5", "offset means"])
+    def test_bits_of_the_projected_path(self, data, rng):
+        """Spectra from the samples, mean modes zeroed in place: the bits of the
+        state that projecting each field through a copy of its spectrum gives."""
+        if data == "criterion-5":
+            params = make_params()
+            phys = piola_ic(generic_piola_spec(1e-3), Grid(32), params)
+        else:
+            params = make_params(pressure_scale=2.0)
+            phys = offset_phys(Grid(16), rng)
+        got = phys_to_pert(phys, params, warn=False)
+        want = projected_phys_to_pert(phys, params, warn=False)
+        assert got.time == want.time
+        for f, g in zip(got.fields(), want.fields()):
+            assert same_bits(f.spectrum, g.spectrum)
+            assert same_bits(f.samples, g.samples)
+
+    def test_mean_warnings(self, grid8, rng, caplog):
+        """One warning per field with a nonzero mean, worded as before, at
+        warn=True; none at warn=False."""
+        phys = offset_phys(grid8, rng)
+        params = make_params()
+        with caplog.at_level(logging.WARNING):
+            projected_phys_to_pert(phys, params, warn=True)
+            want = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            phys_to_pert(phys, params, warn=True)
+            got = [(r.name, r.getMessage()) for r in caplog.records]
+            caplog.clear()
+            phys_to_pert(phys, params, warn=False)
+            assert caplog.records == []
+        assert [m.split(" mean")[0] for m in want] == [f"projecting {x}" for x in "nvE"]
+        assert got == [("veflow.state", m) for m in want]
 
     def test_vacuum_invariant(self, grid8):
         n = ScalarField(grid8, np.full(grid8.shape, -1.5))

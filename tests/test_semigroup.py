@@ -8,9 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    axes,
+    curl_matrix,
     dense_linear_generator,
     einsum_apply,
     even_n,
+    hermitian_defect,
+    hodge_decompose,
     random_spectra,
     same_bits,
     single_mode_state,
@@ -25,7 +29,7 @@ from veflow import (
     Propagator2x2,
     make_params,
 )
-from veflow.fields import hermitian_defect, to_spectrum
+from veflow.fields import to_spectrum
 from veflow.oracles import _rhs, rk4_block_expm
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator, _entries
 from veflow.state import state_from_spectra
@@ -187,7 +191,7 @@ class TestGridSemigroup:
             assert np.max(np.abs(f0.samples - f1.samples)) < 1e-13
 
     def test_longitudinal_sector_invariance(self, grid16, params):
-        x, _, _ = grid16.axes()
+        x, _, _ = axes(grid16)
         n = 0.01 * np.sin(x) + np.zeros(grid16.shape)
         st = state_from_spectra(
             grid16,
@@ -198,15 +202,13 @@ class TestGridSemigroup:
         )
         out = LinearPropagator(grid16, params, 1.5)(st)
         # transverse velocity and curl stay zero: v stays along e1, mode (1,0,0)
-        from veflow import curl_matrix, hodge_decompose
-
         d, omega = hodge_decompose(out.v)
         assert np.max(np.abs(omega.samples)) < 1e-12
         assert np.max(np.abs(out.v.samples[1:])) < 1e-12
         assert np.max(np.abs(curl_matrix(out.v).samples)) < 1e-12
 
     def test_shear_sector_invariance_and_oracle(self, grid16, params):
-        _, y, _ = grid16.axes()
+        _, y, _ = axes(grid16)
         v = np.zeros((3,) + grid16.shape)
         v[0] = 0.01 * np.sin(y) + np.zeros(grid16.shape)
         st = state_from_spectra(
@@ -219,7 +221,7 @@ class TestGridSemigroup:
         t = 0.9
         out = LinearPropagator(grid16, params, t)(st)
         assert np.max(np.abs(out.n.samples)) < 1e-12
-        from veflow import div, hodge_decompose
+        from veflow import div
 
         assert np.max(np.abs(div(out.v).samples)) < 1e-12
         # per-mode oracle at k = (0, 1, 0)

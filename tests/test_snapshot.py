@@ -1,4 +1,5 @@
-"""Binary snapshot format: header layout, endianness, round trips."""
+"""Binary snapshot format: header layout, endianness, round trips, and the
+frequency payload of older files rejected as a format error."""
 
 import struct
 from pathlib import Path
@@ -8,19 +9,18 @@ import pytest
 
 from helpers import (
     generic_piola_spec,
+    read_state,
     same_bits,
     smooth_scalar,
     smooth_state,
     smooth_tensor,
     smooth_vector,
 )
-from veflow import FieldError, Grid, ScalarField, TensorField, VectorField, parse_mode_file
+from veflow import FieldError, Grid, ScalarField, TensorField, parse_mode_file
 from veflow.cli import main
-from veflow.fields import to_samples
 from veflow.snapshot import (
     read_field,
     read_phys,
-    read_state,
     write_field,
     write_phys,
     write_state,
@@ -34,8 +34,9 @@ HEADER = struct.Struct("<4sIIdBB")
 
 
 def write_frequency_file(path, grid, rank, spectrum):
-    """A CVF1 file with a frequency payload (representation byte 1): the
-    header, then interleaved little-endian re/im pairs in row-major order."""
+    """A CVF1 file with a frequency payload (representation byte 1), as older
+    writers emitted it: the header, then interleaved little-endian re/im pairs
+    in row-major order."""
     inter = np.empty(spectrum.shape + (2,), dtype="<f8")
     inter[..., 0] = spectrum.real
     inter[..., 1] = spectrum.imag
@@ -51,21 +52,14 @@ class TestFieldRoundTrips:
         back = read_field(p)
         assert same_bits(back.samples, f.samples)
 
-    def test_vector_frequency(self, tmp_path, grid8, rng):
-        spec = smooth_vector(grid8, rng).spectrum
+    def test_frequency_payload_rejected(self, tmp_path, grid8, rng):
+        """A well-formed frequency payload of a real field is a format error, on
+        its header, with or without an expected grid."""
         p = tmp_path / "v.cvf"
-        write_frequency_file(p, grid8, 1, spec)
-        back = read_field(p, grid8)
-        assert isinstance(back, VectorField)
-        assert same_bits(back.samples, to_samples(grid8, spec))
-
-    def test_non_hermitian_frequency_rejected(self, tmp_path, grid8, rng):
-        spec = np.array(smooth_vector(grid8, rng).spectrum)
-        spec[0, 1, 0, 0] += 1.0  # its partner at k = (-1, 0, 0) stays unchanged
-        p = tmp_path / "v.cvf"
-        write_frequency_file(p, grid8, 1, spec)
-        with pytest.raises(FieldError, match="Hermitian"):
-            read_field(p, grid8)
+        write_frequency_file(p, grid8, 1, smooth_vector(grid8, rng).spectrum)
+        for grid in (None, grid8):
+            with pytest.raises(FieldError, match="representation"):
+                read_field(p, grid)
 
     def test_tensor_physical(self, tmp_path, grid8, rng):
         f = smooth_tensor(grid8, rng)
@@ -130,14 +124,10 @@ class TestHeader:
         with pytest.raises(FieldError):
             read_field(p)
 
-    @pytest.mark.parametrize("rep", ["physical", "frequency"])
-    def test_truncated_payload_rejected(self, tmp_path, grid8, rng, rep):
+    @pytest.mark.parametrize("kind", ["physical", "tensor"])
+    def test_truncated_payload_rejected(self, tmp_path, grid8, rng, kind):
         p = tmp_path / "t.cvf"
-        f = smooth_scalar(grid8, rng)
-        if rep == "physical":
-            write_field(p, f)
-        else:
-            write_frequency_file(p, grid8, 0, f.spectrum)
+        write_field(p, smooth_scalar(grid8, rng) if kind == "physical" else smooth_tensor(grid8, rng))
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FieldError, match="payload length"):
             read_field(p)
@@ -164,6 +154,17 @@ class TestStateSnapshots:
         back = read_phys(tmp_path)
         assert np.array_equal(back.rho.samples, phys.rho.samples)
         assert np.array_equal(back.F.samples, phys.F.samples)
+
+    def test_simulate_rejects_frequency_snapshot(self, tmp_path, grid8):
+        """simulate --ic on a snapshot directory holding a frequency payload
+        exits 3 and writes no manifest.json."""
+        phys = piola_ic(generic_piola_spec(1e-2), grid8, make_params())
+        write_phys(tmp_path / "ic", phys)
+        write_frequency_file(tmp_path / "ic" / "ic_u.cvf", grid8, 1, phys.u.spectrum)
+        out = tmp_path / "run"
+        argv = ["simulate", "--ic", str(tmp_path / "ic"), "--t-end", "0.1", "--out", str(out)]
+        assert main(argv) == 3
+        assert not (out / "manifest.json").exists()
 
     def test_zero_step_run_writes_samples(self, tmp_path):
         """A run that takes no step writes its initial state, built from spectra,

@@ -7,8 +7,10 @@ from hypothesis import strategies as hst
 
 from helpers import (
     antisymmetric_slot_max,
+    axes,
     even_n,
     generic_piola_spec,
+    hermitian_defect,
     r2_oracle,
     smooth_state,
     valid_params,
@@ -24,7 +26,6 @@ from veflow import (
     l2_norm,
     piola_ic,
 )
-from veflow.fields import hermitian_defect
 from veflow.sources import _half_sum_sq, rhs_spectra
 
 
@@ -67,7 +68,7 @@ class TestEvaluateSources:
 
     def test_f_for_constant_density_perturbation(self, grid16, params):
         # mean-allowed test input: construct without projection
-        x, _, _ = grid16.axes()
+        x, _, _ = axes(grid16)
         n = ScalarField(grid16, np.full(grid16.shape, 0.1))
         v = VectorField(
             grid16,
@@ -115,7 +116,8 @@ class TestLongitudinalIdentity:
         """div(rhs of v) reduces to nu*lap(div v) - (1+a)*lap n + div g1 on
         constraint-compatible states (spectral residual of the reduction)."""
         from veflow import Grid
-        from veflow.operators import div, div_tensor, grad, laplacian
+        from helpers import div_tensor, grad
+        from veflow.operators import div, laplacian
 
         grid = Grid(32)
         phys = piola_ic(generic_piola_spec(1e-2), grid, params)
@@ -180,7 +182,7 @@ class TestConstraintResiduals:
 
     def test_single_entry_deformation_r1(self, grid16):
         eps = 0.01
-        x, _, _ = grid16.axes()
+        x, _, _ = axes(grid16)
         F = TensorField.identity(grid16).samples.copy()
         F[0, 0] += eps * (np.sin(x) + np.zeros(grid16.shape))
         phys = PhysState(
@@ -194,7 +196,7 @@ class TestConstraintResiduals:
 
     def test_r2_detects_row_incompatibility(self, grid16):
         eps = 0.01
-        _, y, _ = grid16.axes()
+        _, y, _ = axes(grid16)
         F = TensorField.identity(grid16).samples.copy()
         F[0, 0] += eps * (np.sin(y) + np.zeros(grid16.shape))  # d_2 F^{11} != 0
         phys = PhysState(

@@ -9,6 +9,7 @@ from helpers import (
     antisymmetric_part,
     einsum_apply,
     generic_piola_spec,
+    hermitian_defect,
     random_spectra,
     same_bits,
     smooth_state,
@@ -30,7 +31,7 @@ from veflow import (
     step,
 )
 from veflow.diagnostics import CSV_HEADER, h2_distance
-from veflow.fields import half_to_samples, hermitian_defect, to_spectrum
+from veflow.fields import half_to_samples, to_spectrum
 from veflow.operators import gradient_sobolev_norm
 from veflow.params import pressure_coefficient
 from veflow.semigroup import LinearPropagator
@@ -276,6 +277,16 @@ class TestRun:
         kwargs = {"dt": 0.01, "t_end": 1.0, field: value}
         with pytest.raises(ParameterError, match=field):
             StepperConfig(**kwargs)
+
+    @pytest.mark.parametrize("every", [2.5, 2.0, True, "2", 0, -1])
+    def test_config_rejects_non_integer_cadence(self, every):
+        """A float, even a whole one, or a bool is no step count: 2.5 would
+        sample every 5 steps and True every step."""
+        with pytest.raises(ParameterError, match="output_every"):
+            StepperConfig(dt=0.01, t_end=1.0, output_every=every)
+
+    def test_config_accepts_numpy_integer_cadence(self):
+        assert StepperConfig(dt=0.01, t_end=1.0, output_every=np.int64(3)).output_every == 3
 
     def test_sample_cadence_and_final(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-3)
