@@ -6,12 +6,13 @@ can reject its inputs, then writes ``manifest.json`` before computing: every
 parsed flag under its argparse name, the values derived from them, and a
 content hash over both and the input bytes, so a run can be reproduced
 bit-for-bit from its manifest.  Exit codes: 0 success, 2 usage error
-(including a missing input file), 3 numerical abort or bad initial data.
+(including an unreadable input path), 3 numerical abort or bad initial data.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -22,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import MIN_FIT_SAMPLES, decay_fit
-from .errors import ParameterError, VeflowError
+from .diagnostics import MIN_FIT_SAMPLES, DuhamelDeviation, decay_fit
+from .errors import InitialDataError, ParameterError, VeflowError
 from .grid import Grid
 from .initial import lowerbound_profiles, eta_profile, parse_mode_file, piola_ic
-from .params import make_params
+from .params import ModelParams, make_params
 from .quadrature import gaussian_profile, whole_space_norm
 from .semigroup import BlockSystem, Propagator2x2
 from .snapshot import read_phys, write_phys, write_state
@@ -81,14 +82,19 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _params_from(args) -> dict:
-    return dict(
-        mu=args.mu,
-        lam=args.lam,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        pressure_scale=args.pressure_scale,
-    )
+def _make_params(args) -> ModelParams:
+    """Model parameters from the model flags, whose names are ModelParams' fields."""
+    return make_params(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ModelParams)})
+
+
+def _read_modes(path) -> str:
+    """Mode-file text: an unreadable path is a usage error, non-UTF-8 bytes bad data."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InitialDataError(f"{path} is not a UTF-8 mode file: {exc}") from None
 
 
 # parsed names that route the command rather than shape what it computes
@@ -163,9 +169,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _cmd_make_ic(args) -> int:
     out = Path(args.out)
-    params = make_params(**_params_from(args))
+    params = _make_params(args)
     grid = Grid(args.n, args.box)
-    text = Path(args.modes).read_text()
+    text = _read_modes(args.modes)
     spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
     phys = piola_ic(spec, grid, params)
     pert = phys_to_pert(phys, params, warn=False)
@@ -174,7 +180,7 @@ def _cmd_make_ic(args) -> int:
     _write_summary(
         out,
         {
-            "params": _params_from(args),
+            "params": dataclasses.asdict(params),
             "h2_perturbation": pert.h_norm(2),
             "files": ["ic_rho.cvf", "ic_u.cvf", "ic_F.cvf"],
         },
@@ -185,7 +191,7 @@ def _cmd_make_ic(args) -> int:
 
 def _cmd_simulate(args) -> int:
     out = Path(args.out)
-    params = make_params(**_params_from(args))
+    params = _make_params(args)
 
     if args.dt is not None and args.cfl_safety is not None:
         raise ParameterError("--dt sets the step: it cannot be combined with --cfl-safety")
@@ -199,13 +205,16 @@ def _cmd_simulate(args) -> int:
                 f"{', '.join(given)} cannot be combined with a snapshot --ic, "
                 "which fixes the grid and the amplitudes"
             )
-        phys = read_phys(ic_path)
+        try:
+            phys = read_phys(ic_path)
+        except OSError as exc:
+            raise ParameterError(str(exc)) from None
         input_bytes = b"".join(f.samples.tobytes() for f in (phys.rho, phys.u, phys.F))
     else:
         for k, default in _IC_DEFAULTS.items():
             if getattr(args, k) is None:
                 setattr(args, k, default)
-        text = ic_path.read_text()
+        text = _read_modes(ic_path)
         input_bytes = text.encode()
         spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
         phys = piola_ic(spec, Grid(args.n, args.box), params)
@@ -225,12 +234,11 @@ def _cmd_simulate(args) -> int:
     t0 = _time.perf_counter()
     record = run(initial, params, config, csv_path=out / "series.csv", dump_dir=out)
     wall = _time.perf_counter() - t0
-    if record.final_state is not None:
-        write_state(out, record.final_state, prefix="final")
+    write_state(out, record.final_state, prefix="final")
     _write_summary(
         out,
         {
-            "params": _params_from(args),
+            "params": dataclasses.asdict(params),
             "dt": dt,
             "samples": len(record),
             "wall_seconds": wall,
@@ -246,7 +254,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_linear_decay(args) -> int:
     out = Path(args.out)
-    params = make_params(**_params_from(args))
+    params = _make_params(args)
     system = getattr(BlockSystem, args.system)(params)
     profile = gaussian_profile(amp_first=1.0, amp_second=1.0, width=args.width)
     tgrid = _parse_tgrid(args.t_grid)
@@ -278,7 +286,7 @@ def _cmd_linear_decay(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     out = Path(args.out)
-    params = make_params(**_params_from(args))
+    params = _make_params(args)
     system = getattr(BlockSystem, args.system)(params)
     if args.eta is not None and args.c0 is not None:
         raise ParameterError("--c0 cannot be combined with --eta, which selects the eta profile")
@@ -331,14 +339,12 @@ def sample_grid_for_check(system: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_duhamel(args) -> int:
-    from .diagnostics import DuhamelDeviation
-
     out = Path(args.out)
-    params = make_params(**_params_from(args))
+    params = _make_params(args)
     grid = Grid(args.n, args.box)
     if not args.t_end > 0.0:
         raise ParameterError(f"--t-end must be positive for a comparison, got {args.t_end}")
-    text = Path(args.ic).read_text()
+    text = _read_modes(args.ic)
     spec = parse_mode_file(text)
     initials = [
         phys_to_pert(piola_ic(spec.scaled(delta), grid, params), params, warn=False)
@@ -371,7 +377,7 @@ def _cmd_duhamel(args) -> int:
 def _cmd_semigroup_check(args) -> int:
     from .oracles import rk4_block_expm
 
-    params = make_params(**_params_from(args))
+    params = _make_params(args)
     kinds = ("compressible", "shear") if args.system == "both" else (args.system,)
     systems = [getattr(BlockSystem, kind)(params) for kind in kinds]
     worst_overall = 0.0
@@ -397,7 +403,10 @@ def _cmd_semigroup_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = np.genfromtxt(args.csv, delimiter=",", names=True)
+    try:
+        rows = np.genfromtxt(args.csv, delimiter=",", names=True)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{args.csv} is not a readable time-series CSV: {exc}") from None
     if rows.dtype.names is None or "t" not in rows.dtype.names:
         raise ParameterError(f"{args.csv} is not a time-series CSV")
     if args.column not in rows.dtype.names:
@@ -513,7 +522,7 @@ def main(argv=None) -> int:
         logging.getLogger().setLevel(logging.DEBUG)
     try:
         return args.func(args)
-    except (ParameterError, FileNotFoundError) as exc:
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except VeflowError as exc:

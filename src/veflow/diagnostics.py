@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, VeflowError
+from .errors import GridMismatchError, ParameterError, VeflowError
 from .operators import (
     _laplacian_symbol,
     div,
@@ -162,13 +162,6 @@ class TimeSeriesRecord:
     def __len__(self) -> int:
         return len(self.columns["t"])
 
-    def array(self, name: str) -> np.ndarray:
-        return np.asarray(self.columns[name], dtype=float)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.array("t")
-
     def csv_row(self, i: int) -> str:
         """Line of sample ``i`` in the CSV table, every value written with repr."""
         return ",".join(repr(float(self.columns[c][i])) for c in CSV_COLUMNS) + "\n"
@@ -244,10 +237,12 @@ def decay_fit(
 # linear-vs-nonlinear comparison
 
 def h2_distance(a: FlowState, b: FlowState) -> float:
-    """H2 norm of the componentwise difference of two states."""
+    """H2 norm of the componentwise difference of two states, from their spectra."""
+    if a.grid != b.grid:
+        raise GridMismatchError("states live on different grids")
     total = 0.0
     for fa, fb in zip(a.fields(), b.fields()):
-        total += sobolev_norm(fa - fb, 2) ** 2
+        total += sobolev_norm(type(fa).from_spectrum(a.grid, fa.spectrum - fb.spectrum), 2) ** 2
     return float(np.sqrt(total))
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types; the CLI exits 2 on a ``ParameterError`` and 3 on any other ``VeflowError``."""
 
 
 class VeflowError(Exception):
@@ -6,7 +6,7 @@ class VeflowError(Exception):
 
 
 class ParameterError(VeflowError):
-    """Rejected model or solver parameters; message names the failed condition."""
+    """Rejected parameters, flags or input paths; the message names the failed condition."""
 
 
 class GridMismatchError(VeflowError):
@@ -18,14 +18,7 @@ class FieldError(VeflowError):
 
 
 class VacuumError(VeflowError):
-    """State left the admissible neighbourhood (near-vacuum or degenerate deformation).
-
-    Carries the offending state, when available, so callers can dump it.
-    """
-
-    def __init__(self, message: str, state=None):
-        super().__init__(message)
-        self.state = state
+    """State left the admissible neighbourhood (near-vacuum or degenerate deformation)."""
 
 
 class QuadratureError(VeflowError):

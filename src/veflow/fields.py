@@ -43,16 +43,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FieldError, GridMismatchError
+from .errors import FieldError
 from .grid import Grid
 
-_RANK_SHAPE = {0: (), 1: (3,), 2: (3, 3)}
 _AXES = (-3, -2, -1)
 
 
 def _check_payload(grid: Grid, data, dtype, rank: int) -> np.ndarray:
     data = np.ascontiguousarray(data, dtype=dtype)
-    want = _RANK_SHAPE[rank] + grid.shape
+    want = (3,) * rank + grid.shape
     if data.shape != want:
         raise FieldError(f"expected shape {want}, got {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -126,10 +125,6 @@ class _BaseField:
         self.samples = _check_payload(grid, samples, np.float64, self.rank)
 
     @classmethod
-    def zero(cls, grid: Grid):
-        return cls(grid, np.zeros(_RANK_SHAPE[cls.rank] + grid.shape))
-
-    @classmethod
     def from_spectrum(cls, grid: Grid, spectrum: np.ndarray):
         """Field of a trusted Hermitian spectrum: the imaginary part of its
         inverse transform is dropped unchecked in :attr:`samples`."""
@@ -151,13 +146,6 @@ class _BaseField:
         out = to_samples(self.grid, self.spectrum)
         out.setflags(write=False)
         return out
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise GridMismatchError("fields live on different grids")
-        return type(self)(self.grid, self.samples - other.samples)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n}, L={self.grid.length:g})"

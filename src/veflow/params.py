@@ -2,9 +2,10 @@
 
 The barotropic pressure family is P(rho) = K * rho^gamma / gamma, which is
 increasing and convex on rho > 0 for gamma >= 1 and K > 0.  Its derivative
-at the reference density is P'(1) = K, so the prefactor is what moves the
-acoustic scale chi0 = P'(1)^{-1/2} and the elastic coupling a = alpha/P'(1)
-away from their unit-normalized values.
+at the reference density is P'(1) = K = ``pressure_scale``, so the prefactor
+is what moves the acoustic scale chi0 = P'(1)^{-1/2} and the elastic
+coupling a = alpha/P'(1) away from their unit-normalized values.  A density
+array passes the one vacuum guard before the pressure kernel sees it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, VacuumError
-from .fields import ScalarField
 
 VACUUM_FLOOR = 0.5
 
@@ -29,18 +29,13 @@ class ModelParams:
     pressure_scale: float = 1.0
 
     @property
-    def p_prime_1(self) -> float:
-        """P'(1) for the configured law."""
-        return self.pressure_scale
-
-    @property
     def chi0(self) -> float:
-        return self.p_prime_1 ** -0.5
+        return self.pressure_scale ** -0.5
 
     @property
     def a(self) -> float:
         """Elastic coupling of the rescaled system, alpha / P'(1)."""
-        return self.alpha / self.p_prime_1
+        return self.alpha / self.pressure_scale
 
 
 def make_params(
@@ -74,23 +69,17 @@ def make_params(
     return ModelParams(mu, lam, alpha, gamma, pressure_scale)
 
 
-def pressure_coefficient(n: ScalarField, params: ModelParams) -> ScalarField:
-    """Pointwise P'(1+n) / ((1+n) P'(1)) - 1; O(n) near n = 0.
-
-    For the gamma-law this is (1+n)^{gamma-2} - 1, independent of the
-    pressure prefactor; it vanishes identically at gamma = 2.
-    """
-    base = 1.0 + n.samples
-    guard_positive_density(base, context="pressure coefficient")
-    coef = base ** (params.gamma - 2.0) - 1.0
-    return ScalarField(n.grid, coef)
+def pressure_coefficient(density: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Pointwise P'(rho) / (rho P'(1)) - 1 of a guarded density rho = 1 + n,
+    O(n) near n = 0: rho^{gamma-2} - 1, which vanishes identically at gamma = 2."""
+    return density ** (params.gamma - 2.0) - 1.0
 
 
-def guard_positive_density(density: np.ndarray, context: str = "state") -> None:
-    """Abort when the density leaves the admissible neighbourhood (min <= 0.5)."""
+def guard_positive_density(density: np.ndarray) -> None:
+    """Abort a source evaluation whose density has left the admissible range, min > 0.5."""
     low = float(density.min())
     if low <= VACUUM_FLOOR:
         raise VacuumError(
-            f"{context}: density dropped to {low:.6g} <= {VACUUM_FLOOR}; "
+            f"source evaluation: density dropped to {low:.6g} <= {VACUUM_FLOOR}; "
             "run left the small-perturbation regime"
         )

@@ -12,7 +12,8 @@ Layout, little-endian throughout:
 
 The writer emits samples only, and the reader accepts nothing else: a
 representation byte of 1 (the frequency payload of older files, N^3
-interleaved f64 re/im pairs per component) is a format error.
+interleaved f64 re/im pairs per component) is a format error.  Building
+the header's :class:`Grid` checks (N, L) before the payload length is.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, ParameterError
 from .fields import ScalarField, TensorField, VectorField
 from .grid import Grid
 from .state import FlowState, PhysState
@@ -31,12 +32,10 @@ MAGIC = b"CVF1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIdBB")
 _RANK_TO_CLS = {0: ScalarField, 1: VectorField, 2: TensorField}
-_CLS_TO_RANK = {ScalarField: 0, VectorField: 1, TensorField: 2}
 
 
 def write_field(path, field) -> None:
-    rank = _CLS_TO_RANK[type(field)]
-    header = _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.length, rank, 0)
+    header = _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.length, field.rank, 0)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(field.samples, dtype="<f8").tobytes())
@@ -55,22 +54,21 @@ def read_field(path, grid: Grid | None = None):
         raise FieldError(
             f"{path}: bad rank/representation ({rank}, {rep_code}), need rank 0-2 and samples (0)"
         )
-    if n < 4 or n % 2 != 0 or not 0.0 < length < np.inf:
-        raise FieldError(f"{path}: bad grid ({n}, {length:g}), need N even >= 4 and 0 < L < inf")
-    if grid is not None and (grid.n != n or grid.length != length):
+    try:
+        header_grid = Grid(n, length)
+    except ParameterError as exc:
+        raise FieldError(f"{path}: bad grid: {exc}") from None
+    if grid is not None and grid != header_grid:
         raise FieldError(
             f"{path}: snapshot grid ({n}, {length:g}) does not match ({grid.n}, {grid.length:g})"
         )
-    # the payload length is checked before any lattice is built for the header's N
     count = 3**rank * n**3
     if len(raw) != _HEADER.size + 8 * count:
         raise FieldError(
             f"{path}: payload length {len(raw) - _HEADER.size} bytes, expected {8 * count}"
         )
-    if grid is None:
-        grid = Grid(n, length)
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
-    return _RANK_TO_CLS[rank](grid, data.reshape((3,) * rank + (n, n, n)).astype(np.float64))
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size).astype(np.float64)
+    return _RANK_TO_CLS[rank](grid or header_grid, data.reshape((3,) * rank + (n, n, n)))
 
 
 def _write_triple(directory, fields, names, prefix: str) -> list[Path]:
@@ -97,10 +95,10 @@ def write_state(directory, state: FlowState, prefix: str = "state") -> list[Path
     return _write_triple(directory, state.fields(), ("n", "v", "E"), prefix)
 
 
-def write_phys(directory, phys: PhysState, prefix: str = "ic") -> list[Path]:
-    """Write a physical state as rho / u / F snapshot files."""
-    return _write_triple(directory, (phys.rho, phys.u, phys.F), ("rho", "u", "F"), prefix)
+def write_phys(directory, phys: PhysState) -> list[Path]:
+    """Write a physical state as the initial-data files ic_rho / ic_u / ic_F."""
+    return _write_triple(directory, (phys.rho, phys.u, phys.F), ("rho", "u", "F"), "ic")
 
 
-def read_phys(directory, prefix: str = "ic", time: float = 0.0) -> PhysState:
-    return PhysState(*_read_triple(directory, ("rho", "u", "F"), prefix), time)
+def read_phys(directory) -> PhysState:
+    return PhysState(*_read_triple(directory, ("rho", "u", "F"), "ic"))

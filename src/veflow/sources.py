@@ -16,8 +16,8 @@ with  f = -n div v,  h = (grad v) E  and
 
 Derivatives are spectral, products are formed pointwise in physical space,
 and every quadratic output is cleaned with the spherical 2/3 rule.  The
-1/(1+n) factors are evaluated pointwise (no series truncation); a vacuum
-guard aborts when min(1+n) <= 0.5.
+1/(1+n) factors are evaluated pointwise (no series truncation) from one
+array rho = 1 + n, whose one vacuum guard aborts when min(rho) <= 0.5.
 
 Constraint residuals, reported as L2 norms:
 
@@ -83,7 +83,6 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     """
     grid = state.grid
     n = state.n.samples
-    guard_positive_density(1.0 + n, context="source evaluation")
 
     # derivatives through the half spectrum: the full lattice is Hermitian,
     # so slicing the cached spectra is free and irfftn recovers the samples
@@ -110,10 +109,12 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     del visc_hat
     dE = _gradient(grid, state.E.spectrum[..., :half])
     g = params.a * np.einsum("jk...,jik...->i...", E, dE)
-    g -= product(n / (1.0 + n), visc)
+    rho = 1.0 + n  # formed at its use: held across the gradients, it kept 24 MB more RSS at N = 64
+    guard_positive_density(rho)
+    g -= product(n / rho, visc)
     g -= np.einsum("j...,ji...->i...", v, dv)
-    g -= product(pressure_coefficient(state.n, params).samples, dn)
-    del visc, dn
+    g -= product(pressure_coefficient(rho, params), dn)
+    del rho, visc, dn
     g_v = _dealiased(grid, g, dealias)
     del g
 

@@ -43,11 +43,7 @@ class FlowState:
         if self.v.grid != self.n.grid or self.E.grid != self.n.grid:
             raise GridMismatchError("state components live on different grids")
         if float(self.n.samples.min()) <= -1.0:
-            raise VacuumError("1 + n must stay positive", state=self)
-
-    @classmethod
-    def zero(cls, grid: Grid, time: float = 0.0) -> "FlowState":
-        return cls(ScalarField.zero(grid), VectorField.zero(grid), TensorField.zero(grid), time)
+            raise VacuumError("1 + n must stay positive")
 
     @property
     def grid(self) -> Grid:
@@ -76,7 +72,7 @@ class PhysState:
         if self.u.grid != self.rho.grid or self.F.grid != self.rho.grid:
             raise GridMismatchError("state components live on different grids")
         if float(self.rho.samples.min()) <= 0.0:
-            raise VacuumError("density must be positive everywhere", state=self)
+            raise VacuumError("density must be positive everywhere")
         if float(det3(self.F.samples).min()) <= 0.0:
             raise FieldError("deformation gradient must have positive determinant")
 

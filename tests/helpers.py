@@ -2,7 +2,10 @@
 the suite uses: the gradient, tensor divergence, matrix curl, fractional
 operator and Hodge pair that criterion 8 and the operator identities are
 checked with, the per-field mean projection that ``phys_to_pert``'s bits are
-pinned against, and the reader of the snapshots that ``simulate`` writes."""
+pinned against, the reader of the snapshots that ``simulate`` writes, zero
+fields and states, a record's columns as arrays, and the samples-difference
+H2 distance and field-wrapped source evaluation that ``h2_distance`` and
+``rhs_spectra`` are checked against."""
 
 import logging
 import tracemalloc
@@ -29,11 +32,12 @@ from veflow import (
     step,
 )
 from veflow.errors import FieldError, GridMismatchError
-from veflow.fields import to_half_spectrum, to_samples, to_spectrum
-from veflow.operators import _grad_symbols, apply_multiplier
+from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
+from veflow.operators import _grad_symbols, apply_multiplier, sobolev_norm
+from veflow.params import guard_positive_density
 from veflow.semigroup import LinearPropagator
 from veflow.snapshot import _read_triple
-from veflow.sources import _gradient, _rho_f_of
+from veflow.sources import _dealiased, _gradient, _rho_f_of
 from veflow.state import MEAN_WARN
 
 logger = logging.getLogger(__name__)
@@ -382,3 +386,71 @@ def axes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def read_state(directory, prefix: str = "state", time: float = 0.0) -> FlowState:
     return FlowState(*_read_triple(directory, ("n", "v", "E"), prefix), time)
+
+
+# ---------------------------------------------------------------------------
+# accessors that only the suite uses, and the earlier forms of two
+# computations that src/ is pinned against
+
+
+def zero_field(cls, grid: Grid):
+    """The field of class ``cls`` that is zero everywhere."""
+    return cls(grid, np.zeros((3,) * cls.rank + grid.shape))
+
+
+def zero_state(grid: Grid) -> FlowState:
+    return FlowState(*(zero_field(c, grid) for c in (ScalarField, VectorField, TensorField)))
+
+
+def column(record, name: str) -> np.ndarray:
+    """One sampled column of a ``TimeSeriesRecord`` as a float array."""
+    return np.asarray(record.columns[name], dtype=float)
+
+
+def samples_h2_distance(a: FlowState, b: FlowState) -> float:
+    """``h2_distance`` formed from the difference of the samples, each
+    difference transformed to its spectrum again."""
+    total = 0.0
+    for fa, fb in zip(a.fields(), b.fields()):
+        total += sobolev_norm(type(fa)(a.grid, fa.samples - fb.samples), 2) ** 2
+    return float(np.sqrt(total))
+
+
+def field_pressure_coefficient(n: ScalarField, params) -> ScalarField:
+    """The pressure coefficient of a field n, guarded on its own and wrapped
+    in a field."""
+    base = 1.0 + n.samples
+    guard_positive_density(base)
+    return ScalarField(n.grid, base ** (params.gamma - 2.0) - 1.0)
+
+
+def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
+    """``rhs_spectra`` with 1 + n formed three times and the pressure
+    coefficient taken from :func:`field_pressure_coefficient`."""
+    grid = state.grid
+    n = state.n.samples
+    guard_positive_density(1.0 + n)
+    half = grid.n // 2 + 1
+    v_hat = state.v.spectrum[..., :half]
+    v = state.v.samples
+    E = state.E.samples
+    dn = _gradient(grid, state.n.spectrum[..., :half])
+    dv = _gradient(grid, v_hat)
+    f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
+    f -= np.einsum("j...,j...->...", v, dn)
+    g_n = _dealiased(grid, f, dealias)
+    xi = grid.xi[..., :half]
+    xiv = np.einsum("j...,j...->...", xi, v_hat)
+    visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
+        params.lam + params.mu
+    ) * product(xi, xiv)
+    visc = half_to_samples(grid, visc_hat)
+    dE = _gradient(grid, state.E.spectrum[..., :half])
+    g = params.a * np.einsum("jk...,jik...->i...", E, dE)
+    g -= product(n / (1.0 + n), visc)
+    g -= np.einsum("j...,ji...->i...", v, dv)
+    g -= product(field_pressure_coefficient(state.n, params).samples, dn)
+    g_v = _dealiased(grid, g, dealias)
+    h = np.einsum("ki...,kj...->ij...", dv, E)
+    h -= np.einsum("k...,kij...->ij...", v, dE)
+    return g_n, g_v, _dealiased(grid, h, dealias)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    column,
     generic_piola_spec,
     hodge_decompose,
     hodge_reconstruct,
@@ -145,7 +146,7 @@ def test_criterion_05_constraint_propagation(piola_run):
     phys, _, record = piola_run
     initial = constraint_residuals(phys).max()
     worst = max(
-        record.array("r1").max(), record.array("r2").max(), record.array("r3").max()
+        column(record, "r1").max(), column(record, "r2").max(), column(record, "r3").max()
     )
     ok = initial <= 1e-10 and worst <= 1e-8
     report(5, ok, f"initial residual {initial:.3e} (tol 1e-10), run max {worst:.3e} (tol 1e-8)")
@@ -155,10 +156,10 @@ def test_criterion_05_constraint_propagation(piola_run):
 def test_criterion_06_energy_boundedness(piola_run):
     """H2 energy bounded by twice its initial value; dissipation accumulators sane."""
     _, _, record = piola_run
-    h2 = record.array("H2")
+    h2 = column(record, "H2")
     growth = float((h2**2).max() / h2[0] ** 2)
-    acc1 = record.array("diss_acc1")
-    acc2 = record.array("diss_acc2")
+    acc1 = column(record, "diss_acc1")
+    acc2 = column(record, "diss_acc2")
     monotone = bool(np.all(np.diff(acc1) >= 0.0) and np.all(np.diff(acc2) >= 0.0))
     finite = bool(np.all(np.isfinite(acc1)) and np.all(np.isfinite(acc2)))
     ok = growth <= 2.0 and monotone and finite
@@ -220,10 +221,10 @@ def test_criterion_09_interpolation_inequality(piola_run):
     """||U||_4 <= ||U||_2^(1/4) ||U||_6^(3/4) on every sampled state."""
     _, _, record = piola_run
     l2 = np.sqrt(
-        record.array("L2_n") ** 2 + record.array("L2_v") ** 2 + record.array("L2_E") ** 2
+        column(record, "L2_n") ** 2 + column(record, "L2_v") ** 2 + column(record, "L2_E") ** 2
     )
-    lp4 = record.array("Lp4")
-    lp6 = record.array("Lp6")
+    lp4 = column(record, "Lp4")
+    lp6 = column(record, "Lp6")
     gap = lp4 - l2**0.25 * lp6**0.75
     worst = float(gap.max())
     ok = worst <= 1e-10

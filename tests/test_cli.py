@@ -1,6 +1,7 @@
 """Command-line interface: manifests, determinism, exit codes, outputs."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -350,6 +351,42 @@ def test_rejected_input_leaves_no_output(tmp_path, modefile, command, flags, cod
     flags = [str(zero) if f == "ZERO" else f for f in flags]
     out = tmp_path / "out"
     assert _exit_code([*_cheap(command, modefile), *flags, "--out", str(out)]) == code
+    assert not out.exists()
+
+
+# (argv of a command given an input it cannot use, exit code): DIR is a
+# directory, CVF a snapshot file (binary, not UTF-8 text), SNAP a snapshot
+# directory and HOLE a snapshot directory whose ic_rho.cvf is a directory
+_UNREADABLE = [
+    (["make-ic", "--modes", "DIR"], 2),
+    (["make-ic", "--modes", "CVF"], 3),
+    (["simulate", "--t-end", "0.1", "--ic", "CVF"], 3),
+    (["simulate", "--t-end", "0.1", "--ic", "HOLE"], 2),
+    (["duhamel", "--n", "8", "--ic", "SNAP"], 2),
+    (["fit", "--csv", "DIR"], 2),
+    (["fit", "--csv", "CVF"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _UNREADABLE, ids=[" ".join(a) for a, _ in _UNREADABLE])
+def test_unreadable_input_exit_code(tmp_path, modefile, capsys, argv, code):
+    """A path that cannot be read is a usage error (exit 2), like a missing file;
+    a mode file that is not UTF-8 text is bad initial data (exit 3).  Either is
+    reported, not raised, before any output directory is made."""
+    snap = tmp_path / "ic"
+    main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(snap)])
+    hole = tmp_path / "hole"
+    shutil.copytree(snap, hole)
+    (hole / "ic_rho.cvf").unlink()
+    (hole / "ic_rho.cvf").mkdir()
+    inputs = {"DIR": tmp_path, "CVF": snap / "ic_rho.cvf", "SNAP": snap, "HOLE": hole}
+    argv = [str(inputs.get(a, a)) for a in argv]
+    out = tmp_path / "out"
+    if argv[0] != "fit":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert ("usage error" if code == 2 else "numerical abort") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,7 +5,18 @@ import io
 import numpy as np
 import pytest
 
-from helpers import axes, cross_curl_oracle, lp_norm_oracle, random_spectra, smooth_state
+from helpers import (
+    axes,
+    column,
+    cross_curl_oracle,
+    generic_piola_spec,
+    lp_norm_oracle,
+    random_spectra,
+    samples_h2_distance,
+    smooth_state,
+    zero_field,
+    zero_state,
+)
 from veflow import (
     FlowState,
     Grid,
@@ -18,25 +29,28 @@ from veflow import (
     decay_fit,
     lp_norms,
     lyapunov_m,
+    phys_to_pert,
+    piola_ic,
     run,
     sample_row,
 )
-from veflow.diagnostics import CSV_COLUMNS, TimeSeriesRecord
+from veflow.diagnostics import CSV_COLUMNS, TimeSeriesRecord, h2_distance
 from veflow.errors import VeflowError
+from veflow.semigroup import LinearPropagator
 from veflow.state import state_from_spectra
 from veflow.stepping import StepperConfig
 
 
 class TestLyapunov:
     def test_zero_state(self, grid8):
-        val = lyapunov_m(FlowState.zero(grid8))
+        val = lyapunov_m(zero_state(grid8))
         assert val.total == 0.0
 
     def test_single_mode_value(self, grid16):
         eps = 1e-3
         x, _, _ = axes(grid16)
         n = ScalarField(grid16, eps * np.sin(x) + np.zeros(grid16.shape))
-        st = FlowState(n, VectorField.zero(grid16), TensorField.zero(grid16))
+        st = FlowState(n, zero_field(VectorField, grid16), zero_field(TensorField, grid16))
         val = lyapunov_m(st)
         expected = 4.0 * eps**2 * (2.0 * np.pi) ** 3
         assert val.total == pytest.approx(expected, rel=1e-12)
@@ -66,7 +80,7 @@ class TestCrossCurl:
                 assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_zero_on_zero_state(self, grid8):
-        assert lyapunov_m(FlowState.zero(grid8)).cross_curl == 0.0
+        assert lyapunov_m(zero_state(grid8)).cross_curl == 0.0
 
     def test_zero_on_symmetric_deformation(self, grid8):
         n_hat, v_hat, e_hat = (1e-2 * x for x in random_spectra(grid8, 7))
@@ -138,7 +152,7 @@ class TestInterpolation:
 class TestRecord:
     def test_add_requires_increasing_time(self, grid8, params):
         rec = TimeSeriesRecord()
-        row = sample_row(FlowState.zero(grid8))
+        row = sample_row(zero_state(grid8))
         rec.add(row)
         with pytest.raises(VeflowError):
             rec.add(dict(row))
@@ -151,7 +165,7 @@ class TestRecord:
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
         back = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
         for col in CSV_COLUMNS:
-            assert np.array_equal(back[col], rec.array(col))
+            assert np.array_equal(back[col], column(rec, col))
 
 
 class TestDuhamel:
@@ -163,11 +177,33 @@ class TestDuhamel:
         rec = run(st, params, cfg, sinks=(deviation,))
         assert deviation.max_deviation < 1e-10
         # the linear flow dissipates n^2 + v^2 + a E^2
-        e = rec.array("L2_n") ** 2 + rec.array("L2_v") ** 2 + params.a * rec.array("L2_E") ** 2
+        n2, v2, e2 = (column(rec, name) ** 2 for name in ("L2_n", "L2_v", "L2_E"))
+        e = n2 + v2 + params.a * e2
         assert np.all(np.diff(e) <= 1e-10 * max(e[0], 1.0))
+
+    def test_spectra_difference_matches_samples_difference(self, params):
+        """h2_distance differences spectra, not samples: the deviation of each
+        sampled state from its linear flow moves by round-off only, so the
+        maximum that duhamel reports stays within 1e-12 relative.  At t = 0
+        both forms measure round-off alone (7e-19 against 3e-17)."""
+        grid = Grid(16)
+        dt = cfl_dt(grid, params)
+        cfg = StepperConfig(dt=dt, t_end=6 * dt, output_every=2)
+        for scale in (1e-3, 5e-4):
+            spec = generic_piola_spec(scale)
+            init = phys_to_pert(piola_ic(spec, grid, params), params, warn=False)
+            pairs = []
+
+            def both(state):
+                linear = LinearPropagator(grid, params, state.time - init.time)(init)
+                pairs.append((h2_distance(state, linear), samples_h2_distance(state, linear)))
+
+            run(init, params, cfg, sinks=(both,))
+            got, want = (max(column) for column in zip(*pairs))
+            assert len(pairs) == 4 and got == pytest.approx(want, rel=1e-12)
 
     def test_zero_initial_data(self, grid8, params):
         cfg = StepperConfig(dt=0.01, t_end=0.03)
-        deviation = DuhamelDeviation(params, FlowState.zero(grid8))
-        run(FlowState.zero(grid8), params, cfg, sinks=(deviation,))
+        deviation = DuhamelDeviation(params, zero_state(grid8))
+        run(zero_state(grid8), params, cfg, sinks=(deviation,))
         assert deviation.max_deviation == 0.0

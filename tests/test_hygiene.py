@@ -7,6 +7,7 @@ its imports are the package's exports, not uses.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,9 +37,9 @@ def _used_names(tree: ast.AST) -> set:
     return used
 
 
-def _attributes(tree: ast.AST) -> set:
-    """Names a module looks up as an attribute, ``x.name``."""
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+def _attributes(tree: ast.AST) -> Counter:
+    """How often a module looks up each name as an attribute, ``x.name``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
 
 def _patched_attributes() -> set:
@@ -116,17 +117,21 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_method_has_a_user():
     """A public method or property is looked up as an attribute (``x.name``)
-    somewhere in a module or the benchmark, or patched by the benchmark's
-    tracer.  A bare name or a string equal to the method's name is no use of
-    it: a local variable ``axes`` or the keyword ``"axes"`` calls no
-    ``Grid.axes``."""
-    used = _patched_attributes()
+    somewhere in a module or the benchmark outside its own definition, or
+    patched by the benchmark's tracer.  A bare name or a string equal to the
+    method's name is no use of it: a local variable ``axes`` or the keyword
+    ``"axes"`` calls no ``Grid.axes``.  Nor is a lookup inside the method
+    itself: ``FlowState.zero`` calling ``ScalarField.zero`` is no caller of
+    ``FlowState.zero``."""
+    patched = _patched_attributes()
+    lookups = Counter()
     for path in MODULES + BENCHMARK:
-        used |= _attributes(_tree(path))
+        lookups += _attributes(_tree(path))
     unused = [
         f"{path.name}:{method.lineno}: {cls}.{method.name}"
         for path in MODULES
         for cls, method in _public_methods(_tree(path))
-        if method.name not in used
+        if method.name not in patched
+        and lookups[method.name] <= _attributes(method)[method.name]
     ]
     assert not unused, "public methods that no module or benchmark uses:\n" + "\n".join(unused)

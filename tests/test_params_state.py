@@ -12,6 +12,7 @@ from helpers import (
     smooth_scalar,
     smooth_tensor,
     smooth_vector,
+    zero_field,
 )
 from veflow import (
     FlowState,
@@ -27,12 +28,13 @@ from veflow import (
     piola_ic,
     pressure_coefficient,
 )
+from veflow.params import guard_positive_density
 
 
 class TestMakeParams:
     def test_default_normalization(self):
         p = make_params(1.0, 0.0, 1.0, 2.0)
-        assert p.p_prime_1 == pytest.approx(1.0)
+        assert p.pressure_scale == 1.0
         assert p.chi0 == pytest.approx(1.0)
         assert p.a == pytest.approx(1.0)
 
@@ -58,54 +60,54 @@ class TestMakeParams:
 
     @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0, 5.0])
     def test_p_prime_one_for_default_scale(self, gamma):
-        p = make_params(gamma=gamma)
-        assert p.p_prime_1 == pytest.approx(1.0)
+        """P'(1) is the pressure scale, 1 by default, so chi0 = 1 and a = alpha."""
+        p = make_params(gamma=gamma, alpha=2.5)
+        assert (p.pressure_scale, p.chi0, p.a) == (1.0, 1.0, 2.5)
 
     def test_pressure_scale_moves_chi0_and_a(self):
         p = make_params(pressure_scale=4.0, alpha=1.0)
-        assert p.p_prime_1 == pytest.approx(4.0)
         assert p.chi0 == pytest.approx(0.5)
         assert p.a == pytest.approx(0.25)
 
 
 class TestPressureCoefficient:
     def test_zero_at_equilibrium(self, grid8):
-        p = make_params(gamma=3.0)
-        coef = pressure_coefficient(ScalarField.zero(grid8), p)
-        assert np.max(np.abs(coef.samples)) == 0.0
+        coef = pressure_coefficient(np.ones(grid8.shape), make_params(gamma=3.0))
+        assert np.max(np.abs(coef)) == 0.0
 
     def test_vanishes_identically_for_gamma_two(self, grid8, rng):
         p = make_params(gamma=2.0)
         n = smooth_scalar(grid8, rng, amp=0.1)
-        coef = pressure_coefficient(n, p)
-        assert np.max(np.abs(coef.samples)) < 1e-14
+        coef = pressure_coefficient(1.0 + n.samples, p)
+        assert np.max(np.abs(coef)) < 1e-14
 
     def test_equals_n_for_gamma_three(self, grid8, rng):
         p = make_params(gamma=3.0)
         n = smooth_scalar(grid8, rng, amp=0.1)
-        coef = pressure_coefficient(n, p)
-        assert np.max(np.abs(coef.samples - n.samples)) < 1e-13
+        coef = pressure_coefficient(1.0 + n.samples, p)
+        assert np.max(np.abs(coef - n.samples)) < 1e-13
 
     def test_linear_in_n_near_zero(self, grid8, rng):
         p = make_params(gamma=1.4)
         n = smooth_scalar(grid8, rng, amp=1e-4)
-        coef = pressure_coefficient(n, p)
+        coef = pressure_coefficient(1.0 + n.samples, p)
         expected = (p.gamma - 2.0) * n.samples
         # remainder is the quadratic Taylor term of (1+n)^(gamma-2)
         quad = abs((p.gamma - 2.0) * (p.gamma - 3.0)) * np.max(n.samples**2)
-        assert np.max(np.abs(coef.samples - expected)) < quad
+        assert np.max(np.abs(coef - expected)) < quad
 
     def test_vacuum_guard(self, grid8):
-        p = make_params()
-        n = ScalarField(grid8, np.full(grid8.shape, -0.6))
-        with pytest.raises(VacuumError):
-            pressure_coefficient(n, p)
+        """The coefficient is a kernel of a guarded density: the one guard of a
+        source evaluation rejects min(1 + n) <= 0.5, the kernel checks nothing."""
+        with pytest.raises(VacuumError, match="source evaluation"):
+            guard_positive_density(np.full(grid8.shape, 0.4))
+        guard_positive_density(np.full(grid8.shape, 0.51))
 
 
 class TestChangeOfVariables:
     def test_equilibrium_maps_to_zero(self, grid8, params):
         rho = ScalarField(grid8, np.ones(grid8.shape))
-        phys = PhysState(rho, VectorField.zero(grid8), TensorField.identity(grid8))
+        phys = PhysState(rho, zero_field(VectorField, grid8), TensorField.identity(grid8))
         st = phys_to_pert(phys, params)
         assert st.h_norm(2) == 0.0
 
@@ -143,7 +145,7 @@ class TestChangeOfVariables:
         with pytest.raises(VacuumError):
             PhysState(
                 ScalarField(grid8, rho),
-                VectorField.zero(grid8),
+                zero_field(VectorField, grid8),
                 TensorField.identity(grid8),
             )
 
@@ -155,7 +157,7 @@ class TestChangeOfVariables:
         with pytest.raises(FieldError):
             PhysState(
                 ScalarField(grid8, np.ones(grid8.shape)),
-                VectorField.zero(grid8),
+                zero_field(VectorField, grid8),
                 TensorField(grid8, F),
             )
 
@@ -176,7 +178,7 @@ class TestMeanProjection:
     def test_projection_logged(self, grid8, caplog):
         phys = PhysState(
             ScalarField(grid8, np.full(grid8.shape, 1.01)),
-            VectorField.zero(grid8),
+            zero_field(VectorField, grid8),
             TensorField.identity(grid8),
         )
         with caplog.at_level(logging.WARNING, logger="veflow.state"):
@@ -223,4 +225,4 @@ class TestMeanProjection:
     def test_vacuum_invariant(self, grid8):
         n = ScalarField(grid8, np.full(grid8.shape, -1.5))
         with pytest.raises(VacuumError):
-            FlowState(n, VectorField.zero(grid8), TensorField.zero(grid8))
+            FlowState(n, zero_field(VectorField, grid8), zero_field(TensorField, grid8))

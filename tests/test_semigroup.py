@@ -20,10 +20,10 @@ from helpers import (
     single_mode_state,
     smooth_state,
     valid_params,
+    zero_state,
 )
 from veflow import (
     BlockSystem,
-    FlowState,
     Grid,
     ParameterError,
     Propagator2x2,
@@ -181,7 +181,7 @@ class TestGridSemigroup:
             LinearPropagator(grid8, params, t)
 
     def test_zero_state_stays_zero(self, grid8, params):
-        out = LinearPropagator(grid8, params, 2.0)(FlowState.zero(grid8))
+        out = LinearPropagator(grid8, params, 2.0)(zero_state(grid8))
         assert out.h_norm(2) == 0.0
 
     def test_identity_at_zero_time(self, grid8, params, rng):

@@ -9,14 +9,19 @@ from helpers import (
     antisymmetric_slot_max,
     axes,
     even_n,
+    field_wrapped_rhs_spectra,
     generic_piola_spec,
     hermitian_defect,
     r2_oracle,
+    same_bits,
     smooth_state,
     valid_params,
+    zero_field,
+    zero_state,
 )
 from veflow import (
     FlowState,
+    Grid,
     PhysState,
     ScalarField,
     TensorField,
@@ -24,6 +29,7 @@ from veflow import (
     VectorField,
     constraint_residuals,
     l2_norm,
+    make_params,
     piola_ic,
 )
 from veflow.sources import _half_sum_sq, rhs_spectra
@@ -62,7 +68,7 @@ class TestEvaluateSources:
     """Source evaluation through its one path, rhs_spectra."""
 
     def test_zero_state_gives_zero_sources(self, grid8, params):
-        st = FlowState.zero(grid8)
+        st = zero_state(grid8)
         for spec in rhs_spectra(st, params):
             assert np.max(np.abs(spec)) == 0.0
 
@@ -74,7 +80,7 @@ class TestEvaluateSources:
             grid16,
             np.stack([np.sin(x) + np.zeros(grid16.shape)] + [np.zeros(grid16.shape)] * 2),
         )
-        st = FlowState(n, v, TensorField.zero(grid16))
+        st = FlowState(n, v, zero_field(TensorField, grid16))
         g_n, _, _ = rhs_spectra(st, params)
         # grad n = 0, so G_n is f = -n div v alone
         expected = -0.1 * (np.cos(x) + np.zeros(grid16.shape))
@@ -82,7 +88,7 @@ class TestEvaluateSources:
 
     def test_zero_deformation_kills_elastic_terms(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01)
-        st = FlowState(st.n, st.v, TensorField.zero(grid8))
+        st = FlowState(st.n, st.v, zero_field(TensorField, grid8))
         _, _, g_e = rhs_spectra(st, params)
         assert np.max(np.abs(g_e)) == 0.0
 
@@ -100,9 +106,22 @@ class TestEvaluateSources:
 
     def test_vacuum_guard_aborts(self, grid8, params):
         n = ScalarField(grid8, np.full(grid8.shape, -0.55))
-        st = FlowState(n, VectorField.zero(grid8), TensorField.zero(grid8))
+        st = FlowState(n, zero_field(VectorField, grid8), zero_field(TensorField, grid8))
         with pytest.raises(VacuumError):
             rhs_spectra(st, params)
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_bit_identical_to_field_wrapped_form(self, n, dealias, gamma):
+        """One density array, guarded once, gives the bits of the form that
+        formed 1 + n three times and wrapped the pressure coefficient in a field."""
+        params = make_params(gamma=gamma, lam=0.3, alpha=1.7, pressure_scale=1.3)
+        st = smooth_state(Grid(n), np.random.default_rng(n), amp=0.2, kmax=n // 3)
+        for got, want in zip(
+            rhs_spectra(st, params, dealias), field_wrapped_rhs_spectra(st, params, dealias)
+        ):
+            assert same_bits(got, want)
 
     def test_dealias_toggle_changes_high_modes_only(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01, kmax=3)
@@ -176,7 +195,7 @@ class TestConstraintResiduals:
     def test_equilibrium_is_exact(self, grid8):
         rho = ScalarField(grid8, np.ones(grid8.shape))
         rep = constraint_residuals(
-            PhysState(rho, VectorField.zero(grid8), TensorField.identity(grid8))
+            PhysState(rho, zero_field(VectorField, grid8), TensorField.identity(grid8))
         )
         assert rep.r1 == rep.r2 == rep.r3 == 0.0
 
@@ -187,7 +206,7 @@ class TestConstraintResiduals:
         F[0, 0] += eps * (np.sin(x) + np.zeros(grid16.shape))
         phys = PhysState(
             ScalarField(grid16, np.ones(grid16.shape)),
-            VectorField.zero(grid16),
+            zero_field(VectorField, grid16),
             TensorField(grid16, F),
         )
         rep = constraint_residuals(phys)
@@ -201,7 +220,7 @@ class TestConstraintResiduals:
         F[0, 0] += eps * (np.sin(y) + np.zeros(grid16.shape))  # d_2 F^{11} != 0
         phys = PhysState(
             ScalarField(grid16, np.ones(grid16.shape)),
-            VectorField.zero(grid16),
+            zero_field(VectorField, grid16),
             TensorField(grid16, F),
         )
         rep = constraint_residuals(phys)
@@ -217,7 +236,7 @@ class TestConstraintResiduals:
         assert rep.max() <= 1e-10
 
     def test_accepts_flow_state(self, grid8, params):
-        rep = constraint_residuals(FlowState.zero(grid8))
+        rep = constraint_residuals(zero_state(grid8))
         assert rep.max() == 0.0
 
     def test_rejects_other_types(self):

@@ -18,6 +18,8 @@ from helpers import (
     same_bits,
     smooth_scalar,
     smooth_vector,
+    zero_field,
+    zero_state,
 )
 from veflow import (
     FieldError,
@@ -33,6 +35,7 @@ from veflow import (
     laplacian,
     sobolev_norm,
 )
+from veflow.diagnostics import h2_distance
 from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
 from veflow.sources import _gradient
 
@@ -136,10 +139,11 @@ class TestTransforms:
             ScalarField(grid8, bad)
 
     def test_grid_mismatch(self, grid8, grid16):
-        a = ScalarField(grid8, np.zeros(grid8.shape))
-        b = ScalarField(grid16, np.zeros(grid16.shape))
-        with pytest.raises(GridMismatchError):
-            _ = a - b
+        """h2_distance differences spectra: states on grids of equal N and
+        different L would broadcast, so they are rejected like unequal N."""
+        for other in (grid16, Grid(8, 1.0)):
+            with pytest.raises(GridMismatchError):
+                h2_distance(zero_state(grid8), zero_state(other))
 
 
 AXES = (-3, -2, -1)
@@ -322,7 +326,7 @@ class TestHodge:
         )
         d, omega = hodge_decompose(v)
         assert np.max(np.abs(d.samples)) < 1e-13
-        recon = hodge_reconstruct(ScalarField.zero(grid16), omega)
+        recon = hodge_reconstruct(zero_field(ScalarField, grid16), omega)
         assert np.max(np.abs(div(recon).samples)) < 1e-12
 
     def test_round_trip_decompose_reconstruct(self, grid16, rng):
@@ -359,13 +363,13 @@ class TestHodge:
     def test_reconstruct_rejects_non_antisymmetric(self, grid8):
         omega = TensorField.identity(grid8)
         with pytest.raises(FieldError):
-            hodge_reconstruct(ScalarField.zero(grid8), omega)
+            hodge_reconstruct(zero_field(ScalarField, grid8), omega)
 
     def test_example_reconstruction(self, grid16):
         # d = -sin(x1), omega = 0  ->  v = (cos x1, 0, 0)
         f = sin_x1(grid16)
         d = ScalarField(grid16, -f.samples)
-        v = hodge_reconstruct(d, TensorField.zero(grid16))
+        v = hodge_reconstruct(d, zero_field(TensorField, grid16))
         x, _, _ = axes(grid16)
         expected = np.cos(x) + np.zeros(grid16.shape)
         assert np.max(np.abs(v.samples[0] - expected)) < 1e-12
@@ -393,7 +397,7 @@ class TestNormsAndProducts:
 
     def test_sobolev_rejects_bad_order(self, grid8):
         with pytest.raises(FieldError):
-            sobolev_norm(ScalarField.zero(grid8), 4)
+            sobolev_norm(zero_field(ScalarField, grid8), 4)
 
     def test_antisymmetric_part_exact(self, grid8, rng):
         t = TensorField(grid8, rng.standard_normal((3, 3) + grid8.shape))
