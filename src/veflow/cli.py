@@ -32,7 +32,7 @@ from .quadrature import gaussian_profile, whole_space_norm
 from .semigroup import BlockSystem, Propagator2x2
 from .snapshot import read_phys, write_phys, write_state
 from .state import phys_to_pert
-from .stepping import StepperConfig, cfl_dt, check_cfl, run
+from .stepping import CFL_SAFETY, StepperConfig, cfl_dt, check_cfl, run
 
 logger = logging.getLogger(__name__)
 
@@ -193,10 +193,8 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     params = _make_params(args)
 
-    if args.dt is not None and args.cfl_safety is not None:
-        raise ParameterError("--dt sets the step: it cannot be combined with --cfl-safety")
     if args.dt is None and args.cfl_safety is None:
-        args.cfl_safety = 0.5
+        args.cfl_safety = CFL_SAFETY
     ic_path = Path(args.ic)
     if ic_path.is_dir():
         given = ["--" + k.replace("_", "-") for k in _IC_DEFAULTS if getattr(args, k) is not None]
@@ -288,8 +286,6 @@ def _cmd_lower_bound(args) -> int:
     out = Path(args.out)
     params = _make_params(args)
     system = getattr(BlockSystem, args.system)(params)
-    if args.eta is not None and args.c0 is not None:
-        raise ParameterError("--c0 cannot be combined with --eta, which selects the eta profile")
     if args.eta is None:
         args.c0 = 1.0 if args.c0 is None else args.c0
         profile = lowerbound_profiles(args.c0, width=args.width)
@@ -407,6 +403,8 @@ def _cmd_fit(args) -> int:
         rows = np.genfromtxt(args.csv, delimiter=",", names=True)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"{args.csv} is not a readable time-series CSV: {exc}") from None
+    except (IndexError, ValueError):  # an empty file, a row with missing columns
+        raise ParameterError(f"{args.csv} is not a time-series CSV") from None
     if rows.dtype.names is None or "t" not in rows.dtype.names:
         raise ParameterError(f"{args.csv} is not a time-series CSV")
     if args.column not in rows.dtype.names:
@@ -441,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"veflow {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    cfl_help = f"CFL step fraction (default {CFL_SAFETY})"
 
     p = sub.add_parser("make-ic", help="generate constraint-exact initial data")
     _add_grid_flags(p)
@@ -454,10 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="advance the nonlinear system")
     _add_grid_flags(p)
     _add_model_flags(p)
-    p.add_argument("--dt", type=_finite(positive=True), help="time step (default: CFL)")
-    p.add_argument(
-        "--cfl-safety", type=_finite(positive=True), help="CFL step fraction (default 0.5)"
-    )
+    step_flags = p.add_mutually_exclusive_group()  # --dt fixes the step
+    step_flags.add_argument("--dt", type=_finite(positive=True), help="time step (default: CFL)")
+    step_flags.add_argument("--cfl-safety", type=_finite(positive=True), help=cfl_help)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--ic", required=True, help="mode-list file or snapshot directory")
     p.add_argument("--delta", type=_finite())
@@ -479,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower-bound", help="lower-bound band experiments")
     _add_model_flags(p)
-    p.add_argument("--c0", type=_finite(positive=True), help="default 1; not with --eta")
-    p.add_argument("--eta", type=_finite(positive=True), default=None)
+    profile_flags = p.add_mutually_exclusive_group()  # --eta selects a profile without c0
+    profile_flags.add_argument("--c0", type=_finite(positive=True), help="default 1")
+    profile_flags.add_argument("--eta", type=_finite(positive=True), default=None)
     p.add_argument("--width", type=_finite(positive=True), default=1.0)
     p.add_argument("--system", choices=["compressible", "shear"], default="compressible")
     p.add_argument("--t-grid", default="log:10:1e4:64")
@@ -494,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic", required=True, help="mode-list file")
     p.add_argument("--delta", type=_finite(positive=True), default=1e-3)
     p.add_argument("--t-end", type=float, default=4.0)
-    p.add_argument("--cfl-safety", type=_finite(positive=True), default=0.5)
+    p.add_argument("--cfl-safety", type=_finite(positive=True), default=CFL_SAFETY, help=cfl_help)
     p.add_argument("--output-every", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_duhamel)

@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, VeflowError
-from .operators import (
-    _laplacian_symbol,
-    div,
-    gradient_sobolev_norm,
-    inner_product,
-    l2_norm,
-    laplacian,
-    sobolev_norm,
-)
+from .operators import div, gradient_sobolev_norm, inner_product, l2_norm, laplacian, sobolev_norm
 from .params import ModelParams
 from .semigroup import LinearPropagator
 from .sources import ConstraintReport, constraint_residuals
@@ -81,7 +73,7 @@ def _cross_curl(state: FlowState) -> float:
     """<W, lap(E^T - E)> with W^{ij} = d_j v^i - d_i v^j by Parseval, over the slots
     i < j: both matrices are antisymmetric, so slot (j, i) repeats slot (i, j)."""
     grid = state.grid
-    xi, lap = grid.xi, _laplacian_symbol(grid)
+    xi, lap = grid.xi, grid.laplacian_symbol
     v, e = state.v.spectrum, state.E.spectrum
     total = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):

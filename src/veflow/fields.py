@@ -167,10 +167,3 @@ class TensorField(_BaseField):
     """Real 3x3-component grid function, viewed as one (3, 3, N, N, N) array."""
 
     rank = 2
-
-    @classmethod
-    def identity(cls, grid: Grid) -> "TensorField":
-        data = np.zeros((3, 3) + grid.shape)
-        for i in range(3):
-            data[i, i] = 1.0
-        return cls(grid, data)

@@ -5,9 +5,11 @@ xi = (2*pi/L) * k with integer k per axis in [-N/2, N/2).  Transforms are
 normalized so the forward coefficient at k = 0 equals the field mean.
 
 The k = -N/2 planes carry no derivative sign, so they are zeroed in every
-component of ``xi`` (``nyquist_mask``), and so in ``xi_mag`` and every
-multiplier built from them.  Nonlinear products are cleaned with the
-spherical 2/3 rule (``dealias_mask``).
+component of ``xi`` (``nyquist_mask``), and so in ``xi_mag``, in the
+Laplacian symbol ``laplacian_symbol`` = -|xi|^2 and in every multiplier
+built from them: ``xi`` is the one place the Nyquist planes are zeroed.
+Nonlinear products are cleaned with the spherical 2/3 rule
+(``dealias_mask``).
 
 Constructing a grid only validates (N, L).  Each lattice array is built on
 its first use from broadcast 1-D views of k, then kept read-only; the full
@@ -77,6 +79,11 @@ class Grid:
     def xi_mag(self) -> np.ndarray:
         """|xi| built from the Nyquist-zeroed lattice."""
         return _freeze(np.sqrt((self.xi**2).sum(axis=0)))
+
+    @cached_property
+    def laplacian_symbol(self) -> np.ndarray:
+        """-|xi|^2, the Fourier symbol of the Laplacian."""
+        return _freeze(-(self.xi_mag**2))
 
     @cached_property
     def unit_xi(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
 from .quadrature import RadialProfile, gaussian_profile
-from .state import PhysState, adjugate3, det3
+from .state import IDENTITY, PhysState, adjugate3, det3
 
 logger = logging.getLogger(__name__)
 
@@ -132,16 +132,14 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
     F = adjugate3(A) / det
     rho = det / det.mean()
 
-    state = PhysState(
-        ScalarField(grid, rho), u, TensorField(grid, F), time=0.0
-    )
+    state = PhysState(ScalarField(grid, rho), u, TensorField(grid, F))
     # the H2 of the state that runs is recorded by make-ic and by row 0 of a run
     if logger.isEnabledFor(logging.DEBUG):
         h2 = float(
             np.sqrt(
                 sobolev_norm(ScalarField(grid, rho - 1.0), 2) ** 2
                 + sobolev_norm(u, 2) ** 2
-                + sobolev_norm(TensorField(grid, F - TensorField.identity(grid).samples), 2) ** 2
+                + sobolev_norm(TensorField(grid, F - IDENTITY), 2) ** 2
             )
         )
         logger.debug("generated initial data with |(rho0-1, u0, F0-I)|_H2 = %.6e", h2)

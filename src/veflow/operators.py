@@ -1,9 +1,10 @@
 """Fourier multipliers and norms on periodic fields.
 
-The divergence and the Laplacian are spectral multipliers; the divergence
-uses i*xi_j with the Nyquist planes zeroed, so every multiplier here zeroes
-them too.  Inner products and Sobolev norms are evaluated by Parseval on the
-spectrum,  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
+The divergence and the Laplacian are spectral multipliers, i*xi_j and
+``Grid.laplacian_symbol``; both are built from ``Grid.xi``, whose Nyquist
+planes are zeroed, so no multiplier here masks them again.  Inner products
+and Sobolev norms are evaluated by Parseval on the spectrum,
+||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
 
 The gradient, tensor divergence, matrix curl, fractional operator and Hodge
 pair that the operator identities are checked with live in the test suite
@@ -29,29 +30,15 @@ def apply_multiplier(field, symbol: np.ndarray):
     return type(field).from_spectrum(field.grid, field.spectrum * symbol)
 
 
-def _grad_symbols(grid: Grid) -> np.ndarray:
-    # i*xi_j with Nyquist planes already zeroed inside grid.xi
-    return 1j * grid.xi * grid.nyquist_mask
-
-
-@lru_cache(maxsize=4)
-def _laplacian_symbol(grid: Grid) -> np.ndarray:
-    """Read-only -|xi|^2, built once per grid."""
-    sym = -(grid.xi_mag**2)
-    sym.setflags(write=False)
-    return sym
-
-
 # ---------------------------------------------------------------------------
 # named differential operators
 
 def div(v: VectorField) -> ScalarField:
-    sym = _grad_symbols(v.grid)
-    return ScalarField.from_spectrum(v.grid, (sym * v.spectrum).sum(axis=0))
+    return ScalarField.from_spectrum(v.grid, (1j * v.grid.xi * v.spectrum).sum(axis=0))
 
 
 def laplacian(field):
-    return apply_multiplier(field, _laplacian_symbol(field.grid))
+    return apply_multiplier(field, field.grid.laplacian_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +64,7 @@ def l2_norm(field) -> float:
 @lru_cache(maxsize=16)
 def _sobolev_weight(grid: Grid, first: int, last: int) -> np.ndarray:
     """Read-only w = sum_{first <= j <= last} |xi|^(2j), built once per (grid, first, last)."""
-    r2 = grid.xi_mag**2
+    r2 = -grid.laplacian_symbol
     weight = np.ones(grid.shape) if first == 0 else np.zeros(grid.shape)
     acc = np.ones(grid.shape)
     for _ in range(last):

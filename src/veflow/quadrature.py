@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .semigroup import BlockSystem, _entries
+from .semigroup import BlockSystem, block_entries
 
 # QUADPACK qk21: Kronrod nodes in [0, 1] (descending, odd positions are the
 # G10 nodes), their K21 weights and the G10 weights of the odd positions
@@ -63,6 +63,7 @@ _MAX_DEPTH = 48
 _CHUNK = 128  # panels per integrand call: bounds the node temporaries at 2688 values
 _MAX_PANELS = 2**16  # live panels per bisection level
 _RTOL = 1e-8  # error budget relative to the seed panels' total
+_TAIL_TOL = 1e-290  # integrand tail left out past the tail radius: nothing an O(1) prefactor shows
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class RadialProfile:
     """Pair of radial spectral profiles with a Gaussian-type envelope.
 
     ``first``/``second`` evaluate the two components at radius r >= 0;
-    the envelope amp * r^eta * exp(-r^2/(2 width^2)) must dominate both,
-    it is what the tail-cutoff estimate uses.
+    the envelope amp * r^eta * exp(-r^2/(2 width^2)) must dominate both
+    for r >= 1, where the tail-cutoff estimate uses it.
     """
 
     first: Callable[[np.ndarray], np.ndarray]
@@ -84,18 +85,18 @@ class RadialProfile:
     def components(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.first(r), dtype=float), np.asarray(self.second(r), dtype=float)
 
-    def tail_radius(self, k: int, tol: float, bound: float) -> float:
-        """Radius beyond which the integrand tail is below ``tol`` (absolute)."""
+    def tail_radius(self, k: int, bound: float) -> float:
+        """Radius, at least 1, beyond which the integrand tail is below ``_TAIL_TOL``."""
         if not np.isfinite(self.env_width) or self.env_width <= 0.0:
             raise QuadratureError(f"{self.label}: envelope does not decay, integral rejected")
         w = self.env_width
         m = 2 * k + 2 + 2 * self.env_eta
         amp2 = (bound * self.env_amp) ** 2
-        r = 4.0 * w
+        r = max(4.0 * w, 1.0)
         for _ in range(200):
             # crude but safe: tail(R) <= amp2 * R^m e^{-R^2/w^2} * w * (1 + m w / R)
             g = amp2 * r**m * np.exp(-(r / w) ** 2) * w * (1.0 + m * w / r)
-            if g < tol:
+            if g < _TAIL_TOL:
                 return float(r)
             r *= 1.25
         raise QuadratureError(f"{self.label}: could not bound the integrand tail")
@@ -108,7 +109,8 @@ def gaussian_profile(
     width: float = 1.0,
     label: str = "gaussian",
 ) -> RadialProfile:
-    """Profiles amp * r^eta * exp(-r^2 / (2 width^2)) in each slot; eta = 0 in the first."""
+    """Profiles amp * r^eta * exp(-r^2 / (2 width^2)) in each slot; eta = 0 in the first.
+    The envelope takes the largest exponent of the nonzero slots."""
 
     def _make(amp, eta):
         if amp == 0.0:
@@ -120,9 +122,8 @@ def gaussian_profile(
         )
 
     env_amp = max(abs(amp_first), abs(amp_second))
-    env_eta = min(0.0 if amp_first else np.inf, eta_second if amp_second else np.inf)
-    if not np.isfinite(env_eta):
-        env_eta = 0.0
+    etas = [eta for amp, eta in ((amp_first, 0.0), (amp_second, eta_second)) if amp]
+    env_eta = max(etas, default=0.0)
     return RadialProfile(
         _make(amp_first, 0.0),
         _make(amp_second, eta_second),
@@ -140,7 +141,7 @@ def _integrand_factory(profile, system, t, k, component):
     def f(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         u1, u2 = profile.components(r)
-        p11, p12, p21, p22 = _entries(nu, b, r, t)
+        p11, p12, p21, p22 = block_entries(nu, b, r, t)
         out1 = p11 * u1 + p12 * u2
         out2 = p21 * u1 + p22 * u2
         if component == 0:
@@ -201,8 +202,7 @@ def whole_space_norm(
         raise QuadratureError(f"component must be None, 0 or 1, got {component!r}")
     f = _integrand_factory(profile, system, t, k, component)
     bound = 4.0 * max(1.0, np.sqrt(system.b), 1.0 / np.sqrt(system.b))
-    # integrate out to where even an O(1) prefactor leaves nothing
-    r_tail = profile.tail_radius(k, tol=1e-290, bound=bound)
+    r_tail = profile.tail_radius(k, bound=bound)
 
     edges = _seed_edges(system, t, r_tail)
     a, b = edges[:-1], edges[1:]

@@ -71,7 +71,7 @@ class BlockSystem:
         return float(np.sqrt(self.b))
 
 
-def _entries(nu: float, b: float, r: np.ndarray, t: float):
+def block_entries(nu: float, b: float, r: np.ndarray, t: float):
     """Real entries (p11, p12, p21, p22) of e^{tA(r)}, vectorized over r >= 0.
 
     Each branch, and each side of _SMALL_DIFF, runs on its own radii only.
@@ -130,7 +130,7 @@ class Propagator2x2:
             raise ParameterError(f"propagator needs finite t >= 0, got {t}")
         if not np.isfinite(r):
             raise ParameterError(f"propagator needs a finite radius, got {r}")
-        p11, p12, p21, p22 = _entries(system.nu, system.b, np.asarray(float(r)), float(t))
+        p11, p12, p21, p22 = block_entries(system.nu, system.b, np.asarray(float(r)), float(t))
         m = np.array([[float(p11), float(p12)], [float(p21), float(p22)]])
         return cls(m)
 
@@ -155,8 +155,8 @@ class LinearPropagator:
         radii, index = grid.distinct_radii
         comp = BlockSystem.compressible(params)
         shear = BlockSystem.shear(params)
-        self._comp = tuple(p[index] for p in _entries(comp.nu, comp.b, radii, self.t))
-        self._shear = tuple(p[index] for p in _entries(shear.nu, shear.b, radii, self.t))
+        self._comp = tuple(p[index] for p in block_entries(comp.nu, comp.b, radii, self.t))
+        self._shear = tuple(p[index] for p in block_entries(shear.nu, shear.b, radii, self.t))
 
     def apply_spectra(self, n_hat, v_hat, e_hat):
         """Advance raw spectra (n, v, E) by t; returns new spectra."""

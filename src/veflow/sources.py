@@ -35,7 +35,7 @@ import numpy as np
 from .fields import half_to_samples, product, to_half_spectrum, to_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
-from .state import FlowState, PhysState
+from .state import IDENTITY, FlowState, PhysState
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
     xi = grid.xi[..., :half]
     xiv = np.einsum("j...,j...->...", xi, v_hat)
-    visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
+    visc_hat = params.mu * grid.laplacian_symbol[..., :half] * v_hat - (
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
@@ -130,7 +130,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
 
 def _rho_f_of(obj) -> tuple[Grid, np.ndarray, np.ndarray]:
     if isinstance(obj, FlowState):
-        return obj.grid, 1.0 + obj.n.samples, obj.E.samples + np.eye(3).reshape(3, 3, 1, 1, 1)
+        return obj.grid, 1.0 + obj.n.samples, obj.E.samples + IDENTITY
     if isinstance(obj, PhysState):
         return obj.grid, obj.rho.samples, obj.F.samples
     raise TypeError(f"expected FlowState or PhysState, got {type(obj).__name__}")

@@ -6,10 +6,11 @@ to the perturbation triple
     n = rho - 1,   v = chi0 * u,   E = F - I,
 
 with time rescaled by chi0^2 (grid points are relabelled, not resampled:
-the box length is interpreted in the perturbation frame).  The initial
-state and every stepped state are assembled from three spectra by
-:func:`state_from_spectra`, which zeroes their mean modes: the perturbation
-system is posed on mean-zero fields.
+the box length is interpreted in the perturbation frame).  Physical data is
+initial data and carries no time: the state it maps to starts at t = 0.
+The initial state and every stepped state are assembled from three spectra
+by :func:`state_from_spectra`, which zeroes their mean modes: the
+perturbation system is posed on mean-zero fields.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .params import ModelParams
 logger = logging.getLogger(__name__)
 
 MEAN_WARN = 1e-13
+IDENTITY = np.eye(3).reshape(3, 3, 1, 1, 1)  # F at equilibrium, broadcast over the grid
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,11 @@ class FlowState:
 
 @dataclass(frozen=True)
 class PhysState:
-    """Physical variables (rho, u, F) on the grid."""
+    """Physical initial data (rho, u, F) on the grid."""
 
     rho: ScalarField
     u: VectorField
     F: TensorField
-    time: float = 0.0
 
     def __post_init__(self):
         if self.u.grid != self.rho.grid or self.F.grid != self.rho.grid:
@@ -106,20 +107,20 @@ def adjugate3(t: np.ndarray) -> np.ndarray:
 
 
 def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> FlowState:
-    """Change of variables (rho, u, F) -> (n, v, E) including the time rescaling;
-    a mean mode above ``MEAN_WARN`` is logged, when ``warn`` is true, before it
-    is zeroed."""
+    """Change of variables (rho, u, F) -> (n, v, E), a state at t = 0; a mean
+    mode above ``MEAN_WARN`` is logged, when ``warn`` is true, before it is
+    zeroed."""
     grid = phys.grid
     spectra = (
         to_spectrum(grid, phys.rho.samples - 1.0),
         to_spectrum(grid, params.chi0 * phys.u.samples),
-        to_spectrum(grid, phys.F.samples - TensorField.identity(grid).samples),
+        to_spectrum(grid, phys.F.samples - IDENTITY),
     )
     for label, spec in zip(("n", "v", "E"), spectra):
         worst = float(np.max(np.abs(spec[..., 0, 0, 0])))
         if warn and worst > MEAN_WARN:
             logger.warning("projecting %s mean of size %.3e to zero", label, worst)
-    return state_from_spectra(grid, *spectra, phys.time / params.chi0**2)
+    return state_from_spectra(grid, *spectra, 0.0)
 
 
 def state_from_spectra(

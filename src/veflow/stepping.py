@@ -10,7 +10,9 @@ second-order accurate in dt and exact when the sources G vanish.  Only the
 advective and quadratic terms constrain the step; the CFL bound follows
 the acoustic speed sqrt(1 + a) of the compressible block,
 
-    dt = cfl_safety / (sqrt(1 + a) * xi_max),   xi_max = (2 pi / L)(N/2 - 1).
+    dt = cfl_safety / (sqrt(1 + a) * xi_max),   xi_max = (2 pi / L)(N/2 - 1),
+
+with ``CFL_SAFETY`` = 0.5 the one default fraction of every caller.
 
 Evaluation order and memory: every spectrum is freed after its last use,
 and K(dt) U is formed last, so it is not held through the two source
@@ -42,12 +44,14 @@ from .state import FlowState, state_from_spectra
 
 logger = logging.getLogger(__name__)
 
+CFL_SAFETY = 0.5
+
 
 @dataclass(frozen=True)
 class StepperConfig:
     dt: float
     t_end: float
-    cfl_safety: float = 0.5
+    cfl_safety: float = CFL_SAFETY  # never read by run: the step is dt
     output_every: int = 1
     dealias: bool = True
     sources: bool = True
@@ -62,7 +66,7 @@ class StepperConfig:
             raise ParameterError(f"output_every must be an integer >= 1, got {every!r}")
 
 
-def cfl_dt(grid: Grid, params: ModelParams, cfl_safety: float = 0.5) -> float:
+def cfl_dt(grid: Grid, params: ModelParams, cfl_safety: float = CFL_SAFETY) -> float:
     """Timestep from the acoustic CFL condition."""
     speed = BlockSystem.compressible(params).wave_speed  # sqrt(1 + a)
     return cfl_safety / (speed * grid.xi_max())
@@ -173,7 +177,6 @@ def run(
                 emit(state)
     except VacuumError as exc:
         logger.error("run aborted at t = %.6g: %s", state.time, exc)
-        record.final_state = state
         if dump_dir is not None:
             from .snapshot import write_state
 

@@ -3,9 +3,9 @@ the suite uses: the gradient, tensor divergence, matrix curl, fractional
 operator and Hodge pair that criterion 8 and the operator identities are
 checked with, the per-field mean projection that ``phys_to_pert``'s bits are
 pinned against, the reader of the snapshots that ``simulate`` writes, zero
-fields and states, a record's columns as arrays, and the samples-difference
-H2 distance and field-wrapped source evaluation that ``h2_distance`` and
-``rhs_spectra`` are checked against."""
+and identity fields, zero states, a record's columns as arrays, and the
+samples-difference H2 distance and field-wrapped source evaluation that
+``h2_distance`` and ``rhs_spectra`` are checked against."""
 
 import logging
 import tracemalloc
@@ -33,12 +33,12 @@ from veflow import (
 )
 from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
-from veflow.operators import _grad_symbols, apply_multiplier, sobolev_norm
+from veflow.operators import apply_multiplier, sobolev_norm
 from veflow.params import guard_positive_density
 from veflow.semigroup import LinearPropagator
 from veflow.snapshot import _read_triple
 from veflow.sources import _dealiased, _gradient, _rho_f_of
-from veflow.state import MEAN_WARN
+from veflow.state import IDENTITY, MEAN_WARN
 
 logger = logging.getLogger(__name__)
 
@@ -290,6 +290,11 @@ def lam_symbol(grid: Grid, s: float) -> np.ndarray:
     return out
 
 
+def _grad_symbols(grid: Grid) -> np.ndarray:
+    """i*xi_j, masked on the Nyquist planes as well: ``grid.xi`` is already zero there."""
+    return 1j * grid.xi * grid.nyquist_mask
+
+
 def grad(f: ScalarField) -> VectorField:
     sym = _grad_symbols(f.grid)
     return VectorField.from_spectrum(f.grid, sym * f.spectrum[np.newaxis])
@@ -334,11 +339,11 @@ def projected_phys_to_pert(phys, params, warn: bool = True) -> FlowState:
     grid = phys.grid
     n = ScalarField(grid, phys.rho.samples - 1.0)
     v = VectorField(grid, params.chi0 * phys.u.samples)
-    E = TensorField(grid, phys.F.samples - TensorField.identity(grid).samples)
+    E = TensorField(grid, phys.F.samples - IDENTITY)
     n = project_mean_zero(n, warn=warn, label="n")
     v = project_mean_zero(v, warn=warn, label="v")
     E = project_mean_zero(E, warn=warn, label="E")
-    return FlowState(n, v, E, phys.time / params.chi0**2)
+    return FlowState(n, v, E)
 
 
 def hodge_decompose(v: VectorField) -> tuple[ScalarField, TensorField]:
@@ -396,6 +401,11 @@ def read_state(directory, prefix: str = "state", time: float = 0.0) -> FlowState
 def zero_field(cls, grid: Grid):
     """The field of class ``cls`` that is zero everywhere."""
     return cls(grid, np.zeros((3,) * cls.rank + grid.shape))
+
+
+def identity_field(grid: Grid) -> TensorField:
+    """The deformation gradient I at every grid point."""
+    return TensorField(grid, np.broadcast_to(IDENTITY, (3, 3) + grid.shape))
 
 
 def zero_state(grid: Grid) -> FlowState:

@@ -568,6 +568,15 @@ class TestFit:
         rc = main(["fit", "--csv", str(csv), "--column", "a"] + flags)
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["", "t,a\n1,2\n3\n"], ids=["empty", "short-row"])
+    def test_malformed_csv_usage_error(self, tmp_path, capsys, text):
+        """Text that is no table (an empty file, a row with a missing column) is
+        reported as a usage error, exit 2, not raised."""
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        assert main(["fit", "--csv", str(csv), "--column", "a"]) == 2
+        assert f"{csv} is not a time-series CSV" in capsys.readouterr().err
+
     def test_fit_of_simulate_csv(self, tmp_path, modefile, capsys):
         out = tmp_path / "runfit"
         main(

@@ -1,6 +1,7 @@
 """Code hygiene of ``src/veflow``: no unused import, no public name or method
-that nothing in ``src/`` or the benchmark calls.  Test oracles live in the
-test suite (``tests/helpers.py``), so nothing is exempt.
+that nothing in ``src/`` or the benchmark calls, and no private name imported
+from another module.  Test oracles live in the test suite
+(``tests/helpers.py``), so nothing is exempt.
 
 Parsed with the standard library's ``ast``; ``__init__.py`` is skipped because
 its imports are the package's exports, not uses.
@@ -135,3 +136,28 @@ def test_every_public_method_has_a_user():
         and lookups[method.name] <= _attributes(method)[method.name]
     ]
     assert not unused, "public methods that no module or benchmark uses:\n" + "\n".join(unused)
+
+
+def _is_private(name: str) -> bool:
+    """One leading underscore; a dunder such as ``__version__`` is not private."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_private_names_stay_in_their_module():
+    """No module of the package, ``__init__.py`` included, imports a private
+    name from another veflow module: a value two modules share has a public
+    name in the module that owns it."""
+    crossing = []
+    for path in sorted((ROOT / "src" / "veflow").glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            own = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "veflow"
+            )
+            if own:
+                source = "." * node.level + (node.module or "")
+                crossing += [
+                    f"{path.name}:{node.lineno}: {alias.name} from {source}"
+                    for alias in node.names
+                    if _is_private(alias.name)
+                ]
+    assert not crossing, "private names imported across modules:\n" + "\n".join(crossing)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     generic_piola_spec,
+    identity_field,
     projected_phys_to_pert,
     same_bits,
     smooth_scalar,
@@ -107,37 +108,33 @@ class TestPressureCoefficient:
 class TestChangeOfVariables:
     def test_equilibrium_maps_to_zero(self, grid8, params):
         rho = ScalarField(grid8, np.ones(grid8.shape))
-        phys = PhysState(rho, zero_field(VectorField, grid8), TensorField.identity(grid8))
+        phys = PhysState(rho, zero_field(VectorField, grid8), identity_field(grid8))
         st = phys_to_pert(phys, params)
         assert st.h_norm(2) == 0.0
 
     def test_chi0_scaling_of_velocity(self, grid8, rng):
         p = make_params(pressure_scale=4.0)  # chi0 = 1/2
         u = smooth_vector(grid8, rng, amp=0.01)
-        phys = PhysState(
-            ScalarField(grid8, np.ones(grid8.shape)), u, TensorField.identity(grid8), time=2.0
-        )
+        phys = PhysState(ScalarField(grid8, np.ones(grid8.shape)), u, identity_field(grid8))
         st = phys_to_pert(phys, p)
         assert np.max(np.abs(st.v.samples - 0.5 * u.samples)) < 1e-14
-        assert st.time == pytest.approx(2.0 / p.chi0**2)
+        assert st.time == 0.0  # initial data starts the run
 
     def test_round_trip_identity(self, grid8, rng, params):
         st = FlowState(
             smooth_scalar(grid8, rng, amp=0.01),
             smooth_vector(grid8, rng, amp=0.01),
             smooth_tensor(grid8, rng, amp=0.01),
-            time=1.3,
         )
         phys = PhysState(
             ScalarField(grid8, 1.0 + st.n.samples),
             VectorField(grid8, st.v.samples / params.chi0),
-            TensorField(grid8, st.E.samples + TensorField.identity(grid8).samples),
-            time=st.time * params.chi0**2,
+            TensorField(grid8, st.E.samples + identity_field(grid8).samples),
         )
         back = phys_to_pert(phys, params)
         for f0, f1 in zip(st.fields(), back.fields()):
             assert np.max(np.abs(f0.samples - f1.samples)) < 1e-12
-        assert back.time == pytest.approx(st.time)
+        assert back.time == st.time == 0.0
 
     def test_negative_density_rejected(self, grid8):
         rho = np.ones(grid8.shape)
@@ -146,11 +143,11 @@ class TestChangeOfVariables:
             PhysState(
                 ScalarField(grid8, rho),
                 zero_field(VectorField, grid8),
-                TensorField.identity(grid8),
+                identity_field(grid8),
             )
 
     def test_degenerate_deformation_rejected(self, grid8):
-        F = TensorField.identity(grid8).samples.copy()
+        F = identity_field(grid8).samples.copy()
         F[0, 0, 0, 0, 0] = -1.0
         from veflow import FieldError
 
@@ -164,13 +161,12 @@ class TestChangeOfVariables:
 
 def offset_phys(grid, rng) -> PhysState:
     """Small smooth data whose rho - 1, u and F - I all have nonzero means."""
-    F = TensorField.identity(grid).samples * 1.01 + smooth_tensor(grid, rng, amp=1e-2).samples
+    F = identity_field(grid).samples * 1.01 + smooth_tensor(grid, rng, amp=1e-2).samples
     F[0, 1] += 0.02
     return PhysState(
         ScalarField(grid, 1.02 + smooth_scalar(grid, rng, amp=1e-2).samples),
         VectorField(grid, 0.1 + smooth_vector(grid, rng, amp=1e-2).samples),
         TensorField(grid, F),
-        time=0.7,
     )
 
 
@@ -179,7 +175,7 @@ class TestMeanProjection:
         phys = PhysState(
             ScalarField(grid8, np.full(grid8.shape, 1.01)),
             zero_field(VectorField, grid8),
-            TensorField.identity(grid8),
+            identity_field(grid8),
         )
         with caplog.at_level(logging.WARNING, logger="veflow.state"):
             st = phys_to_pert(phys, make_params(), warn=True)

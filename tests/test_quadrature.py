@@ -103,6 +103,20 @@ class TestGuards:
         with pytest.raises(QuadratureError, match=match):
             whole_space_norm(profile, comp, t, **case)
 
+    def test_envelope_bounds_both_slots(self):
+        """The declared envelope amp r^eta exp(-r^2/(2 width^2)) bounds both slots
+        on r >= 1, where the tail cutoff uses it, also when their exponents differ."""
+        r = np.linspace(1.0, 40.0, 391)
+        for prof in (
+            gaussian_profile(1.0, 1.0, eta_second=2.0),
+            gaussian_profile(2.0, 0.5, eta_second=3.0, width=2.0),
+            gaussian_profile(0.0, 1.0, eta_second=1.5),
+            gaussian_profile(1.0, 3.0, eta_second=-0.5, width=0.5),
+        ):
+            env = prof.env_amp * r**prof.env_eta * np.exp(-(r**2) / (2.0 * prof.env_width**2))
+            for slot in prof.components(r):
+                assert np.all(np.abs(slot) <= env * (1.0 + 1e-12))
+
     def test_non_decaying_profile_rejected(self, comp):
         flat = RadialProfile(
             first=lambda r: np.ones_like(r),
@@ -163,7 +177,7 @@ def _panel_levels(profile, system, t, k):
     whole_space_norm(dataclasses.replace(profile, first=first), system, t, k=k)
     panels = np.concatenate(seen)
     bound = 4.0 * max(1.0, np.sqrt(system.b), 1.0 / np.sqrt(system.b))
-    edges = quadrature._seed_edges(system, t, profile.tail_radius(k, tol=1e-290, bound=bound))
+    edges = quadrature._seed_edges(system, t, profile.tail_radius(k, bound=bound))
     mid = panels[:, quadrature._NODES.size // 2]  # the centre node is the panel midpoint
     width = (panels[:, -1] - panels[:, 0]) / quadrature._NODES[-1]
     seed = np.diff(edges)[np.searchsorted(edges, mid) - 1]
@@ -195,7 +209,7 @@ def _reference_norm(profile, system, t, k=0, component=None, rtol=1e-8):
     f = quadrature._integrand_factory(profile, system, t, k, component)
     nodes, weights = np.polynomial.legendre.leggauss(20)
     bound = 4.0 * max(1.0, np.sqrt(system.b), 1.0 / np.sqrt(system.b))
-    edges = quadrature._seed_edges(system, t, profile.tail_radius(k, tol=1e-290, bound=bound))
+    edges = quadrature._seed_edges(system, t, profile.tail_radius(k, bound=bound))
 
     def panel(a, b):
         half, mid = 0.5 * (b - a), 0.5 * (a + b)

@@ -31,7 +31,7 @@ from veflow import (
 )
 from veflow.fields import to_spectrum
 from veflow.oracles import _rhs, rk4_block_expm
-from veflow.semigroup import _SMALL_DIFF, LinearPropagator, _entries
+from veflow.semigroup import _SMALL_DIFF, LinearPropagator, block_entries
 from veflow.state import state_from_spectra
 from veflow.stepping import cfl_dt
 
@@ -161,16 +161,16 @@ class TestPropagator:
         if t > 0.0:
             assert np.any(disc < 0.0) and np.any(dk_t > _SMALL_DIFF)
             assert np.any((disc > 0.0) & (dk_t <= _SMALL_DIFF))
-        batch = _entries(comp.nu, comp.b, r, t)
+        batch = block_entries(comp.nu, comp.b, r, t)
         for i, x in enumerate(r):
-            for got, want in zip(_entries(comp.nu, comp.b, np.asarray(x), t), batch):
+            for got, want in zip(block_entries(comp.nu, comp.b, np.asarray(x), t), batch):
                 assert got.shape == ()
                 assert same_bits(got, np.asarray(want[i])), (x, t)
 
     def test_entries_real_and_finite_on_array(self, comp):
         r = np.linspace(0.0, 50.0, 400)
         for t in (0.0, 0.01, 1.0, 100.0, 1e4):
-            for e in _entries(comp.nu, comp.b, r, t):
+            for e in block_entries(comp.nu, comp.b, r, t):
                 assert np.all(np.isfinite(e))
 
 
@@ -357,7 +357,7 @@ class TestEntriesPerRadius:
     @pytest.mark.parametrize("n", [6, 10, 12, 16])
     @pytest.mark.parametrize("length", [2.0 * np.pi, 3.7])
     def test_gathered_entries_equal_full_lattice(self, n, length):
-        """Entries evaluated once per distinct |xi| and gathered equal ``_entries``
+        """Entries evaluated once per distinct |xi| and gathered equal ``block_entries``
         on the full lattice bit for bit, for both blocks at t = 0, dt/2 and dt;
         N that are not powers of two and L != 2 pi give radii that are not
         integer square roots."""
@@ -367,7 +367,7 @@ class TestEntriesPerRadius:
         for t in (0.0, 0.5 * dt, dt):
             prop = LinearPropagator(grid, params, t)
             for block, got in zip(BLOCKS, (prop._comp, prop._shear)):
-                want = _entries(block.nu, block.b, grid.xi_mag, t)
+                want = block_entries(block.nu, block.b, grid.xi_mag, t)
                 assert all(same_bits(g, w) for g, w in zip(got, want))
 
     def test_propagators_share_unit_wavevectors(self, grid8):

@@ -12,6 +12,7 @@ from helpers import (
     field_wrapped_rhs_spectra,
     generic_piola_spec,
     hermitian_defect,
+    identity_field,
     r2_oracle,
     same_bits,
     smooth_state,
@@ -42,7 +43,7 @@ def full_spectrum_residuals(obj) -> np.ndarray:
         grid, rho, F = obj.grid, obj.rho.samples, obj.F.samples
     else:
         grid, rho = obj.grid, 1.0 + obj.n.samples
-        F = obj.E.samples + TensorField.identity(grid).samples
+        F = obj.E.samples + identity_field(grid).samples
     axes, n3, vol, xi = (-3, -2, -1), grid.n**3, grid.volume, grid.xi
     rhoF_hat = np.fft.fftn(rho * F, axes=axes) / n3
     w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
@@ -145,7 +146,7 @@ class TestLongitudinalIdentity:
         st = FlowState(
             ScalarField(grid, phys.rho.samples - 1.0),
             VectorField(grid, params.chi0 * phys.u.samples),
-            TensorField(grid, phys.F.samples - TensorField.identity(grid).samples),
+            TensorField(grid, phys.F.samples - identity_field(grid).samples),
         )
         _, g_hat, _ = rhs_spectra(st, params, dealias=False)
         # g1 = g - a div(nE), the forcing of the reduced (n, div v) system
@@ -195,14 +196,14 @@ class TestConstraintResiduals:
     def test_equilibrium_is_exact(self, grid8):
         rho = ScalarField(grid8, np.ones(grid8.shape))
         rep = constraint_residuals(
-            PhysState(rho, zero_field(VectorField, grid8), TensorField.identity(grid8))
+            PhysState(rho, zero_field(VectorField, grid8), identity_field(grid8))
         )
         assert rep.r1 == rep.r2 == rep.r3 == 0.0
 
     def test_single_entry_deformation_r1(self, grid16):
         eps = 0.01
         x, _, _ = axes(grid16)
-        F = TensorField.identity(grid16).samples.copy()
+        F = identity_field(grid16).samples.copy()
         F[0, 0] += eps * (np.sin(x) + np.zeros(grid16.shape))
         phys = PhysState(
             ScalarField(grid16, np.ones(grid16.shape)),
@@ -216,7 +217,7 @@ class TestConstraintResiduals:
     def test_r2_detects_row_incompatibility(self, grid16):
         eps = 0.01
         _, y, _ = axes(grid16)
-        F = TensorField.identity(grid16).samples.copy()
+        F = identity_field(grid16).samples.copy()
         F[0, 0] += eps * (np.sin(y) + np.zeros(grid16.shape))  # d_2 F^{11} != 0
         phys = PhysState(
             ScalarField(grid16, np.ones(grid16.shape)),

@@ -12,6 +12,7 @@ from helpers import (
     grad,
     hodge_decompose,
     hodge_reconstruct,
+    identity_field,
     lam,
     lam_symbol,
     random_spectra,
@@ -361,7 +362,7 @@ class TestHodge:
         assert np.max(np.abs(back.samples - v.samples)) <= 1e-13 * np.max(np.abs(v.samples))
 
     def test_reconstruct_rejects_non_antisymmetric(self, grid8):
-        omega = TensorField.identity(grid8)
+        omega = identity_field(grid8)
         with pytest.raises(FieldError):
             hodge_reconstruct(zero_field(ScalarField, grid8), omega)
 
