@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 import time as _time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -400,10 +401,12 @@ def _cmd_semigroup_check(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        rows = np.genfromtxt(args.csv, delimiter=",", names=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # genfromtxt only warns on an empty file
+            rows = np.genfromtxt(args.csv, delimiter=",", names=True)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"{args.csv} is not a readable time-series CSV: {exc}") from None
-    except (IndexError, ValueError):  # an empty file, a row with missing columns
+    except (IndexError, ValueError, UserWarning):  # an empty file, a row with missing columns
         raise ParameterError(f"{args.csv} is not a time-series CSV") from None
     if rows.dtype.names is None or "t" not in rows.dtype.names:
         raise ParameterError(f"{args.csv} is not a time-series CSV")

@@ -6,8 +6,9 @@ normalized so the forward coefficient at k = 0 equals the field mean.
 
 The k = -N/2 planes carry no derivative sign, so they are zeroed in every
 component of ``xi`` (``nyquist_mask``), and so in ``xi_mag``, in the
-Laplacian symbol ``laplacian_symbol`` = -|xi|^2 and in every multiplier
-built from them: ``xi`` is the one place the Nyquist planes are zeroed.
+Laplacian symbol ``laplacian_symbol`` = -|xi|^2, in the Sobolev weights
+``sobolev_weight`` and in every multiplier built from them: ``xi`` is the
+one place the Nyquist planes are zeroed.
 Nonlinear products are cleaned with the spherical 2/3 rule
 (``dealias_mask``).
 
@@ -84,6 +85,19 @@ class Grid:
     def laplacian_symbol(self) -> np.ndarray:
         """-|xi|^2, the Fourier symbol of the Laplacian."""
         return _freeze(-(self.xi_mag**2))
+
+    def sobolev_weight(self, first: int, last: int) -> np.ndarray:
+        """sum_{first <= j <= last} |xi|^(2j), built on first use per (first, last)."""
+        weights = self.__dict__.setdefault("_sobolev_weights", {})
+        if (first, last) not in weights:
+            r2 = -self.laplacian_symbol
+            weight = np.ones(self.shape) if first == 0 else np.zeros(self.shape)
+            acc = np.ones(self.shape)
+            for _ in range(last):
+                acc = acc * r2
+                weight = weight + acc
+            weights[first, last] = _freeze(weight)
+        return weights[first, last]
 
     @cached_property
     def unit_xi(self) -> np.ndarray:

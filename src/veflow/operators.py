@@ -13,13 +13,10 @@ pair that the operator identities are checked with live in the test suite
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import FieldError, GridMismatchError
 from .fields import ScalarField, VectorField
-from .grid import Grid
 
 
 # ---------------------------------------------------------------------------
@@ -61,26 +58,13 @@ def l2_norm(field) -> float:
     return float(np.sqrt(field.grid.volume * np.sum(np.abs(field.spectrum) ** 2)))
 
 
-@lru_cache(maxsize=16)
-def _sobolev_weight(grid: Grid, first: int, last: int) -> np.ndarray:
-    """Read-only w = sum_{first <= j <= last} |xi|^(2j), built once per (grid, first, last)."""
-    r2 = -grid.laplacian_symbol
-    weight = np.ones(grid.shape) if first == 0 else np.zeros(grid.shape)
-    acc = np.ones(grid.shape)
-    for _ in range(last):
-        acc = acc * r2
-        weight = weight + acc
-    weight.setflags(write=False)
-    return weight
-
-
 def _weighted_l2(field, first: int, last: int) -> float:
     """sqrt(L^3 sum_xi w |u_hat|^2) with w = sum_{first <= j <= last} |xi|^(2j); first is 0 or 1."""
     g = field.grid
     power = np.abs(field.spectrum) ** 2
     while power.ndim > 3:
         power = power.sum(axis=0)
-    return float(np.sqrt(g.volume * np.sum(_sobolev_weight(g, first, last) * power)))
+    return float(np.sqrt(g.volume * np.sum(g.sobolev_weight(first, last) * power)))
 
 
 def sobolev_norm(field, k: int) -> float:

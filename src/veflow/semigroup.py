@@ -71,51 +71,51 @@ class BlockSystem:
         return float(np.sqrt(self.b))
 
 
+def _branches(mask, args, yes, no):
+    """(d, p11) from ``yes`` where ``mask`` holds and from ``no`` elsewhere, each run
+    on its own elements of ``args``, or on ``args`` themselves if it covers them all."""
+    every = mask.all()
+    if every or not mask.any():
+        return (yes if every else no)(*args)
+    d, p11 = np.empty(mask.shape), np.empty(mask.shape)
+    for m, branch in ((mask, yes), (~mask, no)):
+        d[m], p11[m] = branch(*(a[m] for a in args))
+    return d, p11
+
+
 def block_entries(nu: float, b: float, r: np.ndarray, t: float):
     """Real entries (p11, p12, p21, p22) of e^{tA(r)}, vectorized over r >= 0.
 
     Each branch, and each side of _SMALL_DIFF, runs on its own radii only.
     """
+
+    def oscillatory(s, q):  # kappa = sigma +- i beta
+        beta = np.sqrt(-q) * 0.5
+        env = np.exp(s * t)
+        d = env * t * np.sinc(beta * t / np.pi)
+        return d, env * np.cos(beta * t) - s * d
+
+    def overdamped(s, q):  # kappa- = sigma - h, kappa+ = sigma + h
+        h = np.sqrt(q) * 0.5
+        km = s - h
+        dk_t = 2.0 * h * t
+        return _branches(dk_t > _SMALL_DIFF, (km, h, np.exp(km * t), dk_t), apart, near)
+
+    def apart(km, h, exp_km, z):
+        d = (np.exp((km + 2.0 * h) * t) - exp_km) / (2.0 * h)
+        return d, exp_km - km * d
+
+    def near(km, h, exp_km, z):
+        # stable difference quotient near coalescence: expm1(z)/z -> 1 as z -> 0
+        d = exp_km * t * np.where(z > 0.0, np.expm1(z) / np.where(z > 0.0, z, 1.0), 1.0)
+        return d, exp_km - km * d
+
     r = np.asarray(r, dtype=float)
     r2 = r * r
     disc = (nu * r2) ** 2 - 4.0 * b * r2
     sigma = -0.5 * nu * r2
-    d = np.empty_like(r)
-    p11 = np.empty_like(r)
-
-    # oscillatory branch: kappa = sigma +- i beta
-    osc = disc < 0.0
-    if osc.any():
-        s = sigma[osc]
-        beta = np.sqrt(-disc[osc]) * 0.5
-        env = np.exp(s * t)
-        d_osc = env * t * np.sinc(beta * t / np.pi)
-        d[osc] = d_osc
-        p11[osc] = env * np.cos(beta * t) - s * d_osc
-
-    # overdamped branch: kappa- = sigma - h, kappa+ = sigma + h
-    over = ~osc
-    if over.any():
-        h = np.sqrt(disc[over]) * 0.5
-        km = sigma[over] - h
-        dk_t = 2.0 * h * t
-        exp_km = np.exp(km * t)
-        d_over = np.empty_like(h)
-        big = dk_t > _SMALL_DIFF
-        hb = h[big]
-        d_over[big] = (np.exp((km[big] + 2.0 * hb) * t) - exp_km[big]) / (2.0 * hb)
-        # stable difference quotient near coalescence: expm1(z)/z -> 1 as z -> 0
-        small = ~big
-        z = dk_t[small]
-        phi = np.where(z > 0.0, np.expm1(z) / np.where(z > 0.0, z, 1.0), 1.0)
-        d_over[small] = exp_km[small] * t * phi
-        d[over] = d_over
-        p11[over] = exp_km - km * d_over
-
-    p12 = -r * d
-    p21 = b * r * d
-    p22 = p11 - nu * r2 * d
-    return p11, p12, p21, p22
+    d, p11 = _branches(disc < 0.0, (sigma, disc), oscillatory, overdamped)
+    return p11, -r * d, b * r * d, p11 - nu * r2 * d
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
 ``h2_distance`` and ``rhs_spectra`` are checked against."""
 
+import dataclasses
 import logging
 import tracemalloc
 
@@ -14,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from veflow import (
+    BlockSystem,
     DisplacementSpec,
     FlowState,
     FourierMode,
@@ -23,19 +25,23 @@ from veflow import (
     VectorField,
     cfl_dt,
     div,
+    eta_profile,
+    gaussian_profile,
     inner_product,
     laplacian,
+    lowerbound_profiles,
     make_params,
     phys_to_pert,
     piola_ic,
     sample_row,
     step,
+    whole_space_norm,
 )
 from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
 from veflow.operators import apply_multiplier, sobolev_norm
 from veflow.params import guard_positive_density
-from veflow.semigroup import LinearPropagator
+from veflow.semigroup import _SMALL_DIFF, LinearPropagator
 from veflow.snapshot import _read_triple
 from veflow.sources import _dealiased, _gradient, _rho_f_of
 from veflow.state import IDENTITY, MEAN_WARN
@@ -239,6 +245,40 @@ def einsum_apply(prop, n_hat, v_hat, e_hat):
     return n1, v1, e1
 
 
+def masked_block_entries(nu: float, b: float, r: np.ndarray, t: float):
+    """``block_entries`` written out with a masked subset per branch, also when
+    the branch covers all or none of the radii: the bits it must keep."""
+    r = np.asarray(r, dtype=float)
+    r2 = r * r
+    disc = (nu * r2) ** 2 - 4.0 * b * r2
+    sigma = -0.5 * nu * r2
+    d = np.empty_like(r)
+    p11 = np.empty_like(r)
+    osc = disc < 0.0
+    s = sigma[osc]
+    beta = np.sqrt(-disc[osc]) * 0.5
+    env = np.exp(s * t)
+    d_osc = env * t * np.sinc(beta * t / np.pi)
+    d[osc] = d_osc
+    p11[osc] = env * np.cos(beta * t) - s * d_osc
+    over = ~osc
+    h = np.sqrt(disc[over]) * 0.5
+    km = sigma[over] - h
+    dk_t = 2.0 * h * t
+    exp_km = np.exp(km * t)
+    d_over = np.empty_like(h)
+    big = dk_t > _SMALL_DIFF
+    hb = h[big]
+    d_over[big] = (np.exp((km[big] + 2.0 * hb) * t) - exp_km[big]) / (2.0 * hb)
+    small = ~big
+    z = dk_t[small]
+    phi = np.where(z > 0.0, np.expm1(z) / np.where(z > 0.0, z, 1.0), 1.0)
+    d_over[small] = exp_km[small] * t * phi
+    d[over] = d_over
+    p11[over] = exp_km - km * d_over
+    return p11, -r * d, b * r * d, p11 - nu * r2 * d
+
+
 def traced_peak(fn) -> int:
     """Peak traced bytes above the level at the call, over one call of ``fn``
     (numpy reports its array buffers to tracemalloc)."""
@@ -270,6 +310,28 @@ def step_memory(n: int) -> tuple[float, float]:
     step_peak = traced_peak(lambda: step(state, params, dt, True, *props))
     fresh = step(state, params, dt, True, *props)
     return step_peak / size, traced_peak(lambda: sample_row(fresh)) / size
+
+
+def whole_space_nodes() -> int:
+    """Integrand nodes that the eight default whole-space series evaluate, counted
+    through ``profile.first``: ``linear-decay``'s k = 0 and 1 norms of both blocks
+    on log:1:1e4:64, and both components of ``lower-bound`` at c0 = 1 and at
+    eta = 1 on log:10:1e4:64, all at width 1 and the default parameters."""
+    params = make_params()
+    comp, shear = BlockSystem.compressible(params), BlockSystem.shear(params)
+    gauss = gaussian_profile(amp_first=1.0, amp_second=1.0)
+    decay, band = np.logspace(0.0, 4.0, 64), np.logspace(1.0, 4.0, 64)
+    plan = ((comp, gauss, decay, "k"), (shear, gauss, decay, "k"),
+            (comp, lowerbound_profiles(1.0), band, "component"),
+            (comp, eta_profile(1.0), band, "component"))
+    seen = []
+    for system, profile, tgrid, key in plan:
+        first = profile.first
+        counted = dataclasses.replace(profile, first=lambda r: seen.append(np.size(r)) or first(r))
+        for value in (0, 1):
+            for t in tgrid:
+                whole_space_norm(counted, system, float(t), **{key: value})
+    return sum(seen)
 
 
 # ---------------------------------------------------------------------------

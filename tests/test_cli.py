@@ -3,6 +3,7 @@
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -571,11 +572,14 @@ class TestFit:
     @pytest.mark.parametrize("text", ["", "t,a\n1,2\n3\n"], ids=["empty", "short-row"])
     def test_malformed_csv_usage_error(self, tmp_path, capsys, text):
         """Text that is no table (an empty file, a row with a missing column) is
-        reported as a usage error, exit 2, not raised."""
+        reported as a usage error, exit 2, not raised, and with no warning besides."""
         csv = tmp_path / "bad.csv"
         csv.write_text(text)
-        assert main(["fit", "--csv", str(csv), "--column", "a"]) == 2
-        assert f"{csv} is not a time-series CSV" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--csv", str(csv), "--column", "a"]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == f"usage error: {csv} is not a time-series CSV\n"
 
     def test_fit_of_simulate_csv(self, tmp_path, modefile, capsys):
         out = tmp_path / "runfit"

@@ -257,3 +257,32 @@ class TestBatchedRefinement:
                 m.setattr(quadrature, "_RTOL", 1e-12)
                 tight = whole_space_norm(prof, system, 1e5, k=k)
             assert got == pytest.approx(tight, rel=1e-8), k
+
+
+def _fine_layout_norm(profile, system, t, k=0, component=None):
+    """GL20 over panels laid out here, with no use of the seeds: uniform core panels
+    of a third of the seed width pi / (sqrt(b) t) or less, out to where exp(-nu r^2 t)
+    is e^-100, then panels that grow by 10% out to 12 envelope widths."""
+    f = quadrature._integrand_factory(profile, system, t, k, component)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    r_max = 12.0 * profile.env_width
+    r_core = min(r_max, np.sqrt(100.0 / (system.nu * t))) if t > 0.0 else r_max
+    h = min(np.pi / (3.0 * np.sqrt(system.b) * max(t, 1.0)), r_core / 1536.0)
+    core = np.linspace(0.0, r_core, int(np.ceil(r_core / h)) + 1)
+    tail = r_core * 1.1 ** np.arange(1, 1 + int(np.ceil(np.log(r_max / r_core) / np.log(1.1))))
+    edges = np.concatenate((core, tail))
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+    return np.sqrt(np.sum(half * (f(mid[:, None] + half[:, None] * nodes) @ weights)))
+
+
+class TestIndependentLayout:
+    @pytest.mark.parametrize("block", ["compressible", "shear"])
+    def test_default_linear_decay_grid(self, block):
+        system = getattr(BlockSystem, block)(make_params())
+        prof = gaussian_profile(amp_first=1.0, amp_second=0.7)
+        for t in _parse_tgrid("log:1:1e4:64"):
+            for k in (0, 1):
+                for component in (None, 0, 1):
+                    got = whole_space_norm(prof, system, t, k=k, component=component)
+                    want = _fine_layout_norm(prof, system, t, k=k, component=component)
+                    assert got == pytest.approx(want, rel=1e-12), (t, k, component)

@@ -15,6 +15,7 @@ from helpers import (
     even_n,
     hermitian_defect,
     hodge_decompose,
+    masked_block_entries,
     random_spectra,
     same_bits,
     single_mode_state,
@@ -166,6 +167,37 @@ class TestPropagator:
             for got, want in zip(block_entries(comp.nu, comp.b, np.asarray(x), t), batch):
                 assert got.shape == ()
                 assert same_bits(got, np.asarray(want[i])), (x, t)
+
+    @pytest.mark.parametrize("t", [0.0, cfl_dt(Grid(32), make_params()), 1e5], ids=["0", "cfl", "1e5"])
+    @pytest.mark.parametrize("block", BLOCKS, ids=lambda s: s.kind)
+    def test_entries_match_masked_oracle(self, block, t):
+        """Running a branch unmasked when it covers every radius keeps the bits of
+        the masked form, on all-oscillatory, all-overdamped and mixed radii."""
+        def disc(r):
+            return (block.nu * r**2) ** 2 - 4.0 * block.b * r**2
+
+        rs = block.confluent_radius
+        osc = np.linspace(0.001 * rs, 0.999 * rs, 17)  # r = 0 is on the overdamped side
+        ladder = rs * (1.0 + np.logspace(-16.0, -1.0, 61))  # just past r*
+        dk_t = np.sqrt(disc(ladder)) * t
+        assert np.all(disc(osc) < 0.0) and np.all(disc(ladder) >= 0.0)
+        if 0.0 < t < 1.0:  # the ladder straddles _SMALL_DIFF at the CFL step
+            assert np.any(dk_t > _SMALL_DIFF) and np.any((dk_t > 0.0) & (dk_t <= _SMALL_DIFF))
+        cases = {
+            "oscillatory": osc,
+            "overdamped": np.concatenate((ladder, np.linspace(1.1 * rs, 40.0 * rs, 17))),
+            "mixed": np.concatenate((np.linspace(0.0, 3.0 * rs, 31), [rs], ladder)),
+            "r*": np.array([rs]),
+            "zero": np.zeros(1),
+            "0-d osc": np.asarray(0.5 * rs),
+            "0-d r*": np.asarray(rs),
+            "0-d zero": np.asarray(0.0),
+            "0-d over": np.asarray(2.0 * rs),
+        }
+        for name, r in cases.items():
+            for got, want in zip(block_entries(block.nu, block.b, r, t),
+                                 masked_block_entries(block.nu, block.b, r, t)):
+                assert same_bits(np.asarray(got), np.asarray(want)), (name, t)
 
     def test_entries_real_and_finite_on_array(self, comp):
         r = np.linspace(0.0, 50.0, 400)

@@ -1,5 +1,7 @@
 """Grid, field, transform and Fourier-multiplier tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,6 +397,16 @@ class TestNormsAndProducts:
     def test_h0_equals_l2(self, grid16, rng):
         u = smooth_scalar(grid16, rng)
         assert sobolev_norm(u, 0) == pytest.approx(l2_norm(u), rel=1e-13)
+
+    def test_grid_freed_after_sobolev_norm(self, rng):
+        """The Sobolev weights are cached on their grid, so no cache keeps a grid
+        alive past its last use."""
+        grid = Grid(16)
+        ref = weakref.ref(grid)
+        u = smooth_scalar(grid, rng)
+        assert sobolev_norm(u, 2) > 0.0 and grid.sobolev_weight(0, 2) is grid.sobolev_weight(0, 2)
+        del grid, u
+        assert ref() is None
 
     def test_sobolev_rejects_bad_order(self, grid8):
         with pytest.raises(FieldError):
