@@ -147,6 +147,12 @@ class _BaseField:
         out.setflags(write=False)
         return out
 
+    def transient_samples(self) -> np.ndarray:
+        """:attr:`samples` when they are computed already, else the same values
+        computed for the caller only, and not kept on the field."""
+        cached = self.__dict__.get("samples")
+        return cached if cached is not None else to_samples(self.grid, self.spectrum)
+
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n}, L={self.grid.length:g})"
 

@@ -79,7 +79,10 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).  This
     is the one evaluator of the nonlinear sources.  Each source is formed in
     physical space, transformed and freed before the next one is formed, and
-    each gradient is freed after its last use.
+    each gradient is freed after its last use.  grad E is formed one row
+    dEi[l, j] = d_l E^{ij} at a time, which fills g^i and row i of h.  The
+    v and E samples are the state's cached views when it has them, else they
+    are formed for this call only and not kept on the state.
     """
     grid = state.grid
     n = state.n.samples
@@ -88,10 +91,11 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     # so slicing the cached spectra is free and irfftn recovers the samples
     half = grid.n // 2 + 1
     v_hat = state.v.spectrum[..., :half]
-    v = state.v.samples
-    E = state.E.samples
+    e_half = state.E.spectrum[..., :half]
+    v = state.v.transient_samples()
+    E = state.E.transient_samples()
 
-    # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i, dE[l, i, j] = d_l E^{ij}
+    # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i
     dn = _gradient(grid, state.n.spectrum[..., :half])
     dv = _gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
@@ -107,21 +111,23 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
     del visc_hat
-    dE = _gradient(grid, state.E.spectrum[..., :half])
-    g = params.a * np.einsum("jk...,jik...->i...", E, dE)
+    # g^i = a E^{jk} d_j E^{ik} and h^{ij} = d_k v^i E^{kj} - v^k d_k E^{ij}, one
+    # row i of grad E at a time: the full-tensor subscripts restricted to row i
+    h = np.einsum("ki...,kj...->ij...", dv, E)
+    g = np.empty(v.shape)
+    for i in range(3):
+        dEi = _gradient(grid, e_half[i])
+        np.multiply(params.a, np.einsum("jk...,jk...->...", E, dEi), out=g[i])
+        h[i] -= np.einsum("k...,kj...->j...", v, dEi)
+        del dEi  # before the next row allocates its own
     rho = 1.0 + n  # formed at its use: held across the gradients, it kept 24 MB more RSS at N = 64
     guard_positive_density(rho)
     g -= product(n / rho, visc)
     g -= np.einsum("j...,ji...->i...", v, dv)
     g -= product(pressure_coefficient(rho, params), dn)
-    del rho, visc, dn
+    del rho, visc, dn, dv
     g_v = _dealiased(grid, g, dealias)
     del g
-
-    h = np.einsum("ki...,kj...->ij...", dv, E)
-    del dv
-    h -= np.einsum("k...,kij...->ij...", v, dE)
-    del dE
     return g_n, g_v, _dealiased(grid, h, dealias)
 
 

@@ -18,8 +18,11 @@ Evaluation order and memory: every spectrum is freed after its last use,
 and K(dt) U is formed last, so it is not held through the two source
 evaluations.  Each sum is formed in the buffers of its scaled term
 (g *= dt/2; g += h, the bits of h + (dt/2) g, as IEEE * and + commute),
-which the new state then owns.  One step peaks about 4x the state's
-spectrum bytes above the state it starts from.
+which the new state then owns.  The propagator works one slab of kx-planes
+at a time, the sources form grad E one row at a time, and the v and E
+samples of a state that was never sampled are formed for each source
+evaluation only, not kept on the state.  One step peaks about 3.2x the
+state's spectrum bytes above the state it starts from.
 
 Constraints are monitored, never re-projected: residual drift is part of
 what the diagnostics are meant to expose.  A vacuum-guard breach aborts

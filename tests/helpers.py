@@ -7,6 +7,7 @@ and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
 ``h2_distance`` and ``rhs_spectra`` are checked against."""
 
+import contextlib
 import dataclasses
 import logging
 import tracemalloc
@@ -215,13 +216,20 @@ def r2_oracle(obj) -> float:
     return antisymmetric_slot_max(grid, first)
 
 
+def gathered_entries(prop) -> np.ndarray:
+    """The 8 block entries of a ``LinearPropagator`` on the full lattice, rows
+    p11, p12, p21, p22 of the compressible block and then of the shear block: its
+    per-radius table gathered through the grid's radius index."""
+    return np.take(prop._table, prop.grid.distinct_radii[1], axis=1)
+
+
 def einsum_apply(prop, n_hat, v_hat, e_hat):
-    """``LinearPropagator.apply_spectra`` in its batched form: the deformation
-    update built from two 9-component einsum outer products and the frozen part."""
+    """``LinearPropagator.apply_spectra`` in its batched form, on the whole lattice
+    at once: the deformation update built from two 9-component einsum outer
+    products and the frozen part."""
     rhat = prop._rhat
     a = prop.params.a
-    p11, p12, p21, p22 = prop._comp
-    q11, q12, q21, q22 = prop._shear
+    p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)
     vpar = np.einsum("j...,j...->...", rhat, v_hat)
     d0 = 1j * vpar
     c = np.einsum("ij...,j...->i...", e_hat, rhat)
@@ -279,20 +287,27 @@ def masked_block_entries(nu: float, b: float, r: np.ndarray, t: float):
     return p11, -r * d, b * r * d, p11 - nu * r2 * d
 
 
-def traced_peak(fn) -> int:
-    """Peak traced bytes above the level at the call, over one call of ``fn``
-    (numpy reports its array buffers to tracemalloc)."""
+@contextlib.contextmanager
+def _tracing():
+    """tracemalloc on for the block, and off after it unless it was on before."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
+        yield
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes above the level at the call, over one call of ``fn``
+    (numpy reports its array buffers to tracemalloc)."""
+    with _tracing():
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         fn()
         return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def step_memory(n: int) -> tuple[float, float]:
@@ -310,6 +325,19 @@ def step_memory(n: int) -> tuple[float, float]:
     step_peak = traced_peak(lambda: step(state, params, dt, True, *props))
     fresh = step(state, params, dt, True, *props)
     return step_peak / size, traced_peak(lambda: sample_row(fresh)) / size
+
+
+def propagator_retained(n: int) -> int:
+    """Traced bytes that one ``LinearPropagator`` at grid size n keeps after its
+    build, on a grid whose lattice arrays (unit wavevectors, radius index) an
+    earlier propagator has already cached."""
+    grid = Grid(n)
+    params = make_params()
+    LinearPropagator(grid, params, 0.1)
+    with _tracing():
+        base = tracemalloc.get_traced_memory()[0]
+        prop = LinearPropagator(grid, params, 0.2)  # alive while the level is read
+        return tracemalloc.get_traced_memory()[0] - base
 
 
 def whole_space_nodes() -> int:
@@ -497,8 +525,9 @@ def field_pressure_coefficient(n: ScalarField, params) -> ScalarField:
 
 
 def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
-    """``rhs_spectra`` with 1 + n formed three times and the pressure
-    coefficient taken from :func:`field_pressure_coefficient`."""
+    """``rhs_spectra`` with 1 + n formed three times, the pressure coefficient
+    taken from :func:`field_pressure_coefficient`, all 27 components of grad E
+    formed at once and the v and E samples read through the state's cache."""
     grid = state.grid
     n = state.n.samples
     guard_positive_density(1.0 + n)

@@ -13,9 +13,11 @@ from helpers import (
     dense_linear_generator,
     einsum_apply,
     even_n,
+    gathered_entries,
     hermitian_defect,
     hodge_decompose,
     masked_block_entries,
+    propagator_retained,
     random_spectra,
     same_bits,
     single_mode_state,
@@ -23,6 +25,7 @@ from helpers import (
     valid_params,
     zero_state,
 )
+import veflow.semigroup
 from veflow import (
     BlockSystem,
     Grid,
@@ -369,20 +372,27 @@ _times = st.floats(1e-6, 20.0)
 class TestComponentApply:
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
-    def test_bit_identical_to_einsum_form(self, n, alpha):
-        """The one-component-at-a-time deformation update rounds exactly as the
-        batched outer products did, on the half-step and the full-step propagator,
-        also on 2/3-masked spectra with exact zeros, where -0.0 and 0.0 differ."""
+    def test_bit_identical_to_einsum_form(self, monkeypatch, n, alpha):
+        """The slab-at-a-time, one-component-at-a-time update with entries gathered
+        per slab rounds exactly as the batched whole-lattice form, on the half-step
+        and the full-step propagator, also on 2/3-masked spectra with exact zeros,
+        where -0.0 and 0.0 differ: in one slab, and in slabs of n/2 - 1 kx-planes,
+        three of them with a ragged last one (3, 3, 2 at n = 8)."""
         grid = Grid(n)
         params = make_params(alpha=alpha)
         dt = cfl_dt(grid, params)
-        for seed in range(2):
-            spectra = random_spectra(grid, seed)
-            masked = tuple(x * grid.dealias_mask for x in spectra)
-            for prop in (LinearPropagator(grid, params, 0.5 * dt), LinearPropagator(grid, params, dt)):
-                for data in (spectra, masked):
-                    for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
-                        assert same_bits(got, want)
+        width = n // 2 - 1
+        assert -(-n // width) == 3 and n % width != 0
+        for slab_bytes in (veflow.semigroup._SLAB_BYTES, width * 16 * n * n):
+            monkeypatch.setattr(veflow.semigroup, "_SLAB_BYTES", slab_bytes)
+            for seed in range(2):
+                spectra = random_spectra(grid, seed)
+                masked = tuple(x * grid.dealias_mask for x in spectra)
+                for t in (0.5 * dt, dt):
+                    prop = LinearPropagator(grid, params, t)
+                    for data in (spectra, masked):
+                        for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
+                            assert same_bits(got, want)
 
 
 class TestEntriesPerRadius:
@@ -398,7 +408,9 @@ class TestEntriesPerRadius:
         dt = cfl_dt(grid, params)
         for t in (0.0, 0.5 * dt, dt):
             prop = LinearPropagator(grid, params, t)
-            for block, got in zip(BLOCKS, (prop._comp, prop._shear)):
+            assert prop._table.shape == (8, grid.distinct_radii[0].size)
+            entries = gathered_entries(prop)
+            for block, got in zip(BLOCKS, (entries[:4], entries[4:])):
                 want = block_entries(block.nu, block.b, grid.xi_mag, t)
                 assert all(same_bits(g, w) for g, w in zip(got, want))
 
@@ -406,6 +418,12 @@ class TestEntriesPerRadius:
         params = make_params()
         props = LinearPropagator(grid8, params, 0.1), LinearPropagator(grid8, params, 0.2)
         assert props[0]._rhat is props[1]._rhat is grid8.unit_xi
+
+    def test_propagator_retains_less_than_one_lattice_array(self):
+        """A propagator at N = 32 on a grid with its lattice cached keeps its
+        per-radius table only: under one float64 N^3 array (8 with the 8
+        entries gathered onto the lattice at build)."""
+        assert propagator_retained(32) < 32**3 * 8
 
 
 class TestGridSemigroupProperties:

@@ -33,7 +33,11 @@ from veflow import (
     make_params,
     piola_ic,
 )
+import veflow.fields
+from veflow.diagnostics import sample_row
+from veflow.fields import to_samples
 from veflow.sources import _half_sum_sq, rhs_spectra
+from veflow.state import phys_to_pert, state_from_spectra
 
 
 def full_spectrum_residuals(obj) -> np.ndarray:
@@ -115,20 +119,68 @@ class TestEvaluateSources:
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("n", [8, 12])
     def test_bit_identical_to_field_wrapped_form(self, n, dealias, gamma):
-        """One density array, guarded once, gives the bits of the form that
-        formed 1 + n three times and wrapped the pressure coefficient in a field."""
+        """One density array, guarded once, and grad E one row at a time give the
+        bits of the form that formed 1 + n three times, wrapped the pressure
+        coefficient in a field and formed all 27 components of grad E at once,
+        on a sampled state and on one assembled from spectra, whose v and E
+        samples are formed for the call only."""
         params = make_params(gamma=gamma, lam=0.3, alpha=1.7, pressure_scale=1.3)
-        st = smooth_state(Grid(n), np.random.default_rng(n), amp=0.2, kmax=n // 3)
-        for got, want in zip(
-            rhs_spectra(st, params, dealias), field_wrapped_rhs_spectra(st, params, dealias)
-        ):
-            assert same_bits(got, want)
+        sampled = smooth_state(Grid(n), np.random.default_rng(n), amp=0.2, kmax=n // 3)
+        for st in (sampled, unsampled(sampled)):
+            got = rhs_spectra(st, params, dealias)
+            for g, want in zip(got, field_wrapped_rhs_spectra(st, params, dealias)):
+                assert same_bits(g, want)
 
     def test_dealias_toggle_changes_high_modes_only(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01, kmax=3)
         raw, _, _ = rhs_spectra(st, params, dealias=False)
         cut, _, _ = rhs_spectra(st, params, dealias=True)
         assert np.max(np.abs((raw - cut) * grid8.dealias_mask)) < 1e-16
+
+
+def unsampled(st: FlowState) -> FlowState:
+    """``st`` assembled anew from copies of its spectra, as a step assembles its
+    states: only n's samples are computed (by the vacuum check)."""
+    return state_from_spectra(st.grid, *(f.spectrum.copy() for f in st.fields()), st.time)
+
+
+class TestTransientSamples:
+    """rhs_spectra reads the v and E samples a state has cached and forms the
+    ones it lacks for the call only."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """Spectra passed to ``to_samples``, the transform behind every field's samples."""
+        seen = []
+
+        def counting(grid, spectrum):
+            seen.append(spectrum)
+            return to_samples(grid, spectrum)
+
+        monkeypatch.setattr(veflow.fields, "to_samples", counting)
+        return seen
+
+    @staticmethod
+    def _state(grid, params):
+        initial = phys_to_pert(piola_ic(generic_piola_spec(1e-3), grid, params), params, warn=False)
+        return unsampled(initial)
+
+    def test_unsampled_state_keeps_none(self, grid8, params, transforms):
+        st = self._state(grid8, params)
+        transforms.clear()
+        rhs_spectra(st, params)
+        assert len(transforms) == 2
+        assert transforms[0] is st.v.spectrum and transforms[1] is st.E.spectrum
+        assert "samples" not in vars(st.v) and "samples" not in vars(st.E)
+
+    def test_sampled_state_transforms_nothing(self, grid8, params, transforms):
+        st = self._state(grid8, params)
+        sample_row(st)
+        views = st.v.samples, st.E.samples
+        transforms.clear()
+        rhs_spectra(st, params)
+        assert not any(x is st.v.spectrum or x is st.E.spectrum for x in transforms)
+        assert st.v.samples is views[0] and st.E.samples is views[1]
 
 
 class TestLongitudinalIdentity:
