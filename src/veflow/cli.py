@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import MIN_FIT_SAMPLES, DuhamelDeviation, decay_fit
+from .diagnostics import MIN_FIT_SAMPLES, DuhamelDeviation, csv_line, decay_fit
 from .errors import InitialDataError, ParameterError, VeflowError
 from .grid import Grid
 from .initial import lowerbound_profiles, eta_profile, parse_mode_file, piola_ic
+from .oracles import rk4_block_expm
 from .params import ModelParams, make_params
 from .quadrature import gaussian_profile, whole_space_norm
 from .semigroup import BlockSystem, Propagator2x2
@@ -88,14 +89,16 @@ def _make_params(args) -> ModelParams:
     return make_params(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ModelParams)})
 
 
-def _read_modes(path) -> str:
-    """Mode-file text: an unreadable path is a usage error, non-UTF-8 bytes bad data."""
+def _read_modes(path) -> tuple:
+    """Mode-file text and its parsed spec: an unreadable path is a usage error,
+    non-UTF-8 bytes or a malformed line bad data."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParameterError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise InitialDataError(f"{path} is not a UTF-8 mode file: {exc}") from None
+    return text, parse_mode_file(text)
 
 
 # parsed names that route the command rather than shape what it computes
@@ -103,8 +106,8 @@ _UNRECORDED = ("func", "command", "out", "verbose")
 
 
 def _write_manifest(out: Path, args, input_bytes: bytes = b"", **derived) -> None:
-    """Record every parsed flag plus the ``derived`` values, hashed together
-    with the input bytes (mode-file text or snapshot field data)."""
+    """Record every parsed flag plus the ``derived`` values, hashed together with the
+    input bytes (mode-file text or snapshot field data); an unwritable --out is a usage error."""
     resolved = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
     resolved.update(derived)
     blob = json.dumps(resolved, sort_keys=True, allow_nan=False).encode() + input_bytes
@@ -115,8 +118,11 @@ def _write_manifest(out: Path, args, input_bytes: bytes = b"", **derived) -> Non
         "content_hash": hashlib.sha1(blob).hexdigest(),
         "started_at": _time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out: {exc}") from None
 
 
 def _write_summary(out: Path, payload: dict) -> None:
@@ -158,11 +164,7 @@ def _norm_series(profile, system: BlockSystem, tgrid, **kw) -> list[float]:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Each value as the repr of a Python float, which reads back exactly."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    path.write_text(header + "\n" + "".join(map(csv_line, rows)), encoding="ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +174,8 @@ def _cmd_make_ic(args) -> int:
     out = Path(args.out)
     params = _make_params(args)
     grid = Grid(args.n, args.box)
-    text = _read_modes(args.modes)
-    spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
-    phys = piola_ic(spec, grid, params)
+    text, spec = _read_modes(args.modes)
+    phys = piola_ic(spec.scaled(args.delta, args.delta_u), grid, params)
     pert = phys_to_pert(phys, params, warn=False)
     _write_manifest(out, args, text.encode())
     write_phys(out, phys)
@@ -213,10 +214,9 @@ def _cmd_simulate(args) -> int:
         for k, default in _IC_DEFAULTS.items():
             if getattr(args, k) is None:
                 setattr(args, k, default)
-        text = _read_modes(ic_path)
+        text, spec = _read_modes(ic_path)
         input_bytes = text.encode()
-        spec = parse_mode_file(text).scaled(args.delta, args.delta_u)
-        phys = piola_ic(spec, Grid(args.n, args.box), params)
+        phys = piola_ic(spec.scaled(args.delta, args.delta_u), Grid(args.n, args.box), params)
     grid = phys.grid
     initial = phys_to_pert(phys, params, warn=False)
     dt = args.dt if args.dt is not None else cfl_dt(grid, params, args.cfl_safety)
@@ -293,10 +293,13 @@ def _cmd_lower_bound(args) -> int:
     else:
         profile = eta_profile(args.eta, width=args.width)
     tgrid = _parse_tgrid(args.t_grid)
+    try:
+        weights = [(1.0 + float(t)) ** (-args.target) for t in tgrid]
+    except OverflowError:
+        raise ParameterError(f"--target {args.target:g}: a band weight overflows") from None
     _write_manifest(out, args)
     first = _norm_series(profile, system, tgrid, component=0)
     second = _norm_series(profile, system, tgrid, component=1)
-    weights = [(1.0 + float(t)) ** (-args.target) for t in tgrid]
     csv_path = out / "lowerbound.csv"
     _write_csv(
         csv_path,
@@ -341,8 +344,7 @@ def _cmd_duhamel(args) -> int:
     grid = Grid(args.n, args.box)
     if not args.t_end > 0.0:
         raise ParameterError(f"--t-end must be positive for a comparison, got {args.t_end}")
-    text = _read_modes(args.ic)
-    spec = parse_mode_file(text)
+    text, spec = _read_modes(args.ic)
     initials = [
         phys_to_pert(piola_ic(spec.scaled(delta), grid, params), params, warn=False)
         for delta in (args.delta, 0.5 * args.delta)
@@ -372,8 +374,6 @@ def _cmd_duhamel(args) -> int:
 
 
 def _cmd_semigroup_check(args) -> int:
-    from .oracles import rk4_block_expm
-
     params = _make_params(args)
     kinds = ("compressible", "shear") if args.system == "both" else (args.system,)
     systems = [getattr(BlockSystem, kind)(params) for kind in kinds]
@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_model_flags(p)
     p.add_argument("--modes", required=True, help="mode-list file (phi/u lines)")
-    p.add_argument("--delta", type=_finite(), default=1.0, help="displacement amplitude scale")
+    p.add_argument(
+        "--delta", type=_finite(), default=_IC_DEFAULTS["delta"], help="displacement amplitude scale"
+    )
     p.add_argument("--delta-u", type=_finite(), default=None, help="velocity amplitude scale")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_ic)

@@ -49,6 +49,11 @@ CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 D2 = 4.0  # weight of the leading term of M
 
 
+def csv_line(values) -> str:
+    """One CSV line, each value as the repr of a Python float, which reads back exactly."""
+    return ",".join(repr(float(x)) for x in values) + "\n"
+
+
 @dataclass
 class LyapunovValue:
     total: float
@@ -134,20 +139,11 @@ class TimeSeriesRecord:
         times = self.columns["t"]
         if times and row["t"] <= times[-1]:
             raise VeflowError("sample times must be strictly increasing")
-        # trapezoid accumulation of the dissipation integrals
-        if times:
+        stored = dict(row, diss_acc1=0.0, diss_acc2=0.0)
+        if times:  # trapezoid accumulation of the dissipation integrals
             dt = row["t"] - times[-1]
-            acc1 = self.columns["diss_acc1"][-1] + 0.5 * dt * (
-                row["diss1_inst"] + self.columns["diss1_inst"][-1]
-            )
-            acc2 = self.columns["diss_acc2"][-1] + 0.5 * dt * (
-                row["diss2_inst"] + self.columns["diss2_inst"][-1]
-            )
-        else:
-            acc1 = acc2 = 0.0
-        stored = dict(row)
-        stored["diss_acc1"] = acc1
-        stored["diss_acc2"] = acc2
+            for acc, rate in (("diss_acc1", "diss1_inst"), ("diss_acc2", "diss2_inst")):
+                stored[acc] = self.columns[acc][-1] + 0.5 * dt * (row[rate] + self.columns[rate][-1])
         for name in _ALL_COLUMNS:
             self.columns[name].append(stored[name])
 
@@ -155,8 +151,8 @@ class TimeSeriesRecord:
         return len(self.columns["t"])
 
     def csv_row(self, i: int) -> str:
-        """Line of sample ``i`` in the CSV table, every value written with repr."""
-        return ",".join(repr(float(self.columns[c][i])) for c in CSV_COLUMNS) + "\n"
+        """Line of sample ``i`` in the CSV table."""
+        return csv_line(self.columns[c][i] for c in CSV_COLUMNS)
 
 
 _ALL_COLUMNS = CSV_COLUMNS + ("diss1_inst", "diss2_inst", "Lp4", "Lp6")

@@ -112,19 +112,18 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
     u_scale = spec.scale if spec.u_scale is None else spec.u_scale
     u = build_vector_field(grid, spec.u_modes, u_scale)
 
-    # A = I + grad phi with (grad phi)^{ij} = d_j phi^i, one component at a time
-    gphi = np.empty((3, 3) + grid.shape)
+    # grad phi, (grad phi)^{ij} = d_j phi^i, one component at a time; I is added below
+    A = np.empty((3, 3) + grid.shape)
     for i, j in np.ndindex(3, 3):
-        gphi[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi.spectrum[i]))
-    sup = float(np.sqrt((gphi**2).sum(axis=(0, 1))).max())
+        A[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi.spectrum[i]))
+    sup = float(np.sqrt((A**2).sum(axis=(0, 1))).max())
     if sup >= 1.0:
         raise InitialDataError(
             f"displacement too large: ||grad phi||_Linf = {sup:.4g} >= 1 "
             "(I + grad phi may be singular)"
         )
-    A = gphi.copy()
     for i in range(3):
-        A[i, i] += 1.0
+        A[i, i] += 1.0  # A = I + grad phi, in place
 
     det = det3(A)
     if float(det.min()) <= 0.0:

@@ -68,7 +68,7 @@ _MAX_DEPTH = 48
 _CHUNK = 128  # panels per integrand call: bounds the node temporaries at 2688 values
 _MAX_PANELS = 2**16  # live panels per bisection level
 _RTOL = 1e-8  # error budget relative to the seed panels' total
-_TAIL_TOL = 1e-290  # integrand tail left out past the tail radius: nothing an O(1) prefactor shows
+_LOG_TAIL_TOL = math.log(1e-290)  # log of the tail left out: nothing an O(1) prefactor shows
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,17 @@ class RadialProfile:
         return np.asarray(self.first(r), dtype=float), np.asarray(self.second(r), dtype=float)
 
     def tail_radius(self, k: int, bound: float) -> float:
-        """Radius, at least 1, beyond which the integrand tail is below ``_TAIL_TOL``."""
+        """Radius, at least 1, beyond which the integrand tail is below 1e-290, in logs."""
         if not math.isfinite(self.env_width) or self.env_width <= 0.0:
             raise QuadratureError(f"{self.label}: envelope does not decay, integral rejected")
         w = self.env_width
         m = 2 * k + 2 + 2 * self.env_eta
-        amp2 = (bound * self.env_amp) ** 2
+        log_amp2 = 2.0 * math.log(bound * self.env_amp)
         r = max(4.0 * w, 1.0)
         for _ in range(200):
             # crude but safe: tail(R) <= amp2 * R^m e^{-R^2/w^2} * w * (1 + m w / R)
-            g = amp2 * r**m * math.exp(-(r / w) ** 2) * w * (1.0 + m * w / r)
-            if g < _TAIL_TOL:
+            log_g = log_amp2 + m * math.log(r) - (r / w) * (r / w)
+            if log_g + math.log(w * (1.0 + m * w / r)) < _LOG_TAIL_TOL:
                 return r
             r *= 1.25
         raise QuadratureError(f"{self.label}: could not bound the integrand tail")
@@ -121,9 +121,9 @@ def gaussian_profile(
         if amp == 0.0:
             return lambda r: np.zeros_like(np.asarray(r, dtype=float))
         if eta == 0.0:
-            return lambda r: amp * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * width**2))
+            return lambda r: amp * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * width * width))
         return lambda r: amp * np.asarray(r, dtype=float) ** eta * np.exp(
-            -np.asarray(r, dtype=float) ** 2 / (2.0 * width**2)
+            -np.asarray(r, dtype=float) ** 2 / (2.0 * width * width)
         )
 
     env_amp = max(abs(amp_first), abs(amp_second))
@@ -162,11 +162,12 @@ def _kronrod(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     out = np.empty((a.size, 2))
-    for lo in range(0, a.size, _CHUNK):
-        hi = lo + _CHUNK
-        nodes = mid[lo:hi, None] + half[lo:hi, None] * _NODES
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        out[lo:hi] = half[lo:hi, None] * (vals @ _WEIGHTS)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, raised below
+        for lo in range(0, a.size, _CHUNK):
+            hi = lo + _CHUNK
+            nodes = mid[lo:hi, None] + half[lo:hi, None] * _NODES
+            vals = f(nodes.ravel()).reshape(nodes.shape)
+            out[lo:hi] = half[lo:hi, None] * (vals @ _WEIGHTS)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("integrand is not finite on the quadrature nodes")
     return out[:, 0], np.abs(out[:, 0] - out[:, 1])

@@ -83,11 +83,14 @@ def _write_triple(directory, fields, names, prefix: str) -> list[Path]:
 
 
 def _read_triple(directory, names, prefix: str) -> list:
-    """Read three snapshot files, all on the first file's grid."""
-    directory = Path(directory)
-    first = read_field(directory / f"{prefix}_{names[0]}.cvf")
-    rest = [read_field(directory / f"{prefix}_{name}.cvf", first.grid) for name in names[1:]]
-    return [first, *rest]
+    """Read three snapshot files of ranks 0, 1 and 2, all on the first file's grid."""
+    fields = []
+    for rank, name in enumerate(names):
+        path = Path(directory) / f"{prefix}_{name}.cvf"
+        fields.append(read_field(path, fields[0].grid if fields else None))
+        if fields[-1].rank != rank:
+            raise FieldError(f"{path}: rank {fields[-1].rank} snapshot, need rank {rank}")
+    return fields
 
 
 def write_state(directory, state: FlowState, prefix: str = "state") -> list[Path]:

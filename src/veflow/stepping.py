@@ -42,6 +42,7 @@ from .errors import ParameterError, VacuumError
 from .grid import Grid
 from .params import ModelParams
 from .semigroup import BlockSystem, LinearPropagator
+from .snapshot import write_state
 from .sources import constraint_residuals, rhs_spectra
 from .state import FlowState, state_from_spectra
 
@@ -93,14 +94,15 @@ def step(
     full_prop: LinearPropagator | None = None,
     sources: bool = True,
 ) -> FlowState:
-    """One exponential-midpoint step of size dt."""
+    """One exponential-midpoint step of size dt; ``half_prop`` and ``full_prop`` are
+    K(dt/2) and K(dt), built here when None.  Without sources it is ``full_prop(state)``."""
     grid = state.grid
     if full_prop is None:
         full_prop = LinearPropagator(grid, params, dt)
-    spectra = state.n.spectrum, state.v.spectrum, state.E.spectrum
     if not sources:
-        return state_from_spectra(grid, *full_prop.apply_spectra(*spectra), state.time + dt)
+        return full_prop(state)
 
+    spectra = state.n.spectrum, state.v.spectrum, state.E.spectrum
     if half_prop is None:
         half_prop = LinearPropagator(grid, params, 0.5 * dt)
     # U_mid = K(dt/2) U + (dt/2) G(U), summed into the buffers of G(U)
@@ -132,8 +134,9 @@ def run(
     csv_path=None,
     dump_dir=None,
 ) -> TimeSeriesRecord:
-    """March the system to t_end, sampling diagnostics every ``output_every`` steps;
-    each of ``sinks`` is called once with every sampled state, in order."""
+    """March the system to t_end in one ``step`` call per step, sampling diagnostics every
+    ``output_every`` steps; a short last step builds its own propagators.  Each of
+    ``sinks`` is called once with every sampled state, in order."""
     grid = initial.grid
     check_cfl(grid, params, config.dt)
 
@@ -160,7 +163,7 @@ def run(
             "initial data violates the material constraints (residual %.3e)", worst
         )
 
-    n_steps = int(np.ceil(config.t_end / config.dt - 1e-12)) if config.t_end > 0 else 0
+    n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
     half_prop = LinearPropagator(grid, params, 0.5 * config.dt)
     full_prop = LinearPropagator(grid, params, config.dt)
 
@@ -169,20 +172,16 @@ def run(
         emit(state, initial_residuals)
         for k in range(n_steps):
             dt = min(config.dt, config.t_end - k * config.dt)
-            if dt < config.dt * (1.0 - 1e-9):
-                state = step(state, params, dt, config.dealias, sources=config.sources)
+            if dt < config.dt * (1.0 - 1e-9):  # a short last step builds its own pair
+                half_prop = full_prop = None
             else:
-                state = step(
-                    state, params, config.dt, config.dealias, half_prop, full_prop,
-                    sources=config.sources,
-                )
+                dt = config.dt
+            state = step(state, params, dt, config.dealias, half_prop, full_prop, config.sources)
             if (k + 1) % config.output_every == 0 or k == n_steps - 1:
                 emit(state)
     except VacuumError as exc:
         logger.error("run aborted at t = %.6g: %s", state.time, exc)
         if dump_dir is not None:
-            from .snapshot import write_state
-
             write_state(dump_dir, state, prefix="abort")
         raise
     finally:

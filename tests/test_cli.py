@@ -205,6 +205,20 @@ class TestSimulate:
         assert main(["simulate", "--t-end", "0.1", "--ic", str(ic_dir), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("slot, rank", [("u", 1), ("F", 2)])
+    def test_wrong_rank_snapshot_exit_code(self, tmp_path, modefile, capsys, slot, rank):
+        """A snapshot file whose rank does not match its slot (here a copy of ic_rho)
+        is bad data, exit 3, named with the rank it needs, before any output."""
+        ic_dir = tmp_path / "ic"
+        main(["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(ic_dir)])
+        shutil.copyfile(ic_dir / "ic_rho.cvf", ic_dir / f"ic_{slot}.cvf")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["simulate", "--t-end", "0.1", "--ic", str(ic_dir), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"ic_{slot}.cvf: rank 0 snapshot, need rank {rank}" in err
+        assert not out.exists()
+
     def test_linear_flag(self, tmp_path, modefile):
         out = tmp_path / "lin"
         rc = main(
@@ -278,6 +292,49 @@ class TestLowerBound:
         assert len(lines) == 9
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 < summary["comp1"]["band_low"] <= summary["comp1"]["band_high"]
+
+
+_OUT_COMMANDS = ("make-ic", "simulate", "linear-decay", "lower-bound", "duhamel")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+def test_uncreatable_out_usage_error(tmp_path, modefile, capsys, command, under):
+    """An --out that is a regular file, or lies under one, is a usage error: exit 2
+    with one line naming --out, not an OSError traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    out = taken / "sub" if under else taken
+    capsys.readouterr()
+    assert main([*_cheap(command, modefile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write --out: ") and err.count("\n") == 1
+    assert taken.read_text() == "a regular file\n"
+
+
+# (subcommand, flag, finite positive value past what a Python float power takes,
+# exit code): 3 where the quadrature meets a non-finite integrand, 2 where all
+# norms vanish and the fit rejects them, or where a band weight overflows
+_EXTREME = [
+    ("linear-decay", "--width", "1e200", 3),
+    ("linear-decay", "--width", "1e-200", 2),
+    ("lower-bound", "--eta", "400", 3),
+    ("lower-bound", "--c0", "1e200", 3),
+    ("lower-bound", "--target", "-1e10", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, code", _EXTREME, ids=[f"{c}{f}={v}" for c, f, v, _ in _EXTREME]
+)
+def test_extreme_profile_flag_exit_code(tmp_path, modefile, capsys, command, flag, value, code):
+    """An extreme profile flag ends in exit 2 or 3, with no traceback and no warning."""
+    argv = [*_cheap(command, modefile), f"{flag}={value}", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert not caught, [str(w.message) for w in caught]
+    assert ("usage error" if code == 2 else "numerical abort") in capsys.readouterr().err
 
 
 # (subcommand with its required flags, flag, bad value)

@@ -34,7 +34,7 @@ from veflow import (
     run,
     sample_row,
 )
-from veflow.diagnostics import CSV_COLUMNS, TimeSeriesRecord, h2_distance
+from veflow.diagnostics import CSV_COLUMNS, TimeSeriesRecord, csv_line, h2_distance
 from veflow.errors import VeflowError
 from veflow.semigroup import LinearPropagator
 from veflow.state import state_from_spectra
@@ -156,6 +156,27 @@ class TestRecord:
         rec.add(row)
         with pytest.raises(VeflowError):
             rec.add(dict(row))
+
+    def test_trapezoid_accumulators(self, grid8):
+        """Each dissipation accumulator adds 0.5 dt (rate + previous rate), in that order."""
+        rec = TimeSeriesRecord()
+        rates = [(0.3, 1.7), (0.1, 2.9), (0.7, 0.2)]
+        for t, (d1, d2) in zip((0.0, 0.1, 0.35), rates):
+            rec.add(dict(sample_row(zero_state(grid8)), t=t, diss1_inst=d1, diss2_inst=d2))
+        acc1 = acc2 = 0.0
+        want1, want2 = [0.0], [0.0]
+        for (t0, t1), (a, b), (c, d) in zip(((0.0, 0.1), (0.1, 0.35)), rates, rates[1:]):
+            acc1 = acc1 + 0.5 * (t1 - t0) * (c + a)
+            acc2 = acc2 + 0.5 * (t1 - t0) * (d + b)
+            want1.append(acc1)
+            want2.append(acc2)
+        assert rec.columns["diss_acc1"] == want1 and rec.columns["diss_acc2"] == want2
+
+    def test_csv_line_reads_back_exactly(self):
+        values = [1.0 / 3.0, np.float64(0.1) * 3, 1e-300, -2.5e17, 7, np.int64(-2)]
+        line = csv_line(values)
+        assert line == "0.3333333333333333,0.30000000000000004,1e-300,-2.5e+17,7.0,-2.0\n"
+        assert [float(x) for x in line.split(",")] == [float(v) for v in values]
 
     def test_csv_round_trip(self, tmp_path, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-3)

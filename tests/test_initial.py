@@ -1,6 +1,7 @@
 """Initial-data generators: Piola construction, mode lists, radial profiles."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from veflow import (
     phys_to_pert,
     piola_ic,
 )
+from veflow.fields import product, to_samples
 from veflow.initial import build_vector_field
+from veflow.state import det3
+
+SAMPLE_IC = Path(__file__).resolve().parents[1] / "sample_ic.txt"
 
 
 class TestPiola:
@@ -66,6 +71,22 @@ class TestPiola:
             st = phys_to_pert(piola_ic(generic_piola_spec(delta), grid, params), params, warn=False)
             h2.append(st.h_norm(2))
         assert h2[0] / h2[1] == pytest.approx(2.0, rel=0.1)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.2])
+    def test_box_mean_of_det_is_one(self, n, delta):
+        """<det(I + grad phi)> = 1 at round-off: det(I + grad phi) - 1 is a null
+        Lagrangian, so piola_ic's division of det A by its mean changes no mass."""
+        grid = Grid(n)
+        phi = build_vector_field(grid, parse_mode_file(SAMPLE_IC.read_text()).phi_modes, delta)
+        a = np.empty((3, 3) + grid.shape)  # I + grad phi, formed as piola_ic forms it
+        for i, j in np.ndindex(3, 3):
+            a[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi.spectrum[i]))
+        for i in range(3):
+            a[i, i] += 1.0
+        excess = det3(a) - 1.0
+        assert np.mean(np.abs(excess)) > 1e-4  # the identity is not a trivial one
+        assert abs(np.mean(excess)) <= 1e-15
 
 
 class TestLogOnlyH2:

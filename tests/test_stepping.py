@@ -305,6 +305,18 @@ class TestRun:
         assert len(rec) == 4
         assert column(rec, "t")[-1] == pytest.approx(10.5 * dt)
 
+    def test_short_last_step_builds_its_own_pair(self, grid8, params, rng):
+        """Full steps share run's K(dt/2), K(dt); the short last step is step() of its
+        own size, which builds the pair for it, and lands on t_end."""
+        st = smooth_state(grid8, rng, amp=1e-3)
+        dt = cfl_dt(grid8, params)
+        kept = []
+        run(st, params, StepperConfig(dt=dt, t_end=2.5 * dt, output_every=3), sinks=(kept.append,))
+        want = step(step(step(st, params, dt), params, dt), params, 2.5 * dt - 2 * dt)
+        assert kept[-1].time == want.time
+        for a, b in zip(kept[-1].fields(), want.fields()):
+            assert same_bits(a.spectrum, b.spectrum)
+
     def test_energy_bounded_small_run(self, params):
         """H2 growth, dissipation, the Cauchy-Schwarz bound on the cross terms of M,
         and the elliptic estimate on admissible states."""
