@@ -163,6 +163,13 @@ def _norm_series(profile, system: BlockSystem, tgrid, **kw) -> list[float]:
     return [whole_space_norm(profile, system, t, **kw) for t in tgrid]
 
 
+def _check_profile(profile, system: BlockSystem, flags: str) -> None:
+    """Reject a profile whose L2 norm at t = 0 (where e^{tA} = I) is 0: it has
+    underflowed, or it is narrower than the quadrature resolves."""
+    if not whole_space_norm(profile, system, 0.0) > 0.0:
+        raise ParameterError(f"{flags}: the profile's L2 norm is 0 (underflow or unresolved)")
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text(header + "\n" + "".join(map(csv_line, rows)), encoding="ascii")
 
@@ -256,6 +263,7 @@ def _cmd_linear_decay(args) -> int:
     params = _make_params(args)
     system = getattr(BlockSystem, args.system)(params)
     profile = gaussian_profile(amp_first=1.0, amp_second=1.0, width=args.width)
+    _check_profile(profile, system, f"--width {args.width:g}")
     tgrid = _parse_tgrid(args.t_grid)
     _write_manifest(out, args)
     norms = _norm_series(profile, system, tgrid, k=0)
@@ -290,8 +298,11 @@ def _cmd_lower_bound(args) -> int:
     if args.eta is None:
         args.c0 = 1.0 if args.c0 is None else args.c0
         profile = lowerbound_profiles(args.c0, width=args.width)
+        flags = f"--c0 {args.c0:g}"
     else:
         profile = eta_profile(args.eta, width=args.width)
+        flags = f"--eta {args.eta:g}"
+    _check_profile(profile, system, f"{flags} with --width {args.width:g}")
     tgrid = _parse_tgrid(args.t_grid)
     try:
         weights = [(1.0 + float(t)) ** (-args.target) for t in tgrid]
@@ -422,11 +433,13 @@ def _cmd_fit(args) -> int:
             raise ParameterError(f"fit window must be t0:t1, got {args.window!r}") from None
         window = (lo, hi)
     fit = decay_fit(ts, ys, window=window, band_exponent=args.band_exponent)
+    exponent = args.band_exponent if args.band_exponent is not None else fit.slope
+    if not np.isfinite(fit.band_high):
+        raise ParameterError(f"--band-exponent {exponent:g}: the band overflows")
     print(f"fit of {args.column} over t in [{fit.window[0]:g}, {fit.window[1]:g}]")
     print(f"  slope     = {fit.slope:+.6f}")
     print(f"  intercept = {fit.intercept:+.6f}")
     print(f"  R^2       = {fit.r_squared:.8f}")
-    exponent = args.band_exponent if args.band_exponent is not None else fit.slope
     print(f"  band (1+t)^{-exponent:+.3f} * value in [{fit.band_low:.6e}, {fit.band_high:.6e}]")
     return 0
 

@@ -184,7 +184,8 @@ def decay_fit(
     """Least-squares slope of log(value) against log(1 + t) on the window.
 
     ``band_exponent`` (negative for decay) also reports the min and max of
-    (1 + t)^(-band_exponent) * value over the window.
+    (1 + t)^(-band_exponent) * value over the window; a band that overflows
+    reads inf, with no warning, for the caller to reject.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -209,7 +210,8 @@ def decay_fit(
     ss_tot = float(np.sum((z - z.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     exponent = band_exponent if band_exponent is not None else slope
-    band = (1.0 + t[sel]) ** (-exponent) * y[sel]
+    with np.errstate(over="ignore"):
+        band = (1.0 + t[sel]) ** (-exponent) * y[sel]
     return DecayFit(
         window=(lo, hi),
         slope=float(slope),

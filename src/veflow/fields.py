@@ -18,12 +18,19 @@ enters as samples.
 This module is the one transform layer of the package: every other module
 goes through :func:`to_spectrum`, :func:`to_samples`,
 :func:`to_half_spectrum` and :func:`half_to_samples`.  It also holds the
-one elementwise product kernel of the spectral code, :func:`product`.
+one elementwise product kernel of the spectral code, :func:`product`, and
+the one Hermitian mirror, :func:`half_to_full`, which turns the kz >= 0
+half that a step computes into the full spectrum that a state keeps.
 
 The four transforms work one component at a time: each leading index
 (none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
 gradients) gets its own numpy n-d transform written straight into its slice
-of one preallocated result (``out=``, numpy >= 2.0), normalised in place.
+of one preallocated result (``out=``, numpy >= 2.0).  The complex pair is
+normalised in place after each transform; the real-data pair is normalised
+inside pocketfft (``norm="forward"``: a 1/N factor on each forward pass,
+none on the inverse), which saves a pass over every component and, for a
+power-of-two N, gives the same bits as the in-place scaling, since scaling
+by a power of two is exact.
 The output is bit for bit that of one batched call over all components,
 because numpy transforms every 1-d line of a stack independently with the
 same plan.  The reason is memory traffic: at N = 64 a 9-component complex
@@ -83,8 +90,7 @@ def to_half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Nonnegative-last-axis half of the Fourier coefficients of real samples."""
     out = np.empty(samples.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
     for comp in np.ndindex(samples.shape[:-3]):
-        np.fft.rfftn(samples[comp], axes=_AXES, out=out[comp])
-        out[comp] /= grid.n**3
+        np.fft.rfftn(samples[comp], axes=_AXES, norm="forward", out=out[comp])
     return out
 
 
@@ -95,8 +101,27 @@ def half_to_samples(grid: Grid, half_spectrum: np.ndarray, out: np.ndarray | Non
     if out is None:
         out = np.empty(half_spectrum.shape[:-3] + grid.shape, dtype=np.float64)
     for comp in np.ndindex(half_spectrum.shape[:-3]):
-        np.fft.irfftn(half_spectrum[comp], s=grid.shape, axes=_AXES, out=out[comp])
-        out[comp] *= grid.n**3
+        np.fft.irfftn(half_spectrum[comp], s=grid.shape, axes=_AXES, norm="forward", out=out[comp])
+    return out
+
+
+def half_to_full(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Full spectrum from its kz >= 0 half by the Hermitian mirror
+    u_hat(k) = conj(u_hat(-k)) on the kz < 0 planes.
+
+    The kz = 0 and kz = N/2 planes are their own mirrors and pass through
+    unchanged, so their in-plane symmetry is whatever the half holds.  Each
+    axis maps index j to (N - j) mod N: index 0 stays, and 1..N-1 reverse,
+    so the mirror is four slice copies, one per (kx = 0 or not, ky = 0 or not).
+    """
+    h = grid.n // 2
+    out = np.empty(half_spectrum.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out[..., : h + 1] = half_spectrum
+    src = half_spectrum[..., h - 1 : 0 : -1]  # kz = N/2 - 1, ..., 1 -> N/2 + 1, ..., N - 1
+    dst = out[..., h + 1 :]
+    for sx, dx in ((slice(0, 1), slice(0, 1)), (slice(None, 0, -1), slice(1, None))):
+        for sy, dy in ((slice(0, 1), slice(0, 1)), (slice(None, 0, -1), slice(1, None))):
+            np.conjugate(src[..., sx, sy, :], out=dst[..., dx, dy, :])
     return out
 
 
@@ -146,12 +171,6 @@ class _BaseField:
         out = to_samples(self.grid, self.spectrum)
         out.setflags(write=False)
         return out
-
-    def transient_samples(self) -> np.ndarray:
-        """:attr:`samples` when they are computed already, else the same values
-        computed for the caller only, and not kept on the field."""
-        cached = self.__dict__.get("samples")
-        return cached if cached is not None else to_samples(self.grid, self.spectrum)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n}, L={self.grid.length:g})"

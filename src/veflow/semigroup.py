@@ -39,10 +39,12 @@ from .params import ModelParams
 from .state import FlowState, state_from_spectra
 
 _SMALL_DIFF = 1e-5   # switch to expm1 form below this |dk * t|
-# bytes of one complex component of a slab of kx-planes in apply_spectra: 8 planes
-# at N = 32, 2 at N = 64, the whole lattice at N <= 16.  Measured on 2-core Xeon
-# (numpy 2.4.6), the apply takes 0.56x the whole-lattice time at N = 32 and 64 with
-# this width, and as long as the whole lattice with 512 KiB (one slab at N = 32)
+# bytes of one complex component of a slab of kx-planes in apply_spectra: on full
+# spectra 8 planes at N = 32, 2 at N = 64, the whole lattice at N <= 16; on the
+# kz >= 0 halves 15 at N = 32 and 3 at N = 64.  Measured on 2-core Xeon (numpy
+# 2.4.6), the full-lattice apply takes 0.56x the whole-lattice time at N = 32 and
+# 64 with this width, and as long as the whole lattice with 512 KiB (one slab at
+# N = 32); on halves at N = 64, 128 and 256 KiB tie and 64 or 512 KiB are slower
 _SLAB_BYTES = 1 << 17
 
 
@@ -150,7 +152,9 @@ class LinearPropagator:
     into a small buffer, runs the per-mode update on the slab and writes it
     into the full outputs, so no temporary spans the lattice.  The unit
     wavevectors and the radius index are the grid's, shared by every
-    propagator on it.
+    propagator on it.  The update is per mode and its inputs may hold any
+    leading run of kz-indices: ``step`` passes the kz >= 0 halves, and the
+    result is bit for bit those modes of the full-lattice apply.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -171,16 +175,23 @@ class LinearPropagator:
         )
 
     def apply_spectra(self, n_hat, v_hat, e_hat):
-        """Advance raw spectra (n, v, E) by t; returns new spectra."""
+        """Advance raw spectra (n, v, E) by t; returns new spectra.
+
+        The last axis holds the first M kz-indices of the lattice: M = N for
+        full spectra, M = N/2 + 1 for the kz >= 0 halves that ``step`` runs
+        on.  The update is per mode, so the radius index and the unit
+        wavevectors are sliced to the same M."""
+        m = n_hat.shape[-1]
+        index, rhat = self._index[..., :m], self._rhat[..., :m]
         n1 = np.empty(n_hat.shape, dtype=np.complex128)
         v1 = np.empty(v_hat.shape, dtype=np.complex128)
         e1 = np.empty(e_hat.shape, dtype=np.complex128)
         n = self.grid.n
-        width = max(1, _SLAB_BYTES // (16 * n * n))
+        width = max(1, _SLAB_BYTES // (16 * n * m))
         for lo in range(0, n, width):
             x = slice(lo, lo + width)
             self._apply_slab(
-                self._index[x], self._rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
+                index[x], rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
                 n1[x], v1[:, x], e1[:, :, x],
             )
         return n1, v1, e1

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import half_to_samples, product, to_half_spectrum, to_spectrum
+from .fields import half_to_samples, product, to_half_spectrum
 from .grid import Grid
 from .params import ModelParams, guard_positive_density, pressure_coefficient
 from .state import IDENTITY, FlowState, PhysState
@@ -49,10 +49,10 @@ class ConstraintReport:
 
 
 def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
-    """Spectrum of a physical product, 2/3-masked in place unless ``enabled`` is false."""
-    spec = to_spectrum(grid, phys)
+    """Half spectrum of a physical product, 2/3-masked in place unless ``enabled`` is false."""
+    spec = to_half_spectrum(grid, phys)
     if enabled:
-        spec *= grid.dealias_mask
+        spec *= grid.dealias_mask[..., : spec.shape[-1]]
     return spec
 
 
@@ -74,26 +74,28 @@ def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
 
 
 def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
-    """Dealiased spectra of the combined right-hand sides.
+    """Dealiased kz >= 0 half spectra of the combined right-hand sides.
 
-    Returns (G_n, G_v, G_E) = hats of (f - v.grad n, g, h - v.grad E).  This
-    is the one evaluator of the nonlinear sources.  Each source is formed in
-    physical space, transformed and freed before the next one is formed, and
-    each gradient is freed after its last use.  grad E is formed one row
-    dEi[l, j] = d_l E^{ij} at a time, which fills g^i and row i of h.  The
-    v and E samples are the state's cached views when it has them, else they
-    are formed for this call only and not kept on the state.
+    Returns (G_n, G_v, G_E) = the rfftn halves, shaped (..., N, N, N/2 + 1),
+    of (f - v.grad n, g, h - v.grad E).  This is the one evaluator of the
+    nonlinear sources.  Each source is formed in physical space, transformed
+    and freed before the next one is formed, and each gradient is freed after
+    its last use.  grad E is formed one row dEi[l, j] = d_l E^{ij} at a time,
+    which fills g^i and row i of h.  The v and E samples are formed by irfftn
+    from the halves of the state's spectra for this call only, whether or not
+    the state has its own sample views cached, so a trajectory does not
+    depend on which of its states were sampled; nothing is kept on the state.
     """
     grid = state.grid
     n = state.n.samples
 
-    # derivatives through the half spectrum: the full lattice is Hermitian,
+    # everything through the half spectrum: the full lattice is Hermitian,
     # so slicing the cached spectra is free and irfftn recovers the samples
     half = grid.n // 2 + 1
     v_hat = state.v.spectrum[..., :half]
     e_half = state.E.spectrum[..., :half]
-    v = state.v.transient_samples()
-    E = state.E.transient_samples()
+    v = half_to_samples(grid, v_hat)
+    E = half_to_samples(grid, e_half)
 
     # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i
     dn = _gradient(grid, state.n.spectrum[..., :half])

@@ -5,7 +5,8 @@ checked with, the per-field mean projection that ``phys_to_pert``'s bits are
 pinned against, the reader of the snapshots that ``simulate`` writes, zero
 and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
-``h2_distance`` and ``rhs_spectra`` are checked against."""
+``h2_distance`` and ``rhs_spectra`` are checked against, and the
+full-spectrum step that the half-spectrum ``step`` is checked against."""
 
 import contextlib
 import dataclasses
@@ -41,11 +42,11 @@ from veflow import (
 from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
 from veflow.operators import apply_multiplier, sobolev_norm
-from veflow.params import guard_positive_density
+from veflow.params import guard_positive_density, pressure_coefficient
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator
 from veflow.snapshot import _read_triple
 from veflow.sources import _dealiased, _gradient, _rho_f_of
-from veflow.state import IDENTITY, MEAN_WARN
+from veflow.state import IDENTITY, MEAN_WARN, state_from_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -224,12 +225,14 @@ def gathered_entries(prop) -> np.ndarray:
 
 
 def einsum_apply(prop, n_hat, v_hat, e_hat):
-    """``LinearPropagator.apply_spectra`` in its batched form, on the whole lattice
-    at once: the deformation update built from two 9-component einsum outer
-    products and the frozen part."""
-    rhat = prop._rhat
+    """``LinearPropagator.apply_spectra`` in its batched form, on every mode at
+    once: the deformation update built from two 9-component einsum outer
+    products and the frozen part.  Like the apply, it takes full spectra or the
+    kz >= 0 halves, slicing the lattice arrays to the last axis it is given."""
+    m = n_hat.shape[-1]
+    rhat = prop._rhat[..., :m]
     a = prop.params.a
-    p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)
+    p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)[..., :m]
     vpar = np.einsum("j...,j...->...", rhat, v_hat)
     d0 = 1j * vpar
     c = np.einsum("ij...,j...->i...", e_hat, rhat)
@@ -526,15 +529,16 @@ def field_pressure_coefficient(n: ScalarField, params) -> ScalarField:
 
 def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
     """``rhs_spectra`` with 1 + n formed three times, the pressure coefficient
-    taken from :func:`field_pressure_coefficient`, all 27 components of grad E
-    formed at once and the v and E samples read through the state's cache."""
+    taken from :func:`field_pressure_coefficient` and all 27 components of
+    grad E formed at once; the v and E samples are formed from the state's
+    half spectra, and the sources are returned as dealiased half spectra."""
     grid = state.grid
     n = state.n.samples
     guard_positive_density(1.0 + n)
     half = grid.n // 2 + 1
     v_hat = state.v.spectrum[..., :half]
-    v = state.v.samples
-    E = state.E.samples
+    v = half_to_samples(grid, v_hat)
+    E = half_to_samples(grid, state.E.spectrum[..., :half])
     dn = _gradient(grid, state.n.spectrum[..., :half])
     dv = _gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
@@ -555,3 +559,72 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
     h = np.einsum("ki...,kj...->ij...", dv, E)
     h -= np.einsum("k...,kij...->ij...", v, dE)
     return g_n, g_v, _dealiased(grid, h, dealias)
+
+
+# ---------------------------------------------------------------------------
+# the full-spectrum step, the round-off oracle of the half-spectrum one: its
+# sources are c2c spectra of products of c2c samples, and the propagator and
+# the midpoint sums run on every mode of the lattice
+
+
+def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
+    """The three source spectra on the full lattice: v and E samples from the
+    full spectra by ``to_samples``, every source transformed by ``to_spectrum``
+    and masked by the full 2/3 mask."""
+    grid = state.grid
+    n = state.n.samples
+    half = grid.n // 2 + 1
+    v_hat = state.v.spectrum[..., :half]
+    v = to_samples(grid, state.v.spectrum)
+    E = to_samples(grid, state.E.spectrum)
+
+    def dealiased(phys):
+        spec = to_spectrum(grid, phys)
+        if dealias:
+            spec *= grid.dealias_mask
+        return spec
+
+    dn = _gradient(grid, state.n.spectrum[..., :half])
+    dv = _gradient(grid, v_hat)
+    f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
+    f -= np.einsum("j...,j...->...", v, dn)
+    xi = grid.xi[..., :half]
+    xiv = np.einsum("j...,j...->...", xi, v_hat)
+    visc_hat = params.mu * grid.laplacian_symbol[..., :half] * v_hat - (
+        params.lam + params.mu
+    ) * product(xi, xiv)
+    visc = half_to_samples(grid, visc_hat)
+    dE = _gradient(grid, state.E.spectrum[..., :half])
+    h = np.einsum("ki...,kj...->ij...", dv, E)
+    h -= np.einsum("k...,kij...->ij...", v, dE)
+    rho = 1.0 + n
+    guard_positive_density(rho)
+    g = params.a * np.einsum("jk...,jik...->i...", E, dE)
+    g -= product(n / rho, visc)
+    g -= np.einsum("j...,ji...->i...", v, dv)
+    g -= product(pressure_coefficient(rho, params), dn)
+    return dealiased(f), dealiased(g), dealiased(h)
+
+
+def full_spectrum_step(state: FlowState, params, dt: float, dealias: bool = True) -> FlowState:
+    """One exponential-midpoint step with every spectrum on the full lattice."""
+    grid = state.grid
+    half_prop = LinearPropagator(grid, params, 0.5 * dt)
+    full_prop = LinearPropagator(grid, params, dt)
+    spectra = tuple(f.spectrum for f in state.fields())
+    gs = full_spectrum_rhs_spectra(state, params, dealias)
+    hs = half_prop.apply_spectra(*spectra)
+    mid = state_from_spectra(
+        grid, *(h + 0.5 * dt * g for g, h in zip(gs, hs)), state.time + 0.5 * dt
+    )
+    ks = half_prop.apply_spectra(*full_spectrum_rhs_spectra(mid, params, dealias))
+    fs = full_prop.apply_spectra(*spectra)
+    return state_from_spectra(grid, *(f + dt * k for k, f in zip(ks, fs)), state.time + dt)
+
+
+def max_relative_gap(a: FlowState, b: FlowState) -> float:
+    """max over the three components of max |a_hat - b_hat| / max |b_hat|."""
+    return max(
+        float(np.max(np.abs(fa.spectrum - fb.spectrum)) / np.max(np.abs(fb.spectrum)))
+        for fa, fb in zip(a.fields(), b.fields())
+    )

@@ -313,13 +313,16 @@ def test_uncreatable_out_usage_error(tmp_path, modefile, capsys, command, under)
 
 
 # (subcommand, flag, finite positive value past what a Python float power takes,
-# exit code): 3 where the quadrature meets a non-finite integrand, 2 where all
-# norms vanish and the fit rejects them, or where a band weight overflows
+# exit code): 3 where the quadrature meets a non-finite integrand, 2 where the
+# profile's norm at t = 0 is 0 (it underflows or is not resolved), or where a
+# band weight overflows
 _EXTREME = [
     ("linear-decay", "--width", "1e200", 3),
     ("linear-decay", "--width", "1e-200", 2),
+    ("linear-decay", "--width", "1e-20", 2),
     ("lower-bound", "--eta", "400", 3),
     ("lower-bound", "--c0", "1e200", 3),
+    ("lower-bound", "--c0", "1e-300", 2),
     ("lower-bound", "--target", "-1e10", 2),
 ]
 
@@ -335,6 +338,23 @@ def test_extreme_profile_flag_exit_code(tmp_path, modefile, capsys, command, fla
         assert main(argv) == code
     assert not caught, [str(w.message) for w in caught]
     assert ("usage error" if code == 2 else "numerical abort") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("linear-decay", "--width", "1e-20"), ("linear-decay", "--width", "1e-200"),
+     ("lower-bound", "--c0", "1e-300"), ("lower-bound", "--width", "1e-200")],
+)
+def test_vanishing_profile_writes_nothing(tmp_path, modefile, capsys, command, flag, value):
+    """A profile whose L2 norm at t = 0 is 0 is rejected before the manifest:
+    one usage-error line naming the flag, and no output directory."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*_cheap(command, modefile), f"{flag}={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"{flag} {float(value):g}" in err
+    assert not out.exists()
 
 
 # (subcommand with its required flags, flag, bad value)
@@ -637,6 +657,21 @@ class TestFit:
             assert main(["fit", "--csv", str(csv), "--column", "a"]) == 2
         assert not caught, [str(w.message) for w in caught]
         assert capsys.readouterr().err == f"usage error: {csv} is not a time-series CSV\n"
+
+    def test_overflowing_band_usage_error(self, tmp_path, capsys):
+        """A band exponent whose band (1 + t)^(-exponent) * value overflows is a
+        usage error naming --band-exponent, with no warning."""
+        out = tmp_path / "decay"
+        assert main(["linear-decay", "--t-grid", "log:1:100:8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", "--csv", str(out / "decay.csv"), "--band-exponent=-1e10"])
+        assert rc == 2
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --band-exponent -1e+10: the band overflows\n"
+        assert captured.out == ""
 
     def test_fit_of_simulate_csv(self, tmp_path, modefile, capsys):
         out = tmp_path / "runfit"

@@ -377,22 +377,39 @@ class TestComponentApply:
         per slab rounds exactly as the batched whole-lattice form, on the half-step
         and the full-step propagator, also on 2/3-masked spectra with exact zeros,
         where -0.0 and 0.0 differ: in one slab, and in slabs of n/2 - 1 kx-planes,
-        three of them with a ragged last one (3, 3, 2 at n = 8)."""
+        three of them with a ragged last one (3, 3, 2 at n = 8).  Both on full
+        spectra and on their kz >= 0 halves, the strided views that ``step``
+        passes."""
         grid = Grid(n)
         params = make_params(alpha=alpha)
         dt = cfl_dt(grid, params)
         width = n // 2 - 1
         assert -(-n // width) == 3 and n % width != 0
-        for slab_bytes in (veflow.semigroup._SLAB_BYTES, width * 16 * n * n):
-            monkeypatch.setattr(veflow.semigroup, "_SLAB_BYTES", slab_bytes)
-            for seed in range(2):
-                spectra = random_spectra(grid, seed)
-                masked = tuple(x * grid.dealias_mask for x in spectra)
-                for t in (0.5 * dt, dt):
-                    prop = LinearPropagator(grid, params, t)
-                    for data in (spectra, masked):
-                        for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
-                            assert same_bits(got, want)
+        for m in (n, n // 2 + 1):
+            for slab_bytes in (veflow.semigroup._SLAB_BYTES, width * 16 * n * m):
+                monkeypatch.setattr(veflow.semigroup, "_SLAB_BYTES", slab_bytes)
+                for seed in range(2):
+                    spectra = random_spectra(grid, seed)
+                    masked = tuple(x * grid.dealias_mask for x in spectra)
+                    for t in (0.5 * dt, dt):
+                        prop = LinearPropagator(grid, params, t)
+                        for data in (spectra, masked):
+                            data = tuple(x[..., :m] for x in data)
+                            for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
+                                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_half_apply_is_the_kz_nonnegative_part_of_the_full_apply(self, n):
+        """The update is per mode, so the apply on the halves gives the bits of the
+        full apply on those modes."""
+        grid = Grid(n)
+        params = make_params()
+        prop = LinearPropagator(grid, params, cfl_dt(grid, params))
+        spectra = random_spectra(grid, n)
+        half = n // 2 + 1
+        full = prop.apply_spectra(*spectra)
+        for got, want in zip(prop.apply_spectra(*(x[..., :half] for x in spectra)), full):
+            assert same_bits(got, want[..., :half].copy())
 
 
 class TestEntriesPerRadius:

@@ -10,6 +10,7 @@ from helpers import (
     axes,
     even_n,
     field_wrapped_rhs_spectra,
+    full_spectrum_rhs_spectra,
     generic_piola_spec,
     hermitian_defect,
     identity_field,
@@ -34,8 +35,9 @@ from veflow import (
     piola_ic,
 )
 import veflow.fields
+import veflow.sources
 from veflow.diagnostics import sample_row
-from veflow.fields import to_samples
+from veflow.fields import half_to_full, half_to_samples, to_samples
 from veflow.sources import _half_sum_sq, rhs_spectra
 from veflow.state import phys_to_pert, state_from_spectra
 
@@ -89,6 +91,7 @@ class TestEvaluateSources:
         g_n, _, _ = rhs_spectra(st, params)
         # grad n = 0, so G_n is f = -n div v alone
         expected = -0.1 * (np.cos(x) + np.zeros(grid16.shape))
+        g_n = half_to_full(grid16, g_n)
         assert np.max(np.abs(ScalarField.from_spectrum(grid16, g_n).samples - expected)) < 1e-12
 
     def test_zero_deformation_kills_elastic_terms(self, grid8, params, rng):
@@ -122,19 +125,23 @@ class TestEvaluateSources:
         """One density array, guarded once, and grad E one row at a time give the
         bits of the form that formed 1 + n three times, wrapped the pressure
         coefficient in a field and formed all 27 components of grad E at once,
-        on a sampled state and on one assembled from spectra, whose v and E
-        samples are formed for the call only."""
+        on a sampled state and on one assembled from spectra.  The full-lattice
+        sources, formed from c2c samples and transformed by c2c, are the second
+        oracle: within 1e-14 of each source's largest coefficient."""
         params = make_params(gamma=gamma, lam=0.3, alpha=1.7, pressure_scale=1.3)
-        sampled = smooth_state(Grid(n), np.random.default_rng(n), amp=0.2, kmax=n // 3)
+        grid = Grid(n)
+        sampled = smooth_state(grid, np.random.default_rng(n), amp=0.2, kmax=n // 3)
         for st in (sampled, unsampled(sampled)):
             got = rhs_spectra(st, params, dealias)
             for g, want in zip(got, field_wrapped_rhs_spectra(st, params, dealias)):
                 assert same_bits(g, want)
+            for g, full in zip(got, full_spectrum_rhs_spectra(st, params, dealias)):
+                gap = np.max(np.abs(half_to_full(grid, g) - full))
+                assert gap <= 1e-14 * np.max(np.abs(full))
 
     def test_dealias_toggle_changes_high_modes_only(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01, kmax=3)
-        raw, _, _ = rhs_spectra(st, params, dealias=False)
-        cut, _, _ = rhs_spectra(st, params, dealias=True)
+        raw, cut = (half_to_full(grid8, rhs_spectra(st, params, dealias=d)[0]) for d in (False, True))
         assert np.max(np.abs((raw - cut) * grid8.dealias_mask)) < 1e-16
 
 
@@ -145,19 +152,26 @@ def unsampled(st: FlowState) -> FlowState:
 
 
 class TestTransientSamples:
-    """rhs_spectra reads the v and E samples a state has cached and forms the
-    ones it lacks for the call only."""
+    """rhs_spectra forms the v and E samples by irfftn from the kz >= 0 halves
+    of the state's spectra, for the call only, whether or not the state has
+    its own sample views cached: it reads no view and caches none."""
 
     @pytest.fixture
     def transforms(self, monkeypatch):
-        """Spectra passed to ``to_samples``, the transform behind every field's samples."""
+        """(transform, spectrum) of every call of ``to_samples``, the transform
+        behind every field's samples, and of ``rhs_spectra``'s ``half_to_samples``."""
         seen = []
 
-        def counting(grid, spectrum):
-            seen.append(spectrum)
+        def views(grid, spectrum):
+            seen.append(("to_samples", spectrum))
             return to_samples(grid, spectrum)
 
-        monkeypatch.setattr(veflow.fields, "to_samples", counting)
+        def halves(grid, spectrum, out=None):
+            seen.append(("half_to_samples", spectrum))
+            return half_to_samples(grid, spectrum, out)
+
+        monkeypatch.setattr(veflow.fields, "to_samples", views)
+        monkeypatch.setattr(veflow.sources, "half_to_samples", halves)
         return seen
 
     @staticmethod
@@ -165,22 +179,40 @@ class TestTransientSamples:
         initial = phys_to_pert(piola_ic(generic_piola_spec(1e-3), grid, params), params, warn=False)
         return unsampled(initial)
 
+    @staticmethod
+    def _half_views(seen, field):
+        """The half_to_samples inputs that are the kz >= 0 half of ``field``'s spectrum."""
+        half = field.grid.n // 2 + 1
+        return [
+            x for kind, x in seen
+            if kind == "half_to_samples" and x.base is field.spectrum and x.shape[-1] == half
+        ]
+
     def test_unsampled_state_keeps_none(self, grid8, params, transforms):
         st = self._state(grid8, params)
         transforms.clear()
         rhs_spectra(st, params)
-        assert len(transforms) == 2
-        assert transforms[0] is st.v.spectrum and transforms[1] is st.E.spectrum
+        assert [kind for kind, _ in transforms].count("to_samples") == 0
+        assert len(self._half_views(transforms, st.v)) == 1
+        assert len(self._half_views(transforms, st.E)) == 1
         assert "samples" not in vars(st.v) and "samples" not in vars(st.E)
 
-    def test_sampled_state_transforms_nothing(self, grid8, params, transforms):
+    def test_sampled_state_forms_samples_from_half_spectra(self, grid8, params, transforms):
+        """After ``sample_row`` the state's views are cached; the sources still
+        form v and E from the halves, and equal those of the unsampled state
+        bit for bit."""
         st = self._state(grid8, params)
+        want = rhs_spectra(unsampled(st), params)
         sample_row(st)
         views = st.v.samples, st.E.samples
         transforms.clear()
-        rhs_spectra(st, params)
-        assert not any(x is st.v.spectrum or x is st.E.spectrum for x in transforms)
+        got = rhs_spectra(st, params)
+        assert [kind for kind, _ in transforms].count("to_samples") == 0
+        assert len(self._half_views(transforms, st.v)) == 1
+        assert len(self._half_views(transforms, st.E)) == 1
         assert st.v.samples is views[0] and st.E.samples is views[1]
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
 
 
 class TestLongitudinalIdentity:
@@ -200,7 +232,7 @@ class TestLongitudinalIdentity:
             VectorField(grid, params.chi0 * phys.u.samples),
             TensorField(grid, phys.F.samples - identity_field(grid).samples),
         )
-        _, g_hat, _ = rhs_spectra(st, params, dealias=False)
+        g_hat = half_to_full(grid, rhs_spectra(st, params, dealias=False)[1])
         # g1 = g - a div(nE), the forcing of the reduced (n, div v) system
         n_e = TensorField(grid, st.n.samples * st.E.samples)
         g1 = VectorField.from_spectrum(grid, g_hat - params.a * div_tensor(n_e).spectrum)
@@ -241,6 +273,7 @@ class TestHermitianOutput:
         grid = Grid(n)
         state = smooth_state(grid, np.random.default_rng(seed), amp=1e-2, kmax=n // 2)
         for out in rhs_spectra(state, params, dealias=dealias):
+            out = half_to_full(grid, out)
             assert hermitian_defect(out) <= 1e-13 * np.max(np.abs(out))
 
 

@@ -39,7 +39,14 @@ from veflow import (
     sobolev_norm,
 )
 from veflow.diagnostics import h2_distance
-from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
+from veflow.fields import (
+    half_to_full,
+    half_to_samples,
+    product,
+    to_half_spectrum,
+    to_samples,
+    to_spectrum,
+)
 from veflow.sources import _gradient
 
 VOL = (2.0 * np.pi) ** 3
@@ -159,15 +166,20 @@ class TestComponentTransforms:
     @pytest.mark.parametrize("lead", LEADS, ids=str)
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_bit_identical_to_batched_call(self, n, lead):
+        """The real-data pair is normalised inside pocketfft; for a power-of-two
+        N that has the bits of scaling the unnormalised call in place."""
         grid = Grid(n)
         u = np.random.default_rng(n + len(lead)).standard_normal(lead + grid.shape)
         spec = np.fft.fftn(u, axes=AXES) / n**3
-        half = np.fft.rfftn(u, axes=AXES) / n**3
+        half = np.fft.rfftn(u, axes=AXES, norm="forward")
         assert same_bits(to_spectrum(grid, u), spec)
         assert same_bits(to_samples(grid, spec), np.fft.ifftn(spec, axes=AXES).real * n**3)
         assert same_bits(to_half_spectrum(grid, u), half)
-        batched = np.fft.irfftn(half, s=grid.shape, axes=AXES) * n**3
+        batched = np.fft.irfftn(half, s=grid.shape, axes=AXES, norm="forward")
         assert same_bits(half_to_samples(grid, half), batched)
+        if n & (n - 1) == 0:
+            assert same_bits(half, np.fft.rfftn(u, axes=AXES) / n**3)
+            assert same_bits(batched, np.fft.irfftn(half, s=grid.shape, axes=AXES) * n**3)
 
     @pytest.mark.parametrize("lead", LEADS[:3], ids=str)
     @pytest.mark.parametrize("n", [6, 8, 12, 16])
@@ -180,7 +192,7 @@ class TestComponentTransforms:
         xi = grid.xi[..., : n // 2 + 1]
         for data in (half, half * grid.dealias_mask[..., : n // 2 + 1]):
             batched = 1j * np.einsum("l...,...->l...", xi, data)
-            batched = np.fft.irfftn(batched, s=grid.shape, axes=AXES) * n**3
+            batched = np.fft.irfftn(batched, s=grid.shape, axes=AXES, norm="forward")
             assert same_bits(_gradient(grid, data), batched)
 
 
@@ -267,6 +279,37 @@ class TestTransformProperties:
         half *= nyquist
         assert np.count_nonzero(half) > 0
         assert np.count_nonzero(_gradient(grid, half)) == 0
+
+
+class TestHalfToFull:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=even_n, lead=_lead, seed=_seed)
+    def test_mirror_bit_for_bit(self, n, lead, seed):
+        """Every kz < 0 plane is conj of its k -> -k mirror bit for bit, built here
+        by roll and flip; the kz = 0 ... N/2 planes, the self-mirrored kz = 0 and
+        kz = N/2 among them, pass through unchanged, even on a half that is
+        not Hermitian within them."""
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        shape = lead + (n, n, n // 2 + 1)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = half_to_full(grid, half)
+        assert full.shape == lead + grid.shape
+        assert same_bits(full[..., : n // 2 + 1].copy(), half)
+        mirror = full
+        for ax in AXES:
+            mirror = np.flip(np.roll(mirror, -1, axis=ax), axis=ax)  # index j -> (N - j) mod N
+        assert same_bits(full[..., n // 2 + 1 :].copy(), np.conj(mirror[..., n // 2 + 1 :]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=even_n, lead=_lead, seed=_seed)
+    def test_inverts_the_half_of_a_real_field(self, n, lead, seed):
+        grid = Grid(n)
+        u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+        full = to_spectrum(grid, u)
+        assert np.max(np.abs(half_to_full(grid, to_half_spectrum(grid, u)) - full)) <= (
+            1e-15 * np.max(np.abs(full))
+        )
 
 
 class TestMultipliers:
