@@ -9,22 +9,26 @@ coefficients normalized so the k = 0 coefficient is the mean,
 
 With this pairing Parseval reads  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
 A field is built from one view, samples or spectrum, and computes the other
-on first use; both are read-only.  The spectrum of a real field is
+on first use; both are read-only.  A field can also be built from the
+kz >= 0 half of its spectrum, as a step computes it: it holds that half
+until its spectrum or samples are first read, and then mirrors it into
+the full spectrum and frees it.  The spectrum of a real field is
 Hermitian-symmetric.  Spectra come only from the package's own transforms
 and multipliers, which keep that symmetry, so it is never checked: every
 field that enters from outside (the snapshot reader, the initial data)
 enters as samples.
 
 This module is the one transform layer of the package: every other module
-goes through :func:`to_spectrum`, :func:`to_samples`,
-:func:`to_half_spectrum` and :func:`half_to_samples`.  It also holds the
-one elementwise product kernel of the spectral code, :func:`product`, and
-the one Hermitian mirror, :func:`half_to_full`, which turns the kz >= 0
-half that a step computes into the full spectrum that a state keeps.
+goes through :func:`to_spectrum` (fftn), :func:`to_samples` (ifftn),
+:func:`to_half_spectrum` (rfftn) and :func:`half_to_samples` (the passes
+of irfftn).  It also holds the one elementwise product kernel of the
+spectral code, :func:`product`, and the one Hermitian mirror,
+:func:`half_to_full`, which turns the kz >= 0 half that a step computes
+into the full spectrum that a half-built field computes on first read.
 
 The four transforms work one component at a time: each leading index
 (none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
-gradients) gets its own numpy n-d transform written straight into its slice
+gradients) gets its own numpy transform written straight into its slice
 of one preallocated result (``out=``, numpy >= 2.0).  The complex pair is
 normalised in place after each transform; the real-data pair is normalised
 inside pocketfft (``norm="forward"``: a 1/N factor on each forward pass,
@@ -42,6 +46,12 @@ and stays in cache between its passes.  A batched call given ``out=``
 drops the per-pass temporaries but not the streaming, and recovers under
 half of the gain at N = 64.  Below N = 32 the loop's per-call Python cost
 outweighs both, which is accepted: the grids that cost time are large.
+
+The inverse real transform runs irfftn's own 1-D passes (ifft along x,
+ifft along y, irfft along z, in its order and normalisation, so with its
+bits) in one complex buffer per call: irfftn allocates a fresh half
+lattice for each of its two c2c passes, as only its last pass takes
+``out=``.  rfftn already writes each of its passes into ``out=``.
 """
 
 from __future__ import annotations
@@ -56,9 +66,9 @@ from .grid import Grid
 _AXES = (-3, -2, -1)
 
 
-def _check_payload(grid: Grid, data, dtype, rank: int) -> np.ndarray:
+def _check_payload(grid: Grid, data, dtype, rank: int, shape: tuple) -> np.ndarray:
     data = np.ascontiguousarray(data, dtype=dtype)
-    want = (3,) * rank + grid.shape
+    want = (3,) * rank + shape
     if data.shape != want:
         raise FieldError(f"expected shape {want}, got {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -97,11 +107,15 @@ def to_half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
 def half_to_samples(grid: Grid, half_spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples from the nonnegative-last-axis half of a Hermitian spectrum,
     written into ``out`` when it is given; ``out`` must then be a C-contiguous
-    float64 array of shape ``half_spectrum.shape[:-3] + grid.shape``."""
+    float64 array of shape ``half_spectrum.shape[:-3] + grid.shape``.  The bits
+    are those of ``irfftn(..., norm="forward")``, whose passes run in one buffer."""
     if out is None:
         out = np.empty(half_spectrum.shape[:-3] + grid.shape, dtype=np.float64)
+    buf = np.empty(half_spectrum.shape[-3:], dtype=np.complex128)
     for comp in np.ndindex(half_spectrum.shape[:-3]):
-        np.fft.irfftn(half_spectrum[comp], s=grid.shape, axes=_AXES, norm="forward", out=out[comp])
+        np.fft.ifft(half_spectrum[comp], axis=0, norm="forward", out=buf)
+        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+        np.fft.irfft(buf, n=grid.n, axis=2, norm="forward", out=out[comp])
     return out
 
 
@@ -141,13 +155,19 @@ def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 class _BaseField:
     """Real grid function with two read-only views, :attr:`samples` and
-    :attr:`spectrum`; a constructor sets one, the other is computed on first use."""
+    :attr:`spectrum`; a constructor sets one, the other is computed on first use.
+
+    A field built from a kz >= 0 half (:meth:`from_half_spectrum`) holds only
+    that half until its spectrum or samples are first read: the spectrum is
+    then mirrored from it, and :attr:`half` becomes a view of the spectrum, so
+    the half's own buffer is freed."""
 
     rank = 0
+    _half = None  # the kz >= 0 half a field was built from, until it is mirrored
 
     def __init__(self, grid: Grid, samples: np.ndarray):
         self.grid = grid
-        self.samples = _check_payload(grid, samples, np.float64, self.rank)
+        self.samples = _check_payload(grid, samples, np.float64, self.rank, grid.shape)
 
     @classmethod
     def from_spectrum(cls, grid: Grid, spectrum: np.ndarray):
@@ -155,13 +175,34 @@ class _BaseField:
         inverse transform is dropped unchecked in :attr:`samples`."""
         field = cls.__new__(cls)
         field.grid = grid
-        field.spectrum = _check_payload(grid, spectrum, np.complex128, cls.rank)
+        field.spectrum = _check_payload(grid, spectrum, np.complex128, cls.rank, grid.shape)
         return field
+
+    @classmethod
+    def from_half_spectrum(cls, grid: Grid, half: np.ndarray):
+        """Field of the trusted kz >= 0 half of a Hermitian spectrum, shaped
+        (..., N, N, N/2 + 1); its spectrum is ``half_to_full`` of it."""
+        field = cls.__new__(cls)
+        field.grid = grid
+        shape = (grid.n, grid.n, grid.n // 2 + 1)
+        field._half = _check_payload(grid, half, np.complex128, cls.rank, shape)
+        return field
+
+    @property
+    def half(self) -> np.ndarray:
+        """The kz >= 0 half of the spectrum (read-only), shaped (..., N, N, N/2 + 1)."""
+        if self._half is not None:
+            return self._half
+        return self.spectrum[..., : self.grid.n // 2 + 1]
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Fourier coefficients (read-only complex array)."""
-        out = to_spectrum(self.grid, self.samples)
+        if self._half is not None:
+            out = half_to_full(self.grid, self._half)
+            self._half = None
+        else:
+            out = to_spectrum(self.grid, self.samples)
         out.setflags(write=False)
         return out
 

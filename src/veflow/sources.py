@@ -81,24 +81,24 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     nonlinear sources.  Each source is formed in physical space, transformed
     and freed before the next one is formed, and each gradient is freed after
     its last use.  grad E is formed one row dEi[l, j] = d_l E^{ij} at a time,
-    which fills g^i and row i of h.  The v and E samples are formed by irfftn
-    from the halves of the state's spectra for this call only, whether or not
+    which fills g^i and row i of h.  The v and E samples are formed by
+    ``half_to_samples`` from the state's halves for this call only, whether or not
     the state has its own sample views cached, so a trajectory does not
     depend on which of its states were sampled; nothing is kept on the state.
     """
     grid = state.grid
     n = state.n.samples
 
-    # everything through the half spectrum: the full lattice is Hermitian,
-    # so slicing the cached spectra is free and irfftn recovers the samples
+    # everything through the kz >= 0 halves, which a stepped state holds as
+    # built and any other state as views of its spectra, without a mirror
     half = grid.n // 2 + 1
-    v_hat = state.v.spectrum[..., :half]
-    e_half = state.E.spectrum[..., :half]
+    v_hat = state.v.half
+    e_half = state.E.half
     v = half_to_samples(grid, v_hat)
     E = half_to_samples(grid, e_half)
 
     # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i
-    dn = _gradient(grid, state.n.spectrum[..., :half])
+    dn = _gradient(grid, state.n.half)
     dv = _gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)

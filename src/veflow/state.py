@@ -10,7 +10,8 @@ the box length is interpreted in the perturbation frame).  Physical data is
 initial data and carries no time: the state it maps to starts at t = 0.
 The initial state and every stepped state are assembled from three spectra
 by :func:`state_from_spectra`, which zeroes their mean modes: the
-perturbation system is posed on mean-zero fields.
+perturbation system is posed on mean-zero fields.  A stepped state is
+assembled from the kz >= 0 halves that the step computes.
 """
 
 from __future__ import annotations
@@ -132,12 +133,17 @@ def state_from_spectra(
 ) -> FlowState:
     """Assemble a state from raw spectra, zeroing the mean modes silently.
 
-    The state owns the three arrays, uncopied: their mean modes are zeroed in
-    place and they are frozen, so pass arrays that nothing else holds."""
+    The spectra are full, or their kz >= 0 halves when the last axis has
+    N/2 + 1 entries (never N, as N >= 4): the state is then built of half
+    fields, which mirror their full spectra on first read.  The state owns the
+    three arrays, uncopied: their mean modes are zeroed in place and they are
+    frozen, so pass arrays that nothing else holds."""
     n_hat[0, 0, 0] = 0.0
     v_hat[:, 0, 0, 0] = 0.0
     e_hat[:, :, 0, 0, 0] = 0.0
-    n = ScalarField.from_spectrum(grid, n_hat)
-    v = VectorField.from_spectrum(grid, v_hat)
-    E = TensorField.from_spectrum(grid, e_hat)
-    return FlowState(n, v, E, time)
+    half = n_hat.shape[-1] == grid.n // 2 + 1
+    fields = (
+        (cls.from_half_spectrum if half else cls.from_spectrum)(grid, spec)
+        for cls, spec in ((ScalarField, n_hat), (VectorField, v_hat), (TensorField, e_hat))
+    )
+    return FlowState(*fields, time)

@@ -15,24 +15,27 @@ the acoustic speed sqrt(1 + a) of the compressible block,
 with ``CFL_SAFETY`` = 0.5 the one default fraction of every caller.
 
 The step runs on the kz >= 0 half of the lattice: the sources come back
-as rfftn half spectra, the propagator is applied to the halves of the
-state's spectra (views, no copies) and the two midpoint sums are formed
-on halves.  The mid state and the new state are assembled from their
-halves by one Hermitian mirror (``fields.half_to_full``), so every state
-keeps full spectra, and its sample views keep their complex transforms.
-A real-data transform costs about half a complex one, and the apply
-and the sums touch N/2 + 1 of the N kz-planes.
+as rfftn half spectra, the propagator is applied to the state's halves
+(``f.half``: as built, or views of full spectra, no copies) and the two
+midpoint sums are formed on halves.  The mid state and the new state are
+assembled from their halves, uncopied, and the step mirrors nothing: a
+field builds its full spectrum (``fields.half_to_full``) when its
+spectrum or samples are first read.  An unsampled state so mirrors only
+n, for the vacuum check; a sampled state mirrors every field on its first
+diagnostic read and gets the same spectra and complex sample views as a
+state assembled from full spectra.  A real-data transform costs about
+half a complex one, and the apply and the sums touch N/2 + 1 of the N
+kz-planes.
 
 Evaluation order and memory: every spectrum is freed after its last use,
 and K(dt) U is formed last, so it is not held through the two source
 evaluations.  Each sum is formed in the buffers of its scaled term
 (g *= dt/2; g += h, the bits of h + (dt/2) g, as IEEE * and + commute).
-Each half is freed as soon as it is mirrored, so the halves of U_mid are
-gone before its sources are evaluated.  The propagator works one slab of
-kx-planes at a time, and the sources form grad E one row at a time and
-their v and E samples for the call only.  The temporaries of the step are
-halves, about (N/2 + 1)/N of a full spectrum each; one step peaks about
-3.1x the state's spectrum bytes above the state it starts from.
+The propagator works one slab of kx-planes at a time, and the sources
+form grad E one row at a time and their v and E samples for the call
+only.  The temporaries of the step are halves, about (N/2 + 1)/N of a
+full spectrum each, and so is U_mid; one step peaks about 2.7x the
+state's full spectrum bytes above the state it starts from.
 
 Constraints are monitored, never re-projected: residual drift is part of
 what the diagnostics are meant to expose.  A vacuum-guard breach aborts
@@ -49,7 +52,6 @@ import numpy as np
 
 from .diagnostics import CSV_HEADER, TimeSeriesRecord, sample_row
 from .errors import ParameterError, VacuumError
-from .fields import half_to_full
 from .grid import Grid
 from .params import ModelParams
 from .semigroup import BlockSystem, LinearPropagator
@@ -114,9 +116,8 @@ def step(
         return full_prop(state)
 
     # the kz >= 0 halves of the state's spectra: the sources, the propagator and
-    # the sums run on them, and half_to_full mirrors each assembled state
-    half = grid.n // 2 + 1
-    spectra = tuple(f.spectrum[..., :half] for f in state.fields())
+    # the sums run on them, and each assembled state keeps its halves as built
+    spectra = tuple(f.half for f in state.fields())
     if half_prop is None:
         half_prop = LinearPropagator(grid, params, 0.5 * dt)
     # U_mid = K(dt/2) U + (dt/2) G(U), summed into the buffers of G(U)
@@ -126,7 +127,8 @@ def step(
         g *= 0.5 * dt
         g += h
     del hs, g, h
-    mid = state_from_spectra(grid, *_mirrored(grid, gs), state.time + 0.5 * dt)
+    mid = state_from_spectra(grid, *gs, state.time + 0.5 * dt)
+    del gs  # mid owns the halves, and frees n's once its vacuum check mirrored it
     gs = rhs_spectra(mid, params, dealias=dealias)
     del mid
     ks = list(half_prop.apply_spectra(*gs))
@@ -137,13 +139,7 @@ def step(
         k *= dt
         k += f
     del fs, k, f
-    return state_from_spectra(grid, *_mirrored(grid, ks), state.time + dt)
-
-
-def _mirrored(grid: Grid, halves: list) -> list:
-    """Full spectra of a list of halves, emptying the list: each half is freed
-    as soon as it is mirrored, before the next full spectrum is allocated."""
-    return [half_to_full(grid, halves.pop(0)) for _ in range(len(halves))]
+    return state_from_spectra(grid, *ks, state.time + dt)
 
 
 def run(

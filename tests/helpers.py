@@ -313,21 +313,43 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
 
 
-def step_memory(n: int) -> tuple[float, float]:
-    """Traced peaks of one ``step`` and one ``sample_row`` at grid size n, in
-    multiples of the state's spectrum bytes (13 complex components).  Each call
-    gets the criterion-5 data fresh from a CFL-0.5 step, as ``run`` hands it
-    on: its samples are computed on first use, inside the call."""
+def _stepped(n: int):
+    """(state, step of it) for the criterion-5 data at grid size n: the state is
+    one CFL-0.5 step from the initial data, as ``run`` hands it on, and the step
+    function runs one more step of its argument with the run's propagators."""
     grid = Grid(n)
     params = make_params()
     dt = cfl_dt(grid, params, 0.5)
     props = LinearPropagator(grid, params, 0.5 * dt), LinearPropagator(grid, params, dt)
     initial = phys_to_pert(piola_ic(generic_piola_spec(1e-3), grid, params), params, warn=False)
-    state = step(initial, params, dt, True, *props)
-    size = sum(f.spectrum.nbytes for f in state.fields())
-    step_peak = traced_peak(lambda: step(state, params, dt, True, *props))
-    fresh = step(state, params, dt, True, *props)
-    return step_peak / size, traced_peak(lambda: sample_row(fresh)) / size
+    return step(initial, params, dt, True, *props), lambda st: step(st, params, dt, True, *props)
+
+
+def step_memory(n: int) -> tuple[float, float]:
+    """Traced peaks of one ``step`` and one ``sample_row`` at grid size n, in
+    multiples of the state's full spectrum bytes (13 complex components).  Each
+    call gets the criterion-5 data fresh from a CFL-0.5 step, as ``run`` hands
+    it on: a state of kz >= 0 halves, whose spectra and samples are computed on
+    first use, inside the call.  Tracing starts before the sampled state is
+    built, so that freeing the halves on its first read lowers the traced level."""
+    state, advance = _stepped(n)
+    size = 13 * n**3 * np.dtype(np.complex128).itemsize
+    step_peak = traced_peak(lambda: advance(state))
+    with _tracing():
+        fresh = advance(state)
+        row_peak = traced_peak(lambda: sample_row(fresh))
+    return step_peak / size, row_peak / size
+
+
+def state_retained(n: int) -> int:
+    """Traced bytes that one unsampled stepped state at grid size n keeps: the
+    kz >= 0 halves of v and E, and n's full spectrum and samples, which the
+    vacuum check reads."""
+    state, advance = _stepped(n)
+    with _tracing():
+        base = tracemalloc.get_traced_memory()[0]
+        fresh = advance(state)  # alive while the level is read
+        return tracemalloc.get_traced_memory()[0] - base
 
 
 def propagator_retained(n: int) -> int:

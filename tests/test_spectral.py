@@ -181,6 +181,24 @@ class TestComponentTransforms:
             assert same_bits(half, np.fft.rfftn(u, axes=AXES) / n**3)
             assert same_bits(batched, np.fft.irfftn(half, s=grid.shape, axes=AXES) * n**3)
 
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    @pytest.mark.parametrize("n", [6, 8, 12, 16, 32, 64])
+    def test_in_place_passes_are_irfftn(self, n, lead):
+        """The two ifft passes and the irfft pass in one buffer give irfftn's
+        bits, signed zeros too (int64 views), on non-contiguous slices of a
+        random lattice whose kz = 0 and N/2 planes are not Hermitian, so both
+        must drop those planes' imaginary parts as irfftn does."""
+        grid = Grid(n)
+        rng = np.random.default_rng(100 * n + len(lead))
+        lattice = rng.standard_normal(lead + grid.shape + (2,)).view(np.complex128)[..., 0]
+        half = lattice[..., : n // 2 + 1]
+        assert not half.flags.c_contiguous
+        out = np.empty((2,) + lead + grid.shape)[1]
+        assert half_to_samples(grid, half, out=out) is out
+        for comp in np.ndindex(lead):
+            want = np.fft.irfftn(half[comp], s=grid.shape, axes=AXES, norm="forward")
+            assert np.array_equal(out[comp].view(np.int64), want.view(np.int64)), comp
+
     @pytest.mark.parametrize("lead", LEADS[:3], ids=str)
     @pytest.mark.parametrize("n", [6, 8, 12, 16])
     def test_gradient_bit_identical_to_batched_einsum(self, n, lead):
@@ -310,6 +328,43 @@ class TestHalfToFull:
         assert np.max(np.abs(half_to_full(grid, to_half_spectrum(grid, u)) - full)) <= (
             1e-15 * np.max(np.abs(full))
         )
+
+
+class TestHalfBuiltFields:
+    """A field built from a kz >= 0 half holds it until its first read, then
+    has the views of the field of its mirror, bit for bit."""
+
+    @pytest.mark.parametrize("cls", [ScalarField, VectorField, TensorField])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_views_are_those_of_the_mirror(self, n, cls):
+        grid = Grid(n)
+        u = np.random.default_rng(n + cls.rank).standard_normal((3,) * cls.rank + grid.shape)
+        half = to_half_spectrum(grid, u)
+        built = half.copy()
+        field = cls.from_half_spectrum(grid, built)
+        assert field.half is built
+        released = weakref.ref(built)
+        del built
+        full = half_to_full(grid, half)
+        assert same_bits(field.spectrum, full)
+        assert released() is None  # the half's buffer went with the mirror
+        assert field.half.base is field.spectrum
+        assert same_bits(field.half.copy(), half)
+        assert same_bits(field.samples, cls.from_spectrum(grid, full).samples)
+
+    def test_half_of_other_fields_is_a_view(self, grid8, rng):
+        field = ScalarField(grid8, rng.standard_normal(grid8.shape))
+        assert field.half.base is field.spectrum
+        assert field.half.shape == (8, 8, 5)
+
+    def test_rejects_non_finite_or_misshapen_halves(self, grid8):
+        half = np.zeros((3, 8, 8, 5), dtype=np.complex128)
+        half[1, 2, 3, 4] = np.inf
+        with pytest.raises(FieldError):
+            VectorField.from_half_spectrum(grid8, half)
+        for shape in ((3, 8, 8, 8), (8, 8, 5), (3, 8, 8, 4)):
+            with pytest.raises(FieldError):
+                VectorField.from_half_spectrum(grid8, np.zeros(shape, dtype=np.complex128))
 
 
 class TestMultipliers:
