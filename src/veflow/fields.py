@@ -10,13 +10,13 @@ coefficients normalized so the k = 0 coefficient is the mean,
 With this pairing Parseval reads  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
 A field is built from one view, samples or spectrum, and computes the other
 on first use; both are read-only.  A field can also be built from the
-kz >= 0 half of its spectrum, as a step computes it: it holds that half
-until its spectrum or samples are first read, and then mirrors it into
-the full spectrum and frees it.  The spectrum of a real field is
-Hermitian-symmetric.  Spectra come only from the package's own transforms
-and multipliers, which keep that symmetry, so it is never checked: every
-field that enters from outside (the snapshot reader, the initial data)
-enters as samples.
+kz >= 0 half of its spectrum, as the step and the propagator compute it:
+it holds that half until its spectrum or samples are first read, and then
+mirrors it into the full spectrum and frees it.  The spectrum of a real
+field is Hermitian-symmetric.  Spectra come only from the package's own
+transforms and multipliers, which keep that symmetry, so it is never
+checked: every field that enters from outside (the snapshot reader, the
+initial data) enters as samples.
 
 This module is the one transform layer of the package: every other module
 goes through :func:`to_spectrum` (fftn), :func:`to_samples` (ifftn),

@@ -39,12 +39,10 @@ from .params import ModelParams
 from .state import FlowState, state_from_spectra
 
 _SMALL_DIFF = 1e-5   # switch to expm1 form below this |dk * t|
-# bytes of one complex component of a slab of kx-planes in apply_spectra: on full
-# spectra 8 planes at N = 32, 2 at N = 64, the whole lattice at N <= 16; on the
-# kz >= 0 halves 15 at N = 32 and 3 at N = 64.  Measured on 2-core Xeon (numpy
-# 2.4.6), the full-lattice apply takes 0.56x the whole-lattice time at N = 32 and
-# 64 with this width, and as long as the whole lattice with 512 KiB (one slab at
-# N = 32); on halves at N = 64, 128 and 256 KiB tie and 64 or 512 KiB are slower
+# bytes of one complex component of a slab of kx-planes of the kz >= 0 halves in
+# apply_spectra: 15 planes at N = 32, 3 at N = 64, the whole lattice at N <= 16.
+# Measured on 2-core Xeon (numpy 2.4.6) at N = 64, 128 and 256 KiB tie and 64 or
+# 512 KiB are slower
 _SLAB_BYTES = 1 << 17
 
 
@@ -143,18 +141,17 @@ class Propagator2x2:
 
 
 class LinearPropagator:
-    """Grid-level solution operator of the linearized system at a fixed step t.
+    """Grid-level solution operator of the linearized system at a fixed step t,
+    applied to the kz >= 0 halves of the spectra.
 
     The 8 block entries (4 per block) depend on |xi| only, so they are kept as
     one (8, R) table over the grid's R distinct radii, evaluated once per
     propagator.  ``apply_spectra`` runs one slab of kx-planes at a time: it
     gathers the slab's entries from the table through the grid's radius index
     into a small buffer, runs the per-mode update on the slab and writes it
-    into the full outputs, so no temporary spans the lattice.  The unit
-    wavevectors and the radius index are the grid's, shared by every
-    propagator on it.  The update is per mode and its inputs may hold any
-    leading run of kz-indices: ``step`` passes the kz >= 0 halves, and the
-    result is bit for bit those modes of the full-lattice apply.
+    into the outputs, so no temporary spans the lattice.  The unit
+    wavevectors and the radius index are kz >= 0 views of the grid's, shared
+    by every propagator on it.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -164,8 +161,10 @@ class LinearPropagator:
         self.params = params
         self.t = float(t)
 
-        self._rhat = grid.unit_xi
-        radii, self._index = grid.distinct_radii
+        half = grid.n // 2 + 1
+        self._rhat = grid.unit_xi[..., :half]
+        radii, index = grid.distinct_radii
+        self._index = index[..., :half]
         comp = BlockSystem.compressible(params)
         shear = BlockSystem.shear(params)
         # rows p11, p12, p21, p22 of the compressible block, then of the shear block
@@ -175,23 +174,17 @@ class LinearPropagator:
         )
 
     def apply_spectra(self, n_hat, v_hat, e_hat):
-        """Advance raw spectra (n, v, E) by t; returns new spectra.
-
-        The last axis holds the first M kz-indices of the lattice: M = N for
-        full spectra, M = N/2 + 1 for the kz >= 0 halves that ``step`` runs
-        on.  The update is per mode, so the radius index and the unit
-        wavevectors are sliced to the same M."""
-        m = n_hat.shape[-1]
-        index, rhat = self._index[..., :m], self._rhat[..., :m]
+        """Advance the kz >= 0 halves (n, v, E), shaped (..., N, N, N/2 + 1), by t;
+        returns new halves."""
         n1 = np.empty(n_hat.shape, dtype=np.complex128)
         v1 = np.empty(v_hat.shape, dtype=np.complex128)
         e1 = np.empty(e_hat.shape, dtype=np.complex128)
         n = self.grid.n
-        width = max(1, _SLAB_BYTES // (16 * n * m))
+        width = max(1, _SLAB_BYTES // (16 * n * (n // 2 + 1)))
         for lo in range(0, n, width):
             x = slice(lo, lo + width)
             self._apply_slab(
-                index[x], rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
+                self._index[x], self._rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
                 n1[x], v1[:, x], e1[:, :, x],
             )
         return n1, v1, e1
@@ -248,8 +241,6 @@ class LinearPropagator:
                 e1[i, j] += frozen
 
     def __call__(self, state: FlowState) -> FlowState:
-        n1, v1, e1 = self.apply_spectra(
-            state.n.spectrum, state.v.spectrum, state.E.spectrum
-        )
+        n1, v1, e1 = self.apply_spectra(*(f.half for f in state.fields()))
         return state_from_spectra(self.grid, n1, v1, e1, state.time + self.t)
 

@@ -8,10 +8,10 @@ to the perturbation triple
 with time rescaled by chi0^2 (grid points are relabelled, not resampled:
 the box length is interpreted in the perturbation frame).  Physical data is
 initial data and carries no time: the state it maps to starts at t = 0.
-The initial state and every stepped state are assembled from three spectra
-by :func:`state_from_spectra`, which zeroes their mean modes: the
-perturbation system is posed on mean-zero fields.  A stepped state is
-assembled from the kz >= 0 halves that the step computes.
+The initial state is built of full spectra by :func:`phys_to_pert`, and
+every propagated state of half fields by :func:`state_from_spectra`, from
+the kz >= 0 halves that the step and the propagator compute; both zero the
+mean modes: the perturbation system is posed on mean-zero fields.
 """
 
 from __future__ import annotations
@@ -108,20 +108,25 @@ def adjugate3(t: np.ndarray) -> np.ndarray:
 
 
 def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> FlowState:
-    """Change of variables (rho, u, F) -> (n, v, E), a state at t = 0; a mean
-    mode above ``MEAN_WARN`` is logged, when ``warn`` is true, before it is
-    zeroed."""
+    """Change of variables (rho, u, F) -> (n, v, E), a state at t = 0 built of
+    full spectra; a mean mode above ``MEAN_WARN`` is logged, when ``warn`` is
+    true, before it is zeroed."""
     grid = phys.grid
-    spectra = (
-        to_spectrum(grid, phys.rho.samples - 1.0),
-        to_spectrum(grid, params.chi0 * phys.u.samples),
-        to_spectrum(grid, phys.F.samples - IDENTITY),
-    )
-    for label, spec in zip(("n", "v", "E"), spectra):
+
+    def mean_free(label, cls, samples):
+        spec = to_spectrum(grid, samples)
         worst = float(np.max(np.abs(spec[..., 0, 0, 0])))
         if warn and worst > MEAN_WARN:
             logger.warning("projecting %s mean of size %.3e to zero", label, worst)
-    return state_from_spectra(grid, *spectra, 0.0)
+        spec[..., 0, 0, 0] = 0.0
+        return cls.from_spectrum(grid, spec)
+
+    return FlowState(
+        mean_free("n", ScalarField, phys.rho.samples - 1.0),
+        mean_free("v", VectorField, params.chi0 * phys.u.samples),
+        mean_free("E", TensorField, phys.F.samples - IDENTITY),
+        0.0,
+    )
 
 
 def state_from_spectra(
@@ -131,19 +136,16 @@ def state_from_spectra(
     e_hat: np.ndarray,
     time: float,
 ) -> FlowState:
-    """Assemble a state from raw spectra, zeroing the mean modes silently.
-
-    The spectra are full, or their kz >= 0 halves when the last axis has
-    N/2 + 1 entries (never N, as N >= 4): the state is then built of half
-    fields, which mirror their full spectra on first read.  The state owns the
-    three arrays, uncopied: their mean modes are zeroed in place and they are
-    frozen, so pass arrays that nothing else holds."""
+    """Assemble a state of half fields from the kz >= 0 halves of its spectra,
+    zeroing the mean modes silently.  The state owns the three arrays, uncopied:
+    their mean modes are zeroed in place and they are frozen, so pass arrays
+    that nothing else holds."""
     n_hat[0, 0, 0] = 0.0
     v_hat[:, 0, 0, 0] = 0.0
     e_hat[:, :, 0, 0, 0] = 0.0
-    half = n_hat.shape[-1] == grid.n // 2 + 1
-    fields = (
-        (cls.from_half_spectrum if half else cls.from_spectrum)(grid, spec)
-        for cls, spec in ((ScalarField, n_hat), (VectorField, v_hat), (TensorField, e_hat))
+    return FlowState(
+        ScalarField.from_half_spectrum(grid, n_hat),
+        VectorField.from_half_spectrum(grid, v_hat),
+        TensorField.from_half_spectrum(grid, e_hat),
+        time,
     )
-    return FlowState(*fields, time)

@@ -6,7 +6,8 @@ pinned against, the reader of the snapshots that ``simulate`` writes, zero
 and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
 ``h2_distance`` and ``rhs_spectra`` are checked against, and the
-full-spectrum step that the half-spectrum ``step`` is checked against."""
+full-spectrum states and step that the half-spectrum ``step`` and the
+propagator are checked against."""
 
 import contextlib
 import dataclasses
@@ -46,7 +47,7 @@ from veflow.params import guard_positive_density, pressure_coefficient
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator
 from veflow.snapshot import _read_triple
 from veflow.sources import _dealiased, _gradient, _rho_f_of
-from veflow.state import IDENTITY, MEAN_WARN, state_from_spectra
+from veflow.state import IDENTITY, MEAN_WARN
 
 logger = logging.getLogger(__name__)
 
@@ -227,10 +228,10 @@ def gathered_entries(prop) -> np.ndarray:
 def einsum_apply(prop, n_hat, v_hat, e_hat):
     """``LinearPropagator.apply_spectra`` in its batched form, on every mode at
     once: the deformation update built from two 9-component einsum outer
-    products and the frozen part.  Like the apply, it takes full spectra or the
-    kz >= 0 halves, slicing the lattice arrays to the last axis it is given."""
+    products and the frozen part.  It takes full spectra or the kz >= 0 halves,
+    slicing the grid's lattice arrays to the last axis it is given."""
     m = n_hat.shape[-1]
-    rhat = prop._rhat[..., :m]
+    rhat = prop.grid.unit_xi[..., :m]
     a = prop.params.a
     p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)[..., :m]
     vpar = np.einsum("j...,j...->...", rhat, v_hat)
@@ -628,20 +629,34 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
     return dealiased(f), dealiased(g), dealiased(h)
 
 
+def full_state(grid: Grid, n_hat, v_hat, e_hat, time: float) -> FlowState:
+    """A state of full-spectrum fields, the mean modes zeroed in place."""
+    n_hat[0, 0, 0] = 0.0
+    v_hat[:, 0, 0, 0] = 0.0
+    e_hat[:, :, 0, 0, 0] = 0.0
+    return FlowState(
+        ScalarField.from_spectrum(grid, n_hat),
+        VectorField.from_spectrum(grid, v_hat),
+        TensorField.from_spectrum(grid, e_hat),
+        time,
+    )
+
+
 def full_spectrum_step(state: FlowState, params, dt: float, dealias: bool = True) -> FlowState:
-    """One exponential-midpoint step with every spectrum on the full lattice."""
+    """One exponential-midpoint step with every spectrum on the full lattice,
+    the propagator applied in its batched form (``einsum_apply``)."""
     grid = state.grid
     half_prop = LinearPropagator(grid, params, 0.5 * dt)
     full_prop = LinearPropagator(grid, params, dt)
     spectra = tuple(f.spectrum for f in state.fields())
     gs = full_spectrum_rhs_spectra(state, params, dealias)
-    hs = half_prop.apply_spectra(*spectra)
-    mid = state_from_spectra(
+    hs = einsum_apply(half_prop, *spectra)
+    mid = full_state(
         grid, *(h + 0.5 * dt * g for g, h in zip(gs, hs)), state.time + 0.5 * dt
     )
-    ks = half_prop.apply_spectra(*full_spectrum_rhs_spectra(mid, params, dealias))
-    fs = full_prop.apply_spectra(*spectra)
-    return state_from_spectra(grid, *(f + dt * k for k, f in zip(ks, fs)), state.time + dt)
+    ks = einsum_apply(half_prop, *full_spectrum_rhs_spectra(mid, params, dealias))
+    fs = einsum_apply(full_prop, *spectra)
+    return full_state(grid, *(f + dt * k for k, f in zip(ks, fs)), state.time + dt)
 
 
 def max_relative_gap(a: FlowState, b: FlowState) -> float:

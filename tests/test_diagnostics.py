@@ -9,6 +9,7 @@ from helpers import (
     axes,
     column,
     cross_curl_oracle,
+    full_state,
     generic_piola_spec,
     lp_norm_oracle,
     random_spectra,
@@ -37,7 +38,6 @@ from veflow import (
 from veflow.diagnostics import CSV_COLUMNS, TimeSeriesRecord, csv_line, h2_distance
 from veflow.errors import VeflowError
 from veflow.semigroup import LinearPropagator
-from veflow.state import state_from_spectra
 from veflow.stepping import StepperConfig
 
 
@@ -74,7 +74,7 @@ class TestCrossCurl:
         for seed in range(3):
             spectra = tuple(1e-2 * x for x in random_spectra(grid, seed))
             for data in (spectra, tuple(x * grid.dealias_mask for x in spectra)):
-                st = state_from_spectra(grid, *(x.copy() for x in data), 0.0)
+                st = full_state(grid, *(x.copy() for x in data), 0.0)
                 got, want = lyapunov_m(st).cross_curl, cross_curl_oracle(st)
                 assert want != 0.0
                 assert abs(got - want) <= 1e-13 * abs(want)
@@ -85,7 +85,7 @@ class TestCrossCurl:
     def test_zero_on_symmetric_deformation(self, grid8):
         n_hat, v_hat, e_hat = (1e-2 * x for x in random_spectra(grid8, 7))
         sym = e_hat + np.swapaxes(e_hat, 0, 1)
-        st = state_from_spectra(grid8, n_hat, v_hat, sym, 0.0)
+        st = full_state(grid8, n_hat, v_hat, sym, 0.0)
         assert lyapunov_m(st).cross_curl == 0.0
 
 

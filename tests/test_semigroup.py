@@ -13,6 +13,7 @@ from helpers import (
     dense_linear_generator,
     einsum_apply,
     even_n,
+    full_state,
     gathered_entries,
     hermitian_defect,
     hodge_decompose,
@@ -33,10 +34,9 @@ from veflow import (
     Propagator2x2,
     make_params,
 )
-from veflow.fields import to_spectrum
+from veflow.fields import half_to_full, to_spectrum
 from veflow.oracles import _rhs, rk4_block_expm
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator, block_entries
-from veflow.state import state_from_spectra
 from veflow.stepping import cfl_dt
 
 
@@ -228,7 +228,7 @@ class TestGridSemigroup:
     def test_longitudinal_sector_invariance(self, grid16, params):
         x, _, _ = axes(grid16)
         n = 0.01 * np.sin(x) + np.zeros(grid16.shape)
-        st = state_from_spectra(
+        st = full_state(
             grid16,
             to_spectrum(grid16, n),
             np.zeros((3,) + grid16.shape, complex),
@@ -246,7 +246,7 @@ class TestGridSemigroup:
         _, y, _ = axes(grid16)
         v = np.zeros((3,) + grid16.shape)
         v[0] = 0.01 * np.sin(y) + np.zeros(grid16.shape)
-        st = state_from_spectra(
+        st = full_state(
             grid16,
             np.zeros(grid16.shape, complex),
             to_spectrum(grid16, v),
@@ -331,7 +331,7 @@ class TestGridSemigroup:
             n = n + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             v = v + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             e = e + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        reference = state_from_spectra(g, n, v, e, t_end)
+        reference = full_state(g, n, v, e, t_end)
 
         out = LinearPropagator(grid8, params, t_end)(st)
         from veflow.diagnostics import h2_distance
@@ -341,8 +341,8 @@ class TestGridSemigroup:
     def test_hermitian_output_gives_real_fields(self, grid8, params, rng):
         st = smooth_state(grid8, rng)
         prop = LinearPropagator(grid8, params, 0.7)
-        out = prop.apply_spectra(st.n.spectrum, st.v.spectrum, st.E.spectrum)
-        for spec in out:
+        for half in prop.apply_spectra(*(f.half for f in st.fields())):
+            spec = half_to_full(grid8, half)
             assert hermitian_defect(spec) <= 1e-12 * np.max(np.abs(spec))
 
     @pytest.mark.parametrize("system", BLOCKS, ids=lambda s: s.kind)
@@ -377,37 +377,37 @@ class TestComponentApply:
         per slab rounds exactly as the batched whole-lattice form, on the half-step
         and the full-step propagator, also on 2/3-masked spectra with exact zeros,
         where -0.0 and 0.0 differ: in one slab, and in slabs of n/2 - 1 kx-planes,
-        three of them with a ragged last one (3, 3, 2 at n = 8).  Both on full
-        spectra and on their kz >= 0 halves, the strided views that ``step``
-        passes."""
+        three of them with a ragged last one (3, 3, 2 at n = 8).  On the kz >= 0
+        halves as strided views of full spectra, the views that ``step`` passes
+        for a state of full spectra."""
         grid = Grid(n)
         params = make_params(alpha=alpha)
         dt = cfl_dt(grid, params)
+        half = n // 2 + 1
         width = n // 2 - 1
         assert -(-n // width) == 3 and n % width != 0
-        for m in (n, n // 2 + 1):
-            for slab_bytes in (veflow.semigroup._SLAB_BYTES, width * 16 * n * m):
-                monkeypatch.setattr(veflow.semigroup, "_SLAB_BYTES", slab_bytes)
-                for seed in range(2):
-                    spectra = random_spectra(grid, seed)
-                    masked = tuple(x * grid.dealias_mask for x in spectra)
-                    for t in (0.5 * dt, dt):
-                        prop = LinearPropagator(grid, params, t)
-                        for data in (spectra, masked):
-                            data = tuple(x[..., :m] for x in data)
-                            for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
-                                assert same_bits(got, want)
+        for slab_bytes in (veflow.semigroup._SLAB_BYTES, width * 16 * n * half):
+            monkeypatch.setattr(veflow.semigroup, "_SLAB_BYTES", slab_bytes)
+            for seed in range(2):
+                spectra = random_spectra(grid, seed)
+                masked = tuple(x * grid.dealias_mask for x in spectra)
+                for t in (0.5 * dt, dt):
+                    prop = LinearPropagator(grid, params, t)
+                    for data in (spectra, masked):
+                        data = tuple(x[..., :half] for x in data)
+                        for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
+                            assert same_bits(got, want)
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_half_apply_is_the_kz_nonnegative_part_of_the_full_apply(self, n):
         """The update is per mode, so the apply on the halves gives the bits of the
-        full apply on those modes."""
+        batched apply on the full lattice (``einsum_apply``) on those modes."""
         grid = Grid(n)
         params = make_params()
         prop = LinearPropagator(grid, params, cfl_dt(grid, params))
         spectra = random_spectra(grid, n)
         half = n // 2 + 1
-        full = prop.apply_spectra(*spectra)
+        full = einsum_apply(prop, *spectra)
         for got, want in zip(prop.apply_spectra(*(x[..., :half] for x in spectra)), full):
             assert same_bits(got, want[..., :half].copy())
 
@@ -432,9 +432,14 @@ class TestEntriesPerRadius:
                 assert all(same_bits(g, w) for g, w in zip(got, want))
 
     def test_propagators_share_unit_wavevectors(self, grid8):
+        """Each propagator keeps kz >= 0 views of the grid's unit wavevectors and
+        radius index, not copies."""
         params = make_params()
         props = LinearPropagator(grid8, params, 0.1), LinearPropagator(grid8, params, 0.2)
-        assert props[0]._rhat is props[1]._rhat is grid8.unit_xi
+        for prop in props:
+            assert prop._rhat.base is grid8.unit_xi
+            assert np.shares_memory(prop._index, grid8.distinct_radii[1])
+            assert prop._rhat.shape[-1] == prop._index.shape[-1] == 5
 
     def test_propagator_retains_less_than_one_lattice_array(self):
         """A propagator at N = 32 on a grid with its lattice cached keeps its
@@ -457,11 +462,11 @@ class TestGridSemigroupProperties:
     def test_group_law_and_exact_identity_where_r_is_zero(
         self, grid8, seed, mu, lam_ratio, alpha, t1, t2
     ):
-        """K(t2) K(t1) = K(t1 + t2), and modes with r = 0 (zero mode, Nyquist
-        planes) pass unchanged bit for bit: there e^{tA} = I exactly, and the
-        steady-state shift must not round n through n - n* + n*."""
+        """K(t2) K(t1) = K(t1 + t2) on the kz >= 0 halves, and modes with r = 0
+        (zero mode, Nyquist planes) pass unchanged bit for bit: there e^{tA} = I
+        exactly, and the steady-state shift must not round n through n - n* + n*."""
         params = make_params(mu=mu, lam=lam_ratio * mu, alpha=alpha)
-        spectra = random_spectra(grid8, seed)
+        spectra = tuple(x[..., :5] for x in random_spectra(grid8, seed))
 
         k1 = LinearPropagator(grid8, params, t1)
         k2 = LinearPropagator(grid8, params, t2)
@@ -470,7 +475,7 @@ class TestGridSemigroupProperties:
         for x, y, x0 in zip(once, twice, spectra):
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x0))
 
-        still = (grid8.xi_mag * grid8.nyquist_mask) == 0.0
+        still = (grid8.xi_mag * grid8.nyquist_mask)[..., :5] == 0.0
         assert 0 < still.sum() < still.size
         for x0, x in zip(spectra, k1.apply_spectra(*spectra)):
             assert np.array_equal(x[..., still], x0[..., still])
@@ -485,8 +490,13 @@ class TestHermitianOutput:
         mirrored mode gets the conjugate arithmetic: the input's own defect
         (transform round-off, at most 4.8e-16 of its max in 60 random cases) is
         all that is left, 5.6e-16 at most; 1e-13 of the input max is a 100x
-        margin, while a symbol that breaks the mirror gives an O(1) defect."""
+        margin, while a symbol that breaks the mirror gives an O(1) defect.  The
+        apply runs on the kz >= 0 halves, so the mirror that it must keep is the
+        one inside the kz = 0 and kz = N/2 planes, which ``half_to_full`` passes
+        through."""
         grid = Grid(n)
         spectra = random_spectra(grid, seed)
-        for out in LinearPropagator(grid, params, t).apply_spectra(*spectra):
-            assert hermitian_defect(out) <= 1e-13 * max(np.max(np.abs(x)) for x in spectra)
+        halves = tuple(x[..., : n // 2 + 1] for x in spectra)
+        for out in LinearPropagator(grid, params, t).apply_spectra(*halves):
+            defect = hermitian_defect(half_to_full(grid, out))
+            assert defect <= 1e-13 * max(np.max(np.abs(x)) for x in spectra)

@@ -11,6 +11,7 @@ from helpers import (
     even_n,
     field_wrapped_rhs_spectra,
     full_spectrum_rhs_spectra,
+    full_state,
     generic_piola_spec,
     hermitian_defect,
     identity_field,
@@ -39,7 +40,7 @@ import veflow.sources
 from veflow.diagnostics import sample_row
 from veflow.fields import half_to_full, half_to_samples, to_samples
 from veflow.sources import _half_sum_sq, rhs_spectra
-from veflow.state import phys_to_pert, state_from_spectra
+from veflow.state import phys_to_pert
 
 
 def full_spectrum_residuals(obj) -> np.ndarray:
@@ -146,9 +147,9 @@ class TestEvaluateSources:
 
 
 def unsampled(st: FlowState) -> FlowState:
-    """``st`` assembled anew from copies of its spectra, as a step assembles its
-    states: only n's samples are computed (by the vacuum check)."""
-    return state_from_spectra(st.grid, *(f.spectrum.copy() for f in st.fields()), st.time)
+    """``st`` assembled anew from copies of its full spectra: only n's samples
+    are computed (by the vacuum check)."""
+    return full_state(st.grid, *(f.spectrum.copy() for f in st.fields()), st.time)
 
 
 class TestTransientSamples:

@@ -9,7 +9,9 @@ from helpers import (
     antisymmetric_part,
     column,
     einsum_apply,
+    field_wrapped_rhs_spectra,
     full_spectrum_step,
+    full_state,
     generic_piola_spec,
     hermitian_defect,
     max_relative_gap,
@@ -36,11 +38,9 @@ from veflow import (
     step,
 )
 from veflow.diagnostics import CSV_HEADER, h2_distance
-from veflow.fields import half_to_full, half_to_samples, to_half_spectrum
 from veflow.operators import gradient_sobolev_norm
-from veflow.params import pressure_coefficient
 from veflow.semigroup import LinearPropagator
-from veflow.sources import _gradient, constraint_residuals
+from veflow.sources import constraint_residuals
 from veflow.state import state_from_spectra
 from veflow.stepping import StepperConfig
 
@@ -115,69 +115,28 @@ class TestStep:
         assert 3.2 <= ratio <= 4.8, ratio
 
 
-def _batched_rhs(state, params, dealias):
-    """``rhs_spectra`` with every gradient and product alive until the three
-    sources are transformed, and each mask a new array."""
-    grid = state.grid
-    n = state.n.samples
-    half = grid.n // 2 + 1
-    v_hat = state.v.spectrum[..., :half]
-    v = half_to_samples(grid, v_hat)
-    E = half_to_samples(grid, state.E.spectrum[..., :half])
-    dn = _gradient(grid, state.n.spectrum[..., :half])
-    dv = _gradient(grid, v_hat)
-    dE = _gradient(grid, state.E.spectrum[..., :half])
-    divv = dv[0, 0] + dv[1, 1] + dv[2, 2]
-    xi = grid.xi[..., :half]
-    xiv = np.einsum("j...,j...->...", xi, v_hat)
-    visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
-        params.lam + params.mu
-    ) * np.einsum("i...,...->i...", xi, xiv)
-    visc = half_to_samples(grid, visc_hat)
-    f = -n * divv
-    adv_n = np.einsum("j...,j...->...", v, dn)
-    h = np.einsum("ki...,kj...->ij...", dv, E)
-    adv_E = np.einsum("k...,kij...->ij...", v, dE)
-    ratio = n / (1.0 + n)
-    coef = pressure_coefficient(1.0 + n, params)
-    g = (
-        params.a * np.einsum("jk...,jik...->i...", E, dE)
-        - np.einsum("...,i...->i...", ratio, visc)
-        - np.einsum("j...,ji...->i...", v, dv)
-        - np.einsum("...,i...->i...", coef, dn)
-    )
-    spectra = [to_half_spectrum(grid, x) for x in (f - adv_n, g, h - adv_E)]
-    return tuple(x * grid.dealias_mask[..., :half] if dealias else x for x in spectra)
-
-
 def _one_line_step(state, params, dt, dealias, half_prop, full_prop, sources):
     """``step`` with K(dt) U formed first and every sum a new array, on the
-    batched apply and source forms; with sources, on the kz >= 0 halves, each
-    state assembled through the mirror."""
+    batched apply (``einsum_apply``) and the field-wrapped sources, on the
+    kz >= 0 halves."""
     grid = state.grid
-    if not sources:
-        spectra = einsum_apply(full_prop, *(f.spectrum for f in state.fields()))
-        return state_from_spectra(grid, *spectra, state.time + dt)
-    half = grid.n // 2 + 1
-    n0, v0, e0 = (f.spectrum[..., :half] for f in state.fields())
+    n0, v0, e0 = (f.half for f in state.fields())
     nf, vf, ef = einsum_apply(full_prop, n0, v0, e0)
-    gn0, gv0, ge0 = _batched_rhs(state, params, dealias)
+    if not sources:
+        return state_from_spectra(grid, nf, vf, ef, state.time + dt)
+    gn0, gv0, ge0 = field_wrapped_rhs_spectra(state, params, dealias)
     nh, vh, eh = einsum_apply(half_prop, n0, v0, e0)
     mid = state_from_spectra(
         grid,
-        half_to_full(grid, nh + 0.5 * dt * gn0),
-        half_to_full(grid, vh + 0.5 * dt * gv0),
-        half_to_full(grid, eh + 0.5 * dt * ge0),
+        nh + 0.5 * dt * gn0,
+        vh + 0.5 * dt * gv0,
+        eh + 0.5 * dt * ge0,
         state.time + 0.5 * dt,
     )
-    gn1, gv1, ge1 = _batched_rhs(mid, params, dealias)
+    gn1, gv1, ge1 = field_wrapped_rhs_spectra(mid, params, dealias)
     kn, kv, ke = einsum_apply(half_prop, gn1, gv1, ge1)
     return state_from_spectra(
-        grid,
-        half_to_full(grid, nf + dt * kn),
-        half_to_full(grid, vf + dt * kv),
-        half_to_full(grid, ef + dt * ke),
-        state.time + dt,
+        grid, nf + dt * kn, vf + dt * kv, ef + dt * ke, state.time + dt
     )
 
 
@@ -200,7 +159,7 @@ class TestLeanStep:
             for seed in range(2):
                 spectra = tuple(1e-2 * x for x in random_spectra(grid, seed))
                 for data in (spectra, tuple(x * grid.dealias_mask for x in spectra)):
-                    st = state_from_spectra(grid, *(x.copy() for x in data), 0.25)
+                    st = full_state(grid, *(x.copy() for x in data), 0.25)
                     got = step(st, params, dt, dealias, *props, sources=sources)
                     want = _one_line_step(st, params, dt, dealias, *props, sources)
                     assert got.time == want.time
@@ -251,9 +210,10 @@ class TestHalfBuiltStates:
     """A stepped state keeps the kz >= 0 halves the step computed and mirrors
     a field only when its spectrum or samples are read."""
 
-    def test_step_mirrors_only_n(self, monkeypatch):
-        """One step from an unsampled state mirrors the n of U_mid and of
-        U(t+dt), for the vacuum check's samples, and neither v nor E."""
+    @staticmethod
+    def _mirrors(monkeypatch, sources):
+        """(state, next state, the half shapes ``half_to_full`` was called on) for
+        one step from an unsampled stepped state at N = 8."""
         import veflow.fields
 
         grid = Grid(8)
@@ -269,9 +229,23 @@ class TestHalfBuiltStates:
             return mirror(grid, half)
 
         monkeypatch.setattr(veflow.fields, "half_to_full", counting)
-        stepped = step(state, params, dt)
+        return state, step(state, params, dt, sources=sources), calls
+
+    def test_step_mirrors_only_n(self, monkeypatch):
+        """One step from an unsampled state mirrors the n of U_mid and of
+        U(t+dt), for the vacuum check's samples, and neither v nor E."""
+        _, stepped, calls = self._mirrors(monkeypatch, True)
         assert calls == [(8, 8, 5)] * 2
         assert stepped.v.half.base is None and stepped.E.half.base is None
+
+    def test_zero_source_step_builds_a_half_state(self, monkeypatch):
+        """One step without sources applies K(dt) to the halves and assembles the
+        new state from halves: it mirrors only the new n, for the vacuum check's
+        samples, and neither v nor E of either state."""
+        state, stepped, calls = self._mirrors(monkeypatch, False)
+        assert calls == [(8, 8, 5)]
+        for f in (state.v, state.E, stepped.v, stepped.E):
+            assert f.half.base is None
 
 
 class TestMemory:
