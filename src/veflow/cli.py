@@ -183,18 +183,18 @@ def _cmd_make_ic(args) -> int:
     grid = Grid(args.n, args.box)
     text, spec = _read_modes(args.modes)
     phys = piola_ic(spec.scaled(args.delta, args.delta_u), grid, params)
-    pert = phys_to_pert(phys, params, warn=False)
+    h2 = phys_to_pert(phys, params, warn=False).h_norm(2)
     _write_manifest(out, args, text.encode())
     write_phys(out, phys)
     _write_summary(
         out,
         {
             "params": dataclasses.asdict(params),
-            "h2_perturbation": pert.h_norm(2),
+            "h2_perturbation": h2,
             "files": ["ic_rho.cvf", "ic_u.cvf", "ic_F.cvf"],
         },
     )
-    print(f"wrote initial data to {out} (|(n0,v0,E0)|_H2 = {pert.h_norm(2):.6e})")
+    print(f"wrote initial data to {out} (|(n0,v0,E0)|_H2 = {h2:.6e})")
     return 0
 
 

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError, VeflowError
-from .operators import div, gradient_sobolev_norm, inner_product, l2_norm, laplacian, sobolev_norm
+from .operators import (
+    div,
+    gradient_sobolev_norm,
+    half_sum,
+    inner_product,
+    l2_norm,
+    laplacian,
+    sobolev_norm,
+)
 from .params import ModelParams
 from .semigroup import LinearPropagator
 from .sources import ConstraintReport, constraint_residuals
@@ -78,12 +86,12 @@ def _cross_curl(state: FlowState) -> float:
     """<W, lap(E^T - E)> with W^{ij} = d_j v^i - d_i v^j by Parseval, over the slots
     i < j: both matrices are antisymmetric, so slot (j, i) repeats slot (i, j)."""
     grid = state.grid
-    xi, lap = grid.xi, grid.laplacian_symbol
-    v, e = state.v.spectrum, state.E.spectrum
+    v, e = state.v.half, state.E.half
+    xi, lap = grid.xi[..., : v.shape[-1]], grid.laplacian_symbol[..., : v.shape[-1]]
     total = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         w = 1j * (xi[j] * v[i] - xi[i] * v[j])
-        total += np.sum(w * np.conj(lap * (e[j, i] - e[i, j]))).real
+        total += half_sum((w * np.conj(lap * (e[j, i] - e[i, j]))).real)
     return float(2.0 * grid.volume * total)
 
 
@@ -227,12 +235,12 @@ def decay_fit(
 # linear-vs-nonlinear comparison
 
 def h2_distance(a: FlowState, b: FlowState) -> float:
-    """H2 norm of the componentwise difference of two states, from their spectra."""
+    """H2 norm of the componentwise difference of two states, from their halves."""
     if a.grid != b.grid:
         raise GridMismatchError("states live on different grids")
     total = 0.0
     for fa, fb in zip(a.fields(), b.fields()):
-        total += sobolev_norm(type(fa).from_spectrum(a.grid, fa.spectrum - fb.spectrum), 2) ** 2
+        total += sobolev_norm(type(fa).from_half_spectrum(a.grid, fa.half - fb.half), 2) ** 2
     return float(np.sqrt(total))
 
 

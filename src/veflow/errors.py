@@ -14,7 +14,7 @@ class GridMismatchError(VeflowError):
 
 
 class FieldError(VeflowError):
-    """Malformed field data: non-finite values, broken symmetry, wrong shape."""
+    """Malformed field data: non-finite values or a wrong shape."""
 
 
 class VacuumError(VeflowError):

@@ -1,20 +1,22 @@
-"""Real grid functions, each viewed as its samples and as its spectrum.
+"""Real grid functions, each viewed as its samples and as the kz >= 0 half of
+its spectrum.
 
 Scalar, vector (3 components) and tensor (3x3 components) fields share one
-convention: a real array of samples and a complex array of Fourier
-coefficients normalized so the k = 0 coefficient is the mean,
+convention: a real array of samples and complex Fourier coefficients
+normalized so the k = 0 coefficient is the mean,
 
     u_hat(k) = N^-3 * sum_x u(x) exp(-i xi.x),
     u(x)     = sum_k u_hat(k) exp(+i xi.x).
 
 With this pairing Parseval reads  ||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2.
-A field is built from one view, samples or spectrum, and computes the other
-on first use; both are read-only.  A field can also be built from the
-kz >= 0 half of its spectrum, as the step and the propagator compute it:
-it holds that half until its spectrum or samples are first read, and then
-mirrors it into the full spectrum and frees it.  The spectrum of a real
-field is Hermitian-symmetric.  Spectra come only from the package's own
-transforms and multipliers, which keep that symmetry, so it is never
+The spectrum of a real field is Hermitian-symmetric, so a field keeps only
+its kz >= 0 half, shaped (..., N, N, N/2 + 1), and no field keeps a full
+spectrum.  A field is built from one view, samples or half, and computes
+the other on first use; both are read-only.  The half of a samples-built
+field is the rfftn of its samples.  The samples of a half-built field are
+the complex inverse transform of its mirror (:func:`half_to_full`), which
+lives for that call only.  Halves come only from the package's own
+transforms and multipliers, which keep the symmetry, so it is never
 checked: every field that enters from outside (the snapshot reader, the
 initial data) enters as samples.
 
@@ -23,8 +25,8 @@ goes through :func:`to_spectrum` (fftn), :func:`to_samples` (ifftn),
 :func:`to_half_spectrum` (rfftn) and :func:`half_to_samples` (the passes
 of irfftn).  It also holds the one elementwise product kernel of the
 spectral code, :func:`product`, and the one Hermitian mirror,
-:func:`half_to_full`, which turns the kz >= 0 half that a step computes
-into the full spectrum that a half-built field computes on first read.
+:func:`half_to_full`, which a half-built field runs when its samples are
+first read.
 
 The four transforms work one component at a time: each leading index
 (none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
@@ -155,61 +157,36 @@ def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 class _BaseField:
     """Real grid function with two read-only views, :attr:`samples` and
-    :attr:`spectrum`; a constructor sets one, the other is computed on first use.
-
-    A field built from a kz >= 0 half (:meth:`from_half_spectrum`) holds only
-    that half until its spectrum or samples are first read: the spectrum is
-    then mirrored from it, and :attr:`half` becomes a view of the spectrum, so
-    the half's own buffer is freed."""
+    :attr:`half`; a constructor sets one, the other is computed on first use."""
 
     rank = 0
-    _half = None  # the kz >= 0 half a field was built from, until it is mirrored
 
     def __init__(self, grid: Grid, samples: np.ndarray):
         self.grid = grid
         self.samples = _check_payload(grid, samples, np.float64, self.rank, grid.shape)
 
     @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray):
-        """Field of a trusted Hermitian spectrum: the imaginary part of its
-        inverse transform is dropped unchecked in :attr:`samples`."""
-        field = cls.__new__(cls)
-        field.grid = grid
-        field.spectrum = _check_payload(grid, spectrum, np.complex128, cls.rank, grid.shape)
-        return field
-
-    @classmethod
     def from_half_spectrum(cls, grid: Grid, half: np.ndarray):
         """Field of the trusted kz >= 0 half of a Hermitian spectrum, shaped
-        (..., N, N, N/2 + 1); its spectrum is ``half_to_full`` of it."""
+        (..., N, N, N/2 + 1): the imaginary part of the inverse transform of its
+        mirror is dropped unchecked in :attr:`samples`."""
         field = cls.__new__(cls)
         field.grid = grid
         shape = (grid.n, grid.n, grid.n // 2 + 1)
-        field._half = _check_payload(grid, half, np.complex128, cls.rank, shape)
+        field.half = _check_payload(grid, half, np.complex128, cls.rank, shape)
         return field
 
-    @property
+    @cached_property
     def half(self) -> np.ndarray:
         """The kz >= 0 half of the spectrum (read-only), shaped (..., N, N, N/2 + 1)."""
-        if self._half is not None:
-            return self._half
-        return self.spectrum[..., : self.grid.n // 2 + 1]
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Fourier coefficients (read-only complex array)."""
-        if self._half is not None:
-            out = half_to_full(self.grid, self._half)
-            self._half = None
-        else:
-            out = to_spectrum(self.grid, self.samples)
+        out = to_half_spectrum(self.grid, self.samples)
         out.setflags(write=False)
         return out
 
     @cached_property
     def samples(self) -> np.ndarray:
         """Physical samples (read-only real array)."""
-        out = to_samples(self.grid, self.spectrum)
+        out = to_samples(self.grid, half_to_full(self.grid, self.half))
         out.setflags(write=False)
         return out
 

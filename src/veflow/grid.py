@@ -87,12 +87,13 @@ class Grid:
         return _freeze(-(self.xi_mag**2))
 
     def sobolev_weight(self, first: int, last: int) -> np.ndarray:
-        """sum_{first <= j <= last} |xi|^(2j), built on first use per (first, last)."""
+        """sum_{first <= j <= last} |xi|^(2j) on the kz >= 0 half of the lattice,
+        shape (N, N, N/2 + 1), built on first use per (first, last)."""
         weights = self.__dict__.setdefault("_sobolev_weights", {})
         if (first, last) not in weights:
-            r2 = -self.laplacian_symbol
-            weight = np.ones(self.shape) if first == 0 else np.zeros(self.shape)
-            acc = np.ones(self.shape)
+            r2 = -self.laplacian_symbol[..., : self.n // 2 + 1]
+            weight = np.ones(r2.shape) if first == 0 else np.zeros(r2.shape)
+            acc = np.ones(r2.shape)
             for _ in range(last):
                 acc = acc * r2
                 weight = weight + acc

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialDataError
-from .fields import ScalarField, TensorField, VectorField, product, to_samples
+from .fields import ScalarField, TensorField, VectorField, product, to_samples, to_spectrum
 from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
@@ -114,8 +114,9 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
 
     # grad phi, (grad phi)^{ij} = d_j phi^i, one component at a time; I is added below
     A = np.empty((3, 3) + grid.shape)
+    phi_hat = to_spectrum(grid, phi.samples)
     for i, j in np.ndindex(3, 3):
-        A[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi.spectrum[i]))
+        A[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi_hat[i]))
     sup = float(np.sqrt((A**2).sum(axis=(0, 1))).max())
     if sup >= 1.0:
         raise InitialDataError(

@@ -34,6 +34,7 @@ import numpy as np
 
 from .fields import half_to_samples, product, to_half_spectrum
 from .grid import Grid
+from .operators import half_sum
 from .params import ModelParams, guard_positive_density, pressure_coefficient
 from .state import IDENTITY, FlowState, PhysState
 
@@ -89,8 +90,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     grid = state.grid
     n = state.n.samples
 
-    # everything through the kz >= 0 halves, which a stepped state holds as
-    # built and any other state as views of its spectra, without a mirror
+    # everything through the kz >= 0 halves, without a mirror
     half = grid.n // 2 + 1
     v_hat = state.v.half
     e_half = state.E.half
@@ -144,13 +144,6 @@ def _rho_f_of(obj) -> tuple[Grid, np.ndarray, np.ndarray]:
     raise TypeError(f"expected FlowState or PhysState, got {type(obj).__name__}")
 
 
-def _half_sum_sq(half_spectrum: np.ndarray) -> float:
-    """Full-lattice sum_k |u_hat(k)|^2 of a Hermitian spectrum from its kz >= 0 half:
-    weight 1 on the self-mirrored kz = 0 and kz = N/2 planes, 2 elsewhere."""
-    power = np.abs(half_spectrum) ** 2
-    return float(2.0 * np.sum(power) - np.sum(power[..., 0]) - np.sum(power[..., -1]))
-
-
 def constraint_residuals(obj) -> ConstraintReport:
     """L2 residuals of the two material constraints, from half spectra of rho F and F."""
     grid, rho, F = _rho_f_of(obj)
@@ -161,17 +154,17 @@ def constraint_residuals(obj) -> ConstraintReport:
     rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
     w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
     del rhoF_hat
-    r1 = float(np.sqrt(vol * _half_sum_sq(w_hat)))
+    r1 = float(np.sqrt(vol * half_sum(np.abs(w_hat) ** 2)))
 
     # r3: d_k d_j (rho F^{jk}) = divdiv[(rho F)^T]
     q_hat = np.einsum("k...,k...->...", 1j * xi, w_hat)
-    r3 = float(np.sqrt(vol * _half_sum_sq(q_hat)))
+    r3 = float(np.sqrt(vol * half_sum(np.abs(q_hat) ** 2)))
 
     # r2: max over slots of ||F^{lk} d_l F^{ij} - F^{lj} d_l F^{ik}||, one row i
     # of d_l F^{ij} at a time, by grid Parseval over j < k only: j = k slots are
     # exactly 0 and (i, k, j) exactly negates (i, j, k).  d_l F from F's samples:
-    # E's cached spectrum is equal in exact arithmetic but moves r2's rounding
-    # past the recorded benchmark references
+    # E's half is equal in exact arithmetic but moves r2's rounding past the
+    # recorded benchmark references
     del rho, w_hat, q_hat
     F_hat = to_half_spectrum(grid, F)
     sums = []

@@ -8,10 +8,12 @@ to the perturbation triple
 with time rescaled by chi0^2 (grid points are relabelled, not resampled:
 the box length is interpreted in the perturbation frame).  Physical data is
 initial data and carries no time: the state it maps to starts at t = 0.
-The initial state is built of full spectra by :func:`phys_to_pert`, and
-every propagated state of half fields by :func:`state_from_spectra`, from
-the kz >= 0 halves that the step and the propagator compute; both zero the
-mean modes: the perturbation system is posed on mean-zero fields.
+The initial state is built by :func:`phys_to_pert`, whose fields hold both
+views: the samples of the mean-free complex spectrum and that spectrum's
+kz >= 0 half.  Every propagated state is built of half fields by
+:func:`state_from_spectra`, from the kz >= 0 halves that the step and the
+propagator compute.  Both zero the mean modes: the perturbation system is
+posed on mean-zero fields.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, GridMismatchError, VacuumError
-from .fields import ScalarField, TensorField, VectorField, to_spectrum
+from .fields import ScalarField, TensorField, VectorField, to_samples, to_spectrum
 from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
@@ -108,9 +110,9 @@ def adjugate3(t: np.ndarray) -> np.ndarray:
 
 
 def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> FlowState:
-    """Change of variables (rho, u, F) -> (n, v, E), a state at t = 0 built of
-    full spectra; a mean mode above ``MEAN_WARN`` is logged, when ``warn`` is
-    true, before it is zeroed."""
+    """Change of variables (rho, u, F) -> (n, v, E), a state at t = 0 whose
+    fields hold both views; a mean mode above ``MEAN_WARN`` is logged, when
+    ``warn`` is true, before it is zeroed."""
     grid = phys.grid
 
     def mean_free(label, cls, samples):
@@ -119,7 +121,11 @@ def phys_to_pert(phys: PhysState, params: ModelParams, warn: bool = True) -> Flo
         if warn and worst > MEAN_WARN:
             logger.warning("projecting %s mean of size %.3e to zero", label, worst)
         spec[..., 0, 0, 0] = 0.0
-        return cls.from_spectrum(grid, spec)
+        field = cls.from_half_spectrum(grid, spec[..., : grid.n // 2 + 1])  # a contiguous copy
+        # the samples of fftn's spectrum itself, which is not bitwise the mirror of its half
+        field.samples = to_samples(grid, spec)
+        field.samples.setflags(write=False)
+        return field
 
     return FlowState(
         mean_free("n", ScalarField, phys.rho.samples - 1.0),

@@ -16,16 +16,15 @@ with ``CFL_SAFETY`` = 0.5 the one default fraction of every caller.
 
 The step runs on the kz >= 0 half of the lattice: the sources come back
 as rfftn half spectra, the propagator is applied to the state's halves
-(``f.half``: as built, or views of full spectra, no copies) and the two
-midpoint sums are formed on halves.  The mid state and the new state are
-assembled from their halves, uncopied, and the step mirrors nothing: a
-field builds its full spectrum (``fields.half_to_full``) when its
-spectrum or samples are first read.  An unsampled state so mirrors only
-n, for the vacuum check; a sampled state mirrors every field on its first
-diagnostic read and gets the same spectra and complex sample views as a
-state assembled from full spectra.  A real-data transform costs about
-half a complex one, and the apply and the sums touch N/2 + 1 of the N
-kz-planes.
+(``f.half``, no copies) and the two midpoint sums are formed on halves.
+The mid state and the new state are assembled from their halves,
+uncopied, and the step mirrors nothing: a half-built field mirrors its
+half (``fields.half_to_full``) only to form its samples, when they are
+first read, and drops the mirror after.  An unsampled state so mirrors
+only n, for the vacuum check; a sampled state mirrors every field once
+and keeps its halves and samples, since the norms read the halves.  A
+real-data transform costs about half a complex one, and the apply and
+the sums touch N/2 + 1 of the N kz-planes.
 
 Evaluation order and memory: every spectrum is freed after its last use,
 and K(dt) U is formed last, so it is not held through the two source

@@ -41,7 +41,14 @@ from veflow import (
     whole_space_norm,
 )
 from veflow.errors import FieldError, GridMismatchError
-from veflow.fields import half_to_samples, product, to_half_spectrum, to_samples, to_spectrum
+from veflow.fields import (
+    half_to_full,
+    half_to_samples,
+    product,
+    to_half_spectrum,
+    to_samples,
+    to_spectrum,
+)
 from veflow.operators import apply_multiplier, sobolev_norm
 from veflow.params import guard_positive_density, pressure_coefficient
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator
@@ -179,9 +186,9 @@ def random_spectra(grid, seed):
 
 
 def antisymmetric_part(t: TensorField) -> TensorField:
-    """T^T - T, formed on the spectrum; exactly antisymmetric by construction."""
-    spec = t.spectrum
-    return TensorField.from_spectrum(t.grid, np.swapaxes(spec, 0, 1) - spec)
+    """T^T - T, formed on the half; exactly antisymmetric by construction."""
+    half = t.half
+    return TensorField.from_half_spectrum(t.grid, np.swapaxes(half, 0, 1) - half)
 
 
 def cross_curl_oracle(state: FlowState) -> float:
@@ -330,9 +337,8 @@ def step_memory(n: int) -> tuple[float, float]:
     """Traced peaks of one ``step`` and one ``sample_row`` at grid size n, in
     multiples of the state's full spectrum bytes (13 complex components).  Each
     call gets the criterion-5 data fresh from a CFL-0.5 step, as ``run`` hands
-    it on: a state of kz >= 0 halves, whose spectra and samples are computed on
-    first use, inside the call.  Tracing starts before the sampled state is
-    built, so that freeing the halves on its first read lowers the traced level."""
+    it on: a state of kz >= 0 halves, whose samples are computed on first use,
+    inside the call.  Tracing starts before the sampled state is built."""
     state, advance = _stepped(n)
     size = 13 * n**3 * np.dtype(np.complex128).itemsize
     step_peak = traced_peak(lambda: advance(state))
@@ -342,15 +348,28 @@ def step_memory(n: int) -> tuple[float, float]:
     return step_peak / size, row_peak / size
 
 
-def state_retained(n: int) -> int:
-    """Traced bytes that one unsampled stepped state at grid size n keeps: the
-    kz >= 0 halves of v and E, and n's full spectrum and samples, which the
-    vacuum check reads."""
+def _retained(n: int, sampled: bool) -> int:
     state, advance = _stepped(n)
     with _tracing():
         base = tracemalloc.get_traced_memory()[0]
         fresh = advance(state)  # alive while the level is read
+        if sampled:
+            sample_row(fresh)
         return tracemalloc.get_traced_memory()[0] - base
+
+
+def state_retained(n: int) -> int:
+    """Traced bytes that one unsampled stepped state at grid size n keeps: its
+    three kz >= 0 halves and n's samples, which the vacuum check reads."""
+    return _retained(n, False)
+
+
+def sampled_state_retained(n: int) -> int:
+    """Traced bytes that one stepped state at grid size n keeps after
+    ``sample_row``: its three kz >= 0 halves and the samples of all three
+    fields, plus the three Sobolev weights that this first sample caches on
+    the grid."""
+    return _retained(n, True)
 
 
 def propagator_retained(n: int) -> int:
@@ -407,13 +426,15 @@ def lam_symbol(grid: Grid, s: float) -> np.ndarray:
 
 
 def _grad_symbols(grid: Grid) -> np.ndarray:
-    """i*xi_j, masked on the Nyquist planes as well: ``grid.xi`` is already zero there."""
-    return 1j * grid.xi * grid.nyquist_mask
+    """i*xi_j on the kz >= 0 half, masked on the Nyquist planes as well:
+    ``grid.xi`` is already zero there."""
+    half = grid.n // 2 + 1
+    return 1j * grid.xi[..., :half] * grid.nyquist_mask[..., :half]
 
 
 def grad(f: ScalarField) -> VectorField:
     sym = _grad_symbols(f.grid)
-    return VectorField.from_spectrum(f.grid, sym * f.spectrum[np.newaxis])
+    return VectorField.from_half_spectrum(f.grid, sym * f.half[np.newaxis])
 
 
 def lam(field, s: float):
@@ -423,35 +444,44 @@ def lam(field, s: float):
 def grad_vector(v: VectorField) -> TensorField:
     """(grad v)^{ij} = d_j v^i."""
     sym = _grad_symbols(v.grid)
-    return TensorField.from_spectrum(v.grid, v.spectrum[:, np.newaxis] * sym[np.newaxis, :])
+    return TensorField.from_half_spectrum(v.grid, v.half[:, np.newaxis] * sym[np.newaxis, :])
 
 
 def div_tensor(t: TensorField) -> VectorField:
     """(div T)^i = d_j T^{ij}."""
     sym = _grad_symbols(t.grid)
-    return VectorField.from_spectrum(t.grid, (t.spectrum * sym[np.newaxis, :]).sum(axis=1))
+    return VectorField.from_half_spectrum(t.grid, (t.half * sym[np.newaxis, :]).sum(axis=1))
 
 
 def curl_matrix(v: VectorField) -> TensorField:
     """W^{ij} = d_j v^i - d_i v^j (antisymmetric matrix curl)."""
-    gv = grad_vector(v).spectrum
-    return TensorField.from_spectrum(v.grid, gv - np.swapaxes(gv, 0, 1))
+    gv = grad_vector(v).half
+    return TensorField.from_half_spectrum(v.grid, gv - np.swapaxes(gv, 0, 1))
+
+
+def spectrum_field(cls, grid: Grid, spectrum: np.ndarray):
+    """The field of class ``cls`` of a full spectrum: a copy of its kz >= 0 half,
+    and its inverse transform as the samples."""
+    field = cls.from_half_spectrum(grid, spectrum[..., : grid.n // 2 + 1])
+    field.samples = to_samples(grid, spectrum)
+    return field
 
 
 def project_mean_zero(field, warn: bool = True, label: str = "field"):
-    """Zero the k = 0 coefficient of every component."""
-    spec = np.array(field.spectrum)
+    """Zero the k = 0 coefficient of every component of the complex spectrum of
+    the field's samples: the :func:`spectrum_field` of that spectrum."""
+    spec = to_spectrum(field.grid, field.samples)
     zero = (Ellipsis,) + (0, 0, 0)
     worst = float(np.max(np.abs(spec[zero])))
     if warn and worst > MEAN_WARN:
         logger.warning("projecting %s mean of size %.3e to zero", label, worst)
     spec[zero] = 0.0
-    return type(field).from_spectrum(field.grid, spec)
+    return spectrum_field(type(field), field.grid, spec)
 
 
 def projected_phys_to_pert(phys, params, warn: bool = True) -> FlowState:
     """``phys_to_pert`` through fields of the three samples, each projected to
-    mean zero by :func:`project_mean_zero`, which copies its spectrum."""
+    mean zero by :func:`project_mean_zero`, which transforms it again."""
     grid = phys.grid
     n = ScalarField(grid, phys.rho.samples - 1.0)
     v = VectorField(grid, params.chi0 * phys.u.samples)
@@ -474,17 +504,17 @@ def hodge_reconstruct(d: ScalarField, omega: TensorField) -> VectorField:
     """Inverse of :func:`hodge_decompose`; omega must be antisymmetric."""
     if omega.grid != d.grid:
         raise GridMismatchError("d and omega live on different grids")
-    asym = np.max(np.abs(omega.spectrum + np.swapaxes(omega.spectrum, 0, 1)))
-    scale = float(np.max(np.abs(omega.spectrum))) or 1.0
+    asym = np.max(np.abs(omega.half + np.swapaxes(omega.half, 0, 1)))
+    scale = float(np.max(np.abs(omega.half))) or 1.0
     if asym > 1e-10 * scale:
         raise FieldError(f"omega is not antisymmetric (defect {asym:.3e})")
     d = project_mean_zero(d, label="d")
     omega = project_mean_zero(omega, label="omega")
     sym = _grad_symbols(d.grid)
-    grad_part = sym * d.spectrum[np.newaxis]
-    curl_part = (sym[:, np.newaxis] * omega.spectrum).sum(axis=0)  # d_j omega^{ji}
-    inv = lam_symbol(d.grid, -1.0)
-    return VectorField.from_spectrum(d.grid, inv * (curl_part - grad_part))
+    grad_part = sym * d.half[np.newaxis]
+    curl_part = (sym[:, np.newaxis] * omega.half).sum(axis=0)  # d_j omega^{ji}
+    inv = lam_symbol(d.grid, -1.0)[..., : d.half.shape[-1]]
+    return VectorField.from_half_spectrum(d.grid, inv * (curl_part - grad_part))
 
 
 def hermitian_defect(spectrum: np.ndarray) -> float:
@@ -559,10 +589,10 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
     n = state.n.samples
     guard_positive_density(1.0 + n)
     half = grid.n // 2 + 1
-    v_hat = state.v.spectrum[..., :half]
+    v_hat = state.v.half
     v = half_to_samples(grid, v_hat)
-    E = half_to_samples(grid, state.E.spectrum[..., :half])
-    dn = _gradient(grid, state.n.spectrum[..., :half])
+    E = half_to_samples(grid, state.E.half)
+    dn = _gradient(grid, state.n.half)
     dv = _gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)
@@ -573,7 +603,7 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
-    dE = _gradient(grid, state.E.spectrum[..., :half])
+    dE = _gradient(grid, state.E.half)
     g = params.a * np.einsum("jk...,jik...->i...", E, dE)
     g -= product(n / (1.0 + n), visc)
     g -= np.einsum("j...,ji...->i...", v, dv)
@@ -590,6 +620,11 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
 # the midpoint sums run on every mode of the lattice
 
 
+def full_spectra(state: FlowState) -> tuple:
+    """The mirrors of the state's three halves: its full spectra."""
+    return tuple(half_to_full(state.grid, f.half) for f in state.fields())
+
+
 def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
     """The three source spectra on the full lattice: v and E samples from the
     full spectra by ``to_samples``, every source transformed by ``to_spectrum``
@@ -597,9 +632,9 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
     grid = state.grid
     n = state.n.samples
     half = grid.n // 2 + 1
-    v_hat = state.v.spectrum[..., :half]
-    v = to_samples(grid, state.v.spectrum)
-    E = to_samples(grid, state.E.spectrum)
+    v_hat = state.v.half
+    v = to_samples(grid, half_to_full(grid, v_hat))
+    E = to_samples(grid, half_to_full(grid, state.E.half))
 
     def dealiased(phys):
         spec = to_spectrum(grid, phys)
@@ -607,7 +642,7 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
             spec *= grid.dealias_mask
         return spec
 
-    dn = _gradient(grid, state.n.spectrum[..., :half])
+    dn = _gradient(grid, state.n.half)
     dv = _gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)
@@ -617,7 +652,7 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
-    dE = _gradient(grid, state.E.spectrum[..., :half])
+    dE = _gradient(grid, state.E.half)
     h = np.einsum("ki...,kj...->ij...", dv, E)
     h -= np.einsum("k...,kij...->ij...", v, dE)
     rho = 1.0 + n
@@ -630,14 +665,15 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
 
 
 def full_state(grid: Grid, n_hat, v_hat, e_hat, time: float) -> FlowState:
-    """A state of full-spectrum fields, the mean modes zeroed in place."""
+    """The state of the :func:`spectrum_field` fields of three full spectra, as
+    ``phys_to_pert`` builds it, the mean modes zeroed in place."""
     n_hat[0, 0, 0] = 0.0
     v_hat[:, 0, 0, 0] = 0.0
     e_hat[:, :, 0, 0, 0] = 0.0
     return FlowState(
-        ScalarField.from_spectrum(grid, n_hat),
-        VectorField.from_spectrum(grid, v_hat),
-        TensorField.from_spectrum(grid, e_hat),
+        spectrum_field(ScalarField, grid, n_hat),
+        spectrum_field(VectorField, grid, v_hat),
+        spectrum_field(TensorField, grid, e_hat),
         time,
     )
 
@@ -648,7 +684,7 @@ def full_spectrum_step(state: FlowState, params, dt: float, dealias: bool = True
     grid = state.grid
     half_prop = LinearPropagator(grid, params, 0.5 * dt)
     full_prop = LinearPropagator(grid, params, dt)
-    spectra = tuple(f.spectrum for f in state.fields())
+    spectra = full_spectra(state)
     gs = full_spectrum_rhs_spectra(state, params, dealias)
     hs = einsum_apply(half_prop, *spectra)
     mid = full_state(
@@ -660,8 +696,9 @@ def full_spectrum_step(state: FlowState, params, dt: float, dealias: bool = True
 
 
 def max_relative_gap(a: FlowState, b: FlowState) -> float:
-    """max over the three components of max |a_hat - b_hat| / max |b_hat|."""
+    """max over the three components of max |a_hat - b_hat| / max |b_hat|, on
+    the halves, whose mirrors hold the same moduli."""
     return max(
-        float(np.max(np.abs(fa.spectrum - fb.spectrum)) / np.max(np.abs(fb.spectrum)))
+        float(np.max(np.abs(fa.half - fb.half)) / np.max(np.abs(fb.half)))
         for fa, fb in zip(a.fields(), b.fields())
     )

@@ -280,7 +280,7 @@ def test_criterion_21_transverse_planar_flow_is_exact():
                 nonlinear = step(nonlinear, PARAMS, dt, True, *props)
                 linear = step(linear, PARAMS, dt, True, *props, sources=False)
             if not all(
-                same_bits(a.spectrum.view(np.int64), b.spectrum.view(np.int64))
+                same_bits(a.half.view(np.int64), b.half.view(np.int64))
                 for a, b in zip(nonlinear.fields(), linear.fields())
             ):
                 mismatched.append((delta, n))

@@ -83,6 +83,20 @@ class TestMakeIc:
         for name in ("ic_rho.cvf", "ic_u.cvf", "ic_F.cvf", "summary.json"):
             assert (out / name).exists()
 
+    def test_h2_computed_once(self, tmp_path, modefile, capsys, monkeypatch):
+        """The H2 of the initial perturbation is computed once, for summary.json
+        and for the printed line."""
+        from veflow.state import FlowState
+
+        calls, h_norm = [], FlowState.h_norm
+        monkeypatch.setattr(FlowState, "h_norm", lambda st, k: calls.append(k) or h_norm(st, k))
+        out = tmp_path / "ic"
+        argv = ["make-ic", "--n", "8", "--modes", str(modefile), "--delta", "1e-3", "--out", str(out)]
+        assert main(argv) == 0
+        h2 = json.loads((out / "summary.json").read_text())["h2_perturbation"]
+        assert calls == [2]
+        assert f"(|(n0,v0,E0)|_H2 = {h2:.6e})" in capsys.readouterr().out
+
     def test_zero_wavevector_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "modes.txt"
         bad.write_text(MODEFILE + ZERO_MODE)

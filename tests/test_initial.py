@@ -20,7 +20,7 @@ from veflow import (
     phys_to_pert,
     piola_ic,
 )
-from veflow.fields import product, to_samples
+from veflow.fields import product, to_samples, to_spectrum
 from veflow.initial import build_vector_field
 from veflow.state import det3
 
@@ -80,8 +80,9 @@ class TestPiola:
         grid = Grid(n)
         phi = build_vector_field(grid, parse_mode_file(SAMPLE_IC.read_text()).phi_modes, delta)
         a = np.empty((3, 3) + grid.shape)  # I + grad phi, formed as piola_ic forms it
+        phi_hat = to_spectrum(grid, phi.samples)
         for i, j in np.ndindex(3, 3):
-            a[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi.spectrum[i]))
+            a[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi_hat[i]))
         for i in range(3):
             a[i, i] += 1.0
         excess = det3(a) - 1.0

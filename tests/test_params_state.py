@@ -179,7 +179,7 @@ class TestMeanProjection:
         )
         with caplog.at_level(logging.WARNING, logger="veflow.state"):
             st = phys_to_pert(phys, make_params(), warn=True)
-        assert st.n.spectrum[0, 0, 0] == 0.0
+        assert st.n.half[0, 0, 0] == 0.0
         assert [r.getMessage() for r in caplog.records] == [
             "projecting n mean of size 1.000e-02 to zero"
         ]
@@ -187,7 +187,8 @@ class TestMeanProjection:
     @pytest.mark.parametrize("data", ["criterion-5", "offset means"])
     def test_bits_of_the_projected_path(self, data, rng):
         """Spectra from the samples, mean modes zeroed in place: the bits of the
-        state that projecting each field through a copy of its spectrum gives."""
+        state that projecting each field through its own spectrum gives, in its
+        contiguous half and in its samples."""
         if data == "criterion-5":
             params = make_params()
             phys = piola_ic(generic_piola_spec(1e-3), Grid(32), params)
@@ -198,7 +199,7 @@ class TestMeanProjection:
         want = projected_phys_to_pert(phys, params, warn=False)
         assert got.time == want.time
         for f, g in zip(got.fields(), want.fields()):
-            assert same_bits(f.spectrum, g.spectrum)
+            assert same_bits(f.half, g.half) and f.half.flags.c_contiguous
             assert same_bits(f.samples, g.samples)
 
     def test_mean_warnings(self, grid8, rng, caplog):

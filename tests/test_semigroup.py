@@ -263,10 +263,10 @@ class TestGridSemigroup:
         xi = np.array([0.0, 1.0, 0.0])
         L = dense_linear_generator(xi, params)
         u0 = np.zeros(13, complex)
-        u0[1] = st.v.spectrum[0, 0, 1, 0]
+        u0[1] = st.v.half[0, 0, 1, 0]
         u_t = scipy.linalg.expm(L * t) @ u0
-        assert abs(out.v.spectrum[0, 0, 1, 0] - u_t[1]) < 1e-8
-        assert abs(out.E.spectrum[0, 1, 0, 1, 0] - u_t[4 + 3 * 0 + 1]) < 1e-8
+        assert abs(out.v.half[0, 0, 1, 0] - u_t[1]) < 1e-8
+        assert abs(out.E.half[0, 1, 0, 1, 0] - u_t[4 + 3 * 0 + 1]) < 1e-8
 
     @pytest.mark.parametrize("aval,lam", [(1.0, 0.0), (1.5, 0.3), (0.25, -0.2)])
     def test_matches_dense_exponential_on_random_modes(self, grid8, rng, aval, lam):
@@ -285,13 +285,13 @@ class TestGridSemigroup:
                 out = LinearPropagator(grid8, params, t)(st)
                 xi = (2.0 * np.pi / grid8.length) * np.array(k, dtype=float)
                 u_exact = scipy.linalg.expm(dense_linear_generator(xi, params) * t) @ u0
-                idx = tuple(kk % grid8.n for kk in k)
+                idx = tuple(kk % grid8.n for kk in k)  # kz >= 0: a mode of the half
                 got = np.empty(13, complex)
-                got[0] = out.n.spectrum[idx]
+                got[0] = out.n.half[idx]
                 for i in range(3):
-                    got[1 + i] = out.v.spectrum[(i,) + idx]
+                    got[1 + i] = out.v.half[(i,) + idx]
                     for j in range(3):
-                        got[4 + 3 * i + j] = out.E.spectrum[(i, j) + idx]
+                        got[4 + 3 * i + j] = out.E.half[(i, j) + idx]
                 err = np.max(np.abs(got - u_exact)) / np.max(np.abs(u0))
                 assert err < 1e-12
 
@@ -320,9 +320,7 @@ class TestGridSemigroup:
             de = np.einsum("j...,i...->ij...", 1j * xi, v)
             return dn, dv, de
 
-        n = st.n.spectrum.copy()
-        v = st.v.spectrum.copy()
-        e = st.E.spectrum.copy()
+        n, v, e = (to_spectrum(g, f.samples) for f in st.fields())
         for _ in range(n_steps):
             k1 = rhs(n, v, e)
             k2 = rhs(n + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], e + 0.5 * dt * k1[2])

@@ -18,6 +18,7 @@ from helpers import (
 )
 from veflow import FieldError, Grid, ScalarField, TensorField, parse_mode_file
 from veflow.cli import main
+from veflow.fields import to_spectrum
 from veflow.snapshot import (
     read_field,
     read_phys,
@@ -56,7 +57,7 @@ class TestFieldRoundTrips:
         """A well-formed frequency payload of a real field is a format error, on
         its header, with or without an expected grid."""
         p = tmp_path / "v.cvf"
-        write_frequency_file(p, grid8, 1, smooth_vector(grid8, rng).spectrum)
+        write_frequency_file(p, grid8, 1, to_spectrum(grid8, smooth_vector(grid8, rng).samples))
         for grid in (None, grid8):
             with pytest.raises(FieldError, match="representation"):
                 read_field(p, grid)
@@ -160,7 +161,7 @@ class TestStateSnapshots:
         exits 3 and writes no manifest.json."""
         phys = piola_ic(generic_piola_spec(1e-2), grid8, make_params())
         write_phys(tmp_path / "ic", phys)
-        write_frequency_file(tmp_path / "ic" / "ic_u.cvf", grid8, 1, phys.u.spectrum)
+        write_frequency_file(tmp_path / "ic" / "ic_u.cvf", grid8, 1, to_spectrum(grid8, phys.u.samples))
         out = tmp_path / "run"
         argv = ["simulate", "--ic", str(tmp_path / "ic"), "--t-end", "0.1", "--out", str(out)]
         assert main(argv) == 3

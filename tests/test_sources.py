@@ -11,7 +11,6 @@ from helpers import (
     even_n,
     field_wrapped_rhs_spectra,
     full_spectrum_rhs_spectra,
-    full_state,
     generic_piola_spec,
     hermitian_defect,
     identity_field,
@@ -39,8 +38,9 @@ import veflow.fields
 import veflow.sources
 from veflow.diagnostics import sample_row
 from veflow.fields import half_to_full, half_to_samples, to_samples
-from veflow.sources import _half_sum_sq, rhs_spectra
-from veflow.state import phys_to_pert
+from veflow.operators import half_sum
+from veflow.sources import rhs_spectra
+from veflow.state import phys_to_pert, state_from_spectra
 
 
 def full_spectrum_residuals(obj) -> np.ndarray:
@@ -92,8 +92,7 @@ class TestEvaluateSources:
         g_n, _, _ = rhs_spectra(st, params)
         # grad n = 0, so G_n is f = -n div v alone
         expected = -0.1 * (np.cos(x) + np.zeros(grid16.shape))
-        g_n = half_to_full(grid16, g_n)
-        assert np.max(np.abs(ScalarField.from_spectrum(grid16, g_n).samples - expected)) < 1e-12
+        assert np.max(np.abs(ScalarField.from_half_spectrum(grid16, g_n).samples - expected)) < 1e-12
 
     def test_zero_deformation_kills_elastic_terms(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01)
@@ -147,15 +146,15 @@ class TestEvaluateSources:
 
 
 def unsampled(st: FlowState) -> FlowState:
-    """``st`` assembled anew from copies of its full spectra: only n's samples
-    are computed (by the vacuum check)."""
-    return full_state(st.grid, *(f.spectrum.copy() for f in st.fields()), st.time)
+    """``st`` assembled anew from copies of its halves: only n's samples are
+    computed (by the vacuum check)."""
+    return state_from_spectra(st.grid, *(f.half.copy() for f in st.fields()), st.time)
 
 
 class TestTransientSamples:
-    """rhs_spectra forms the v and E samples by irfftn from the kz >= 0 halves
-    of the state's spectra, for the call only, whether or not the state has
-    its own sample views cached: it reads no view and caches none."""
+    """rhs_spectra forms the v and E samples by irfftn from the state's kz >= 0
+    halves, for the call only, whether or not the state has its own sample
+    views cached: it reads no view and caches none."""
 
     @pytest.fixture
     def transforms(self, monkeypatch):
@@ -182,12 +181,8 @@ class TestTransientSamples:
 
     @staticmethod
     def _half_views(seen, field):
-        """The half_to_samples inputs that are the kz >= 0 half of ``field``'s spectrum."""
-        half = field.grid.n // 2 + 1
-        return [
-            x for kind, x in seen
-            if kind == "half_to_samples" and x.base is field.spectrum and x.shape[-1] == half
-        ]
+        """The half_to_samples inputs that are ``field``'s half."""
+        return [x for kind, x in seen if kind == "half_to_samples" and x is field.half]
 
     def test_unsampled_state_keeps_none(self, grid8, params, transforms):
         st = self._state(grid8, params)
@@ -233,29 +228,29 @@ class TestLongitudinalIdentity:
             VectorField(grid, params.chi0 * phys.u.samples),
             TensorField(grid, phys.F.samples - identity_field(grid).samples),
         )
-        g_hat = half_to_full(grid, rhs_spectra(st, params, dealias=False)[1])
+        g_hat = rhs_spectra(st, params, dealias=False)[1]
         # g1 = g - a div(nE), the forcing of the reduced (n, div v) system
         n_e = TensorField(grid, st.n.samples * st.E.samples)
-        g1 = VectorField.from_spectrum(grid, g_hat - params.a * div_tensor(n_e).spectrum)
+        g1 = VectorField.from_half_spectrum(grid, g_hat - params.a * div_tensor(n_e).half)
 
         # full velocity right-hand side, then its divergence
         rhs_v_hat = (
-            laplacian(st.v).spectrum * params.mu
-            + grad(div(st.v)).spectrum * (params.lam + params.mu)
-            - grad(st.n).spectrum
-            + params.a * div_tensor(st.E).spectrum
+            laplacian(st.v).half * params.mu
+            + grad(div(st.v)).half * (params.lam + params.mu)
+            - grad(st.n).half
+            + params.a * div_tensor(st.E).half
             + g_hat
         )
-        lhs = div(VectorField.from_spectrum(grid, rhs_v_hat)).spectrum
+        lhs = div(VectorField.from_half_spectrum(grid, rhs_v_hat)).half
 
         divv = div(st.v)
         rhs = (
-            (2.0 * params.mu + params.lam) * laplacian(divv).spectrum
-            - (1.0 + params.a) * laplacian(st.n).spectrum
-            + div(g1).spectrum
+            (2.0 * params.mu + params.lam) * laplacian(divv).half
+            - (1.0 + params.a) * laplacian(st.n).half
+            + div(g1).half
         )
-        num = l2_norm(ScalarField.from_spectrum(grid, lhs - rhs))
-        den = l2_norm(ScalarField.from_spectrum(grid, lhs))
+        num = l2_norm(ScalarField.from_half_spectrum(grid, lhs - rhs))
+        den = l2_norm(ScalarField.from_half_spectrum(grid, lhs))
         assert num < 1e-8 * max(den, 1.0)
 
 
@@ -357,7 +352,7 @@ class TestResidualOracle:
     def test_half_spectrum_sum_is_parseval(self, grid8, rng):
         u = rng.standard_normal((2,) + grid8.shape)
         full = np.sum(np.abs(np.fft.fftn(u, axes=(-3, -2, -1))) ** 2)
-        half = _half_sum_sq(np.fft.rfftn(u, axes=(-3, -2, -1)))
+        half = half_sum(np.abs(np.fft.rfftn(u, axes=(-3, -2, -1))) ** 2)
         assert half == pytest.approx(full, rel=1e-12)
 
     @pytest.mark.parametrize("slot", [(i, j, k) for i in range(3) for j, k in ((0, 1), (0, 2), (1, 2))])

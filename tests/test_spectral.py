@@ -116,13 +116,13 @@ class TestGrid:
 class TestTransforms:
     def test_constant_field_dc_mode(self, grid16):
         f = ScalarField(grid16, np.full(grid16.shape, 2.5))
-        spec = f.spectrum
+        spec = f.half
         assert spec[0, 0, 0] == pytest.approx(2.5)
         rest = np.abs(spec).sum() - abs(spec[0, 0, 0])
         assert rest < 1e-12
 
     def test_single_mode_sin(self, grid16):
-        spec = sin_x1(grid16).spectrum
+        spec = sin_x1(grid16).half
         assert spec[1, 0, 0] == pytest.approx(-0.5j, abs=1e-14)
         assert spec[-1, 0, 0] == pytest.approx(0.5j, abs=1e-14)
         other = np.abs(spec).sum() - abs(spec[1, 0, 0]) - abs(spec[-1, 0, 0])
@@ -131,7 +131,7 @@ class TestTransforms:
     def test_round_trip_random(self, grid16, rng):
         samples = rng.standard_normal(grid16.shape)
         f = ScalarField(grid16, samples)
-        back = ScalarField.from_spectrum(grid16, f.spectrum)
+        back = ScalarField.from_half_spectrum(grid16, f.half)
         assert np.max(np.abs(back.samples - samples)) < 1e-12 * np.max(np.abs(samples))
 
     def test_parseval_random(self, grid16, rng):
@@ -331,31 +331,31 @@ class TestHalfToFull:
 
 
 class TestHalfBuiltFields:
-    """A field built from a kz >= 0 half holds it until its first read, then
-    has the views of the field of its mirror, bit for bit."""
+    """A field keeps two views, its samples and its kz >= 0 half, and no full
+    spectrum."""
 
     @pytest.mark.parametrize("cls", [ScalarField, VectorField, TensorField])
     @pytest.mark.parametrize("n", [6, 8])
     def test_views_are_those_of_the_mirror(self, n, cls):
+        """A half-built field keeps its half as built, and its samples are the
+        complex inverse transform of the half's mirror, bit for bit."""
         grid = Grid(n)
         u = np.random.default_rng(n + cls.rank).standard_normal((3,) * cls.rank + grid.shape)
         half = to_half_spectrum(grid, u)
         built = half.copy()
         field = cls.from_half_spectrum(grid, built)
+        assert same_bits(field.samples, to_samples(grid, half_to_full(grid, half)))
         assert field.half is built
-        released = weakref.ref(built)
-        del built
-        full = half_to_full(grid, half)
-        assert same_bits(field.spectrum, full)
-        assert released() is None  # the half's buffer went with the mirror
-        assert field.half.base is field.spectrum
-        assert same_bits(field.half.copy(), half)
-        assert same_bits(field.samples, cls.from_spectrum(grid, full).samples)
+        assert sorted(vars(field)) == ["grid", "half", "samples"]
 
-    def test_half_of_other_fields_is_a_view(self, grid8, rng):
-        field = ScalarField(grid8, rng.standard_normal(grid8.shape))
-        assert field.half.base is field.spectrum
-        assert field.half.shape == (8, 8, 5)
+    def test_half_of_other_fields_is_their_rfftn(self, grid8, rng):
+        """A samples-built field's half is the rfftn of its samples, in an array
+        of its own."""
+        samples = rng.standard_normal(grid8.shape)
+        field = ScalarField(grid8, samples)
+        assert same_bits(field.half, to_half_spectrum(grid8, samples))
+        assert field.half.base is None and not field.half.flags.writeable
+        assert sorted(vars(field)) == ["grid", "half", "samples"]
 
     def test_rejects_non_finite_or_misshapen_halves(self, grid8):
         half = np.zeros((3, 8, 8, 5), dtype=np.complex128)
@@ -397,17 +397,17 @@ class TestMultipliers:
     def test_multipliers_commute(self, grid8, rng):
         u = smooth_scalar(grid8, rng)
         du = grad(u)
-        d_ij = grad(ScalarField.from_spectrum(grid8, du.spectrum[0])).spectrum[1]
-        d_ji = grad(ScalarField.from_spectrum(grid8, grad(u).spectrum[1])).spectrum[0]
+        d_ij = grad(ScalarField.from_half_spectrum(grid8, du.half[0])).half[1]
+        d_ji = grad(ScalarField.from_half_spectrum(grid8, grad(u).half[1])).half[0]
         assert np.array_equal(d_ij, d_ji)
 
     def test_derivatives_zero_nyquist_planes(self, grid8):
         spec = np.zeros(grid8.shape, complex)
         nyq = -(grid8.n // 2)
         spec[nyq % grid8.n, 0, 0] = 1.0  # self-conjugate Nyquist mode
-        f = ScalarField.from_spectrum(grid8, spec)
-        assert np.max(np.abs(laplacian(f).spectrum)) == 0.0
-        assert np.max(np.abs(grad(f).spectrum)) == 0.0
+        f = ScalarField.from_half_spectrum(grid8, spec[..., : grid8.n // 2 + 1])
+        assert np.max(np.abs(laplacian(f).half)) == 0.0
+        assert np.max(np.abs(grad(f).half)) == 0.0
 
 
 class TestHodge:
@@ -457,7 +457,7 @@ class TestHodge:
         rng = np.random.default_rng(seed)
         spec = to_spectrum(grid, rng.standard_normal((3,) + grid.shape)) * grid.nyquist_mask
         spec[:, 0, 0, 0] = 0.0
-        v = VectorField.from_spectrum(grid, spec)
+        v = VectorField.from_half_spectrum(grid, spec[..., : n // 2 + 1])
         back = hodge_reconstruct(*hodge_decompose(v))
         assert np.max(np.abs(back.samples - v.samples)) <= 1e-13 * np.max(np.abs(v.samples))
 
@@ -475,6 +475,26 @@ class TestHodge:
         expected = np.cos(x) + np.zeros(grid16.shape)
         assert np.max(np.abs(v.samples[0] - expected)) < 1e-12
         assert np.max(np.abs(v.samples[1:])) < 1e-13
+
+
+class TestParsevalOnHalves:
+    """Every norm sums over the kz >= 0 half, with weight 1 on the self-mirrored
+    kz = 0 and kz = N/2 planes and 2 elsewhere, and equals the grid sum of the
+    samples.  N/2 is odd at N = 6 and even at N = 8, 12 and 16; random samples
+    fill both self-mirrored planes, the Nyquist plane among them."""
+
+    @pytest.mark.parametrize("cls", [ScalarField, VectorField, TensorField])
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    def test_norms_equal_grid_sums(self, n, cls):
+        grid = Grid(n)
+        rng = np.random.default_rng(n + cls.rank)
+        u = rng.standard_normal((3,) * cls.rank + grid.shape)
+        w = 0.5 * u + rng.standard_normal(u.shape)  # correlated, so <u, w> does not cancel
+        fu, fw = cls(grid, u), cls(grid, w)
+        cell = grid.cell_volume
+        assert inner_product(fu, fw) == pytest.approx(cell * np.sum(u * w), rel=1e-13)
+        for norm in (l2_norm(fu), sobolev_norm(fu, 0)):
+            assert norm == pytest.approx(np.sqrt(cell * np.sum(u * u)), rel=1e-13)
 
 
 class TestNormsAndProducts:
@@ -513,7 +533,7 @@ class TestNormsAndProducts:
     def test_antisymmetric_part_exact(self, grid8, rng):
         t = TensorField(grid8, rng.standard_normal((3, 3) + grid8.shape))
         a = antisymmetric_part(t)
-        assert np.array_equal(a.spectrum, -np.swapaxes(a.spectrum, 0, 1))
+        assert np.array_equal(a.half, -np.swapaxes(a.half, 0, 1))
 
     def test_tensor_inner_product_matches_quadrature(self, grid8, rng):
         t1 = TensorField(grid8, rng.standard_normal((3, 3) + grid8.shape))

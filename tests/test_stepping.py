@@ -37,7 +37,8 @@ from veflow import (
     run,
     step,
 )
-from veflow.diagnostics import CSV_HEADER, h2_distance
+from veflow.diagnostics import CSV_HEADER, h2_distance, sample_row
+from veflow.fields import half_to_full
 from veflow.operators import gradient_sobolev_norm
 from veflow.semigroup import LinearPropagator
 from veflow.sources import constraint_residuals
@@ -85,7 +86,8 @@ class TestStep:
         for _ in range(3):
             cur = step(cur, params, cfl_dt(grid8, params))
         for f in cur.fields():
-            assert hermitian_defect(f.spectrum) <= 1e-12 * np.max(np.abs(f.spectrum))
+            spec = half_to_full(grid8, f.half)
+            assert hermitian_defect(spec) <= 1e-12 * np.max(np.abs(spec))
 
     def test_multi_step_linear_matches_semigroup(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=1e-2)
@@ -164,7 +166,7 @@ class TestLeanStep:
                     want = _one_line_step(st, params, dt, dealias, *props, sources)
                     assert got.time == want.time
                     for a, b in zip(got.fields(), want.fields()):
-                        assert same_bits(a.spectrum, b.spectrum), gamma
+                        assert same_bits(a.half, b.half), gamma
                     if sources:
                         oracle = full_spectrum_step(st, params, dt, dealias)
                         assert max_relative_gap(got, oracle) <= 1e-14, gamma
@@ -203,12 +205,12 @@ class TestHalfSpectrumStep:
         ]
         assert ends[0].time == ends[1].time
         for a, b in zip(*(end.fields() for end in ends)):
-            assert same_bits(a.spectrum, b.spectrum)
+            assert same_bits(a.half, b.half)
 
 
 class TestHalfBuiltStates:
     """A stepped state keeps the kz >= 0 halves the step computed and mirrors
-    a field only when its spectrum or samples are read."""
+    a field only to form its samples, when they are first read."""
 
     @staticmethod
     def _mirrors(monkeypatch, sources):
@@ -247,6 +249,18 @@ class TestHalfBuiltStates:
         for f in (state.v, state.E, stepped.v, stepped.E):
             assert f.half.base is None
 
+    def test_sampled_state_keeps_no_full_spectrum(self, monkeypatch):
+        """``sample_row`` on a stepped state mirrors v and E once each, for their
+        samples, and keeps no mirror: every field holds its half, N/2 + 1
+        kz-planes in an array of its own, and its samples."""
+        _, stepped, calls = self._mirrors(monkeypatch, True)
+        sample_row(stepped)
+        assert calls[:2] == [(8, 8, 5)] * 2  # n of U_mid and of U(t+dt), in the step
+        assert sorted(calls[2:]) == [(3, 3, 8, 8, 5), (3, 8, 8, 5)]
+        for f in stepped.fields():
+            assert f.half.shape[-3:] == (8, 8, 5) and f.half.base is None
+            assert sorted(vars(f)) == ["grid", "half", "samples"]
+
 
 class TestMemory:
     """Traced peaks at N = 16 in multiples of the state's full spectrum bytes.
@@ -258,7 +272,8 @@ class TestMemory:
     full spectra at each assembly, 2.69x with the halves kept and no mirror in
     the step); the sample_row bound between the 27-slot r2 (3.1x) and r2 one
     row of grad F at a time (1.6x on a state of full spectra, 1.96x on one of
-    halves, which its first read mirrors)."""
+    halves that its first read mirrored into full spectra, 1.54x with the
+    halves kept and each mirror dropped once its samples are formed)."""
 
     @pytest.fixture(scope="class")
     def peaks(self):
@@ -371,7 +386,7 @@ class TestRun:
         want = step(step(step(st, params, dt), params, dt), params, 2.5 * dt - 2 * dt)
         assert kept[-1].time == want.time
         for a, b in zip(kept[-1].fields(), want.fields()):
-            assert same_bits(a.spectrum, b.spectrum)
+            assert same_bits(a.half, b.half)
 
     def test_energy_bounded_small_run(self, params):
         """H2 growth, dissipation, the Cauchy-Schwarz bound on the cross terms of M,
