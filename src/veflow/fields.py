@@ -22,11 +22,12 @@ initial data) enters as samples.
 
 This module is the one transform layer of the package: every other module
 goes through :func:`to_spectrum` (fftn), :func:`to_samples` (ifftn),
-:func:`to_half_spectrum` (rfftn) and :func:`half_to_samples` (the passes
-of irfftn).  It also holds the one elementwise product kernel of the
-spectral code, :func:`product`, and the one Hermitian mirror,
-:func:`half_to_full`, which a half-built field runs when its samples are
-first read.
+:func:`to_half_spectrum` (rfftn), :func:`half_to_samples` (the passes
+of irfftn) and :func:`samples_and_gradient` (a component's samples and
+gradient from one tree of those passes, the one gradient path).  It also
+holds the one elementwise product kernel of the spectral code,
+:func:`product`, and the one Hermitian mirror, :func:`half_to_full`, which
+a half-built field runs when its samples are first read.
 
 The four transforms work one component at a time: each leading index
 (none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
@@ -54,6 +55,9 @@ ifft along y, irfft along z, in its order and normalisation, so with its
 bits) in one complex buffer per call: irfftn allocates a fresh half
 lattice for each of its two c2c passes, as only its last pass takes
 ``out=``.  rfftn already writes each of its passes into ``out=``.
+:func:`samples_and_gradient` shares those passes between a component's
+samples and its three derivatives, 9 passes instead of 12, in two buffers
+that the caller reuses across components.
 """
 
 from __future__ import annotations
@@ -119,6 +123,54 @@ def half_to_samples(grid: Grid, half_spectrum: np.ndarray, out: np.ndarray | Non
         np.fft.ifft(buf, axis=1, norm="forward", out=buf)
         np.fft.irfft(buf, n=grid.n, axis=2, norm="forward", out=out[comp])
     return out
+
+
+def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bufs) -> None:
+    """Samples (into ``samples_out``, skipped when it is None) and the three
+    derivatives d_l u (into ``grad_out[l]``) of one component's kz >= 0 half
+    u_hat, shaped (N, N, N/2 + 1), from 9 one-dimensional inverse passes (8
+    without the samples) instead of 12 (9).  ``bufs`` holds two complex
+    buffers of the half's shape, reused across calls.
+
+    The passes are X (ifft along x), Y (ifft along y) and Z (irfft along z).
+    ``grid.xi`` = s k m(kx) m(ky) m(kz), s = 2 pi / L, zeroes every Nyquist
+    plane with a mask that factorises per axis, so with A = X(u_hat) and
+    B = Y(A):
+
+        u    = Z(B)                                  (half_to_samples' bits)
+        d_x u = Z Y X(i xi_x u_hat)                  (the separate path's bits)
+        d_y u = Z Y(i s ky m(ky) m(kz) A'),  A' = A - (-1)^x u_hat[N/2]
+        d_z u = Z(i s kz m(kz) C),  C = B - (-1)^x Y(u_hat[N/2]) - (-1)^y A'[:, N/2]
+
+    since A' = X(m(kx) u_hat) and C = Y X(m(kx) m(ky) u_hat).  d_y and d_z so
+    differ from their separate passes by round-off only.
+    """
+    b0, b1 = bufs
+    h = grid.n // 2
+    xi = grid.xi[..., : h + 1]
+    np.fft.ifft(half, axis=0, norm="forward", out=b0)  # A
+    np.fft.ifft(b0, axis=1, norm="forward", out=b1)  # B
+    if samples_out is not None:
+        np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=samples_out)
+    nyquist = half[h]
+    b0[0::2] -= nyquist  # A'
+    b0[1::2] += nyquist
+    plane = np.fft.ifft(nyquist, axis=0, norm="forward")
+    b1[0::2] -= plane
+    b1[1::2] += plane
+    # C: (-1)^y A'[:, N/2] on the (even y, odd y) pairs, one broadcast over y // 2
+    row = b0[:, h]
+    b1.reshape(grid.n, h, 2 * h + 2)[...] -= np.concatenate((row, -row), axis=-1)[:, np.newaxis]
+    b1 *= 1j * xi[2, 0, 0]  # at kx = ky = 0: s kz m(kz)
+    np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=grad_out[2])
+    b0 *= 1j * xi[1, 0]  # at kx = 0: s ky m(ky) m(kz)
+    np.fft.ifft(b0, axis=1, norm="forward", out=b0)
+    np.fft.irfft(b0, n=grid.n, axis=2, norm="forward", out=grad_out[1])
+    product(xi[0], half, out=b0)
+    b0 *= 1j
+    np.fft.ifft(b0, axis=0, norm="forward", out=b0)
+    np.fft.ifft(b0, axis=1, norm="forward", out=b0)
+    np.fft.irfft(b0, n=grid.n, axis=2, norm="forward", out=grad_out[0])
 
 
 def half_to_full(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:

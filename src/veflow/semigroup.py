@@ -39,11 +39,6 @@ from .params import ModelParams
 from .state import FlowState, state_from_spectra
 
 _SMALL_DIFF = 1e-5   # switch to expm1 form below this |dk * t|
-# bytes of one complex component of a slab of kx-planes of the kz >= 0 halves in
-# apply_spectra: 15 planes at N = 32, 3 at N = 64, the whole lattice at N <= 16.
-# Measured on 2-core Xeon (numpy 2.4.6) at N = 64, 128 and 256 KiB tie and 64 or
-# 512 KiB are slower
-_SLAB_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -180,9 +175,7 @@ class LinearPropagator:
         v1 = np.empty(v_hat.shape, dtype=np.complex128)
         e1 = np.empty(e_hat.shape, dtype=np.complex128)
         n = self.grid.n
-        width = max(1, _SLAB_BYTES // (16 * n * (n // 2 + 1)))
-        for lo in range(0, n, width):
-            x = slice(lo, lo + width)
+        for x in self.grid.slabs(16 * n * (n // 2 + 1)):
             self._apply_slab(
                 self._index[x], self._rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
                 n1[x], v1[:, x], e1[:, :, x],

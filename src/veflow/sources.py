@@ -18,6 +18,11 @@ Derivatives are spectral, products are formed pointwise in physical space,
 and every quadratic output is cleaned with the spherical 2/3 rule.  The
 1/(1+n) factors are evaluated pointwise (no series truncation) from one
 array rho = 1 + n, whose one vacuum guard aborts when min(rho) <= 0.5.
+Every gradient, here and in r2, comes from ``fields.samples_and_gradient``,
+which forms a component's samples and its three derivatives from one shared
+tree of inverse passes.  The sources take E one column at a time, so E and
+grad E are never held whole, and run their pointwise products one slab of
+x-planes at a time (``Grid.slabs``), so the contractions stay in cache.
 
 Constraint residuals, reported as L2 norms:
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import half_to_samples, product, to_half_spectrum
+from .fields import half_to_samples, product, samples_and_gradient, to_half_spectrum
 from .grid import Grid
 from .operators import half_sum
 from .params import ModelParams, guard_positive_density, pressure_coefficient
@@ -57,80 +62,78 @@ def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
     return spec
 
 
-def _gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
-    """Physical d_l of every component of a half spectrum: out[l, ...] = d_l u[...].
-
-    Each 1j xi_l u_hat is formed one component at a time in one buffer and
-    inverse transformed straight into its slice of out[l].
-    """
-    xi = grid.xi[..., : half_spectrum.shape[-1]]
-    out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
-    buf = np.empty(half_spectrum.shape[-3:], dtype=np.complex128)
-    for l in range(3):
-        for comp in np.ndindex(half_spectrum.shape[:-3]):
-            product(xi[l], half_spectrum[comp], out=buf)
-            buf *= 1j
-            half_to_samples(grid, buf, out=out[(l,) + comp])
-    return out
-
-
 def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     """Dealiased kz >= 0 half spectra of the combined right-hand sides.
 
     Returns (G_n, G_v, G_E) = the rfftn halves, shaped (..., N, N, N/2 + 1),
     of (f - v.grad n, g, h - v.grad E).  This is the one evaluator of the
-    nonlinear sources.  Each source is formed in physical space, transformed
-    and freed before the next one is formed, and each gradient is freed after
-    its last use.  grad E is formed one row dEi[l, j] = d_l E^{ij} at a time,
-    which fills g^i and row i of h.  The v and E samples are formed by
-    ``half_to_samples`` from the state's halves for this call only, whether or not
-    the state has its own sample views cached, so a trajectory does not
-    depend on which of its states were sampled; nothing is kept on the state.
+    nonlinear sources.  The v and E samples and every gradient come from
+    ``samples_and_gradient``, one component at a time, for this call only,
+    whether or not the state has its own sample views cached, so a trajectory
+    does not depend on which of its states were sampled; nothing is kept on
+    the state.  E is taken one column k at a time: E^{jk} and d_l E^{ik} fill
+    column k of h and add column k's terms to g^i, in buffers that the next
+    column reuses, so E and grad E are never held whole.  The pointwise work
+    runs one slab of x-planes at a time, and each source is transformed and
+    freed once it is complete.
     """
     grid = state.grid
     n = state.n.samples
-
-    # everything through the kz >= 0 halves, without a mirror
-    half = grid.n // 2 + 1
+    cells = grid.shape
+    slabs = grid.slabs(8 * grid.n**2)
     v_hat = state.v.half
-    e_half = state.E.half
-    v = half_to_samples(grid, v_hat)
-    E = half_to_samples(grid, e_half)
+    bufs = np.empty((2,) + v_hat.shape[1:], dtype=np.complex128)
 
-    # gradients: dn[l] = d_l n, dv[l, i] = d_l v^i
-    dn = _gradient(grid, state.n.half)
-    dv = _gradient(grid, v_hat)
-    f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
-    f -= np.einsum("j...,j...->...", v, dn)
+    # dn[l] = d_l n, dv[l, i] = d_l v^i
+    dn = np.empty((3,) + cells)
+    samples_and_gradient(grid, state.n.half, None, dn, bufs)
+    v = np.empty((3,) + cells)
+    dv = np.empty((3, 3) + cells)
+    for i in range(3):
+        samples_and_gradient(grid, v_hat[i], v[i], dv[:, i], bufs)
+    f = np.empty(cells)
+    for x in slabs:
+        np.multiply(-n[x], dv[0, 0, x] + dv[1, 1, x] + dv[2, 2, x], out=f[x])
+        f[x] -= np.einsum("j...,j...->...", v[:, x], dn[:, x])
     g_n = _dealiased(grid, f, dealias)
     del f
 
+    # column k of E: g^i += E^{jk} d_j E^{ik} and h^{ik} = d_j v^i E^{jk} - v^j d_j E^{ik}
+    g = np.zeros((3,) + cells)
+    h = np.empty((3, 3) + cells)
+    e = np.empty((3,) + cells)
+    de = np.empty((3, 3) + cells)  # de[l, i] = d_l E^{ik}
+    for k in range(3):
+        for i in range(3):
+            samples_and_gradient(grid, state.E.half[i, k], e[i], de[:, i], bufs)
+        for x in slabs:
+            for i in range(3):
+                g[i, x] += np.einsum("j...,j...->...", e[:, x], de[:, i, x])
+                np.einsum("j...,j...->...", dv[:, i, x], e[:, x], out=h[i, k, x])
+                h[i, k, x] -= np.einsum("j...,j...->...", v[:, x], de[:, i, x])
+    del e, de, bufs
+    g_e = _dealiased(grid, h, dealias)
+    del h
+
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
+    half = grid.n // 2 + 1
     xi = grid.xi[..., :half]
     xiv = np.einsum("j...,j...->...", xi, v_hat)
     visc_hat = params.mu * grid.laplacian_symbol[..., :half] * v_hat - (
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
-    del visc_hat
-    # g^i = a E^{jk} d_j E^{ik} and h^{ij} = d_k v^i E^{kj} - v^k d_k E^{ij}, one
-    # row i of grad E at a time: the full-tensor subscripts restricted to row i
-    h = np.einsum("ki...,kj...->ij...", dv, E)
-    g = np.empty(v.shape)
-    for i in range(3):
-        dEi = _gradient(grid, e_half[i])
-        np.multiply(params.a, np.einsum("jk...,jk...->...", E, dEi), out=g[i])
-        h[i] -= np.einsum("k...,kj...->j...", v, dEi)
-        del dEi  # before the next row allocates its own
+    del visc_hat, xiv
     rho = 1.0 + n  # formed at its use: held across the gradients, it kept 24 MB more RSS at N = 64
     guard_positive_density(rho)
-    g -= product(n / rho, visc)
-    g -= np.einsum("j...,ji...->i...", v, dv)
-    g -= product(pressure_coefficient(rho, params), dn)
-    del rho, visc, dn, dv
-    g_v = _dealiased(grid, g, dealias)
-    del g
-    return g_n, g_v, _dealiased(grid, h, dealias)
+    for x in slabs:
+        gx = g[:, x]
+        gx *= params.a
+        gx -= product(n[x] / rho[x], visc[:, x])
+        gx -= np.einsum("j...,ji...->i...", v[:, x], dv[:, :, x])
+        gx -= product(pressure_coefficient(rho[x], params), dn[:, x])
+    del rho, visc, dn, dv, v
+    return g_n, _dealiased(grid, g, dealias), g_e
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +164,21 @@ def constraint_residuals(obj) -> ConstraintReport:
     r3 = float(np.sqrt(vol * half_sum(np.abs(q_hat) ** 2)))
 
     # r2: max over slots of ||F^{lk} d_l F^{ij} - F^{lj} d_l F^{ik}||, one row i
-    # of d_l F^{ij} at a time, by grid Parseval over j < k only: j = k slots are
-    # exactly 0 and (i, k, j) exactly negates (i, j, k).  d_l F from F's samples:
-    # E's half is equal in exact arithmetic but moves r2's rounding past the
-    # recorded benchmark references
+    # of F^{ij} and d_l F^{ij} at a time, by grid Parseval over j < k only: j = k
+    # slots are exactly 0 and (i, k, j) exactly negates (i, j, k).  d_l F from
+    # F's samples: E's half is equal in exact arithmetic but moves r2's rounding
+    # past the recorded benchmark references
     del rho, w_hat, q_hat
-    F_hat = to_half_spectrum(grid, F)
+    bufs = np.empty((2,) + xi.shape[1:], dtype=np.complex128)
+    dFi = np.empty((3, 3) + grid.shape)  # dFi[l, j] = d_l F^{ij}
     sums = []
     for i in range(3):
-        dFi = _gradient(grid, F_hat[i])  # dFi[l, j] = d_l F^{ij}
+        Fi_hat = to_half_spectrum(grid, F[i])
+        for j in range(3):
+            samples_and_gradient(grid, Fi_hat[j], None, dFi[:, j], bufs)
         for j, k in ((0, 1), (0, 2), (1, 2)):
             expr = np.einsum("l...,l...->...", F[:, k], dFi[:, j])
             expr -= np.einsum("l...,l...->...", F[:, j], dFi[:, k])
             sums.append(np.sum(expr**2))
-        del dFi, expr  # before the next row allocates its own
     r2 = float(np.sqrt(grid.cell_volume * np.array(sums)).max())
     return ConstraintReport(r1=r1, r2=r2, r3=r3)

@@ -31,9 +31,9 @@ and K(dt) U is formed last, so it is not held through the two source
 evaluations.  Each sum is formed in the buffers of its scaled term
 (g *= dt/2; g += h, the bits of h + (dt/2) g, as IEEE * and + commute).
 The propagator works one slab of kx-planes at a time, and the sources
-form grad E one row at a time and their v and E samples for the call
-only.  The temporaries of the step are halves, about (N/2 + 1)/N of a
-full spectrum each, and so is U_mid; one step peaks about 2.7x the
+form E and grad E one column at a time and their v and E samples for the
+call only.  The temporaries of the step are halves, about (N/2 + 1)/N of a
+full spectrum each, and so is U_mid; one step peaks about 2.3x the
 state's full spectrum bytes above the state it starts from.
 
 Constraints are monitored, never re-projected: residual drift is part of

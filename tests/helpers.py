@@ -5,9 +5,11 @@ checked with, the per-field mean projection that ``phys_to_pert``'s bits are
 pinned against, the reader of the snapshots that ``simulate`` writes, zero
 and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
-``h2_distance`` and ``rhs_spectra`` are checked against, and the
+``h2_distance`` and ``rhs_spectra`` are checked against, the
 full-spectrum states and step that the half-spectrum ``step`` and the
-propagator are checked against."""
+propagator are checked against, the separate-pass gradient that
+``samples_and_gradient`` is checked against, and the counter of the
+inverse passes that the sources run."""
 
 import contextlib
 import dataclasses
@@ -27,6 +29,7 @@ from veflow import (
     TensorField,
     VectorField,
     cfl_dt,
+    constraint_residuals,
     div,
     eta_profile,
     gaussian_profile,
@@ -45,6 +48,7 @@ from veflow.fields import (
     half_to_full,
     half_to_samples,
     product,
+    samples_and_gradient,
     to_half_spectrum,
     to_samples,
     to_spectrum,
@@ -53,7 +57,7 @@ from veflow.operators import apply_multiplier, sobolev_norm
 from veflow.params import guard_positive_density, pressure_coefficient
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator
 from veflow.snapshot import _read_triple
-from veflow.sources import _dealiased, _gradient, _rho_f_of
+from veflow.sources import _dealiased, _rho_f_of, rhs_spectra
 from veflow.state import IDENTITY, MEAN_WARN
 
 logger = logging.getLogger(__name__)
@@ -215,12 +219,39 @@ def antisymmetric_slot_max(grid: Grid, first: np.ndarray) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(expr**2, axis=(-3, -2, -1))).max())
 
 
+def separate_pass_gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Physical d_l of every component of a half spectrum, out[l, ...] = d_l u[...],
+    each derivative by its own three inverse passes: 1j xi_l u_hat is formed one
+    component at a time in one buffer and transformed by ``half_to_samples``.
+    The independent oracle of ``samples_and_gradient``."""
+    xi = grid.xi[..., : half_spectrum.shape[-1]]
+    out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
+    buf = np.empty(half_spectrum.shape[-3:], dtype=np.complex128)
+    for l in range(3):
+        for comp in np.ndindex(half_spectrum.shape[:-3]):
+            product(xi[l], half_spectrum[comp], out=buf)
+            buf *= 1j
+            half_to_samples(grid, buf, out=out[(l,) + comp])
+    return out
+
+
+def shared_pass_gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Physical d_l of every component of a half spectrum, out[l, ...] = d_l u[...],
+    by ``samples_and_gradient`` one component at a time: the gradient bits of
+    ``rhs_spectra`` and ``constraint_residuals``."""
+    out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
+    bufs = np.empty((2,) + half_spectrum.shape[-3:], dtype=np.complex128)
+    for comp in np.ndindex(half_spectrum.shape[:-3]):
+        samples_and_gradient(grid, half_spectrum[comp], None, out[(slice(None),) + comp], bufs)
+    return out
+
+
 def r2_oracle(obj) -> float:
     """r2 of ``constraint_residuals`` in its 27-slot form: all 27 gradients
     d_l F^{ij} at once, the product first[i, j, k] = F^{lk} d_l F^{ij} in one
     einsum, then the slot differences."""
     grid, _, F = _rho_f_of(obj)
-    dF = _gradient(grid, to_half_spectrum(grid, F))
+    dF = shared_pass_gradient(grid, to_half_spectrum(grid, F))
     first = np.einsum("lk...,lij...->ijk...", F, dF)
     return antisymmetric_slot_max(grid, first)
 
@@ -383,6 +414,42 @@ def propagator_retained(n: int) -> int:
         base = tracemalloc.get_traced_memory()[0]
         prop = LinearPropagator(grid, params, 0.2)  # alive while the level is read
         return tracemalloc.get_traced_memory()[0] - base
+
+
+def inverse_passes(fn) -> int:
+    """Full-size one-dimensional inverse passes over one call of ``fn``: the
+    ``numpy.fft.ifft`` and ``numpy.fft.irfft`` calls on a three-axis array.
+    The transform layer calls both through ``numpy.fft``; the small pass on one
+    Nyquist plane of ``samples_and_gradient`` is not counted, and neither are
+    the n-d transforms (``ifftn`` runs its passes inside numpy)."""
+    count = 0
+    originals = np.fft.ifft, np.fft.irfft
+
+    def counted(original):
+        def call(a, *args, **kwargs):
+            nonlocal count
+            count += np.ndim(a) == 3
+            return original(a, *args, **kwargs)
+        return call
+
+    np.fft.ifft, np.fft.irfft = map(counted, originals)
+    try:
+        fn()
+    finally:
+        np.fft.ifft, np.fft.irfft = originals
+    return count
+
+
+def source_passes(n: int) -> tuple[int, int]:
+    """Full-size inverse passes (:func:`inverse_passes`) of one ``rhs_spectra``
+    and one ``constraint_residuals`` call on a stepped state of the
+    criterion-5 data at grid size n, sampled first so that no field view is
+    formed inside the count."""
+    state, _ = _stepped(n)
+    sample_row(state)
+    params = make_params()
+    return (inverse_passes(lambda: rhs_spectra(state, params)),
+            inverse_passes(lambda: constraint_residuals(state)))
 
 
 def whole_space_nodes() -> int:
@@ -582,9 +649,11 @@ def field_pressure_coefficient(n: ScalarField, params) -> ScalarField:
 
 def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
     """``rhs_spectra`` with 1 + n formed three times, the pressure coefficient
-    taken from :func:`field_pressure_coefficient` and all 27 components of
-    grad E formed at once; the v and E samples are formed from the state's
-    half spectra, and the sources are returned as dealiased half spectra."""
+    taken from :func:`field_pressure_coefficient`, all 27 components of grad E
+    formed at once and every contraction on the whole lattice; g's elastic
+    term is summed one column of E at a time, as ``rhs_spectra`` sums it.  The
+    v and E samples are formed from the state's half spectra, and the sources
+    are returned as dealiased half spectra."""
     grid = state.grid
     n = state.n.samples
     guard_positive_density(1.0 + n)
@@ -592,8 +661,8 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
     v_hat = state.v.half
     v = half_to_samples(grid, v_hat)
     E = half_to_samples(grid, state.E.half)
-    dn = _gradient(grid, state.n.half)
-    dv = _gradient(grid, v_hat)
+    dn = shared_pass_gradient(grid, state.n.half)
+    dv = shared_pass_gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)
     g_n = _dealiased(grid, f, dealias)
@@ -603,8 +672,9 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
-    dE = _gradient(grid, state.E.half)
-    g = params.a * np.einsum("jk...,jik...->i...", E, dE)
+    dE = shared_pass_gradient(grid, state.E.half)
+    columns = [np.einsum("j...,ji...->i...", E[:, k], dE[:, :, k]) for k in range(3)]
+    g = params.a * (columns[0] + columns[1] + columns[2])
     g -= product(n / (1.0 + n), visc)
     g -= np.einsum("j...,ji...->i...", v, dv)
     g -= product(field_pressure_coefficient(state.n, params).samples, dn)
@@ -642,8 +712,8 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
             spec *= grid.dealias_mask
         return spec
 
-    dn = _gradient(grid, state.n.half)
-    dv = _gradient(grid, v_hat)
+    dn = separate_pass_gradient(grid, state.n.half)
+    dv = separate_pass_gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)
     xi = grid.xi[..., :half]
@@ -652,7 +722,7 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = half_to_samples(grid, visc_hat)
-    dE = _gradient(grid, state.E.half)
+    dE = separate_pass_gradient(grid, state.E.half)
     h = np.einsum("ki...,kj...->ij...", dv, E)
     h -= np.einsum("k...,kij...->ij...", v, dE)
     rho = 1.0 + n

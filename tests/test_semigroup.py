@@ -26,7 +26,7 @@ from helpers import (
     valid_params,
     zero_state,
 )
-import veflow.semigroup
+import veflow.grid
 from veflow import (
     BlockSystem,
     Grid,
@@ -384,8 +384,8 @@ class TestComponentApply:
         half = n // 2 + 1
         width = n // 2 - 1
         assert -(-n // width) == 3 and n % width != 0
-        for slab_bytes in (veflow.semigroup._SLAB_BYTES, width * 16 * n * half):
-            monkeypatch.setattr(veflow.semigroup, "_SLAB_BYTES", slab_bytes)
+        for slab_bytes in (veflow.grid._SLAB_BYTES, width * 16 * n * half):
+            monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", slab_bytes)
             for seed in range(2):
                 spectra = random_spectra(grid, seed)
                 masked = tuple(x * grid.dealias_mask for x in spectra)

@@ -17,6 +17,7 @@ from helpers import (
     r2_oracle,
     same_bits,
     smooth_state,
+    source_passes,
     valid_params,
     zero_field,
     zero_state,
@@ -35,9 +36,10 @@ from veflow import (
     piola_ic,
 )
 import veflow.fields
+import veflow.grid
 import veflow.sources
 from veflow.diagnostics import sample_row
-from veflow.fields import half_to_full, half_to_samples, to_samples
+from veflow.fields import half_to_full, samples_and_gradient, to_samples
 from veflow.operators import half_sum
 from veflow.sources import rhs_spectra
 from veflow.state import phys_to_pert, state_from_spectra
@@ -139,6 +141,22 @@ class TestEvaluateSources:
                 gap = np.max(np.abs(half_to_full(grid, g) - full))
                 assert gap <= 1e-14 * np.max(np.abs(full))
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_slabs_do_not_change_bits(self, monkeypatch, n):
+        """Up to N = 16 one slab spans the lattice; slabs of n/2 - 1 x-planes,
+        three of them with a ragged last one (3, 3, 2 at n = 8), round exactly
+        as the whole-lattice contractions of the field-wrapped form."""
+        width = n // 2 - 1
+        assert -(-n // width) == 3 and n % width != 0
+        monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", width * 8 * n * n)
+        grid = Grid(n)
+        params = make_params(gamma=1.4, lam=0.3, alpha=1.7)
+        st = smooth_state(grid, np.random.default_rng(n), amp=0.2, kmax=n // 3)
+        assert len(grid.slabs(8 * n * n)) == 3
+        for dealias in (True, False):
+            for g, want in zip(rhs_spectra(st, params, dealias), field_wrapped_rhs_spectra(st, params, dealias)):
+                assert same_bits(g, want)
+
     def test_dealias_toggle_changes_high_modes_only(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01, kmax=3)
         raw, cut = (half_to_full(grid8, rhs_spectra(st, params, dealias=d)[0]) for d in (False, True))
@@ -152,26 +170,28 @@ def unsampled(st: FlowState) -> FlowState:
 
 
 class TestTransientSamples:
-    """rhs_spectra forms the v and E samples by irfftn from the state's kz >= 0
-    halves, for the call only, whether or not the state has its own sample
-    views cached: it reads no view and caches none."""
+    """rhs_spectra forms the v and E samples from the state's kz >= 0 halves,
+    one component at a time by ``samples_and_gradient``, for the call only,
+    whether or not the state has its own sample views cached: it reads no
+    view and caches none."""
 
     @pytest.fixture
     def transforms(self, monkeypatch):
-        """(transform, spectrum) of every call of ``to_samples``, the transform
-        behind every field's samples, and of ``rhs_spectra``'s ``half_to_samples``."""
+        """(transform, spectrum, whether samples were written) of every call of
+        ``to_samples``, the transform behind every field's samples, and of
+        ``rhs_spectra``'s ``samples_and_gradient``."""
         seen = []
 
         def views(grid, spectrum):
-            seen.append(("to_samples", spectrum))
+            seen.append(("to_samples", spectrum, True))
             return to_samples(grid, spectrum)
 
-        def halves(grid, spectrum, out=None):
-            seen.append(("half_to_samples", spectrum))
-            return half_to_samples(grid, spectrum, out)
+        def shared(grid, half, samples_out, grad_out, bufs):
+            seen.append(("samples_and_gradient", half, samples_out is not None))
+            samples_and_gradient(grid, half, samples_out, grad_out, bufs)
 
         monkeypatch.setattr(veflow.fields, "to_samples", views)
-        monkeypatch.setattr(veflow.sources, "half_to_samples", halves)
+        monkeypatch.setattr(veflow.sources, "samples_and_gradient", shared)
         return seen
 
     @staticmethod
@@ -180,17 +200,31 @@ class TestTransientSamples:
         return unsampled(initial)
 
     @staticmethod
-    def _half_views(seen, field):
-        """The half_to_samples inputs that are ``field``'s half."""
-        return [x for kind, x in seen if kind == "half_to_samples" and x is field.half]
+    def _calls(seen, field):
+        """Per component of ``field``, the ``samples_and_gradient`` calls on a
+        view of that component of its half, each as whether it wrote samples."""
+        half = field.half
+        return {
+            comp: [w for kind, x, w in seen
+                   if kind == "samples_and_gradient" and (x is half or x.base is half)
+                   and np.shares_memory(x, half[comp])]
+            for comp in np.ndindex(half.shape[:-3])
+        }
+
+    def _check_calls(self, seen, st):
+        """No ``to_samples``; n's half once, for its gradient only; each v and E
+        component once, with its samples; and nothing else."""
+        assert [kind for kind, _, _ in seen].count("to_samples") == 0
+        assert self._calls(seen, st.n) == {(): [False]}
+        for field in (st.v, st.E):
+            assert all(calls == [True] for calls in self._calls(seen, field).values())
+        assert len(seen) == 1 + 3 + 9
 
     def test_unsampled_state_keeps_none(self, grid8, params, transforms):
         st = self._state(grid8, params)
         transforms.clear()
         rhs_spectra(st, params)
-        assert [kind for kind, _ in transforms].count("to_samples") == 0
-        assert len(self._half_views(transforms, st.v)) == 1
-        assert len(self._half_views(transforms, st.E)) == 1
+        self._check_calls(transforms, st)
         assert "samples" not in vars(st.v) and "samples" not in vars(st.E)
 
     def test_sampled_state_forms_samples_from_half_spectra(self, grid8, params, transforms):
@@ -203,12 +237,20 @@ class TestTransientSamples:
         views = st.v.samples, st.E.samples
         transforms.clear()
         got = rhs_spectra(st, params)
-        assert [kind for kind, _ in transforms].count("to_samples") == 0
-        assert len(self._half_views(transforms, st.v)) == 1
-        assert len(self._half_views(transforms, st.E)) == 1
+        self._check_calls(transforms, st)
         assert st.v.samples is views[0] and st.E.samples is views[1]
         for a, b in zip(got, want):
             assert same_bits(a, b)
+
+
+class TestInversePasses:
+    def test_passes_per_call(self):
+        """At N = 8, one ``rhs_spectra`` call runs 125 full-size inverse passes:
+        8 for grad n, 9 for each of the 3 v and 9 E components with their
+        gradients, and 9 for the viscous term (162 with a separate three-pass
+        transform per sample and per derivative).  One ``constraint_residuals``
+        call runs 8 per component of grad F, 72 (81 with separate passes)."""
+        assert source_passes(8) == (125, 72)
 
 
 class TestLongitudinalIdentity:
