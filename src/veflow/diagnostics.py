@@ -87,7 +87,7 @@ def _cross_curl(state: FlowState) -> float:
     i < j: both matrices are antisymmetric, so slot (j, i) repeats slot (i, j)."""
     grid = state.grid
     v, e = state.v.half, state.E.half
-    xi, lap = grid.xi[..., : v.shape[-1]], grid.laplacian_symbol[..., : v.shape[-1]]
+    xi, lap = grid.xi, grid.laplacian_symbol
     total = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         w = 1j * (xi[j] * v[i] - xi[i] * v[j])

@@ -4,16 +4,20 @@ The box is [0, L)^3 sampled on N points per axis (N even).  Wavevectors are
 xi = (2*pi/L) * k with integer k per axis in [-N/2, N/2).  Transforms are
 normalized so the forward coefficient at k = 0 equals the field mean.
 
+Every lattice array is built on the kz >= 0 half, shaped (..., N, N, N/2 + 1)
+(``half_shape``), the layout of a field's half spectrum; its last kz plane
+is k = -N/2, as in the full lattice.
+
 The k = -N/2 planes carry no derivative sign, so they are zeroed in every
-component of ``xi`` (``nyquist_mask``), and so in ``xi_mag``, in the
-Laplacian symbol ``laplacian_symbol`` = -|xi|^2, in the Sobolev weights
-``sobolev_weight`` and in every multiplier built from them: ``xi`` is the
-one place the Nyquist planes are zeroed.
+component of ``xi``, and so in ``xi_mag``, in the Laplacian symbol
+``laplacian_symbol`` = -|xi|^2, in the Sobolev weights ``sobolev_weight``
+and in every multiplier built from them: ``xi`` is the one place the
+Nyquist planes are zeroed, to k * 0: -0.0 where k < 0.
 Nonlinear products are cleaned with the spherical 2/3 rule
 (``dealias_mask``).
 
 Constructing a grid only validates (N, L).  Each lattice array is built on
-its first use from broadcast 1-D views of k, then kept read-only; the full
+its first use from broadcast 1-D views of k, then kept read-only; the
 integer lattice is never stored.
 """
 
@@ -48,15 +52,21 @@ class Grid:
             raise ParameterError(f"box length must be positive and finite, got {self.length}")
 
     def _k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer wavenumbers per axis as broadcastable (N,1,1), (1,N,1), (1,1,N) views."""
+        """Integer wavenumbers per axis as broadcastable (N,1,1), (1,N,1), (1,1,N/2+1)
+        views; kz ends at -N/2, not rfftfreq's +N/2, so a zeroed Nyquist entry is -0.0."""
         k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)  # exact integers as floats
-        return k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), k1.reshape(1, 1, -1)
+        return k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), k1[: self.n // 2 + 1].reshape(1, 1, -1)
 
     # -- lattice views ----------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n)
+
+    @property
+    def half_shape(self) -> tuple[int, int, int]:
+        """Shape of the kz >= 0 half of the lattice, that of every lattice array."""
+        return (self.n, self.n, self.n // 2 + 1)
 
     @property
     def spacing(self) -> float:
@@ -71,17 +81,13 @@ class Grid:
         return self.length**3
 
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """False on any k = -N/2 plane."""
-        nyq = -(self.n // 2)
-        kx, ky, kz = self._k()
-        return _freeze((kx != nyq) & (ky != nyq) & (kz != nyq))
-
-    @cached_property
     def xi(self) -> np.ndarray:
-        """Physical wavevectors with Nyquist planes zeroed, shape (3, N, N, N)."""
+        """Physical wavevectors with Nyquist planes zeroed, shape (3, N, N, N/2 + 1)."""
         scale = 2.0 * np.pi / self.length
-        return _freeze(np.stack([scale * k * self.nyquist_mask for k in self._k()]))
+        kx, ky, kz = self._k()
+        nyq = -(self.n // 2)
+        mask = (kx != nyq) & (ky != nyq) & (kz != nyq)
+        return _freeze(np.stack([scale * k * mask for k in (kx, ky, kz)]))
 
     @cached_property
     def xi_mag(self) -> np.ndarray:
@@ -94,11 +100,10 @@ class Grid:
         return _freeze(-(self.xi_mag**2))
 
     def sobolev_weight(self, first: int, last: int) -> np.ndarray:
-        """sum_{first <= j <= last} |xi|^(2j) on the kz >= 0 half of the lattice,
-        shape (N, N, N/2 + 1), built on first use per (first, last)."""
+        """sum_{first <= j <= last} |xi|^(2j), built on first use per (first, last)."""
         weights = self.__dict__.setdefault("_sobolev_weights", {})
         if (first, last) not in weights:
-            r2 = -self.laplacian_symbol[..., : self.n // 2 + 1]
+            r2 = -self.laplacian_symbol
             weight = np.ones(r2.shape) if first == 0 else np.zeros(r2.shape)
             acc = np.ones(r2.shape)
             for _ in range(last):
@@ -109,7 +114,7 @@ class Grid:
 
     @cached_property
     def unit_xi(self) -> np.ndarray:
-        """xi / |xi|, and 0 where |xi| = 0, shape (3, N, N, N)."""
+        """xi / |xi|, and 0 where |xi| = 0, shape (3, N, N, N/2 + 1)."""
         r = self.xi_mag
         return _freeze(np.where(r > 0.0, self.xi / np.where(r > 0.0, r, 1.0), 0.0))
 
@@ -118,7 +123,7 @@ class Grid:
         """Sorted distinct values of ``xi_mag`` and, per lattice point, the index
         of its value: ``radii[index] == xi_mag`` bit for bit."""
         radii, index = np.unique(self.xi_mag, return_inverse=True)
-        return _freeze(radii), _freeze(index.reshape(self.shape))
+        return _freeze(radii), _freeze(index.reshape(self.half_shape))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialDataError
-from .fields import ScalarField, TensorField, VectorField, product, to_samples, to_spectrum
+from .fields import (
+    ScalarField,
+    TensorField,
+    VectorField,
+    half_to_full,
+    product,
+    to_samples,
+    to_spectrum,
+)
 from .grid import Grid
 from .operators import sobolev_norm
 from .params import ModelParams
@@ -112,11 +120,13 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
     u_scale = spec.scale if spec.u_scale is None else spec.u_scale
     u = build_vector_field(grid, spec.u_modes, u_scale)
 
-    # grad phi, (grad phi)^{ij} = d_j phi^i, one component at a time; I is added below
+    # grad phi, (grad phi)^{ij} = d_j phi^i, one component at a time from phi's
+    # full spectrum, so with the Hermitian mirror of the grid's xi; I is added below
     A = np.empty((3, 3) + grid.shape)
     phi_hat = to_spectrum(grid, phi.samples)
+    xi = half_to_full(grid, 1j * grid.xi).imag
     for i, j in np.ndindex(3, 3):
-        A[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi_hat[i]))
+        A[i, j] = to_samples(grid, 1j * product(xi[j], phi_hat[i]))
     sup = float(np.sqrt((A**2).sum(axis=(0, 1))).max())
     if sup >= 1.0:
         raise InitialDataError(

@@ -1,11 +1,12 @@
 """Fourier multipliers and norms on periodic fields, all on the kz >= 0 half.
 
 The divergence and the Laplacian are spectral multipliers, i*xi_j and
-``Grid.laplacian_symbol``, applied to a field's half; both are built from
-``Grid.xi``, whose Nyquist planes are zeroed, so no multiplier here masks
-them again.  Inner products and Sobolev norms are evaluated by Parseval,
-||u||_L2^2 = L^3 * sum_k |u_hat(k)|^2, and :func:`half_sum` is the one
-place a sum over the lattice is taken from a half.
+``Grid.laplacian_symbol``, built on the same kz >= 0 half as a field's half
+and applied to it unsliced; both come from ``Grid.xi``, whose Nyquist planes
+are zeroed, so no multiplier here masks them again.  Inner products and
+Sobolev norms are evaluated by Parseval, ||u||_L2^2 = L^3 * sum_k
+|u_hat(k)|^2, and :func:`half_sum` is the one place a sum over the lattice
+is taken from a half.
 
 The gradient, tensor divergence, matrix curl, fractional operator and Hodge
 pair that the operator identities are checked with live in the test suite
@@ -32,18 +33,16 @@ def half_sum(power: np.ndarray) -> float:
 # generic multiplier machinery
 
 def apply_multiplier(field, symbol: np.ndarray):
-    """Multiply the field's half by the kz >= 0 half of the lattice array
-    ``symbol`` (broadcast over components)."""
-    half = field.half
-    return type(field).from_half_spectrum(field.grid, half * symbol[..., : half.shape[-1]])
+    """Multiply the field's half by the lattice array ``symbol``, shaped
+    ``grid.half_shape`` (broadcast over components)."""
+    return type(field).from_half_spectrum(field.grid, field.half * symbol)
 
 
 # ---------------------------------------------------------------------------
 # named differential operators
 
 def div(v: VectorField) -> ScalarField:
-    xi = v.grid.xi[..., : v.half.shape[-1]]
-    return ScalarField.from_half_spectrum(v.grid, (1j * xi * v.half).sum(axis=0))
+    return ScalarField.from_half_spectrum(v.grid, (1j * v.grid.xi * v.half).sum(axis=0))
 
 
 def laplacian(field):

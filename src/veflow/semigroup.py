@@ -23,7 +23,9 @@ the compressible block shifted by its steady state (n*, d*) = (a s/(1 + a), 0),
 the two transverse pairs reduce to the shear block, and the remaining
 deformation components are constant in time.  This
 reproduces the exact solution operator for arbitrary mean-zero data and
-coincides with the two-block picture on constraint-satisfying data.
+coincides with the two-block picture on constraint-satisfying data.  It
+runs on the kz >= 0 halves of the spectra, mode by mode against the unit
+wavevectors and the radius index that the grid builds on the same half.
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ class LinearPropagator:
     gathers the slab's entries from the table through the grid's radius index
     into a small buffer, runs the per-mode update on the slab and writes it
     into the outputs, so no temporary spans the lattice.  The unit
-    wavevectors and the radius index are kz >= 0 views of the grid's, shared
-    by every propagator on it.
+    wavevectors and the radius index are the grid's own, built on the
+    kz >= 0 half as the spectra are, and shared by every propagator on it.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -156,10 +158,8 @@ class LinearPropagator:
         self.params = params
         self.t = float(t)
 
-        half = grid.n // 2 + 1
-        self._rhat = grid.unit_xi[..., :half]
-        radii, index = grid.distinct_radii
-        self._index = index[..., :half]
+        self._rhat = grid.unit_xi
+        radii, self._index = grid.distinct_radii
         comp = BlockSystem.compressible(params)
         shear = BlockSystem.shear(params)
         # rows p11, p12, p21, p22 of the compressible block, then of the shear block
@@ -174,8 +174,7 @@ class LinearPropagator:
         n1 = np.empty(n_hat.shape, dtype=np.complex128)
         v1 = np.empty(v_hat.shape, dtype=np.complex128)
         e1 = np.empty(e_hat.shape, dtype=np.complex128)
-        n = self.grid.n
-        for x in self.grid.slabs(16 * n * (n // 2 + 1)):
+        for x in self.grid.slabs(16 * n_hat[0].size):
             self._apply_slab(
                 self._index[x], self._rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
                 n1[x], v1[:, x], e1[:, :, x],

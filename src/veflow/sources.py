@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import half_to_samples, product, samples_and_gradient, to_half_spectrum
+from .fields import product, samples_and_gradient, to_half_spectrum
 from .grid import Grid
 from .operators import half_sum
 from .params import ModelParams, guard_positive_density, pressure_coefficient
@@ -58,7 +58,7 @@ def _dealiased(grid: Grid, phys: np.ndarray, enabled: bool) -> np.ndarray:
     """Half spectrum of a physical product, 2/3-masked in place unless ``enabled`` is false."""
     spec = to_half_spectrum(grid, phys)
     if enabled:
-        spec *= grid.dealias_mask[..., : spec.shape[-1]]
+        spec *= grid.dealias_mask
     return spec
 
 
@@ -111,19 +111,20 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
                 g[i, x] += np.einsum("j...,j...->...", e[:, x], de[:, i, x])
                 np.einsum("j...,j...->...", dv[:, i, x], e[:, x], out=h[i, k, x])
                 h[i, k, x] -= np.einsum("j...,j...->...", v[:, x], de[:, i, x])
-    del e, de, bufs
+    del e, de
     g_e = _dealiased(grid, h, dealias)
     del h
 
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
-    half = grid.n // 2 + 1
-    xi = grid.xi[..., :half]
+    xi = grid.xi
     xiv = np.einsum("j...,j...->...", xi, v_hat)
-    visc_hat = params.mu * grid.laplacian_symbol[..., :half] * v_hat - (
+    visc_hat = params.mu * grid.laplacian_symbol * v_hat - (
         params.lam + params.mu
     ) * product(xi, xiv)
-    visc = half_to_samples(grid, visc_hat)
-    del visc_hat, xiv
+    visc = np.empty((3,) + cells)
+    for i in range(3):
+        samples_and_gradient(grid, visc_hat[i], visc[i], None, bufs)
+    del visc_hat, xiv, bufs
     rho = 1.0 + n  # formed at its use: held across the gradients, it kept 24 MB more RSS at N = 64
     guard_positive_density(rho)
     for x in slabs:
@@ -151,7 +152,7 @@ def constraint_residuals(obj) -> ConstraintReport:
     """L2 residuals of the two material constraints, from half spectra of rho F and F."""
     grid, rho, F = _rho_f_of(obj)
     vol = grid.volume
-    xi = grid.xi[..., : grid.n // 2 + 1]
+    xi = grid.xi
 
     # r1: w^k = d_j (rho F^{jk})
     rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)

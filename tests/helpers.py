@@ -7,14 +7,17 @@ and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
 ``h2_distance`` and ``rhs_spectra`` are checked against, the
 full-spectrum states and step that the half-spectrum ``step`` and the
-propagator are checked against, the separate-pass gradient that
-``samples_and_gradient`` is checked against, and the counter of the
-inverse passes that the sources run."""
+propagator are checked against, the full N^3 Fourier lattice that the
+grid's kz >= 0 lattice and the full-spectrum oracles are built from, the
+separate-pass gradient that ``samples_and_gradient`` is checked against,
+and the counter of the inverse passes that the sources run."""
 
 import contextlib
 import dataclasses
+import functools
 import logging
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -46,7 +49,6 @@ from veflow import (
 from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import (
     half_to_full,
-    half_to_samples,
     product,
     samples_and_gradient,
     to_half_spectrum,
@@ -80,6 +82,63 @@ valid_params = st.builds(
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal dtype, shape and bytes: stricter than np.array_equal, for which -0.0 == 0.0."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def full_lattice(grid: Grid) -> SimpleNamespace:
+    """The grid's Fourier lattice on all N^3 modes, built here from its formulas
+    and independently of ``Grid``, read-only: ``xi`` with its Nyquist planes
+    zeroed by ``nyquist_mask``, ``xi_mag``, ``laplacian_symbol``, ``unit_xi``,
+    ``radii`` and ``radius_index`` (``np.unique`` of ``xi_mag``), ``dealias_mask``
+    and ``sobolev_weight(first, last)``.  The grid keeps the kz >= 0 half of
+    each; the full-spectrum oracles read all of it."""
+    return _full_lattice(grid.n, grid.length)
+
+
+@functools.lru_cache(maxsize=4)
+def _full_lattice(n: int, length: float) -> SimpleNamespace:
+    k1 = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
+    kx, ky, kz = k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), k1.reshape(1, 1, -1)
+    nyq = -(n // 2)
+    nyquist_mask = (kx != nyq) & (ky != nyq) & (kz != nyq)
+    xi = np.stack([(2.0 * np.pi / length) * k * nyquist_mask for k in (kx, ky, kz)])
+    xi_mag = np.sqrt((xi**2).sum(axis=0))
+    unit_xi = np.where(xi_mag > 0.0, xi / np.where(xi_mag > 0.0, xi_mag, 1.0), 0.0)
+    radii, index = np.unique(xi_mag, return_inverse=True)
+    lattice = SimpleNamespace(
+        nyquist_mask=nyquist_mask,
+        xi=xi,
+        xi_mag=xi_mag,
+        laplacian_symbol=-(xi_mag**2),
+        unit_xi=unit_xi,
+        radii=radii,
+        radius_index=index.reshape(xi_mag.shape),
+        dealias_mask=kx**2 + ky**2 + kz**2 <= (n / 3.0) ** 2,
+    )
+    for array in vars(lattice).values():
+        array.setflags(write=False)
+
+    def sobolev_weight(first: int, last: int) -> np.ndarray:
+        """sum_{first <= j <= last} |xi|^(2j)."""
+        r2 = -lattice.laplacian_symbol
+        weight = np.ones(r2.shape) if first == 0 else np.zeros(r2.shape)
+        acc = np.ones(r2.shape)
+        for _ in range(last):
+            acc = acc * r2
+            weight = weight + acc
+        return weight
+
+    lattice.sobolev_weight = sobolev_weight
+    return lattice
+
+
+def half_samples(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
+    """Samples of every component of a kz >= 0 half spectrum, by the samples-only
+    form of ``samples_and_gradient``: the bits of ``irfftn(norm="forward")``."""
+    out = np.empty(half_spectrum.shape[:-3] + grid.shape)
+    bufs = np.empty((2,) + grid.half_shape, dtype=np.complex128)
+    for comp in np.ndindex(half_spectrum.shape[:-3]):
+        samples_and_gradient(grid, half_spectrum[comp], out[comp], None, bufs)
+    return out
 
 
 def smooth_spectrum(grid: Grid, rng, kmax: int, shape=()) -> np.ndarray:
@@ -222,16 +281,16 @@ def antisymmetric_slot_max(grid: Grid, first: np.ndarray) -> float:
 def separate_pass_gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     """Physical d_l of every component of a half spectrum, out[l, ...] = d_l u[...],
     each derivative by its own three inverse passes: 1j xi_l u_hat is formed one
-    component at a time in one buffer and transformed by ``half_to_samples``.
-    The independent oracle of ``samples_and_gradient``."""
-    xi = grid.xi[..., : half_spectrum.shape[-1]]
+    component at a time in one buffer and transformed by the samples-only form
+    of ``samples_and_gradient``.  The independent oracle of its gradient."""
     out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
-    buf = np.empty(half_spectrum.shape[-3:], dtype=np.complex128)
+    buf = np.empty(grid.half_shape, dtype=np.complex128)
+    bufs = np.empty((2,) + grid.half_shape, dtype=np.complex128)
     for l in range(3):
         for comp in np.ndindex(half_spectrum.shape[:-3]):
-            product(xi[l], half_spectrum[comp], out=buf)
+            product(grid.xi[l], half_spectrum[comp], out=buf)
             buf *= 1j
-            half_to_samples(grid, buf, out=out[(l,) + comp])
+            samples_and_gradient(grid, buf, out[(l,) + comp], None, bufs)
     return out
 
 
@@ -259,17 +318,18 @@ def r2_oracle(obj) -> float:
 def gathered_entries(prop) -> np.ndarray:
     """The 8 block entries of a ``LinearPropagator`` on the full lattice, rows
     p11, p12, p21, p22 of the compressible block and then of the shear block: its
-    per-radius table gathered through the grid's radius index."""
-    return np.take(prop._table, prop.grid.distinct_radii[1], axis=1)
+    per-radius table gathered through the full lattice's radius index, whose
+    radii are the grid's bit for bit."""
+    return np.take(prop._table, full_lattice(prop.grid).radius_index, axis=1)
 
 
 def einsum_apply(prop, n_hat, v_hat, e_hat):
     """``LinearPropagator.apply_spectra`` in its batched form, on every mode at
     once: the deformation update built from two 9-component einsum outer
     products and the frozen part.  It takes full spectra or the kz >= 0 halves,
-    slicing the grid's lattice arrays to the last axis it is given."""
+    slicing the full lattice's arrays to the last axis it is given."""
     m = n_hat.shape[-1]
-    rhat = prop.grid.unit_xi[..., :m]
+    rhat = full_lattice(prop.grid).unit_xi[..., :m]
     a = prop.params.a
     p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)[..., :m]
     vpar = np.einsum("j...,j...->...", rhat, v_hat)
@@ -416,6 +476,21 @@ def propagator_retained(n: int) -> int:
         return tracemalloc.get_traced_memory()[0] - base
 
 
+def lattice_retained(n: int) -> int:
+    """Bytes of every lattice array that a grid of size n caches over one step
+    and one ``sample_row`` of the criterion-5 data: the wavevectors, their
+    magnitudes and unit vectors, the Laplacian symbol, the distinct radii and
+    their index, the 2/3 mask and the Sobolev weights."""
+    state, advance = _stepped(n)
+    sample_row(advance(state))
+    cached = []
+    for value in vars(state.grid).values():  # n, length and the cached arrays
+        if isinstance(value, dict):  # the Sobolev weights
+            value = tuple(value.values())
+        cached += value if isinstance(value, tuple) else [value]
+    return sum(a.nbytes for a in cached if isinstance(a, np.ndarray))
+
+
 def inverse_passes(fn) -> int:
     """Full-size one-dimensional inverse passes over one call of ``fn``: the
     ``numpy.fft.ifft`` and ``numpy.fft.irfft`` calls on a three-axis array.
@@ -481,7 +556,8 @@ def whole_space_nodes() -> int:
 # omega = lam^-1 W, inverted by v^i = -lam^-1 d_i d + lam^-1 d_j omega^{ji}
 
 def lam_symbol(grid: Grid, s: float) -> np.ndarray:
-    """|xi|^s on the Nyquist-zeroed lattice; zero mode maps to 0 for every s."""
+    """|xi|^s on the grid's Nyquist-zeroed kz >= 0 lattice; zero mode maps to 0
+    for every s."""
     r = grid.xi_mag
     out = np.zeros_like(r)
     nz = r > 0.0
@@ -495,8 +571,7 @@ def lam_symbol(grid: Grid, s: float) -> np.ndarray:
 def _grad_symbols(grid: Grid) -> np.ndarray:
     """i*xi_j on the kz >= 0 half, masked on the Nyquist planes as well:
     ``grid.xi`` is already zero there."""
-    half = grid.n // 2 + 1
-    return 1j * grid.xi[..., :half] * grid.nyquist_mask[..., :half]
+    return 1j * grid.xi * full_lattice(grid).nyquist_mask[..., : grid.n // 2 + 1]
 
 
 def grad(f: ScalarField) -> VectorField:
@@ -580,7 +655,7 @@ def hodge_reconstruct(d: ScalarField, omega: TensorField) -> VectorField:
     sym = _grad_symbols(d.grid)
     grad_part = sym * d.half[np.newaxis]
     curl_part = (sym[:, np.newaxis] * omega.half).sum(axis=0)  # d_j omega^{ji}
-    inv = lam_symbol(d.grid, -1.0)[..., : d.half.shape[-1]]
+    inv = lam_symbol(d.grid, -1.0)
     return VectorField.from_half_spectrum(d.grid, inv * (curl_part - grad_part))
 
 
@@ -657,21 +732,18 @@ def field_wrapped_rhs_spectra(state: FlowState, params, dealias: bool = True):
     grid = state.grid
     n = state.n.samples
     guard_positive_density(1.0 + n)
-    half = grid.n // 2 + 1
     v_hat = state.v.half
-    v = half_to_samples(grid, v_hat)
-    E = half_to_samples(grid, state.E.half)
+    v = half_samples(grid, v_hat)
+    E = half_samples(grid, state.E.half)
     dn = shared_pass_gradient(grid, state.n.half)
     dv = shared_pass_gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)
     g_n = _dealiased(grid, f, dealias)
-    xi = grid.xi[..., :half]
+    xi = grid.xi
     xiv = np.einsum("j...,j...->...", xi, v_hat)
-    visc_hat = -params.mu * grid.xi_mag[..., :half] ** 2 * v_hat - (
-        params.lam + params.mu
-    ) * product(xi, xiv)
-    visc = half_to_samples(grid, visc_hat)
+    visc_hat = -params.mu * grid.xi_mag**2 * v_hat - (params.lam + params.mu) * product(xi, xiv)
+    visc = half_samples(grid, visc_hat)
     dE = shared_pass_gradient(grid, state.E.half)
     columns = [np.einsum("j...,ji...->i...", E[:, k], dE[:, :, k]) for k in range(3)]
     g = params.a * (columns[0] + columns[1] + columns[2])
@@ -701,7 +773,6 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
     and masked by the full 2/3 mask."""
     grid = state.grid
     n = state.n.samples
-    half = grid.n // 2 + 1
     v_hat = state.v.half
     v = to_samples(grid, half_to_full(grid, v_hat))
     E = to_samples(grid, half_to_full(grid, state.E.half))
@@ -709,19 +780,19 @@ def full_spectrum_rhs_spectra(state: FlowState, params, dealias: bool = True):
     def dealiased(phys):
         spec = to_spectrum(grid, phys)
         if dealias:
-            spec *= grid.dealias_mask
+            spec *= full_lattice(grid).dealias_mask
         return spec
 
     dn = separate_pass_gradient(grid, state.n.half)
     dv = separate_pass_gradient(grid, v_hat)
     f = -n * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     f -= np.einsum("j...,j...->...", v, dn)
-    xi = grid.xi[..., :half]
+    xi = grid.xi
     xiv = np.einsum("j...,j...->...", xi, v_hat)
-    visc_hat = params.mu * grid.laplacian_symbol[..., :half] * v_hat - (
+    visc_hat = params.mu * grid.laplacian_symbol * v_hat - (
         params.lam + params.mu
     ) * product(xi, xiv)
-    visc = half_to_samples(grid, visc_hat)
+    visc = half_samples(grid, visc_hat)
     dE = separate_pass_gradient(grid, state.E.half)
     h = np.einsum("ki...,kj...->ij...", dv, E)
     h -= np.einsum("k...,kij...->ij...", v, dE)

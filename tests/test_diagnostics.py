@@ -9,6 +9,7 @@ from helpers import (
     axes,
     column,
     cross_curl_oracle,
+    full_lattice,
     full_state,
     generic_piola_spec,
     lp_norm_oracle,
@@ -73,7 +74,7 @@ class TestCrossCurl:
         grid = Grid(n)
         for seed in range(3):
             spectra = tuple(1e-2 * x for x in random_spectra(grid, seed))
-            for data in (spectra, tuple(x * grid.dealias_mask for x in spectra)):
+            for data in (spectra, tuple(x * full_lattice(grid).dealias_mask for x in spectra)):
                 st = full_state(grid, *(x.copy() for x in data), 0.0)
                 got, want = lyapunov_m(st).cross_curl, cross_curl_oracle(st)
                 assert want != 0.0

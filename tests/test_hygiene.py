@@ -1,6 +1,6 @@
 """Code hygiene of ``src/veflow``: no unused import, no public name or method
-that nothing in ``src/`` or the benchmark calls, and no private name imported
-from another module.  Test oracles live in the test suite
+that nothing in ``src/`` or the benchmark calls, no private name imported
+from another module, and no lattice array of ``Grid`` sliced by hand.  Test oracles live in the test suite
 (``tests/helpers.py``), so nothing is exempt.
 
 Parsed with the standard library's ``ast``; ``__init__.py`` is skipped because
@@ -161,3 +161,32 @@ def test_private_names_stay_in_their_module():
                     if _is_private(alias.name)
                 ]
     assert not crossing, "private names imported across modules:\n" + "\n".join(crossing)
+
+
+LATTICE = {"xi", "xi_mag", "laplacian_symbol", "unit_xi", "dealias_mask", "distinct_radii"}
+
+
+def _lattice_slices(tree: ast.Module):
+    """Lines that subscript a ``Grid`` lattice attribute, or an element of one
+    (``grid.distinct_radii[1]``), with an index that holds a slice."""
+    lines = set()
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Subscript):
+            chain.append(base.slice)
+            base = base.value
+        if isinstance(base, ast.Attribute) and base.attr in LATTICE:
+            if any(isinstance(part, ast.Slice) for index in chain for part in ast.walk(index)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_slices_a_lattice_array():
+    """The grid builds every lattice array on the kz >= 0 half, the one layout
+    its readers use, so no module cuts the half out of one by hand."""
+    sliced = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "veflow").glob("*.py"))
+        for line in _lattice_slices(_tree(path))
+    ]
+    assert not sliced, "lattice arrays sliced:\n" + "\n".join(sliced)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import axes, generic_piola_spec
+from helpers import axes, full_lattice, generic_piola_spec, same_bits
 from veflow import (
     DisplacementSpec,
     FourierMode,
@@ -22,7 +22,7 @@ from veflow import (
 )
 from veflow.fields import product, to_samples, to_spectrum
 from veflow.initial import build_vector_field
-from veflow.state import det3
+from veflow.state import adjugate3, det3
 
 SAMPLE_IC = Path(__file__).resolve().parents[1] / "sample_ic.txt"
 
@@ -76,18 +76,24 @@ class TestPiola:
     @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.2])
     def test_box_mean_of_det_is_one(self, n, delta):
         """<det(I + grad phi)> = 1 at round-off: det(I + grad phi) - 1 is a null
-        Lagrangian, so piola_ic's division of det A by its mean changes no mass."""
+        Lagrangian, so piola_ic's division of det A by its mean changes no mass.
+        A is formed as piola_ic forms it, on the full lattice's xi, and gives
+        piola_ic's F bit for bit, so the mirror of the grid's kz >= 0 xi that
+        piola_ic reads is that lattice's xi."""
         grid = Grid(n)
-        phi = build_vector_field(grid, parse_mode_file(SAMPLE_IC.read_text()).phi_modes, delta)
-        a = np.empty((3, 3) + grid.shape)  # I + grad phi, formed as piola_ic forms it
+        spec = parse_mode_file(SAMPLE_IC.read_text()).scaled(delta)
+        phi = build_vector_field(grid, spec.phi_modes, delta)
+        a = np.empty((3, 3) + grid.shape)  # I + grad phi
         phi_hat = to_spectrum(grid, phi.samples)
         for i, j in np.ndindex(3, 3):
-            a[i, j] = to_samples(grid, 1j * product(grid.xi[j], phi_hat[i]))
+            a[i, j] = to_samples(grid, 1j * product(full_lattice(grid).xi[j], phi_hat[i]))
         for i in range(3):
             a[i, i] += 1.0
-        excess = det3(a) - 1.0
+        det = det3(a)
+        excess = det - 1.0
         assert np.mean(np.abs(excess)) > 1e-4  # the identity is not a trivial one
         assert abs(np.mean(excess)) <= 1e-15
+        assert same_bits(piola_ic(spec, grid, make_params()).F.samples, adjugate3(a) / det)
 
 
 class TestLogOnlyH2:

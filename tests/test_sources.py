@@ -10,6 +10,7 @@ from helpers import (
     axes,
     even_n,
     field_wrapped_rhs_spectra,
+    full_lattice,
     full_spectrum_rhs_spectra,
     generic_piola_spec,
     hermitian_defect,
@@ -53,7 +54,7 @@ def full_spectrum_residuals(obj) -> np.ndarray:
     else:
         grid, rho = obj.grid, 1.0 + obj.n.samples
         F = obj.E.samples + identity_field(grid).samples
-    axes, n3, vol, xi = (-3, -2, -1), grid.n**3, grid.volume, grid.xi
+    axes, n3, vol, xi = (-3, -2, -1), grid.n**3, grid.volume, full_lattice(grid).xi
     rhoF_hat = np.fft.fftn(rho * F, axes=axes) / n3
     w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
     q_hat = np.einsum("k...,k...->...", 1j * xi, w_hat)
@@ -160,7 +161,7 @@ class TestEvaluateSources:
     def test_dealias_toggle_changes_high_modes_only(self, grid8, params, rng):
         st = smooth_state(grid8, rng, amp=0.01, kmax=3)
         raw, cut = (half_to_full(grid8, rhs_spectra(st, params, dealias=d)[0]) for d in (False, True))
-        assert np.max(np.abs((raw - cut) * grid8.dealias_mask)) < 1e-16
+        assert np.max(np.abs((raw - cut) * full_lattice(grid8).dealias_mask)) < 1e-16
 
 
 def unsampled(st: FlowState) -> FlowState:
@@ -173,13 +174,14 @@ class TestTransientSamples:
     """rhs_spectra forms the v and E samples from the state's kz >= 0 halves,
     one component at a time by ``samples_and_gradient``, for the call only,
     whether or not the state has its own sample views cached: it reads no
-    view and caches none."""
+    view and caches none.  Its viscous term is the one samples-only call."""
 
     @pytest.fixture
     def transforms(self, monkeypatch):
         """(transform, spectrum, whether samples were written) of every call of
         ``to_samples``, the transform behind every field's samples, and of
-        ``rhs_spectra``'s ``samples_and_gradient``."""
+        ``rhs_spectra``'s ``samples_and_gradient``, a call without a gradient
+        recorded as "samples_only"."""
         seen = []
 
         def views(grid, spectrum):
@@ -187,7 +189,8 @@ class TestTransientSamples:
             return to_samples(grid, spectrum)
 
         def shared(grid, half, samples_out, grad_out, bufs):
-            seen.append(("samples_and_gradient", half, samples_out is not None))
+            kind = "samples_and_gradient" if grad_out is not None else "samples_only"
+            seen.append((kind, half, samples_out is not None))
             samples_and_gradient(grid, half, samples_out, grad_out, bufs)
 
         monkeypatch.setattr(veflow.fields, "to_samples", views)
@@ -213,12 +216,14 @@ class TestTransientSamples:
 
     def _check_calls(self, seen, st):
         """No ``to_samples``; n's half once, for its gradient only; each v and E
-        component once, with its samples; and nothing else."""
+        component once, with its samples; the three components of the viscous
+        term, samples only; and nothing else."""
         assert [kind for kind, _, _ in seen].count("to_samples") == 0
         assert self._calls(seen, st.n) == {(): [False]}
         for field in (st.v, st.E):
             assert all(calls == [True] for calls in self._calls(seen, field).values())
-        assert len(seen) == 1 + 3 + 9
+        assert [w for kind, _, w in seen if kind == "samples_only"] == [True] * 3
+        assert len(seen) == 1 + 3 + 9 + 3
 
     def test_unsampled_state_keeps_none(self, grid8, params, transforms):
         st = self._state(grid8, params)

@@ -11,7 +11,9 @@ from helpers import (
     antisymmetric_part,
     axes,
     even_n,
+    full_lattice,
     grad,
+    half_samples,
     hodge_decompose,
     hodge_reconstruct,
     identity_field,
@@ -42,7 +44,6 @@ from veflow import (
 from veflow.diagnostics import h2_distance
 from veflow.fields import (
     half_to_full,
-    half_to_samples,
     product,
     samples_and_gradient,
     to_half_spectrum,
@@ -85,7 +86,7 @@ class TestGrid:
         for grid in (Grid(6), Grid(10, 3.7), Grid(16)):
             radii, index = grid.distinct_radii
             assert np.all(np.diff(radii) > 0.0)
-            assert index.shape == grid.shape
+            assert index.shape == grid.half_shape
             assert same_bits(radii[index], grid.xi_mag)
 
     def test_unit_xi(self, grid16):
@@ -96,9 +97,10 @@ class TestGrid:
         assert not grid16.unit_xi.flags.writeable
 
     def test_frequency_lattice_symmetry(self, grid16):
-        k = grid16.xi
+        lattice = full_lattice(grid16)
+        k = lattice.xi
         # away from the Nyquist planes the lattice is symmetric under k -> -k
-        mask = grid16.nyquist_mask
+        mask = lattice.nyquist_mask
         for axis in range(3):
             flipped = k[axis]
             for ax in (0, 1, 2):
@@ -109,10 +111,49 @@ class TestGrid:
         nyq = grid16.n // 2
         assert np.all(grid16.xi[:, nyq, :, :] == 0.0)
         assert np.all(grid16.xi_mag[nyq, :, :] == 0.0)
+        assert np.all(grid16.xi[..., nyq] == 0.0)
+        assert np.all(grid16.xi_mag[..., nyq] == 0.0)
 
     def test_xi_max(self):
         g = Grid(32, 2.0 * np.pi)
         assert g.xi_max() == pytest.approx(15.0)
+
+
+class TestHalfLattice:
+    """The grid builds each lattice array on the kz >= 0 half: the first N/2 + 1
+    kz planes of the full N^3 lattice (``helpers.full_lattice``), byte for byte,
+    so the last one is the k = -N/2 plane and its zeros keep their sign."""
+
+    ARRAYS = ("xi", "xi_mag", "laplacian_symbol", "unit_xi", "dealias_mask")
+    WEIGHTS = ((0, 0), (0, 2), (0, 3), (1, 2), (1, 3))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
+    def test_arrays_are_the_kz_nonnegative_planes_of_the_full_lattice(self, n):
+        grid, h = Grid(n, 2.0 * np.pi * 1.7), n // 2 + 1
+        full = full_lattice(grid)
+        for name in self.ARRAYS:
+            got = getattr(grid, name)
+            assert got.shape[-3:] == grid.half_shape and not got.flags.writeable, name
+            assert same_bits(got, getattr(full, name)[..., :h]), name
+        radii, index = grid.distinct_radii
+        assert same_bits(index, full.radius_index[..., :h])
+        for first, last in self.WEIGHTS:
+            got = grid.sobolev_weight(first, last)
+            assert same_bits(got, full.sobolev_weight(first, last)[..., :h]), (first, last)
+        # the kz = -N/2 plane holds zeros signed as k times 0: -0.0 in xi_z, and
+        # in xi_x where kx < 0
+        assert np.all(grid.xi[..., -1] == 0.0) and np.all(np.signbit(grid.xi[2, ..., -1]))
+        kx = np.fft.fftfreq(n, d=1.0 / n)
+        assert np.array_equal(np.signbit(grid.xi[0, :, 0, -1]), kx < 0)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
+    def test_distinct_radii_are_those_of_the_full_lattice(self, n):
+        """Every |xi| of the full lattice has its mirror on the half, so the
+        propagator's per-radius table does not depend on the layout."""
+        grid = Grid(n, 2.0 * np.pi * 1.7)
+        radii, _ = grid.distinct_radii
+        assert same_bits(radii, np.unique(full_lattice(grid).xi_mag))
+        assert same_bits(radii, full_lattice(grid).radii)
 
 
 class TestTransforms:
@@ -178,7 +219,7 @@ class TestComponentTransforms:
         assert same_bits(to_samples(grid, spec), np.fft.ifftn(spec, axes=AXES).real * n**3)
         assert same_bits(to_half_spectrum(grid, u), half)
         batched = np.fft.irfftn(half, s=grid.shape, axes=AXES, norm="forward")
-        assert same_bits(half_to_samples(grid, half), batched)
+        assert same_bits(half_samples(grid, half), batched)
         if n & (n - 1) == 0:
             assert same_bits(half, np.fft.rfftn(u, axes=AXES) / n**3)
             assert same_bits(batched, np.fft.irfftn(half, s=grid.shape, axes=AXES) * n**3)
@@ -186,8 +227,9 @@ class TestComponentTransforms:
     @pytest.mark.parametrize("lead", LEADS, ids=str)
     @pytest.mark.parametrize("n", [6, 8, 12, 16, 32, 64])
     def test_in_place_passes_are_irfftn(self, n, lead):
-        """The two ifft passes and the irfft pass in one buffer give irfftn's
-        bits, signed zeros too (int64 views), on non-contiguous slices of a
+        """The two ifft passes and the irfft pass of the samples-only form of
+        ``samples_and_gradient``, in its two buffers, give irfftn's bits,
+        signed zeros too (int64 views), on non-contiguous slices of a
         random lattice whose kz = 0 and N/2 planes are not Hermitian, so both
         must drop those planes' imaginary parts as irfftn does."""
         grid = Grid(n)
@@ -196,8 +238,9 @@ class TestComponentTransforms:
         half = lattice[..., : n // 2 + 1]
         assert not half.flags.c_contiguous
         out = np.empty((2,) + lead + grid.shape)[1]
-        assert half_to_samples(grid, half, out=out) is out
+        bufs = np.empty((2,) + grid.half_shape, dtype=np.complex128)
         for comp in np.ndindex(lead):
+            samples_and_gradient(grid, half[comp], out[comp], None, bufs)
             want = np.fft.irfftn(half[comp], s=grid.shape, axes=AXES, norm="forward")
             assert np.array_equal(out[comp].view(np.int64), want.view(np.int64)), comp
 
@@ -209,8 +252,8 @@ class TestComponentTransforms:
         grid = Grid(n)
         u = np.random.default_rng(10 * n + len(lead)).standard_normal(lead + grid.shape)
         half = to_half_spectrum(grid, u)
-        xi = grid.xi[..., : n // 2 + 1]
-        for data in (half, half * grid.dealias_mask[..., : n // 2 + 1]):
+        xi = grid.xi
+        for data in (half, half * grid.dealias_mask):
             batched = 1j * np.einsum("l...,...->l...", xi, data)
             batched = np.fft.irfftn(batched, s=grid.shape, axes=AXES, norm="forward")
             assert same_bits(separate_pass_gradient(grid, data), batched)
@@ -223,8 +266,8 @@ SHARED_PASS_BOUND = 2e-15
 
 
 class TestSharedPassGradient:
-    """``samples_and_gradient`` against ``half_to_samples`` and the separate
-    three-pass gradient of every derivative (``helpers.separate_pass_gradient``),
+    """``samples_and_gradient`` against ``irfftn`` and the separate three-pass
+    gradient of every derivative (``helpers.separate_pass_gradient``),
     on one component of a random lattice whose Nyquist planes hold content and
     whose kz = 0 and N/2 planes are not Hermitian."""
 
@@ -245,15 +288,17 @@ class TestSharedPassGradient:
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
     def test_matches_separate_passes(self, n):
-        """The samples and d_x are bit for bit those of the separate passes, with
-        or without the samples; d_y and d_z are within ``SHARED_PASS_BOUND`` of
-        the largest derivative."""
+        """The samples are irfftn's bits, with or without the gradient, and d_x
+        is bit for bit that of the separate passes, with or without the
+        samples; d_y and d_z are within ``SHARED_PASS_BOUND`` of the largest
+        derivative."""
         grid = Grid(n)
         half = self._half(n)
         assert not half.flags.c_contiguous
         want = separate_pass_gradient(grid, half)
         samples, got = self._shared(grid, half, True)
-        assert same_bits(samples, half_to_samples(grid, half))
+        assert same_bits(samples, np.fft.irfftn(half, s=grid.shape, axes=AXES, norm="forward"))
+        assert same_bits(samples, half_samples(grid, half))
         assert same_bits(got[0], want[0])
         assert same_bits(self._shared(grid, half, False)[1], got)
         gap = np.max(np.abs(got[1:] - want[1:]))
@@ -267,7 +312,7 @@ class TestSharedPassGradient:
         remove those planes' content from d_y and d_z."""
         grid = Grid(n)
         half = self._half(n)
-        nyquist = half * ~grid.nyquist_mask[..., : n // 2 + 1]
+        nyquist = half * ~full_lattice(grid).nyquist_mask[..., : n // 2 + 1]
         _, got = self._shared(grid, nyquist, False)
         assert np.count_nonzero(got[0]) == 0
         gap = np.max(np.abs(got))
@@ -287,13 +332,13 @@ class TestProduct:
         grid = Grid(n)
         spectra = random_spectra(grid, n)
         if masked:
-            spectra = tuple(x * grid.dealias_mask for x in spectra)
+            spectra = tuple(x * full_lattice(grid).dealias_mask for x in spectra)
         n_hat, v_hat, e_hat = spectra
         half = n // 2 + 1
-        xi = grid.xi[..., :half]
+        xi = grid.xi
         cases = [
             ("...,...->...", xi[1], v_hat[2][..., :half]),  # real x complex, strided
-            ("...,...->...", e_hat[0, 2], grid.unit_xi[1]),  # complex x real
+            ("...,...->...", e_hat[0, 2], full_lattice(grid).unit_xi[1]),  # complex x real
             ("i...,...->i...", xi, n_hat[..., :half]),  # real x complex, broadcast
             ("...,i...->i...", n_hat.real, v_hat.real),  # real x real, broadcast, strided
             ("...,...->...", v_hat[0].imag, e_hat[1, 1].real),  # real x real
@@ -343,7 +388,7 @@ class TestTransformProperties:
         u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
         back = to_samples(grid, to_spectrum(grid, u))
         assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
-        back = half_to_samples(grid, to_half_spectrum(grid, u))
+        back = half_samples(grid, to_half_spectrum(grid, u))
         assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -354,7 +399,7 @@ class TestTransformProperties:
         rng = np.random.default_rng(seed)
         shape = lead + (n, n, n // 2 + 1)
         half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        nyquist = ~grid.nyquist_mask[..., : n // 2 + 1]
+        nyquist = ~full_lattice(grid).nyquist_mask[..., : n // 2 + 1]
         half *= nyquist
         assert np.count_nonzero(half) > 0
         assert np.count_nonzero(separate_pass_gradient(grid, half)) == 0
@@ -516,7 +561,8 @@ class TestHodge:
         1e-13 leaves a 100x margin, while a lost Hodge sector is an O(1) error."""
         grid = Grid(n)
         rng = np.random.default_rng(seed)
-        spec = to_spectrum(grid, rng.standard_normal((3,) + grid.shape)) * grid.nyquist_mask
+        spec = to_spectrum(grid, rng.standard_normal((3,) + grid.shape))
+        spec *= full_lattice(grid).nyquist_mask
         spec[:, 0, 0, 0] = 0.0
         v = VectorField.from_half_spectrum(grid, spec[..., : n // 2 + 1])
         back = hodge_reconstruct(*hodge_decompose(v))
@@ -606,6 +652,6 @@ class TestNormsAndProducts:
         from veflow import apply_multiplier
 
         u = smooth_scalar(grid8, rng)
-        sym = -(grid8.xi_mag**2) * grid8.nyquist_mask
+        sym = -(grid8.xi_mag**2)
         direct = apply_multiplier(u, sym).samples
         assert np.max(np.abs(direct - laplacian(u).samples)) < 1e-13

@@ -10,6 +10,7 @@ from helpers import (
     column,
     einsum_apply,
     field_wrapped_rhs_spectra,
+    full_lattice,
     full_spectrum_step,
     full_state,
     generic_piola_spec,
@@ -160,7 +161,7 @@ class TestLeanStep:
             props = LinearPropagator(grid, params, 0.5 * dt), LinearPropagator(grid, params, dt)
             for seed in range(2):
                 spectra = tuple(1e-2 * x for x in random_spectra(grid, seed))
-                for data in (spectra, tuple(x * grid.dealias_mask for x in spectra)):
+                for data in (spectra, tuple(x * full_lattice(grid).dealias_mask for x in spectra)):
                     st = full_state(grid, *(x.copy() for x in data), 0.25)
                     got = step(st, params, dt, dealias, *props, sources=sources)
                     want = _one_line_step(st, params, dt, dealias, *props, sources)
