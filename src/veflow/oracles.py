@@ -35,11 +35,14 @@ def _rhs(nu: float, b: float, r: np.ndarray, m: np.ndarray) -> np.ndarray:
 def rk4_block_expm(nu: float, b: float, radii, times) -> np.ndarray:
     """e^{t A(r)} for every (t, r) pair; shape (len(times), len(radii), 2, 2).
 
-    ``times`` must be nonnegative; they are visited in sorted order and the
-    result is returned in the order given.
+    ``radii`` must be finite and ``times`` finite and nonnegative; the times
+    are visited in sorted order and the result is returned in the order given.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    for name, values in (("radii", radii), ("times", times)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"oracle {name} must be finite, got {values}")
     if np.any(times < 0.0):
         raise ValueError("oracle times must be nonnegative")
 

@@ -16,16 +16,22 @@ oscillatory regime and through expm1 in the overdamped one, so the formula
 stays accurate through the confluent radius r* = 2 sqrt(b)/nu where the
 eigenvalues coalesce and the limit e^{kt}(I + t(A - kI)) applies.
 
-The grid-level solver evolves each mode of the full linearized system by
-splitting the velocity and the deformation columns along xi: the
-longitudinal triple (n, d, xi.E xi) keeps s = n + xi.E xi frozen and is
-the compressible block shifted by its steady state (n*, d*) = (a s/(1 + a), 0),
-the two transverse pairs reduce to the shear block, and the remaining
-deformation components are constant in time.  This
-reproduces the exact solution operator for arbitrary mean-zero data and
-coincides with the two-block picture on constraint-satisfying data.  It
-runs on the kz >= 0 halves of the spectra, mode by mode against the unit
-wavevectors and the radius index that the grid builds on the same half.
+The grid-level solver splits v and the columns of E of each mode along the
+unit wavevector r, with c = E r and s = n + r.c: (n - n*, d = i r.v)
+follows the compressible block about its steady state n* = a s/(1 + a)
+under the frozen s, (i c_perp, v_perp) follows the shear block, and s and
+E (I - r r^T) are constant: the exact solution operator for any mean-zero
+data.  On the kz >= 0 halves, with (p, q) the two blocks' entries and the
+shear block's factors +-i folded into them:
+
+    n1 = p11 n + p12 d + (1 - p11) n*,   d1 = p21 n + p22 d - p21 n*,
+    v1 = (i q21) c_perp + q22 v_perp + (-i d1) r,
+    c1 = q11 c_perp + (-i q12) v_perp + (s - n1) r,
+    E1 = c1 r^T + (E - c r^T),
+
+which round as x0 = i c_perp, v1 = q21 x0 + ... and c1 = -i (q11 x0 + ...)
+do, a product by +-i being exact; the (1 - p11) form keeps r = 0 modes
+(e^{tA} = I) exact bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .fields import product
 from .grid import Grid
 from .params import ModelParams
 from .state import FlowState, state_from_spectra
@@ -141,14 +146,14 @@ class LinearPropagator:
     """Grid-level solution operator of the linearized system at a fixed step t,
     applied to the kz >= 0 halves of the spectra.
 
-    The 8 block entries (4 per block) depend on |xi| only, so they are kept as
-    one (8, R) table over the grid's R distinct radii, evaluated once per
-    propagator.  ``apply_spectra`` runs one slab of kx-planes at a time: it
-    gathers the slab's entries from the table through the grid's radius index
-    into a small buffer, runs the per-mode update on the slab and writes it
-    into the outputs, so no temporary spans the lattice.  The unit
-    wavevectors and the radius index are the grid's own, built on the
-    kz >= 0 half as the spectra are, and shared by every propagator on it.
+    The 8 block entries (4 per block) depend on |xi| only: one (8, R) table
+    over the grid's R distinct radii, evaluated once per propagator and kept
+    complex, x + 0j as numpy casts a real operand, so that no product of the
+    update casts one.  ``apply_slab`` runs the update on one slab of
+    kx-planes, its entries gathered through the grid's radius index and its
+    unit wavevectors cast to complex once, into a slab-sized output: no
+    temporary spans the lattice.  ``apply_spectra`` runs it on every slab,
+    and ``stepping.step`` fuses it into its two midpoint sums.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -165,74 +170,70 @@ class LinearPropagator:
         # rows p11, p12, p21, p22 of the compressible block, then of the shear block
         self._table = np.array(
             block_entries(comp.nu, comp.b, radii, self.t)
-            + block_entries(shear.nu, shear.b, radii, self.t)
+            + block_entries(shear.nu, shear.b, radii, self.t),
+            dtype=np.complex128,
         )
 
-    def apply_spectra(self, n_hat, v_hat, e_hat):
+    def slabs(self) -> list[slice]:
+        """The slabs of kx-planes that ``apply_slab`` takes, the widest first."""
+        return self.grid.slabs(16 * self._index[0].size)
+
+    def apply_spectra(self, *spectra):
         """Advance the kz >= 0 halves (n, v, E), shaped (..., N, N, N/2 + 1), by t;
         returns new halves."""
-        n1 = np.empty(n_hat.shape, dtype=np.complex128)
-        v1 = np.empty(v_hat.shape, dtype=np.complex128)
-        e1 = np.empty(e_hat.shape, dtype=np.complex128)
-        for x in self.grid.slabs(16 * n_hat[0].size):
-            self._apply_slab(
-                self._index[x], self._rhat[:, x], n_hat[x], v_hat[:, x], e_hat[:, :, x],
-                n1[x], v1[:, x], e1[:, :, x],
-            )
-        return n1, v1, e1
+        out = tuple(np.empty(f.shape, dtype=np.complex128) for f in spectra)
+        for x in self.slabs():
+            self.apply_slab(x, spectra, tuple(f[..., x, :, :] for f in out))
+        return out
 
-    def _apply_slab(self, index, rhat, n_hat, v_hat, e_hat, n1, v1, e1):
-        """The per-mode update on one slab, written into the slabs n1, v1, e1; each
-        block's entries are gathered from the table at the slab's radius ``index``."""
+    def apply_slab(self, x, spectra, out) -> tuple:
+        """Advance slab ``x`` of the halves ``spectra`` = (n, v, E) by t, written
+        into the leading kx-planes of ``out``, three arrays at least as wide;
+        returns those planes."""
+        n_hat, v_hat, e_hat = (f[..., x, :, :] for f in spectra)
+        n1, v1, e1 = (f[..., : n_hat.shape[0], :, :] for f in out)
         a = self.params.a
-        p11, p12, p21, p22 = np.take(self._table[:4], index, axis=1)
-
-        vpar = np.einsum("j...,j...->...", rhat, v_hat)
-        d0 = 1j * vpar
-        c = np.einsum("ij...,j...->i...", e_hat, rhat)
-        cpar = np.einsum("i...,i...->...", rhat, c)
+        index = self._index[x]
+        rhat = self._rhat[:, x].astype(np.complex128)
+        vpar = rhat[0] * v_hat[0] + rhat[1] * v_hat[1] + rhat[2] * v_hat[2]
+        c = e_hat[:, 0] * rhat[0] + e_hat[:, 1] * rhat[1] + e_hat[:, 2] * rhat[2]
+        cpar = rhat[0] * c[0] + rhat[1] * c[1] + rhat[2] * c[2]
         s = n_hat + cpar
-        # (n*, 0) with n* = a s / (1 + a) is the steady state under the
-        # frozen forcing -a r s, so (n - n*, d) follows the compressible block;
-        # the (1 - p11) form keeps r = 0 modes (e^{tA} = I) exact bit for bit
         n_star = (a / (1.0 + a)) * s
-
-        # sums accumulate in place, left to right, with each product's operands in
-        # the order of the one-line form, and temporaries die after their last use
+        # sums accumulate in place, left to right, each product's operands in the
+        # order of the formulas above; ``term`` takes every product term
+        p11, p12, p21, p22 = np.take(self._table[:4], index, axis=1)
+        d0 = 1j * vpar
+        term = np.multiply(p12, d0)
         np.multiply(p11, n_hat, out=n1)
-        n1 += p12 * d0
-        n1 += (1.0 - p11) * n_star  # p11 n + p12 d0 + (1 - p11) n*
-        d1 = p21 * n_hat
-        d1 += p22 * d0
-        d1 -= p21 * n_star  # p21 n + p22 d0 - p21 n*
-        del d0, n_star, p11, p12, p21, p22
+        n1 += term
+        n1 += np.multiply(np.subtract(1.0, p11, out=p11), n_star, out=term)
+        np.multiply(p22, d0, out=term)
+        d1 = np.multiply(p21, n_hat, out=d0)
+        d1 += term
+        d1 -= np.multiply(p21, n_star, out=term)
+        del p11, p12, p21, p22, n_star
         cpar1 = np.subtract(s, n1, out=s)
         vpar1 = np.multiply(-1j, d1, out=d1)
-        # the transverse pairs, v1 and e1 one component i at a time: x0 = 1j cperp,
-        # x1 = q11 x0 + q12 vperp, y1 = q21 x0 + q22 vperp, c1 = cpar1 rhat - 1j x1,
-        # v1 = vpar1 rhat + y1 and e1[i, j] = c1[i] rhat[j] + (e[i, j] - c[i] rhat[j]);
-        # y1 is formed in v1[i] and x1 in x0's buffer, and the last sums of v1 and c1
-        # are written with their terms swapped, the same bits as IEEE + commutes
         q11, q12, q21, q22 = np.take(self._table[4:], index, axis=1)
+        iq21 = np.multiply(1j, q21, out=q21)
+        miq12 = np.multiply(-1j, q12, out=q12)
+        cperp, vperp = np.empty_like(term), np.empty_like(term)
         for i in range(3):
-            x0 = c[i] - cpar * rhat[i]
-            np.multiply(1j, x0, out=x0)
-            vperp = v_hat[i] - vpar * rhat[i]
-            np.multiply(q21, x0, out=v1[i])
-            v1[i] += q22 * vperp
-            v1[i] += vpar1 * rhat[i]
-            x1 = np.multiply(q11, x0, out=x0)
-            x1 += q12 * vperp
-            c1 = np.multiply(-1j, x1, out=x1)
-            c1 += cpar1 * rhat[i]
-            frozen = vperp  # its buffer, free from here
+            np.subtract(c[i], np.multiply(cpar, rhat[i], out=term), out=cperp)
+            np.subtract(v_hat[i], np.multiply(vpar, rhat[i], out=term), out=vperp)
+            np.multiply(iq21, cperp, out=v1[i])
+            v1[i] += np.multiply(q22, vperp, out=term)
+            v1[i] += np.multiply(vpar1, rhat[i], out=term)
+            c1 = np.multiply(q11, cperp, out=cperp)
+            c1 += np.multiply(miq12, vperp, out=term)
+            c1 += np.multiply(cpar1, rhat[i], out=term)
             for j in range(3):
-                product(c[i], rhat[j], out=frozen)
-                np.subtract(e_hat[i, j], frozen, out=frozen)
-                product(c1, rhat[j], out=e1[i, j])
+                frozen = np.subtract(e_hat[i, j], np.multiply(c[i], rhat[j], out=term), out=term)
+                np.multiply(c1, rhat[j], out=e1[i, j])
                 e1[i, j] += frozen
+        return n1, v1, e1
 
     def __call__(self, state: FlowState) -> FlowState:
         n1, v1, e1 = self.apply_spectra(*(f.half for f in state.fields()))
         return state_from_spectra(self.grid, n1, v1, e1, state.time + self.t)
-

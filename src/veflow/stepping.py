@@ -28,13 +28,16 @@ the sums touch N/2 + 1 of the N kz-planes.
 
 Evaluation order and memory: every spectrum is freed after its last use,
 and K(dt) U is formed last, so it is not held through the two source
-evaluations.  Each sum is formed in the buffers of its scaled term
-(g *= dt/2; g += h, the bits of h + (dt/2) g, as IEEE * and + commute).
-The propagator works one slab of kx-planes at a time, and the sources
-form E and grad E one column at a time and their v and E samples for the
-call only.  The temporaries of the step are halves, about (N/2 + 1)/N of a
-full spectrum each, and so is U_mid; one step peaks about 2.3x the
-state's full spectrum bytes above the state it starts from.
+evaluations.  Each K U is fused into its sum, one slab of kx-planes at a
+time, through one slab-sized scratch set that the update allocates once,
+so no lattice-sized K U exists: U_mid is summed into the buffers of G(U)
+(g *= dt/2; g += K(dt/2) U) and U(t+dt) into those of K(dt/2) G(U_mid)
+(k *= dt; k += K(dt) U), the bits of the unfused sums, as IEEE * and +
+commute.  The sources form E and grad E one column at a time and their
+v and E samples for the call only.  The temporaries of the step are
+halves, about (N/2 + 1)/N of a full spectrum each, and so is U_mid; one
+step peaks about 2.3x the state's full spectrum bytes above the state it
+starts from (2.4x below N = 32, where one slab spans the lattice).
 
 Constraints are monitored, never re-projected: residual drift is part of
 what the diagnostics are meant to expose.  A vacuum-guard breach aborts
@@ -119,26 +122,34 @@ def step(
     spectra = tuple(f.half for f in state.fields())
     if half_prop is None:
         half_prop = LinearPropagator(grid, params, 0.5 * dt)
-    # U_mid = K(dt/2) U + (dt/2) G(U), summed into the buffers of G(U)
-    gs = list(rhs_spectra(state, params, dealias=dealias))
-    hs = half_prop.apply_spectra(*spectra)
-    for g, h in zip(gs, hs):
-        g *= 0.5 * dt
-        g += h
-    del hs, g, h
+    # U_mid = (dt/2) G(U) + K(dt/2) U, a slab at a time into the buffers of G(U)
+    gs = rhs_spectra(state, params, dealias=dealias)
+    slabs = half_prop.slabs()
+    scratch = tuple(map(np.empty_like, _slab(spectra, slabs[0])))  # one slab wide
+    for x in slabs:
+        for g, h in zip(_slab(gs, x), half_prop.apply_slab(x, spectra, scratch)):
+            g *= 0.5 * dt
+            g += h
     mid = state_from_spectra(grid, *gs, state.time + 0.5 * dt)
-    del gs  # mid owns the halves, and frees n's once its vacuum check mirrored it
+    del gs, scratch, g, h  # mid owns the halves, and frees n's once its vacuum check mirrored it
     gs = rhs_spectra(mid, params, dealias=dealias)
     del mid
-    ks = list(half_prop.apply_spectra(*gs))
+    # U(t+dt) = dt K(dt/2) G(U_mid) + K(dt) U, K(dt) U a slab at a time, in new
+    # buffers: held in G(U_mid)'s, which the sources allocate among their
+    # temporaries, the new state raised the peak RSS at N = 64 by 17 MB
+    ks = half_prop.apply_spectra(*gs)
     del gs
-    # U(t+dt) = K(dt) U + dt K(dt/2) G(U_mid), with K(dt) U formed last
-    fs = full_prop.apply_spectra(*spectra)
-    for k, f in zip(ks, fs):
-        k *= dt
-        k += f
-    del fs, k, f
+    scratch = tuple(map(np.empty_like, _slab(spectra, slabs[0])))
+    for x in slabs:
+        for k, f in zip(_slab(ks, x), full_prop.apply_slab(x, spectra, scratch)):
+            k *= dt
+            k += f
     return state_from_spectra(grid, *ks, state.time + dt)
+
+
+def _slab(spectra, x) -> tuple:
+    """Slab ``x`` of kx-planes of each of the halves ``spectra``."""
+    return tuple(f[..., x, :, :] for f in spectra)
 
 
 def run(

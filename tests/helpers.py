@@ -7,10 +7,12 @@ and identity fields, zero states, a record's columns as arrays, and the
 samples-difference H2 distance and field-wrapped source evaluation that
 ``h2_distance`` and ``rhs_spectra`` are checked against, the
 full-spectrum states and step that the half-spectrum ``step`` and the
-propagator are checked against, the full N^3 Fourier lattice that the
-grid's kz >= 0 lattice and the full-spectrum oracles are built from, the
-separate-pass gradient that ``samples_and_gradient`` is checked against,
-and the counter of the inverse passes that the sources run."""
+propagator are checked against, the propagator's earlier and vector forms
+and the norm of the components the linear flow keeps, the full N^3 Fourier
+lattice that the grid's kz >= 0 lattice and the full-spectrum oracles are
+built from, the separate-pass gradient that ``samples_and_gradient`` is
+checked against, and the counter of the inverse passes that the sources
+run."""
 
 import contextlib
 import dataclasses
@@ -317,17 +319,70 @@ def r2_oracle(obj) -> float:
 
 def gathered_entries(prop) -> np.ndarray:
     """The 8 block entries of a ``LinearPropagator`` on the full lattice, rows
-    p11, p12, p21, p22 of the compressible block and then of the shear block: its
-    per-radius table gathered through the full lattice's radius index, whose
-    radii are the grid's bit for bit."""
-    return np.take(prop._table, full_lattice(prop.grid).radius_index, axis=1)
+    p11, p12, p21, p22 of the compressible block and then of the shear block: the
+    real part of its per-radius table gathered through the full lattice's radius
+    index, whose radii are the grid's bit for bit."""
+    return np.take(prop._table.real, full_lattice(prop.grid).radius_index, axis=1)
 
 
 def einsum_apply(prop, n_hat, v_hat, e_hat):
     """``LinearPropagator.apply_spectra`` in its batched form, on every mode at
-    once: the deformation update built from two 9-component einsum outer
-    products and the frozen part.  It takes full spectra or the kz >= 0 halves,
-    slicing the full lattice's arrays to the last axis it is given."""
+    once, each product as in ``LinearPropagator.apply_slab`` but with the real
+    entries and unit wavevectors, which numpy casts to complex in each
+    product.  It takes full spectra or the kz >= 0 halves, slicing the full
+    lattice's arrays to the last axis it is given."""
+    m = n_hat.shape[-1]
+    rhat = full_lattice(prop.grid).unit_xi[..., :m]
+    a = prop.params.a
+    p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)[..., :m]
+    vpar = rhat[0] * v_hat[0] + rhat[1] * v_hat[1] + rhat[2] * v_hat[2]
+    c = e_hat[:, 0] * rhat[0] + e_hat[:, 1] * rhat[1] + e_hat[:, 2] * rhat[2]
+    cpar = rhat[0] * c[0] + rhat[1] * c[1] + rhat[2] * c[2]
+    s = n_hat + cpar
+    n_star = (a / (1.0 + a)) * s
+    d0 = 1j * vpar
+    n1 = p11 * n_hat + p12 * d0 + (1.0 - p11) * n_star
+    d1 = p21 * n_hat + p22 * d0 - p21 * n_star
+    cperp = c - cpar * rhat
+    vperp = v_hat - vpar * rhat
+    v1 = 1j * q21 * cperp + q22 * vperp + -1j * d1 * rhat
+    c1 = q11 * cperp + -1j * q12 * vperp + (s - n1) * rhat
+    e1 = c1[:, None] * rhat + (e_hat - c[:, None] * rhat)
+    return n1, v1, e1
+
+
+def vector_form_apply(prop, n_hat, v_hat, e_hat):
+    """The propagator's update in vector form, the round-off oracle of the
+    split form: no transverse part is formed, and E1 = E + (c1 - c) r^T, with
+    v1 = (i q21) c + q22 v + alpha r and c1 - c = (q11 - 1) c - (i q12) v + beta r
+    for the two scalars alpha and beta of each mode.  Full spectra or kz >= 0
+    halves, as ``einsum_apply``."""
+    m = n_hat.shape[-1]
+    rhat = full_lattice(prop.grid).unit_xi[..., :m]
+    a = prop.params.a
+    p11, p12, p21, p22, q11, q12, q21, q22 = gathered_entries(prop)[..., :m]
+    vpar = rhat[0] * v_hat[0] + rhat[1] * v_hat[1] + rhat[2] * v_hat[2]
+    c = e_hat[:, 0] * rhat[0] + e_hat[:, 1] * rhat[1] + e_hat[:, 2] * rhat[2]
+    cpar = rhat[0] * c[0] + rhat[1] * c[1] + rhat[2] * c[2]
+    s = n_hat + cpar
+    n_star = (a / (1.0 + a)) * s
+    d0 = 1j * vpar
+    n1 = p11 * n_hat + p12 * d0 + (1.0 - p11) * n_star
+    d1 = p21 * n_hat + p22 * d0 - p21 * n_star
+    alpha = -1j * d1 - 1j * q21 * cpar - q22 * vpar
+    beta = s - n1 - q11 * cpar + 1j * q12 * vpar
+    v1 = 1j * q21 * c + q22 * v_hat + alpha * rhat
+    dc = (q11 - 1.0) * c - 1j * q12 * v_hat + beta * rhat
+    e1 = e_hat + dc[:, None] * rhat
+    return n1, v1, e1
+
+
+def frozen_part_apply(prop, n_hat, v_hat, e_hat):
+    """The propagator's update as it was written before its entries took the
+    factors i and -i of the shear block: the transverse pairs x0 = i c_perp and
+    v_perp advanced by the shear block, c1 = r.c1 r - i x1 and
+    v1 = r.v1 r + y1, E1 = c1 r^T + (E - c r^T), the contractions and outer
+    products by einsum.  Full spectra or kz >= 0 halves, as ``einsum_apply``."""
     m = n_hat.shape[-1]
     rhat = full_lattice(prop.grid).unit_xi[..., :m]
     a = prop.params.a
@@ -353,6 +408,17 @@ def einsum_apply(prop, n_hat, v_hat, e_hat):
     v1 = vpar1 * rhat + y1
     e1 = np.einsum("i...,j...->ij...", c1, rhat) + frozen
     return n1, v1, e1
+
+
+def kept_norm(grid: Grid, n_hat: np.ndarray, e_hat: np.ndarray) -> float:
+    """K = ||(s, E (I - r r^T))|| over the kz >= 0 halves, with r the grid's unit
+    wavevectors and s = n + r.E r: the components of each mode that the linear
+    flow keeps (n and E where r = 0), computed from n and E directly."""
+    r = grid.unit_xi
+    c = np.einsum("ij...,j...->i...", e_hat, r)
+    s = n_hat + np.einsum("i...,i...->...", r, c)
+    perp = e_hat - c[:, None] * r
+    return float(np.sqrt(np.sum(np.abs(s) ** 2) + np.sum(np.abs(perp) ** 2)))
 
 
 def masked_block_entries(nu: float, b: float, r: np.ndarray, t: float):

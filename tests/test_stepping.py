@@ -148,8 +148,9 @@ class TestLeanStep:
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("sources", [True, False])
     def test_bit_identical_to_one_line_form(self, n, dealias, sources):
-        """Freeing each spectrum after its last use and summing in place round
-        exactly as the one-line step, also on 2/3-masked data with exact zeros,
+        """Freeing each spectrum after its last use and summing in place, with
+        each K U fused into its sum a slab at a time, round exactly as the
+        one-line step, also on 2/3-masked data with exact zeros,
         where -0.0 and 0.0 differ.  At gamma = 2 the pressure coefficient is
         exactly 0; gamma = 1.4 and 3 pin its bits too.  The full-spectrum step
         is the second oracle: every mode, the Nyquist planes too, within 1e-14
@@ -272,8 +273,9 @@ class TestMemory:
     only (3.16x on full spectra, 3.11x on the kz >= 0 halves mirrored into
     full spectra at each assembly, 2.69x with the halves kept and no mirror in
     the step, 2.31x with E and grad E one column at a time and h held as
-    samples until its three columns are filled); it was 3.0, 0.31 above
-    2.69x, and is now 2.6, 0.29 above 2.31x.  The sample_row bound sits
+    samples until its three columns are filled, 2.38x with each K U fused
+    into its midpoint sum through one slab-sized scratch set per update); it was 3.0, 0.31 above 2.69x,
+    and is now 2.6, 0.29 above 2.31x.  The sample_row bound sits
     between the 27-slot r2 (3.1x) and r2 one row of grad F at a time (1.6x on
     a state of full spectra, 1.96x on one of halves that its first read
     mirrored into full spectra, 1.54x with the halves kept and each mirror
