@@ -46,7 +46,6 @@ from .diagnostics import (
     TimeSeriesRecord,
     decay_fit,
     h2_distance,
-    lp_norms,
     lyapunov_m,
     sample_row,
 )

@@ -370,6 +370,8 @@ def _cmd_duhamel(args) -> int:
         run(init, params, config, sinks=(deviation,))
         deviations.append(deviation.max_deviation)
     full, half = deviations
+    if half == 0.0:  # zero-amplitude data, or H2 squares that underflow
+        raise VeflowError(f"zero H2 deviation at delta/2 = {0.5 * args.delta:g}: no ratio")
     summary = {
         "delta": args.delta,
         "max_deviation": full,

@@ -95,17 +95,6 @@ def _cross_curl(state: FlowState) -> float:
     return float(2.0 * grid.volume * total)
 
 
-def lp_norms(state: FlowState, *exponents: float) -> tuple[float, ...]:
-    """L^p norms of the full triple through its pointwise magnitude, one per exponent."""
-    mag2 = (
-        state.n.samples**2
-        + (state.v.samples**2).sum(axis=0)
-        + (state.E.samples**2).sum(axis=(0, 1))
-    )
-    cell = state.grid.cell_volume
-    return tuple(float((np.sum(mag2 ** (p / 2.0)) * cell) ** (1.0 / p)) for p in exponents)
-
-
 def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> dict:
     """All monitored quantities of one state, as a plain dict.  ``residuals`` is its
     ``constraint_residuals`` report when the caller has one; the argument goes once
@@ -115,7 +104,6 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
     grad_n, _, grad_e = lyap.gradient_terms
     diss1 = grad_n + grad_e
     diss2 = gradient_sobolev_norm(state.v, 2) ** 2
-    lp4, lp6 = lp_norms(state, 4.0, 6.0)
     return {
         "t": state.time,
         "L2_n": l2_norm(state.n),
@@ -131,8 +119,6 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
         "r3": res.r3,
         "diss1_inst": diss1,
         "diss2_inst": diss2,
-        "Lp4": lp4,
-        "Lp6": lp6,
     }
 
 
@@ -163,7 +149,7 @@ class TimeSeriesRecord:
         return csv_line(self.columns[c][i] for c in CSV_COLUMNS)
 
 
-_ALL_COLUMNS = CSV_COLUMNS + ("diss1_inst", "diss2_inst", "Lp4", "Lp6")
+_ALL_COLUMNS = CSV_COLUMNS + ("diss1_inst", "diss2_inst")
 
 
 # ---------------------------------------------------------------------------

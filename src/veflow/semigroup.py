@@ -149,11 +149,11 @@ class LinearPropagator:
     The 8 block entries (4 per block) depend on |xi| only: one (8, R) table
     over the grid's R distinct radii, evaluated once per propagator and kept
     complex, x + 0j as numpy casts a real operand, so that no product of the
-    update casts one.  ``apply_slab`` runs the update on one slab of
-    kx-planes, its entries gathered through the grid's radius index and its
-    unit wavevectors cast to complex once, into a slab-sized output: no
-    temporary spans the lattice.  ``apply_spectra`` runs it on every slab,
-    and ``stepping.step`` fuses it into its two midpoint sums.
+    update casts one.  The update runs a slab of kx-planes at a time, its
+    entries gathered through the grid's radius index and its unit wavevectors
+    cast to complex once, into a slab-sized output: no temporary spans the
+    lattice.  ``apply_spectra`` writes each slab into new halves, ``add_to``
+    into a midpoint sum of ``stepping.step``; the slab width lives here only.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -174,19 +174,29 @@ class LinearPropagator:
             dtype=np.complex128,
         )
 
-    def slabs(self) -> list[slice]:
-        """The slabs of kx-planes that ``apply_slab`` takes, the widest first."""
+    def _slabs(self) -> list[slice]:
+        """The slabs of kx-planes that ``_apply_slab`` takes, the widest first."""
         return self.grid.slabs(16 * self._index[0].size)
 
     def apply_spectra(self, *spectra):
         """Advance the kz >= 0 halves (n, v, E), shaped (..., N, N, N/2 + 1), by t;
         returns new halves."""
         out = tuple(np.empty(f.shape, dtype=np.complex128) for f in spectra)
-        for x in self.slabs():
-            self.apply_slab(x, spectra, tuple(f[..., x, :, :] for f in out))
+        for x in self._slabs():
+            self._apply_slab(x, spectra, tuple(f[..., x, :, :] for f in out))
         return out
 
-    def apply_slab(self, x, spectra, out) -> tuple:
+    def add_to(self, acc, scale, spectra) -> None:
+        """acc <- scale * acc + K(t) spectra in place on halves (n, v, E), a slab at a
+        time (acc *= scale; acc += K(t) slab), through one slab-sized scratch set."""
+        slabs = self._slabs()
+        scratch = tuple(np.empty_like(f[..., slabs[0], :, :]) for f in spectra)
+        for x in slabs:
+            for a, k in zip((f[..., x, :, :] for f in acc), self._apply_slab(x, spectra, scratch)):
+                a *= scale
+                a += k
+
+    def _apply_slab(self, x, spectra, out) -> tuple:
         """Advance slab ``x`` of the halves ``spectra`` = (n, v, E) by t, written
         into the leading kx-planes of ``out``, three arrays at least as wide;
         returns those planes."""

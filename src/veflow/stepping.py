@@ -21,23 +21,23 @@ The mid state and the new state are assembled from their halves,
 uncopied, and the step mirrors nothing: a half-built field mirrors its
 half (``fields.half_to_full``) only to form its samples, when they are
 first read, and drops the mirror after.  An unsampled state so mirrors
-only n, for the vacuum check; a sampled state mirrors every field once
-and keeps its halves and samples, since the norms read the halves.  A
+only n, for the vacuum check; a sampled state mirrors n and E once, for
+the vacuum check and the residuals, and keeps its halves and those
+samples, since the norms read the halves; v is never mirrored.  A
 real-data transform costs about half a complex one, and the apply and
 the sums touch N/2 + 1 of the N kz-planes.
 
 Evaluation order and memory: every spectrum is freed after its last use,
 and K(dt) U is formed last, so it is not held through the two source
-evaluations.  Each K U is fused into its sum, one slab of kx-planes at a
-time, through one slab-sized scratch set that the update allocates once,
-so no lattice-sized K U exists: U_mid is summed into the buffers of G(U)
-(g *= dt/2; g += K(dt/2) U) and U(t+dt) into those of K(dt/2) G(U_mid)
-(k *= dt; k += K(dt) U), the bits of the unfused sums, as IEEE * and +
-commute.  The sources form E and grad E one column at a time and their
-v and E samples for the call only.  The temporaries of the step are
-halves, about (N/2 + 1)/N of a full spectrum each, and so is U_mid; one
-step peaks about 2.3x the state's full spectrum bytes above the state it
-starts from (2.4x below N = 32, where one slab spans the lattice).
+evaluations.  ``LinearPropagator.add_to`` fuses each K U into its sum a
+slab of kx-planes at a time, so no lattice-sized K U exists: U_mid is
+summed into the buffers of G(U) (g *= dt/2; g += K(dt/2) U) and U(t+dt)
+into those of K(dt/2) G(U_mid) (k *= dt; k += K(dt) U), the bits of the
+unfused sums, as IEEE * and + commute.  The sources form E and grad E one
+column at a time, and their v and E samples for the call only.  The step's
+temporaries are halves, about (N/2 + 1)/N of a full spectrum each, as is
+U_mid; one step peaks about 2.3x the state's full spectrum bytes above the
+state it starts from (2.4x below N = 32, where one slab spans the lattice).
 
 Constraints are monitored, never re-projected: residual drift is part of
 what the diagnostics are meant to expose.  A vacuum-guard breach aborts
@@ -122,34 +122,20 @@ def step(
     spectra = tuple(f.half for f in state.fields())
     if half_prop is None:
         half_prop = LinearPropagator(grid, params, 0.5 * dt)
-    # U_mid = (dt/2) G(U) + K(dt/2) U, a slab at a time into the buffers of G(U)
+    # U_mid = (dt/2) G(U) + K(dt/2) U, summed into the buffers of G(U)
     gs = rhs_spectra(state, params, dealias=dealias)
-    slabs = half_prop.slabs()
-    scratch = tuple(map(np.empty_like, _slab(spectra, slabs[0])))  # one slab wide
-    for x in slabs:
-        for g, h in zip(_slab(gs, x), half_prop.apply_slab(x, spectra, scratch)):
-            g *= 0.5 * dt
-            g += h
+    half_prop.add_to(gs, 0.5 * dt, spectra)
     mid = state_from_spectra(grid, *gs, state.time + 0.5 * dt)
-    del gs, scratch, g, h  # mid owns the halves, and frees n's once its vacuum check mirrored it
+    del gs  # mid owns the halves, and frees n's once its vacuum check mirrored it
     gs = rhs_spectra(mid, params, dealias=dealias)
     del mid
-    # U(t+dt) = dt K(dt/2) G(U_mid) + K(dt) U, K(dt) U a slab at a time, in new
-    # buffers: held in G(U_mid)'s, which the sources allocate among their
-    # temporaries, the new state raised the peak RSS at N = 64 by 17 MB
+    # U(t+dt) = dt K(dt/2) G(U_mid) + K(dt) U, in new buffers: held in
+    # G(U_mid)'s, which the sources allocate among their temporaries, the new
+    # state raised the peak RSS at N = 64 by 17 MB
     ks = half_prop.apply_spectra(*gs)
     del gs
-    scratch = tuple(map(np.empty_like, _slab(spectra, slabs[0])))
-    for x in slabs:
-        for k, f in zip(_slab(ks, x), full_prop.apply_slab(x, spectra, scratch)):
-            k *= dt
-            k += f
+    full_prop.add_to(ks, dt, spectra)
     return state_from_spectra(grid, *ks, state.time + dt)
-
-
-def _slab(spectra, x) -> tuple:
-    """Slab ``x`` of kx-planes of each of the halves ``spectra``."""
-    return tuple(f[..., x, :, :] for f in spectra)
 
 
 def run(

@@ -263,7 +263,8 @@ def cross_curl_oracle(state: FlowState) -> float:
 
 
 def lp_norm_oracle(state: FlowState, p: float) -> float:
-    """L^p norm of the full triple, one exponent per call (the per-exponent formula)."""
+    """L^p norm of the full triple through its pointwise magnitude: criterion 9's
+    L4 and L6, which the box solver's rows do not carry."""
     mag2 = (
         state.n.samples**2
         + (state.v.samples**2).sum(axis=0)
@@ -327,10 +328,10 @@ def gathered_entries(prop) -> np.ndarray:
 
 def einsum_apply(prop, n_hat, v_hat, e_hat):
     """``LinearPropagator.apply_spectra`` in its batched form, on every mode at
-    once, each product as in ``LinearPropagator.apply_slab`` but with the real
-    entries and unit wavevectors, which numpy casts to complex in each
-    product.  It takes full spectra or the kz >= 0 halves, slicing the full
-    lattice's arrays to the last axis it is given."""
+    once, each product as in its slab update but with the real entries and
+    unit wavevectors, which numpy casts to complex in each product.  It takes
+    full spectra or the kz >= 0 halves, slicing the full lattice's arrays to
+    the last axis it is given."""
     m = n_hat.shape[-1]
     rhat = full_lattice(prop.grid).unit_xi[..., :m]
     a = prop.params.a
@@ -523,9 +524,9 @@ def state_retained(n: int) -> int:
 
 def sampled_state_retained(n: int) -> int:
     """Traced bytes that one stepped state at grid size n keeps after
-    ``sample_row``: its three kz >= 0 halves and the samples of all three
-    fields, plus the three Sobolev weights that this first sample caches on
-    the grid."""
+    ``sample_row``: its three kz >= 0 halves and the samples of n and E, which
+    the vacuum check and the residuals read, plus the three Sobolev weights
+    that this first sample caches on the grid."""
     return _retained(n, True)
 
 

@@ -4,6 +4,7 @@ import json
 import shutil
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ phi 0 1 0   0.3 0.0   0.0 0.0   -0.2 0.0
 u   1 0 0   0.4 0.0   0.0 0.1    0.0 0.0
 """
 ZERO_MODE = "u   0 0 0   0.5 0.3   0.0 0.0    0.0 0.0\n"
+SAMPLE_IC = Path(__file__).resolve().parents[1] / "sample_ic.txt"
 
 
 @pytest.fixture
@@ -599,6 +601,22 @@ class TestDuhamel:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert 3.0 <= summary["ratio"] <= 5.0
+
+    @pytest.mark.parametrize(
+        "modes, delta",
+        [("phi 1 0 0   0 0   0 0   0 0\n", "1e-3"), (None, "1e-200")],
+        ids=["zero-amplitude", "delta-1e-200"],
+    )
+    def test_zero_deviation_is_numerical_abort(self, tmp_path, capsys, modes, delta):
+        """A deviation of 0 at delta/2, from zero-amplitude data or from H2
+        squares that underflow, leaves no ratio: exit 3, reported, not raised."""
+        ic = SAMPLE_IC
+        if modes is not None:
+            ic = tmp_path / "zero.txt"
+            ic.write_text(modes)
+        argv = ["duhamel", "--n", "8", "--ic", str(ic), "--delta", delta, "--t-end", "0.1"]
+        assert main(argv + ["--out", str(tmp_path / "duh")]) == 3
+        assert "numerical abort: zero H2 deviation at delta/2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",

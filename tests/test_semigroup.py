@@ -474,6 +474,35 @@ class TestComponentApply:
                         for got, want in zip(prop.apply_spectra(*data), einsum_apply(prop, *data)):
                             assert same_bits(got, want)
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_add_to_is_the_unfused_sum(self, monkeypatch, n):
+        """``add_to`` rounds as the unfused sum acc *= s; acc += apply_spectra(...),
+        on random and 2/3-masked halves, the masked ones with exact zeros: in one
+        slab, and in three slabs of n/2 - 1 kx-planes with a ragged last one,
+        where each slab of the accumulator takes its own slab of K(t) spectra."""
+        grid = Grid(n)
+        params = make_params()
+        dt = cfl_dt(grid, params)
+        half = n // 2 + 1
+        width = n // 2 - 1
+        for slab_bytes, count in ((veflow.grid._SLAB_BYTES, 1), (width * 16 * n * half, 3)):
+            monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", slab_bytes)
+            assert len(grid.slabs(16 * n * half)) == count
+            for seed in range(2):
+                spectra = random_spectra(grid, seed)
+                masked = tuple(x * full_lattice(grid).dealias_mask for x in spectra)
+                acc = tuple(x[..., :half] for x in random_spectra(grid, seed + 2))
+                for t in (0.5 * dt, dt):
+                    prop = LinearPropagator(grid, params, t)
+                    for data in (spectra, masked):
+                        data = tuple(x[..., :half] for x in data)
+                        got = tuple(a.copy() for a in acc)
+                        prop.add_to(got, t, data)
+                        for g, a, k in zip(got, acc, prop.apply_spectra(*data)):
+                            want = a * t
+                            want += k
+                            assert same_bits(g, want)
+
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_half_apply_is_the_kz_nonnegative_part_of_the_full_apply(self, n):
         """The update is per mode, so the apply on the halves gives the bits of the

@@ -252,16 +252,18 @@ class TestHalfBuiltStates:
             assert f.half.base is None
 
     def test_sampled_state_keeps_no_full_spectrum(self, monkeypatch):
-        """``sample_row`` on a stepped state mirrors v and E once each, for their
-        samples, and keeps no mirror: every field holds its half, N/2 + 1
-        kz-planes in an array of its own, and its samples."""
+        """``sample_row`` on a stepped state mirrors E once, for the residuals'
+        samples, and v never, and keeps no mirror: every field holds its half,
+        N/2 + 1 kz-planes in an array of its own, and n and E their samples."""
         _, stepped, calls = self._mirrors(monkeypatch, True)
         sample_row(stepped)
         assert calls[:2] == [(8, 8, 5)] * 2  # n of U_mid and of U(t+dt), in the step
-        assert sorted(calls[2:]) == [(3, 3, 8, 8, 5), (3, 8, 8, 5)]
+        assert calls[2:] == [(3, 3, 8, 8, 5)]
         for f in stepped.fields():
             assert f.half.shape[-3:] == (8, 8, 5) and f.half.base is None
+        for f in (stepped.n, stepped.E):
             assert sorted(vars(f)) == ["grid", "half", "samples"]
+        assert sorted(vars(stepped.v)) == ["grid", "half"]
 
 
 class TestMemory:
