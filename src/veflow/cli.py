@@ -363,6 +363,12 @@ def _cmd_duhamel(args) -> int:
     dt = cfl_dt(grid, params, args.cfl_safety)
     check_cfl(grid, params, dt)
     config = StepperConfig(dt, args.t_end, output_every=args.output_every)
+    # zero-amplitude data, or data whose H2 squares underflow: its deviation is 0
+    # too, so it is rejected before any output, not after both runs
+    if initials[1].h_norm(2) == 0.0:
+        raise VeflowError(
+            f"zero H2 deviation at delta/2 = {0.5 * args.delta:g}: the data's H2 is 0, no ratio"
+        )
     _write_manifest(out, args, text.encode(), dt=dt)
     deviations = []
     for init in initials:
@@ -370,7 +376,7 @@ def _cmd_duhamel(args) -> int:
         run(init, params, config, sinks=(deviation,))
         deviations.append(deviation.max_deviation)
     full, half = deviations
-    if half == 0.0:  # zero-amplitude data, or H2 squares that underflow
+    if half == 0.0:  # H2 squares of the deviation that underflow
         raise VeflowError(f"zero H2 deviation at delta/2 = {0.5 * args.delta:g}: no ratio")
     summary = {
         "delta": args.delta,

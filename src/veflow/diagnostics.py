@@ -13,6 +13,12 @@ norms, constraint residuals and the two dissipation accumulators
     acc1 = int |grad (n, E)|_{H1}^2,   acc2 = int |grad v|_{H2}^2,
 
 integrated with the trapezoid rule along the run.
+
+A sample forms each field's spectral power |u_hat|^2 on its kz >= 0 half
+once, in :func:`sample_row`, one field at a time and for that field's
+norms only: the L2 norm reduces it per component, the H1 and H2 terms
+and the dissipation rate reduce its sum over the components.  Nothing is
+cached on the field, and every value keeps the bits of its own norm call.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError, VeflowError
 from .operators import (
+    component_power,
     div,
     gradient_sobolev_norm,
     half_sum,
@@ -74,9 +81,12 @@ class LyapunovValue:
         return sum(self.gradient_terms)
 
 
-def lyapunov_m(state: FlowState) -> LyapunovValue:
-    """Monitored functional M with its component breakdown."""
-    terms = tuple(gradient_sobolev_norm(f, 1) ** 2 for f in state.fields())
+def lyapunov_m(state: FlowState, gradient_terms: tuple | None = None) -> LyapunovValue:
+    """Monitored functional M with its component breakdown; ``gradient_terms``
+    are |grad f|_{H1}^2 for f = n, v, E when the caller has them."""
+    terms = gradient_terms
+    if terms is None:
+        terms = tuple(gradient_sobolev_norm(f, 1) ** 2 for f in state.fields())
     cross1 = inner_product(div(state.v), laplacian(state.n))
     cross2 = _cross_curl(state)
     return LyapunovValue(D2 * sum(terms) + cross1 + cross2, terms, cross1, cross2)
@@ -98,19 +108,31 @@ def _cross_curl(state: FlowState) -> float:
 def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> dict:
     """All monitored quantities of one state, as a plain dict.  ``residuals`` is its
     ``constraint_residuals`` report when the caller has one; the argument goes once
-    perfbench stops patching that name in ``stepping`` (ROADMAP item 1a)."""
-    lyap = lyapunov_m(state)
+    perfbench stops patching that name in ``stepping`` (ROADMAP item 1a).
+
+    Each field's power is formed once and passed to its norms, which give the
+    bits of their own calls: ``l2_norm`` of the power per component, and the
+    H2, |grad f|_{H1} and dissipation terms of its ``component_power``."""
+    l2, h2, grad = [], [], []
+    for f in state.fields():
+        power = np.abs(f.half) ** 2
+        l2.append(l2_norm(f, power))
+        power = component_power(power)
+        h2.append(sobolev_norm(f, 2, power) ** 2)
+        grad.append(gradient_sobolev_norm(f, 1, power) ** 2)
+        if f is state.v:
+            diss2 = gradient_sobolev_norm(f, 2, power) ** 2
+    lyap = lyapunov_m(state, tuple(grad))
     res = constraint_residuals(state) if residuals is None else residuals
     grad_n, _, grad_e = lyap.gradient_terms
     diss1 = grad_n + grad_e
-    diss2 = gradient_sobolev_norm(state.v, 2) ** 2
     return {
         "t": state.time,
-        "L2_n": l2_norm(state.n),
-        "L2_v": l2_norm(state.v),
-        "L2_E": l2_norm(state.E),
+        "L2_n": l2[0],
+        "L2_v": l2[1],
+        "L2_E": l2[2],
         "H1g": np.sqrt(lyap.gradient_h1_sq),
-        "H2": state.h_norm(2),
+        "H2": float(np.sqrt(sum(h2))),  # the bits of state.h_norm(2)
         "M": lyap.total,
         "cross1": lyap.cross_div,
         "cross2": lyap.cross_curl,

@@ -138,12 +138,13 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
         np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=samples_out)
     if grad_out is None:
         return
+    # (-1)^x c on the (even x, odd x) pairs, one broadcast over x // 2 each:
+    # a - (-c) is a + c bit for bit
+    pairs = (h, 2) + grid.half_shape[1:]
     nyquist = half[h]
-    b0[0::2] -= nyquist  # A'
-    b0[1::2] += nyquist
+    b0.reshape(pairs)[...] -= np.stack((nyquist, -nyquist))  # A'
     plane = np.fft.ifft(nyquist, axis=0, norm="forward")
-    b1[0::2] -= plane
-    b1[1::2] += plane
+    b1.reshape(pairs)[...] -= np.stack((plane, -plane))
     # C: (-1)^y A'[:, N/2] on the (even y, odd y) pairs, one broadcast over y // 2
     row = b0[:, h]
     b1.reshape(grid.n, h, 2 * h + 2)[...] -= np.concatenate((row, -row), axis=-1)[:, np.newaxis]
@@ -167,9 +168,11 @@ def half_to_full(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     unchanged, so their in-plane symmetry is whatever the half holds.  Each
     axis maps index j to (N - j) mod N: index 0 stays, and 1..N-1 reverse,
     so the mirror is four slice copies, one per (kx = 0 or not, ky = 0 or not).
+    The result has the half's dtype: a real half r gets its even mirror
+    r(k) = r(-k).
     """
     h = grid.n // 2
-    out = np.empty(half_spectrum.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out = np.empty(half_spectrum.shape[:-1] + (grid.n,), dtype=half_spectrum.dtype)
     out[..., : h + 1] = half_spectrum
     src = half_spectrum[..., h - 1 : 0 : -1]  # kz = N/2 - 1, ..., 1 -> N/2 + 1, ..., N - 1
     dst = out[..., h + 1 :]

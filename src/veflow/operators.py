@@ -65,26 +65,40 @@ def inner_product(a, b) -> float:
     return float(a.grid.volume * half_sum((a.half * np.conj(b.half)).real))
 
 
-def l2_norm(field) -> float:
-    return float(np.sqrt(field.grid.volume * half_sum(np.abs(field.half) ** 2)))
+def l2_norm(field, power: np.ndarray | None = None) -> float:
+    """|u|_{L2}; ``power``, when given, is the field's |u_hat|^2 per component,
+    ``np.abs(field.half) ** 2``, which is otherwise formed here."""
+    if power is None:
+        power = np.abs(field.half) ** 2
+    return float(np.sqrt(field.grid.volume * half_sum(power)))
 
 
-def _weighted_l2(field, first: int, last: int) -> float:
-    """sqrt(L^3 sum_xi w |u_hat|^2) with w = sum_{first <= j <= last} |xi|^(2j); first is 0 or 1."""
-    g = field.grid
-    power = np.abs(field.half) ** 2
+def component_power(power: np.ndarray) -> np.ndarray:
+    """|u_hat|^2 summed over the components, one leading axis at a time from the
+    first: the power every Sobolev norm weighs.  A lattice-shaped power passes."""
     while power.ndim > 3:
         power = power.sum(axis=0)
+    return power
+
+
+def _weighted_l2(field, first: int, last: int, power: np.ndarray | None) -> float:
+    """sqrt(L^3 sum_xi w |u_hat|^2) with w = sum_{first <= j <= last} |xi|^(2j); first is 0 or 1."""
+    g = field.grid
+    if power is None:
+        power = np.abs(field.half) ** 2
+    power = component_power(power)
     return float(np.sqrt(g.volume * half_sum(g.sobolev_weight(first, last) * power)))
 
 
-def sobolev_norm(field, k: int) -> float:
-    """|u|_{H^k} with  |u|^2 = sum_{j<=k} |grad^j u|^2, spectral derivatives."""
+def sobolev_norm(field, k: int, power: np.ndarray | None = None) -> float:
+    """|u|_{H^k} with  |u|^2 = sum_{j<=k} |grad^j u|^2, spectral derivatives.
+    ``power``, when given, is the field's |u_hat|^2, per component or already
+    summed by :func:`component_power`; either gives the same bits."""
     if k not in (0, 1, 2, 3):
         raise FieldError(f"Sobolev order must be in 0..3, got {k}")
-    return _weighted_l2(field, 0, k)
+    return _weighted_l2(field, 0, k, power)
 
 
-def gradient_sobolev_norm(field, k: int) -> float:
+def gradient_sobolev_norm(field, k: int, power: np.ndarray | None = None) -> float:
     """|grad u|_{H^k}: like :func:`sobolev_norm` with one extra derivative everywhere."""
-    return _weighted_l2(field, 1, k + 1)
+    return _weighted_l2(field, 1, k + 1, power)

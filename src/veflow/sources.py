@@ -153,15 +153,16 @@ def constraint_residuals(obj) -> ConstraintReport:
     grid, rho, F = _rho_f_of(obj)
     vol = grid.volume
     xi = grid.xi
+    ixi = 1j * xi  # the symbol of grad, for r1 and r3
 
     # r1: w^k = d_j (rho F^{jk})
     rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
-    w_hat = np.einsum("j...,jk...->k...", 1j * xi, rhoF_hat)
+    w_hat = np.einsum("j...,jk...->k...", ixi, rhoF_hat)
     del rhoF_hat
     r1 = float(np.sqrt(vol * half_sum(np.abs(w_hat) ** 2)))
 
     # r3: d_k d_j (rho F^{jk}) = divdiv[(rho F)^T]
-    q_hat = np.einsum("k...,k...->...", 1j * xi, w_hat)
+    q_hat = np.einsum("k...,k...->...", ixi, w_hat)
     r3 = float(np.sqrt(vol * half_sum(np.abs(q_hat) ** 2)))
 
     # r2: max over slots of ||F^{lk} d_l F^{ij} - F^{lj} d_l F^{ik}||, one row i
@@ -169,7 +170,7 @@ def constraint_residuals(obj) -> ConstraintReport:
     # slots are exactly 0 and (i, k, j) exactly negates (i, j, k).  d_l F from
     # F's samples: E's half is equal in exact arithmetic but moves r2's rounding
     # past the recorded benchmark references
-    del rho, w_hat, q_hat
+    del rho, w_hat, q_hat, ixi
     bufs = np.empty((2,) + xi.shape[1:], dtype=np.complex128)
     dFi = np.empty((3, 3) + grid.shape)  # dFi[l, j] = d_l F^{ij}
     sums = []

@@ -11,8 +11,9 @@ propagator are checked against, the propagator's earlier and vector forms
 and the norm of the components the linear flow keeps, the full N^3 Fourier
 lattice that the grid's kz >= 0 lattice and the full-spectrum oracles are
 built from, the separate-pass gradient that ``samples_and_gradient`` is
-checked against, and the counter of the inverse passes that the sources
-run."""
+checked against and the strided-correction kernel its bits are pinned to,
+the per-call row that ``sample_row``'s bits are pinned to, and the counter
+of the inverse passes that the sources run."""
 
 import contextlib
 import dataclasses
@@ -39,8 +40,10 @@ from veflow import (
     eta_profile,
     gaussian_profile,
     inner_product,
+    l2_norm,
     laplacian,
     lowerbound_profiles,
+    lyapunov_m,
     make_params,
     phys_to_pert,
     piola_ic,
@@ -57,7 +60,7 @@ from veflow.fields import (
     to_samples,
     to_spectrum,
 )
-from veflow.operators import apply_multiplier, sobolev_norm
+from veflow.operators import apply_multiplier, gradient_sobolev_norm, sobolev_norm
 from veflow.params import guard_positive_density, pressure_coefficient
 from veflow.semigroup import _SMALL_DIFF, LinearPropagator
 from veflow.snapshot import _read_triple
@@ -308,6 +311,62 @@ def shared_pass_gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     return out
 
 
+def strided_samples_and_gradient(grid: Grid, half, samples_out, grad_out, bufs) -> None:
+    """``samples_and_gradient`` with each x-parity Nyquist correction as two
+    strided passes, one over the even and one over the odd x-planes: the
+    reference its fused corrections are pinned to, bit for bit."""
+    b0, b1 = bufs
+    h = grid.n // 2
+    np.fft.ifft(half, axis=0, norm="forward", out=b0)
+    np.fft.ifft(b0, axis=1, norm="forward", out=b1)
+    if samples_out is not None:
+        np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=samples_out)
+    if grad_out is None:
+        return
+    nyquist = half[h]
+    b0[0::2] -= nyquist
+    b0[1::2] += nyquist
+    plane = np.fft.ifft(nyquist, axis=0, norm="forward")
+    b1[0::2] -= plane
+    b1[1::2] += plane
+    row = b0[:, h]
+    b1.reshape(grid.n, h, 2 * h + 2)[...] -= np.concatenate((row, -row), axis=-1)[:, np.newaxis]
+    b1 *= 1j * grid.xi[2, 0, 0]
+    np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=grad_out[2])
+    b0 *= 1j * grid.xi[1, 0]
+    np.fft.ifft(b0, axis=1, norm="forward", out=b0)
+    np.fft.irfft(b0, n=grid.n, axis=2, norm="forward", out=grad_out[1])
+    product(grid.xi[0], half, out=b0)
+    b0 *= 1j
+    np.fft.ifft(b0, axis=0, norm="forward", out=b0)
+    np.fft.ifft(b0, axis=1, norm="forward", out=b0)
+    np.fft.irfft(b0, n=grid.n, axis=2, norm="forward", out=grad_out[0])
+
+
+def per_call_row(state: FlowState, residuals) -> dict:
+    """The row of ``sample_row`` built column by column from one norm call per
+    field and column, each forming the field's |u_hat|^2 itself: the reference
+    that the row's one power per field is pinned to, bit for bit."""
+    lyap = lyapunov_m(state)
+    grad_n, _, grad_e = lyap.gradient_terms
+    return {
+        "t": state.time,
+        "L2_n": l2_norm(state.n),
+        "L2_v": l2_norm(state.v),
+        "L2_E": l2_norm(state.E),
+        "H1g": np.sqrt(lyap.gradient_h1_sq),
+        "H2": state.h_norm(2),
+        "M": lyap.total,
+        "cross1": lyap.cross_div,
+        "cross2": lyap.cross_curl,
+        "r1": residuals.r1,
+        "r2": residuals.r2,
+        "r3": residuals.r3,
+        "diss1_inst": grad_n + grad_e,
+        "diss2_inst": gradient_sobolev_norm(state.v, 2) ** 2,
+    }
+
+
 def r2_oracle(obj) -> float:
     """r2 of ``constraint_residuals`` in its 27-slot form: all 27 gradients
     d_l F^{ij} at once, the product first[i, j, k] = F^{lk} d_l F^{ij} in one
@@ -479,7 +538,7 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
 
 
-def _stepped(n: int):
+def stepped(n: int):
     """(state, step of it) for the criterion-5 data at grid size n: the state is
     one CFL-0.5 step from the initial data, as ``run`` hands it on, and the step
     function runs one more step of its argument with the run's propagators."""
@@ -497,7 +556,7 @@ def step_memory(n: int) -> tuple[float, float]:
     call gets the criterion-5 data fresh from a CFL-0.5 step, as ``run`` hands
     it on: a state of kz >= 0 halves, whose samples are computed on first use,
     inside the call.  Tracing starts before the sampled state is built."""
-    state, advance = _stepped(n)
+    state, advance = stepped(n)
     size = 13 * n**3 * np.dtype(np.complex128).itemsize
     step_peak = traced_peak(lambda: advance(state))
     with _tracing():
@@ -507,7 +566,7 @@ def step_memory(n: int) -> tuple[float, float]:
 
 
 def _retained(n: int, sampled: bool) -> int:
-    state, advance = _stepped(n)
+    state, advance = stepped(n)
     with _tracing():
         base = tracemalloc.get_traced_memory()[0]
         fresh = advance(state)  # alive while the level is read
@@ -548,7 +607,7 @@ def lattice_retained(n: int) -> int:
     and one ``sample_row`` of the criterion-5 data: the wavevectors, their
     magnitudes and unit vectors, the Laplacian symbol, the distinct radii and
     their index, the 2/3 mask and the Sobolev weights."""
-    state, advance = _stepped(n)
+    state, advance = stepped(n)
     sample_row(advance(state))
     cached = []
     for value in vars(state.grid).values():  # n, length and the cached arrays
@@ -587,7 +646,7 @@ def source_passes(n: int) -> tuple[int, int]:
     and one ``constraint_residuals`` call on a stepped state of the
     criterion-5 data at grid size n, sampled first so that no field view is
     formed inside the count."""
-    state, _ = _stepped(n)
+    state, _ = stepped(n)
     sample_row(state)
     params = make_params()
     return (inverse_passes(lambda: rhs_spectra(state, params)),

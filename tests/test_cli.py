@@ -19,6 +19,7 @@ phi 0 1 0   0.3 0.0   0.0 0.0   -0.2 0.0
 u   1 0 0   0.4 0.0   0.0 0.1    0.0 0.0
 """
 ZERO_MODE = "u   0 0 0   0.5 0.3   0.0 0.0    0.0 0.0\n"
+ZERO_AMPLITUDE = "phi 1 0 0   0 0   0 0   0 0\n"
 SAMPLE_IC = Path(__file__).resolve().parents[1] / "sample_ic.txt"
 
 
@@ -428,6 +429,7 @@ _REJECTED = [
     ("duhamel", ["--cfl-safety", "4"], 2),  # beyond the CFL bound
     ("duhamel", ["--t-end", "0"], 2),  # no step, so no remainder to compare
     ("duhamel", ["--ic", "ZERO"], 3),
+    ("duhamel", ["--ic", "ZERO_AMPLITUDE"], 3),  # its deviation at delta/2 would be 0
     ("simulate", ["--ic", "ZERO"], 3),
     ("linear-decay", ["--t-grid", "log:1:10:7"], 2),  # the decay fit needs 8 points
     ("lower-bound", ["--t-grid", "lin:10:100:7"], 2),
@@ -440,9 +442,10 @@ _REJECTED = [
 )
 def test_rejected_input_leaves_no_output(tmp_path, modefile, command, flags, code):
     """Every check that can reject an input runs before the manifest is written."""
-    zero = tmp_path / "zero.txt"
-    zero.write_text(MODEFILE + ZERO_MODE)
-    flags = [str(zero) if f == "ZERO" else f for f in flags]
+    inputs = {"ZERO": MODEFILE + ZERO_MODE, "ZERO_AMPLITUDE": ZERO_AMPLITUDE}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    flags = [str(tmp_path / f) if f in inputs else f for f in flags]
     out = tmp_path / "out"
     assert _exit_code([*_cheap(command, modefile), *flags, "--out", str(out)]) == code
     assert not out.exists()
@@ -604,12 +607,14 @@ class TestDuhamel:
 
     @pytest.mark.parametrize(
         "modes, delta",
-        [("phi 1 0 0   0 0   0 0   0 0\n", "1e-3"), (None, "1e-200")],
-        ids=["zero-amplitude", "delta-1e-200"],
+        [(ZERO_AMPLITUDE, "1e-3"), (None, "1e-200"), (None, "1e-160")],
+        ids=["zero-amplitude", "delta-1e-200", "delta-1e-160"],
     )
     def test_zero_deviation_is_numerical_abort(self, tmp_path, capsys, modes, delta):
         """A deviation of 0 at delta/2, from zero-amplitude data or from H2
-        squares that underflow, leaves no ratio: exit 3, reported, not raised."""
+        squares that underflow, leaves no ratio: exit 3, reported, not raised.
+        At 1e-160 the data's H2 squares do not underflow, its deviation's do:
+        the abort comes after both runs."""
         ic = SAMPLE_IC
         if modes is not None:
             ic = tmp_path / "zero.txt"

@@ -23,6 +23,7 @@ from helpers import (
     same_bits,
     separate_pass_gradient,
     smooth_scalar,
+    strided_samples_and_gradient,
     smooth_vector,
     zero_field,
     zero_state,
@@ -305,6 +306,21 @@ class TestSharedPassGradient:
         assert gap <= SHARED_PASS_BOUND * np.max(np.abs(want)), gap / np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
+    def test_matches_strided_corrections(self, n):
+        """The samples and all three derivatives, d_y and d_z included, are bit
+        for bit those of the kernel that runs each x-parity Nyquist correction
+        as two strided passes (``helpers.strided_samples_and_gradient``)."""
+        grid = Grid(n)
+        half = self._half(n)
+        samples, got = self._shared(grid, half, True)
+        want_samples, want = np.empty(grid.shape), np.empty((3,) + grid.shape)
+        bufs = np.empty((2,) + half.shape, dtype=np.complex128)
+        strided_samples_and_gradient(grid, half, want_samples, want, bufs)
+        assert same_bits(samples, want_samples)
+        for l in range(3):
+            assert same_bits(got[l], want[l]), l
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
     def test_nyquist_planes_have_no_gradient(self, n):
         """A half with content only on the k = -N/2 planes has zero derivative:
         exactly zero d_x, and d_y, d_z within ``SHARED_PASS_BOUND`` of the
@@ -434,6 +450,19 @@ class TestHalfToFull:
         assert np.max(np.abs(half_to_full(grid, to_half_spectrum(grid, u)) - full)) <= (
             1e-15 * np.max(np.abs(full))
         )
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_real_half_gets_its_even_mirror(self, n):
+        """A real half comes back real, mirrored evenly: the grid's odd xi is
+        the full lattice's xi on the kz >= 0 planes and its negative on the
+        rest, value for value (a zero may change sign)."""
+        grid = Grid(n)
+        full = half_to_full(grid, grid.xi)
+        assert full.dtype == np.float64 and full.flags.c_contiguous
+        want = full_lattice(grid).xi
+        h = n // 2
+        assert np.array_equal(full[..., : h + 1], want[..., : h + 1])
+        assert np.array_equal(full[..., h + 1 :], -want[..., h + 1 :])
 
 
 class TestHalfBuiltFields:
