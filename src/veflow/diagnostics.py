@@ -113,6 +113,7 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
     Each field's power is formed once and passed to its norms, which give the
     bits of their own calls: ``l2_norm`` of the power per component, and the
     H2, |grad f|_{H1} and dissipation terms of its ``component_power``."""
+    res = constraint_residuals(state) if residuals is None else residuals
     l2, h2, grad = [], [], []
     for f in state.fields():
         power = np.abs(f.half) ** 2
@@ -123,7 +124,6 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
         if f is state.v:
             diss2 = gradient_sobolev_norm(f, 2, power) ** 2
     lyap = lyapunov_m(state, tuple(grad))
-    res = constraint_residuals(state) if residuals is None else residuals
     grad_n, _, grad_e = lyap.gradient_terms
     diss1 = grad_n + grad_e
     return {

@@ -153,10 +153,10 @@ def constraint_residuals(obj) -> ConstraintReport:
     grid, rho, F = _rho_f_of(obj)
     vol = grid.volume
     xi = grid.xi
-    ixi = 1j * xi  # the symbol of grad, for r1 and r3
 
     # r1: w^k = d_j (rho F^{jk})
     rhoF_hat = to_half_spectrum(grid, rho[np.newaxis, np.newaxis] * F)
+    ixi = 1j * xi  # the symbol of grad, for r1 and r3, formed after rho F's samples are freed
     w_hat = np.einsum("j...,jk...->k...", ixi, rhoF_hat)
     del rhoF_hat
     r1 = float(np.sqrt(vol * half_sum(np.abs(w_hat) ** 2)))
