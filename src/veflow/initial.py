@@ -121,16 +121,17 @@ def piola_ic(spec: DisplacementSpec, grid: Grid, params: ModelParams) -> PhysSta
     u = build_vector_field(grid, spec.u_modes, u_scale)
 
     # grad phi, (grad phi)^{ij} = d_j phi^i, one component at a time from phi's
-    # full spectrum, so with the grid's xi on the full lattice: xi is odd,
-    # xi(k) = -xi(-k), so its kz < 0 planes are those of its real even mirror,
-    # negated.  A zero there may change sign, which ``product`` returns as +0.0
-    # anyway; I is added below
+    # full spectrum, so with xi_j on the full lattice, one j at a time: xi is
+    # odd, xi(k) = -xi(-k), so its kz < 0 planes are those of its real even
+    # mirror, negated.  A zero there may change sign, which ``product`` returns
+    # as +0.0 anyway; I is added below
     A = np.empty((3, 3) + grid.shape)
     phi_hat = to_spectrum(grid, phi.samples)
-    xi = half_to_full(grid, grid.xi)
-    np.negative(xi[..., grid.n // 2 + 1 :], out=xi[..., grid.n // 2 + 1 :])
-    for i, j in np.ndindex(3, 3):
-        A[i, j] = to_samples(grid, 1j * product(xi[j], phi_hat[i]))
+    for j in range(3):
+        xi = half_to_full(grid, grid.xi[j])
+        np.negative(xi[..., grid.n // 2 + 1 :], out=xi[..., grid.n // 2 + 1 :])
+        for i in range(3):
+            A[i, j] = to_samples(grid, 1j * product(xi, phi_hat[i]))
     sup = float(np.sqrt((A**2).sum(axis=(0, 1))).max())
     if sup >= 1.0:
         raise InitialDataError(
