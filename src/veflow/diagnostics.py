@@ -113,6 +113,7 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
     Each field's power is formed once and passed to its norms, which give the
     bits of their own calls: ``l2_norm`` of the power per component, and the
     H2, |grad f|_{H1} and dissipation terms of its ``component_power``."""
+    # the residuals peak highest: formed first, they overlap no power or weight
     res = constraint_residuals(state) if residuals is None else residuals
     l2, h2, grad = [], [], []
     for f in state.fields():
