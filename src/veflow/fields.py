@@ -29,37 +29,33 @@ holds the one elementwise product kernel of the spectral code,
 :func:`product`, and the one Hermitian mirror, :func:`half_to_full`, which
 a half-built field runs when its samples are first read.
 
-The transforms work one component at a time: each leading index
-(none for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their
-gradients) gets its own numpy transform written straight into its slice
-of one preallocated result (``out=``, numpy >= 2.0).  The complex pair is
-normalised in place after each transform; the real-data pair is normalised
-inside pocketfft (``norm="forward"``: a 1/N factor on each forward pass,
-none on the inverse), which saves a pass over every component and, for a
-power-of-two N, gives the same bits as the in-place scaling, since scaling
-by a power of two is exact.
-The output is bit for bit that of one batched call over all components,
-because numpy transforms every 1-d line of a stack independently with the
-same plan.  The reason is memory traffic: at N = 64 a 9-component complex
-array is 37.7 MB, above glibc's 32 MB mmap ceiling, so each batched
-temporary (numpy's n-d transform allocates one per axis pass) is a fresh
-mapping that page-faults on first touch, and each axis pass streams the
-whole stack through memory.  One component (4 MB) is reused from the heap
-and stays in cache between its passes.  A batched call given ``out=``
-drops the per-pass temporaries but not the streaming, and recovers under
-half of the gain at N = 64.  Below N = 32 the loop's per-call Python cost
-outweighs both, which is accepted: the grids that cost time are large.
+The transforms work one component at a time: each leading index (none
+for a scalar, 3 for a vector, 3x3 or 3x3x3 for tensors and their gradients)
+gets its own numpy transform written straight into its slice of one
+preallocated result (``out=``, numpy >= 2.0), with the bits of one batched
+call, as numpy transforms each 1-d line of a stack on its own.  The complex
+pair is normalised in place; the real-data pair inside pocketfft
+(``norm="forward"``), with the same bits for a power-of-two N.  One
+component (4 MB at N = 64) stays in cache between its passes, where a
+batched 9-component temporary (37.7 MB, past glibc's 32 MB mmap ceiling)
+page-faults and streams the stack through memory on each pass.
 
-The inverse real transform runs irfftn's own 1-D passes (ifft along x,
-ifft along y, irfft along z, in its order and normalisation, so with its
-bits) in two complex buffers that the caller reuses across components,
-where irfftn allocates a fresh half lattice for each of its two c2c passes
-(rfftn writes each of its passes into ``out=``), and shares them between a
-component's samples and its three derivatives, 9 passes instead of 12.
+Components and slabs run on ``WORKERS`` = min(2, CPUs the process may run on,
+which ``taskset`` limits and ``OMP_NUM_THREADS`` does not) threads from N = 32
+(:func:`each`), each job the serial numpy calls, which release the GIL, on its
+own slice with its own scratch, so the bits do not depend on the split.
+
+The inverse real transform runs irfftn's own 1-D passes (ifft along x, ifft
+along y, irfft along z, in its order and normalisation, so with its bits) in
+the buffers of a scratch set that each worker reuses across components, where
+irfftn allocates a fresh half lattice for each of its two c2c passes, and
+shares them between a component's samples and its three derivatives.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +64,31 @@ from .errors import FieldError
 from .grid import Grid
 
 _AXES = (-3, -2, -1)
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(1, thread_name_prefix="veflow-worker")
+_PARALLEL_N = 32  # below, a step ran 1.1-1.6x slower on two workers (2-core Xeon)
+
+
+def each(grid: Grid, job, items, scratch=lambda: None) -> None:
+    """``job(item, own)`` for every item, ``own`` one ``scratch()`` per worker:
+    the first ceil(len/2) items on this thread, the rest on the pool thread,
+    and all on this one below ``_PARALLEL_N``.  Returns when both are done,
+    raising this thread's error, else the pool's.  A job writes only its own
+    slice and never calls ``each``."""
+    items = list(items)
+    cut = -(-len(items) // (WORKERS if grid.n >= _PARALLEL_N else 1))
+
+    def run(chunk):
+        own = scratch()
+        for item in chunk:
+            job(item, own)
+    rest = _POOL.submit(run, items[cut:]) if cut < len(items) else None
+    try:
+        run(items[:cut])
+    finally:
+        error = rest and rest.exception()
+    if error:
+        raise error
 
 
 def _check_payload(grid: Grid, data, dtype, rank: int, shape: tuple) -> np.ndarray:
@@ -84,27 +105,31 @@ def _check_payload(grid: Grid, data, dtype, rank: int, shape: tuple) -> np.ndarr
 def to_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Fourier coefficients of real samples over the last three axes."""
     out = np.empty(samples.shape, dtype=np.complex128)
-    for comp in np.ndindex(samples.shape[:-3]):
+
+    def job(comp, _):
         np.fft.fftn(samples[comp], axes=_AXES, out=out[comp])
         out[comp] /= grid.n**3
+    each(grid, job, np.ndindex(samples.shape[:-3]))
     return out
 
 
 def to_samples(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
     """Real samples of a Hermitian spectrum; the imaginary part is dropped unchecked."""
     out = np.empty(spectrum.shape, dtype=np.float64)
-    buf = np.empty(grid.shape, dtype=np.complex128)
-    for comp in np.ndindex(spectrum.shape[:-3]):
+
+    def job(comp, buf):
         np.fft.ifftn(spectrum[comp], axes=_AXES, out=buf)
         np.multiply(buf.real, grid.n**3, out=out[comp])
+    each(grid, job, np.ndindex(spectrum.shape[:-3]),
+         lambda: np.empty(grid.shape, dtype=np.complex128))
     return out
 
 
 def to_half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Nonnegative-last-axis half of the Fourier coefficients of real samples."""
     out = np.empty(samples.shape[:-3] + grid.half_shape, dtype=np.complex128)
-    for comp in np.ndindex(samples.shape[:-3]):
-        np.fft.rfftn(samples[comp], axes=_AXES, norm="forward", out=out[comp])
+    each(grid, lambda comp, _: np.fft.rfftn(samples[comp], axes=_AXES, norm="forward", out=out[comp]),
+         np.ndindex(samples.shape[:-3]))
     return out
 
 
@@ -113,8 +138,8 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
     ``grad_out[l]``) of one component's kz >= 0 half u_hat, shaped
     ``grid.half_shape``, each skipped when its output is None, from 9
     one-dimensional inverse passes instead of 12: 8 instead of 9 without the
-    samples, 3 without the gradient.  ``bufs`` holds two complex buffers of
-    the half's shape, reused across calls.
+    samples, 3 without the gradient.  ``bufs`` holds two complex buffers of the
+    half's shape and, optionally, a (2, N, N/2 + 1) one for the (c, -c) pairs.
 
     The passes are X (ifft along x), Y (ifft along y) and Z (irfft along z),
     irfftn's own, so the samples have the bits of ``irfftn(norm="forward")``.
@@ -130,7 +155,7 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
     since A' = X(m(kx) u_hat) and C = Y X(m(kx) m(ky) u_hat).  d_y and d_z so
     differ from their separate passes by round-off only.
     """
-    b0, b1 = bufs
+    b0, b1, *pair = bufs
     h = grid.n // 2
     np.fft.ifft(half, axis=0, norm="forward", out=b0)  # A
     np.fft.ifft(b0, axis=1, norm="forward", out=b1)  # B
@@ -138,16 +163,22 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
         np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=samples_out)
     if grad_out is None:
         return
-    # (-1)^x c on the (even x, odd x) pairs, one broadcast over x // 2 each:
-    # a - (-c) is a + c bit for bit
-    pairs = (h, 2) + grid.half_shape[1:]
+    # (-1)^x c on the (even x, odd x) pairs, one broadcast of (c, -c) over x // 2
+    # each: a - (-c) is a + c bit for bit
+    pair = pair[0] if pair else np.empty((2,) + half.shape[1:], dtype=np.complex128)
+    parity = (h, 2) + grid.half_shape[1:]
     nyquist = half[h]
-    b0.reshape(pairs)[...] -= np.stack((nyquist, -nyquist))  # A'
-    plane = np.fft.ifft(nyquist, axis=0, norm="forward")
-    b1.reshape(pairs)[...] -= np.stack((plane, -plane))
+    pair[0] = nyquist
+    np.negative(nyquist, out=pair[1])
+    b0.reshape(parity)[...] -= pair  # A'
+    np.fft.ifft(nyquist, axis=0, norm="forward", out=pair[0])
+    np.negative(pair[0], out=pair[1])
+    b1.reshape(parity)[...] -= pair
     # C: (-1)^y A'[:, N/2] on the (even y, odd y) pairs, one broadcast over y // 2
-    row = b0[:, h]
-    b1.reshape(grid.n, h, 2 * h + 2)[...] -= np.concatenate((row, -row), axis=-1)[:, np.newaxis]
+    row = pair.reshape(grid.n, 2, h + 1)
+    row[:, 0] = b0[:, h]
+    np.negative(b0[:, h], out=row[:, 1])
+    b1.reshape(grid.n, h, 2 * h + 2)[...] -= row.reshape(grid.n, 1, 2 * h + 2)
     b1 *= 1j * grid.xi[2, 0, 0]  # at kx = ky = 0: s kz m(kz)
     np.fft.irfft(b1, n=grid.n, axis=2, norm="forward", out=grad_out[2])
     b0 *= 1j * grid.xi[1, 0]  # at kx = 0: s ky m(ky) m(kz)

@@ -30,12 +30,11 @@ import numpy as np
 
 from .errors import ParameterError
 
-# bytes of one component of a slab of x-planes, the unit in which the
-# propagator apply and the pointwise source work walk the lattice: 15 complex
-# kz >= 0 half planes or 16 real planes at N = 32, 3 or 4 at N = 64, the whole
-# lattice at N <= 16.  Measured for the propagator on 2-core Xeon (numpy
-# 2.4.6) at N = 64, 128 and 256 KiB tie and 64 or 512 KiB are slower
-_SLAB_BYTES = 1 << 17
+# bytes of one component of a slab of x-planes, in which the propagator and the
+# pointwise source work walk each worker's half of the lattice: 7 complex half
+# planes or 8 real ones at N = 64.  On a 2-core Xeon (numpy 2.4.6) 128 and 256 KiB
+# tie on one worker; on two, 128 KiB calls are too short to overlap (GIL hand-offs)
+_SLAB_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -131,11 +130,12 @@ class Grid:
         kx, ky, kz = self._k()
         return _freeze(kx**2 + ky**2 + kz**2 <= (self.n / 3.0) ** 2)
 
-    def slabs(self, plane_bytes: int) -> list[slice]:
-        """Slices of the first lattice axis into slabs of about 128 KiB per
-        component, given the bytes of one plane, and one plane at least."""
-        width = max(1, _SLAB_BYTES // plane_bytes)
-        return [slice(lo, lo + width) for lo in range(0, self.n, width)]
+    def slabs(self, plane_bytes: int, parts: int = 1) -> list[slice]:
+        """Slices of the first lattice axis into slabs of about 256 KiB per component,
+        given the bytes of one plane, one at least, within ``parts`` equal runs."""
+        width, run = max(1, _SLAB_BYTES // plane_bytes), self.n // parts
+        return [slice(lo, min(lo + width, end)) for end in range(run, self.n + 1, run)
+                for lo in range(end - run, end, width)]
 
     def xi_max(self) -> float:
         """Largest per-axis wavevector magnitude after Nyquist zeroing."""

@@ -22,7 +22,7 @@ Every gradient, here and in r2, comes from ``fields.samples_and_gradient``,
 which forms a component's samples and its three derivatives from one shared
 tree of inverse passes.  The sources take E one column at a time, so E and
 grad E are never held whole, and run their pointwise products one slab of
-x-planes at a time (``Grid.slabs``), so the contractions stay in cache.
+x-planes at a time (``Grid.slabs``, on the workers of ``fields.each``).
 
 Constraint residuals, reported as L2 norms:
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import product, samples_and_gradient, to_half_spectrum
+from .fields import WORKERS, each, product, samples_and_gradient, to_half_spectrum
 from .grid import Grid
 from .operators import half_sum
 from .params import ModelParams, guard_positive_density, pressure_coefficient
@@ -80,21 +80,20 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     grid = state.grid
     n = state.n.samples
     cells = grid.shape
-    slabs = grid.slabs(8 * grid.n**2)
-    v_hat = state.v.half
-    bufs = np.empty((2,) + v_hat.shape[1:], dtype=np.complex128)
+    slabs = grid.slabs(8 * grid.n**2, WORKERS)
+    v_hat, e_hat, xi = state.v.half, state.E.half, grid.xi  # fetched before any job reads them
 
     # dn[l] = d_l n, dv[l, i] = d_l v^i
     dn = np.empty((3,) + cells)
-    samples_and_gradient(grid, state.n.half, None, dn, bufs)
     v = np.empty((3,) + cells)
     dv = np.empty((3, 3) + cells)
-    for i in range(3):
-        samples_and_gradient(grid, v_hat[i], v[i], dv[:, i], bufs)
+    _gradients(grid, [(state.n.half, None, dn)] + [(v_hat[i], v[i], dv[:, i]) for i in range(3)])
     f = np.empty(cells)
-    for x in slabs:
+
+    def f_slab(x, _):
         np.multiply(-n[x], dv[0, 0, x] + dv[1, 1, x] + dv[2, 2, x], out=f[x])
         f[x] -= np.einsum("j...,j...->...", v[:, x], dn[:, x])
+    each(grid, f_slab, slabs)
     g_n = _dealiased(grid, f, dealias)
     del f
 
@@ -103,38 +102,46 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     h = np.empty((3, 3) + cells)
     e = np.empty((3,) + cells)
     de = np.empty((3, 3) + cells)  # de[l, i] = d_l E^{ik}
-    for k in range(3):
+
+    def column_slab(x, _):  # of the column k that the loop below is at
         for i in range(3):
-            samples_and_gradient(grid, state.E.half[i, k], e[i], de[:, i], bufs)
-        for x in slabs:
-            for i in range(3):
-                g[i, x] += np.einsum("j...,j...->...", e[:, x], de[:, i, x])
-                np.einsum("j...,j...->...", dv[:, i, x], e[:, x], out=h[i, k, x])
-                h[i, k, x] -= np.einsum("j...,j...->...", v[:, x], de[:, i, x])
+            g[i, x] += np.einsum("j...,j...->...", e[:, x], de[:, i, x])
+            np.einsum("j...,j...->...", dv[:, i, x], e[:, x], out=h[i, k, x])
+            h[i, k, x] -= np.einsum("j...,j...->...", v[:, x], de[:, i, x])
+    for k in range(3):
+        _gradients(grid, [(e_hat[i, k], e[i], de[:, i]) for i in range(3)])
+        each(grid, column_slab, slabs)
     del e, de
     g_e = _dealiased(grid, h, dealias)
     del h
 
     # mu lap v + (lam+mu) grad div v, spectrally: grad div v -> -xi (xi.v)
-    xi = grid.xi
     xiv = np.einsum("j...,j...->...", xi, v_hat)
     visc_hat = params.mu * grid.laplacian_symbol * v_hat - (
         params.lam + params.mu
     ) * product(xi, xiv)
     visc = np.empty((3,) + cells)
-    for i in range(3):
-        samples_and_gradient(grid, visc_hat[i], visc[i], None, bufs)
-    del visc_hat, xiv, bufs
+    _gradients(grid, [(visc_hat[i], visc[i], None) for i in range(3)])
+    del visc_hat, xiv
     rho = 1.0 + n  # formed at its use: held across the gradients, it kept 24 MB more RSS at N = 64
     guard_positive_density(rho)
-    for x in slabs:
+
+    def g_slab(x, _):
         gx = g[:, x]
         gx *= params.a
         gx -= product(n[x] / rho[x], visc[:, x])
         gx -= np.einsum("j...,ji...->i...", v[:, x], dv[:, :, x])
         gx -= product(pressure_coefficient(rho[x], params), dn[:, x])
+    each(grid, g_slab, slabs)
     del rho, visc, dn, dv, v
     return g_n, _dealiased(grid, g, dealias), g_e
+
+
+def _gradients(grid: Grid, calls) -> None:
+    """``samples_and_gradient(grid, *call, bufs)`` for each call, one ``bufs`` per worker."""
+    h = grid.half_shape
+    each(grid, lambda call, bufs: samples_and_gradient(grid, *call, bufs), calls,
+         lambda: (*np.empty((2,) + h, dtype=np.complex128), np.empty((2,) + h[1:], dtype=np.complex128)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +178,11 @@ def constraint_residuals(obj) -> ConstraintReport:
     # F's samples: E's half is equal in exact arithmetic but moves r2's rounding
     # past the recorded benchmark references
     del rho, w_hat, q_hat, ixi
-    bufs = np.empty((2,) + xi.shape[1:], dtype=np.complex128)
     dFi = np.empty((3, 3) + grid.shape)  # dFi[l, j] = d_l F^{ij}
     sums = []
     for i in range(3):
         Fi_hat = to_half_spectrum(grid, F[i])
-        for j in range(3):
-            samples_and_gradient(grid, Fi_hat[j], None, dFi[:, j], bufs)
+        _gradients(grid, [(Fi_hat[j], None, dFi[:, j]) for j in range(3)])
         for j, k in ((0, 1), (0, 2), (1, 2)):
             expr = np.einsum("l...,l...->...", F[:, k], dFi[:, j])
             expr -= np.einsum("l...,l...->...", F[:, j], dFi[:, k])

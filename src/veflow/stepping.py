@@ -34,10 +34,10 @@ slab of kx-planes at a time, so no lattice-sized K U exists: U_mid is
 summed into the buffers of G(U) (g *= dt/2; g += K(dt/2) U) and U(t+dt)
 into those of K(dt/2) G(U_mid) (k *= dt; k += K(dt) U), the bits of the
 unfused sums, as IEEE * and + commute.  The sources form E and grad E one
-column at a time, and their v and E samples for the call only.  The step's
-temporaries are halves, about (N/2 + 1)/N of a full spectrum each, as is
-U_mid; one step peaks about 2.3x the state's full spectrum bytes above the
-state it starts from (2.4x below N = 32, where one slab spans the lattice).
+column at a time, and their v and E samples for the call only.  The
+temporaries are halves, as is U_mid, and each worker has its own scratch:
+one step peaks 2.30x the state's full spectrum bytes above it at N = 32 on
+two workers (2.22x on one), and 2.30x at N = 16, which runs on one.
 
 Constraints are monitored, never re-projected: residual drift is part of
 what the diagnostics are meant to expose.  A vacuum-guard breach aborts

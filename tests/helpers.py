@@ -550,19 +550,25 @@ def stepped(n: int):
     return step(initial, params, dt, True, *props), lambda st: step(st, params, dt, True, *props)
 
 
-def step_memory(n: int) -> tuple[float, float]:
-    """Traced peaks of one ``step`` and one ``sample_row`` at grid size n, in
-    multiples of the state's full spectrum bytes (13 complex components).  Each
-    call gets the criterion-5 data fresh from a CFL-0.5 step, as ``run`` hands
-    it on: a state of kz >= 0 halves, whose samples are computed on first use,
-    inside the call.  Tracing starts before the sampled state is built."""
+def step_memory(n: int) -> tuple[float, float, float]:
+    """Traced peaks of one ``step``, one cold ``sample_row`` and one warm
+    ``sample_row`` at grid size n, in multiples of the state's full spectrum
+    bytes (13 complex components).  Each call gets the criterion-5 data fresh
+    from a CFL-0.5 step, as ``run`` hands it on: a state of kz >= 0 halves,
+    whose samples are computed on first use, inside the call.  The cold sample
+    is the grid's first, so its peak also holds the Sobolev weights that it
+    caches on the grid; the warm one samples a second state of the same grid,
+    one more step on, and holds the per-sample memory only.  Tracing starts
+    before each sampled state is built."""
     state, advance = stepped(n)
     size = 13 * n**3 * np.dtype(np.complex128).itemsize
     step_peak = traced_peak(lambda: advance(state))
     with _tracing():
         fresh = advance(state)
         row_peak = traced_peak(lambda: sample_row(fresh))
-    return step_peak / size, row_peak / size
+        second = advance(fresh)
+        warm_peak = traced_peak(lambda: sample_row(second))
+    return step_peak / size, row_peak / size, warm_peak / size
 
 
 def _retained(n: int, sampled: bool) -> int:
@@ -622,14 +628,16 @@ def inverse_passes(fn) -> int:
     ``numpy.fft.ifft`` and ``numpy.fft.irfft`` calls on a three-axis array.
     The transform layer calls both through ``numpy.fft``; the small pass on one
     Nyquist plane of ``samples_and_gradient`` is not counted, and neither are
-    the n-d transforms (``ifftn`` runs its passes inside numpy)."""
-    count = 0
+    the n-d transforms (``ifftn`` runs its passes inside numpy).  Each pass is
+    one ``list.append``, atomic under the GIL, so the passes that the two
+    workers of ``fields.each`` run at once are all counted."""
+    passes = []
     originals = np.fft.ifft, np.fft.irfft
 
     def counted(original):
         def call(a, *args, **kwargs):
-            nonlocal count
-            count += np.ndim(a) == 3
+            if np.ndim(a) == 3:
+                passes.append(None)
             return original(a, *args, **kwargs)
         return call
 
@@ -638,7 +646,7 @@ def inverse_passes(fn) -> int:
         fn()
     finally:
         np.fft.ifft, np.fft.irfft = originals
-    return count
+    return len(passes)
 
 
 def source_passes(n: int) -> tuple[int, int]:

@@ -257,6 +257,13 @@ class TestInversePasses:
         call runs 8 per component of grad F, 72 (81 with separate passes)."""
         assert source_passes(8) == (125, 72)
 
+    def test_passes_per_call_on_two_workers(self, monkeypatch):
+        """At N = 32 on two workers, where the calls of each group of
+        ``samples_and_gradient`` run on two threads at once, the same counts:
+        no pass is lost or added by the split."""
+        monkeypatch.setattr(veflow.fields, "WORKERS", 2)
+        assert source_passes(32) == (125, 72)
+
 
 class TestLongitudinalIdentity:
     def test_div_g1_identity_on_constraint_data(self, params):
