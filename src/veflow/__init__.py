@@ -46,7 +46,6 @@ from .diagnostics import (
     TimeSeriesRecord,
     decay_fit,
     h2_distance,
-    lyapunov_m,
     sample_row,
 )
 from .stepping import StepperConfig, cfl_dt, run, step

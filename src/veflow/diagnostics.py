@@ -1,6 +1,6 @@
 """Run diagnostics: monitored functionals, time series, fits, comparisons.
 
-The monitored energy functional is
+The monitored energy functional, column ``M`` of :func:`sample_row`, is
 
     M = D2 * |grad (n, v, E)|_{H1}^2 + <div v, lap n> + <W, lap(E^T - E)>,
 
@@ -69,29 +69,6 @@ def csv_line(values) -> str:
     return ",".join(repr(float(x)) for x in values) + "\n"
 
 
-@dataclass
-class LyapunovValue:
-    total: float
-    gradient_terms: tuple[float, float, float]  # |grad f|_{H1}^2 for f = n, v, E
-    cross_div: float
-    cross_curl: float
-
-    @property
-    def gradient_h1_sq(self) -> float:
-        return sum(self.gradient_terms)
-
-
-def lyapunov_m(state: FlowState, gradient_terms: tuple | None = None) -> LyapunovValue:
-    """Monitored functional M with its component breakdown; ``gradient_terms``
-    are |grad f|_{H1}^2 for f = n, v, E when the caller has them."""
-    terms = gradient_terms
-    if terms is None:
-        terms = tuple(gradient_sobolev_norm(f, 1) ** 2 for f in state.fields())
-    cross1 = inner_product(div(state.v), laplacian(state.n))
-    cross2 = _cross_curl(state)
-    return LyapunovValue(D2 * sum(terms) + cross1 + cross2, terms, cross1, cross2)
-
-
 def _cross_curl(state: FlowState) -> float:
     """<W, lap(E^T - E)> with W^{ij} = d_j v^i - d_i v^j by Parseval, over the slots
     i < j: both matrices are antisymmetric, so slot (j, i) repeats slot (i, j)."""
@@ -111,8 +88,9 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
     perfbench stops patching that name in ``stepping`` (ROADMAP item 1a).
 
     Each field's power is formed once and passed to its norms, which give the
-    bits of their own calls: ``l2_norm`` of the power per component, and the
-    H2, |grad f|_{H1} and dissipation terms of its ``component_power``."""
+    bits of their own calls: ``l2_norm`` of the power per component, and the H2,
+    |grad f|_{H1} (summed n, v, E into M and H1g) and dissipation terms of its
+    ``component_power``."""
     # the residuals peak highest: formed first, they overlap no power or weight
     res = constraint_residuals(state) if residuals is None else residuals
     l2, h2, grad = [], [], []
@@ -124,23 +102,22 @@ def sample_row(state: FlowState, residuals: ConstraintReport | None = None) -> d
         grad.append(gradient_sobolev_norm(f, 1, power) ** 2)
         if f is state.v:
             diss2 = gradient_sobolev_norm(f, 2, power) ** 2
-    lyap = lyapunov_m(state, tuple(grad))
-    grad_n, _, grad_e = lyap.gradient_terms
-    diss1 = grad_n + grad_e
+    cross1 = inner_product(div(state.v), laplacian(state.n))
+    cross2 = _cross_curl(state)
     return {
         "t": state.time,
         "L2_n": l2[0],
         "L2_v": l2[1],
         "L2_E": l2[2],
-        "H1g": np.sqrt(lyap.gradient_h1_sq),
+        "H1g": np.sqrt(sum(grad)),
         "H2": float(np.sqrt(sum(h2))),  # the bits of state.h_norm(2)
-        "M": lyap.total,
-        "cross1": lyap.cross_div,
-        "cross2": lyap.cross_curl,
+        "M": D2 * sum(grad) + cross1 + cross2,
+        "cross1": cross1,
+        "cross2": cross2,
         "r1": res.r1,
         "r2": res.r2,
         "r3": res.r3,
-        "diss1_inst": diss1,
+        "diss1_inst": grad[0] + grad[2],
         "diss2_inst": diss2,
     }
 

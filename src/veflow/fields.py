@@ -65,8 +65,22 @@ from .grid import Grid
 
 _AXES = (-3, -2, -1)
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-_POOL = ThreadPoolExecutor(1, thread_name_prefix="veflow-worker")
 _PARALLEL_N = 32  # below, a step ran 1.1-1.6x slower on two workers (2-core Xeon)
+
+
+def _new_pool() -> None:  # at import, and in a forked child, which has no pool thread
+    global _POOL
+    _POOL = ThreadPoolExecutor(1, thread_name_prefix="veflow-worker")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def workers(grid: Grid) -> int:
+    """Threads that :func:`each` runs on for ``grid``, read from ``WORKERS`` per call: its slabs' runs."""
+    return WORKERS if grid.n >= _PARALLEL_N else 1
 
 
 def each(grid: Grid, job, items, scratch=lambda: None) -> None:
@@ -76,7 +90,7 @@ def each(grid: Grid, job, items, scratch=lambda: None) -> None:
     raising this thread's error, else the pool's.  A job writes only its own
     slice and never calls ``each``."""
     items = list(items)
-    cut = -(-len(items) // (WORKERS if grid.n >= _PARALLEL_N else 1))
+    cut = -(-len(items) // workers(grid))
 
     def run(chunk):
         own = scratch()
@@ -138,8 +152,8 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
     ``grad_out[l]``) of one component's kz >= 0 half u_hat, shaped
     ``grid.half_shape``, each skipped when its output is None, from 9
     one-dimensional inverse passes instead of 12: 8 instead of 9 without the
-    samples, 3 without the gradient.  ``bufs`` holds two complex buffers of the
-    half's shape and, optionally, a (2, N, N/2 + 1) one for the (c, -c) pairs.
+    samples, 3 without the gradient.  ``bufs`` holds three complex buffers: two
+    of the half's shape and a (2, N, N/2 + 1) one for the (c, -c) pairs.
 
     The passes are X (ifft along x), Y (ifft along y) and Z (irfft along z),
     irfftn's own, so the samples have the bits of ``irfftn(norm="forward")``.
@@ -155,7 +169,7 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
     since A' = X(m(kx) u_hat) and C = Y X(m(kx) m(ky) u_hat).  d_y and d_z so
     differ from their separate passes by round-off only.
     """
-    b0, b1, *pair = bufs
+    b0, b1, pair = bufs
     h = grid.n // 2
     np.fft.ifft(half, axis=0, norm="forward", out=b0)  # A
     np.fft.ifft(b0, axis=1, norm="forward", out=b1)  # B
@@ -165,7 +179,6 @@ def samples_and_gradient(grid: Grid, half: np.ndarray, samples_out, grad_out, bu
         return
     # (-1)^x c on the (even x, odd x) pairs, one broadcast of (c, -c) over x // 2
     # each: a - (-c) is a + c bit for bit
-    pair = pair[0] if pair else np.empty((2,) + half.shape[1:], dtype=np.complex128)
     parity = (h, 2) + grid.half_shape[1:]
     nyquist = half[h]
     pair[0] = nyquist

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .fields import WORKERS, each
+from .fields import each, workers
 from .grid import Grid
 from .params import ModelParams
 from .state import FlowState, state_from_spectra
@@ -178,7 +178,7 @@ class LinearPropagator:
 
     def _slabs(self) -> list[slice]:
         """The slabs of kx-planes that ``_apply_slab`` takes, the widest first."""
-        return self.grid.slabs(16 * self._index[0].size, WORKERS)
+        return self.grid.slabs(16 * self._index[0].size, workers(self.grid))
 
     def apply_spectra(self, *spectra):
         """Advance the kz >= 0 halves (n, v, E), shaped (..., N, N, N/2 + 1), by t;

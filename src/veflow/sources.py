@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import WORKERS, each, product, samples_and_gradient, to_half_spectrum
+from .fields import each, product, samples_and_gradient, to_half_spectrum, workers
 from .grid import Grid
 from .operators import half_sum
 from .params import ModelParams, guard_positive_density, pressure_coefficient
@@ -80,7 +80,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     grid = state.grid
     n = state.n.samples
     cells = grid.shape
-    slabs = grid.slabs(8 * grid.n**2, WORKERS)
+    slabs = grid.slabs(8 * grid.n**2, workers(grid))
     v_hat, e_hat, xi = state.v.half, state.E.half, grid.xi  # fetched before any job reads them
 
     # dn[l] = d_l n, dv[l, i] = d_l v^i

@@ -11,9 +11,9 @@ propagator are checked against, the propagator's earlier and vector forms
 and the norm of the components the linear flow keeps, the full N^3 Fourier
 lattice that the grid's kz >= 0 lattice and the full-spectrum oracles are
 built from, the separate-pass gradient that ``samples_and_gradient`` is
-checked against and the strided-correction kernel its bits are pinned to,
-the per-call row that ``sample_row``'s bits are pinned to, and the counter
-of the inverse passes that the sources run."""
+checked against, its three scratch buffers and the strided-correction kernel
+its bits are pinned to, the per-call row that ``sample_row``'s bits are
+pinned to, and the counter of the inverse passes that the sources run."""
 
 import contextlib
 import dataclasses
@@ -43,7 +43,6 @@ from veflow import (
     l2_norm,
     laplacian,
     lowerbound_profiles,
-    lyapunov_m,
     make_params,
     phys_to_pert,
     piola_ic,
@@ -51,6 +50,7 @@ from veflow import (
     step,
     whole_space_norm,
 )
+from veflow.diagnostics import D2, _cross_curl
 from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import (
     half_to_full,
@@ -136,11 +136,18 @@ def _full_lattice(n: int, length: float) -> SimpleNamespace:
     return lattice
 
 
+def kernel_bufs(grid: Grid) -> tuple:
+    """The three scratch buffers of ``samples_and_gradient``: two complex half
+    lattices and the (2, N, N/2 + 1) one of its (c, -c) Nyquist pairs."""
+    h = grid.half_shape
+    return (*np.empty((2,) + h, dtype=np.complex128), np.empty((2,) + h[1:], dtype=np.complex128))
+
+
 def half_samples(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     """Samples of every component of a kz >= 0 half spectrum, by the samples-only
     form of ``samples_and_gradient``: the bits of ``irfftn(norm="forward")``."""
     out = np.empty(half_spectrum.shape[:-3] + grid.shape)
-    bufs = np.empty((2,) + grid.half_shape, dtype=np.complex128)
+    bufs = kernel_bufs(grid)
     for comp in np.ndindex(half_spectrum.shape[:-3]):
         samples_and_gradient(grid, half_spectrum[comp], out[comp], None, bufs)
     return out
@@ -261,7 +268,7 @@ def antisymmetric_part(t: TensorField) -> TensorField:
 
 def cross_curl_oracle(state: FlowState) -> float:
     """<W, lap(E^T - E)> over all nine slots through the named operators: the
-    oracle of the three-slot sum in ``lyapunov_m``."""
+    oracle of the three-slot sum behind ``sample_row``'s cross2."""
     return inner_product(curl_matrix(state.v), laplacian(antisymmetric_part(state.E)))
 
 
@@ -291,7 +298,7 @@ def separate_pass_gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     of ``samples_and_gradient``.  The independent oracle of its gradient."""
     out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
     buf = np.empty(grid.half_shape, dtype=np.complex128)
-    bufs = np.empty((2,) + grid.half_shape, dtype=np.complex128)
+    bufs = kernel_bufs(grid)
     for l in range(3):
         for comp in np.ndindex(half_spectrum.shape[:-3]):
             product(grid.xi[l], half_spectrum[comp], out=buf)
@@ -305,7 +312,7 @@ def shared_pass_gradient(grid: Grid, half_spectrum: np.ndarray) -> np.ndarray:
     by ``samples_and_gradient`` one component at a time: the gradient bits of
     ``rhs_spectra`` and ``constraint_residuals``."""
     out = np.empty((3,) + half_spectrum.shape[:-3] + grid.shape)
-    bufs = np.empty((2,) + half_spectrum.shape[-3:], dtype=np.complex128)
+    bufs = kernel_bufs(grid)
     for comp in np.ndindex(half_spectrum.shape[:-3]):
         samples_and_gradient(grid, half_spectrum[comp], None, out[(slice(None),) + comp], bufs)
     return out
@@ -315,7 +322,7 @@ def strided_samples_and_gradient(grid: Grid, half, samples_out, grad_out, bufs) 
     """``samples_and_gradient`` with each x-parity Nyquist correction as two
     strided passes, one over the even and one over the odd x-planes: the
     reference its fused corrections are pinned to, bit for bit."""
-    b0, b1 = bufs
+    b0, b1, _ = bufs
     h = grid.n // 2
     np.fft.ifft(half, axis=0, norm="forward", out=b0)
     np.fft.ifft(b0, axis=1, norm="forward", out=b1)
@@ -347,22 +354,23 @@ def per_call_row(state: FlowState, residuals) -> dict:
     """The row of ``sample_row`` built column by column from one norm call per
     field and column, each forming the field's |u_hat|^2 itself: the reference
     that the row's one power per field is pinned to, bit for bit."""
-    lyap = lyapunov_m(state)
-    grad_n, _, grad_e = lyap.gradient_terms
+    grad = [gradient_sobolev_norm(f, 1) ** 2 for f in state.fields()]
+    cross1 = inner_product(div(state.v), laplacian(state.n))
+    cross2 = _cross_curl(state)
     return {
         "t": state.time,
         "L2_n": l2_norm(state.n),
         "L2_v": l2_norm(state.v),
         "L2_E": l2_norm(state.E),
-        "H1g": np.sqrt(lyap.gradient_h1_sq),
+        "H1g": np.sqrt(sum(grad)),
         "H2": state.h_norm(2),
-        "M": lyap.total,
-        "cross1": lyap.cross_div,
-        "cross2": lyap.cross_curl,
+        "M": D2 * sum(grad) + cross1 + cross2,
+        "cross1": cross1,
+        "cross2": cross2,
         "r1": residuals.r1,
         "r2": residuals.r2,
         "r3": residuals.r3,
-        "diss1_inst": grad_n + grad_e,
+        "diss1_inst": grad[0] + grad[2],
         "diss2_inst": gradient_sobolev_norm(state.v, 2) ** 2,
     }
 

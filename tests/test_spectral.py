@@ -17,6 +17,7 @@ from helpers import (
     hodge_decompose,
     hodge_reconstruct,
     identity_field,
+    kernel_bufs,
     lam,
     lam_symbol,
     random_spectra,
@@ -229,7 +230,7 @@ class TestComponentTransforms:
     @pytest.mark.parametrize("n", [6, 8, 12, 16, 32, 64])
     def test_in_place_passes_are_irfftn(self, n, lead):
         """The two ifft passes and the irfft pass of the samples-only form of
-        ``samples_and_gradient``, in its two buffers, give irfftn's bits,
+        ``samples_and_gradient``, in its two half buffers, give irfftn's bits,
         signed zeros too (int64 views), on non-contiguous slices of a
         random lattice whose kz = 0 and N/2 planes are not Hermitian, so both
         must drop those planes' imaginary parts as irfftn does."""
@@ -239,7 +240,7 @@ class TestComponentTransforms:
         half = lattice[..., : n // 2 + 1]
         assert not half.flags.c_contiguous
         out = np.empty((2,) + lead + grid.shape)[1]
-        bufs = np.empty((2,) + grid.half_shape, dtype=np.complex128)
+        bufs = kernel_bufs(grid)
         for comp in np.ndindex(lead):
             samples_and_gradient(grid, half[comp], out[comp], None, bufs)
             want = np.fft.irfftn(half[comp], s=grid.shape, axes=AXES, norm="forward")
@@ -283,7 +284,7 @@ class TestSharedPassGradient:
         """(samples or None, gradient), each written into a strided view."""
         samples = np.empty((2,) + grid.shape)[1] if with_samples else None
         grad_out = np.empty((3, 2) + grid.shape)[:, 1]
-        bufs = np.empty((2,) + half.shape, dtype=np.complex128)
+        bufs = kernel_bufs(grid)
         samples_and_gradient(grid, half, samples, grad_out, bufs)
         return samples, grad_out
 
@@ -314,7 +315,7 @@ class TestSharedPassGradient:
         half = self._half(n)
         samples, got = self._shared(grid, half, True)
         want_samples, want = np.empty(grid.shape), np.empty((3,) + grid.shape)
-        bufs = np.empty((2,) + half.shape, dtype=np.complex128)
+        bufs = kernel_bufs(grid)
         strided_samples_and_gradient(grid, half, want_samples, want, bufs)
         assert same_bits(samples, want_samples)
         for l in range(3):

@@ -5,6 +5,8 @@ two.  Each comparison forces the worker count by patching
 workers on every grid, below ``fields._PARALLEL_N`` too, by patching that."""
 
 import os
+import select
+import signal
 import sys
 import threading
 import time
@@ -107,6 +109,64 @@ class TestEach:
         with pytest.raises(KeyError, match="here"):
             each(GRID, job, range(2))
         assert self._pool_is_idle()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork")
+def test_a_forked_child_makes_its_own_pool_thread(monkeypatch):
+    """A child forked after the pool thread has run has no thread of its
+    parent's: its two-worker transform runs on a pool of its own, with the
+    parent's bits, and returns within the timeout instead of queueing a chunk
+    for a thread that is not there.  The child is reaped in any case."""
+    monkeypatch.setattr(veflow.fields, "WORKERS", 2)
+    monkeypatch.setattr(veflow.fields, "_PARALLEL_N", 4)
+    grid = Grid(8)
+    samples = np.random.default_rng(8).standard_normal((3,) + grid.shape)
+    want = to_half_spectrum(grid, samples)  # the parent's pool thread runs a chunk
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports one byte and leaves without the parent's teardown
+        try:
+            os.write(write, b"1" if same_bits(to_half_spectrum(grid, samples), want) else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 20.0)
+        got = os.read(read, 1) if ready else b"timed out"
+    finally:
+        os.close(read)
+        os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
+        os.waitpid(pid, 0)
+    assert got == b"1"
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_slabs_follow_the_patched_worker_count(monkeypatch, count):
+    """With ``WORKERS`` patched, the slabs that ``rhs_spectra``, ``apply_spectra``
+    and ``add_to`` walk are cut in ``count`` equal runs of planes, one per chunk
+    of ``each``: the count is read where the work is split, not copied at import."""
+    monkeypatch.setattr(veflow.fields, "WORKERS", count)
+    grid, params = GRID, make_params()
+    original = veflow.grid.Grid.slabs
+    walked = []
+
+    def slabs(self, plane_bytes, parts=1):
+        out = original(self, plane_bytes, parts)
+        walked.append((plane_bytes, parts, out))
+        return out
+    monkeypatch.setattr(veflow.grid.Grid, "slabs", slabs)
+    state = smooth_state(grid, np.random.default_rng(grid.n), amp=0.2, kmax=grid.n // 3)
+    halves = tuple(f.half for f in state.fields())
+    rhs_spectra(state, params)
+    prop = LinearPropagator(grid, params, cfl_dt(grid, params))
+    prop.apply_spectra(*halves)
+    prop.add_to(tuple(h.copy() for h in halves), 0.5, halves)
+    assert len(walked) == 3  # one cut for the three slab loops of rhs_spectra, one per propagator call
+    for plane_bytes, parts, out in walked:
+        assert parts == count
+        first = out[: -(-len(out) // count)]  # the chunk of ``each`` on this thread
+        assert first[0].start == 0 and first[-1].stop == grid.n // count
+        assert out == original(grid, plane_bytes, count)
 
 
 def _on_workers(monkeypatch, fn, count):
