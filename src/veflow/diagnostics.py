@@ -163,7 +163,6 @@ class DecayFit:
     r_squared: float
     band_low: float
     band_high: float
-    n_samples: int
 
 
 MIN_FIT_SAMPLES = 8
@@ -213,7 +212,6 @@ def decay_fit(
         r_squared=r2,
         band_low=float(band.min()),
         band_high=float(band.max()),
-        n_samples=int(sel.sum()),
     )
 
 

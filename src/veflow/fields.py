@@ -43,7 +43,10 @@ page-faults and streams the stack through memory on each pass.
 Components and slabs run on ``WORKERS`` = min(2, CPUs the process may run on,
 which ``taskset`` limits and ``OMP_NUM_THREADS`` does not) threads from N = 32
 (:func:`each`), each job the serial numpy calls, which release the GIL, on its
-own slice with its own scratch, so the bits do not depend on the split.
+own slice with its own scratch, so the bits do not depend on the split.  This
+module alone holds the count and cuts the slabs: :func:`each_slab` cuts the
+kx-planes into one equal run per worker and each run into slabs of about
+``_SLAB_BYTES`` per component, so its callers give only the bytes of a plane.
 
 The inverse real transform runs irfftn's own 1-D passes (ifft along x, ifft
 along y, irfft along z, in its order and normalisation, so with its bits) in
@@ -66,6 +69,11 @@ from .grid import Grid
 _AXES = (-3, -2, -1)
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _PARALLEL_N = 32  # below, a step ran 1.1-1.6x slower on two workers (2-core Xeon)
+# bytes of one component of a slab of kx-planes, in which the propagator and the
+# pointwise source work walk each worker's run of the lattice: 7 complex half
+# planes or 8 real ones at N = 64.  On a 2-core Xeon (numpy 2.4.6) 128 and 256 KiB
+# tie on one worker; on two, 128 KiB calls are too short to overlap (GIL hand-offs)
+_SLAB_BYTES = 1 << 18
 
 
 def _new_pool() -> None:  # at import, and in a forked child, which has no pool thread
@@ -78,8 +86,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def workers(grid: Grid) -> int:
-    """Threads that :func:`each` runs on for ``grid``, read from ``WORKERS`` per call: its slabs' runs."""
+def _workers(grid: Grid) -> int:
+    """Threads that :func:`each` runs on for ``grid``, read from ``WORKERS`` per call."""
     return WORKERS if grid.n >= _PARALLEL_N else 1
 
 
@@ -90,7 +98,7 @@ def each(grid: Grid, job, items, scratch=lambda: None) -> None:
     raising this thread's error, else the pool's.  A job writes only its own
     slice and never calls ``each``."""
     items = list(items)
-    cut = -(-len(items) // workers(grid))
+    cut = -(-len(items) // _workers(grid))
 
     def run(chunk):
         own = scratch()
@@ -105,7 +113,18 @@ def each(grid: Grid, job, items, scratch=lambda: None) -> None:
         raise error
 
 
-def _check_payload(grid: Grid, data, dtype, rank: int, shape: tuple) -> np.ndarray:
+def each_slab(grid: Grid, plane_bytes: int, job, scratch=lambda widest: None) -> None:
+    """:func:`each` over slices of the kx-planes, given the bytes of one plane per
+    component: one equal run of planes per worker, each cut into slabs of about
+    ``_SLAB_BYTES``, one plane at least, the last of a run the rest of it.  ``own``
+    is one ``scratch(widest)`` per worker, ``widest`` the first, widest slab."""
+    width, run = max(1, _SLAB_BYTES // plane_bytes), grid.n // _workers(grid)
+    slabs = [slice(lo, min(lo + width, end)) for end in range(run, grid.n + 1, run)
+             for lo in range(end - run, end, width)]
+    each(grid, job, slabs, lambda: scratch(slabs[0]))
+
+
+def _check_payload(data, dtype, rank: int, shape: tuple) -> np.ndarray:
     data = np.ascontiguousarray(data, dtype=dtype)
     want = (3,) * rank + shape
     if data.shape != want:
@@ -248,7 +267,7 @@ class _BaseField:
 
     def __init__(self, grid: Grid, samples: np.ndarray):
         self.grid = grid
-        self.samples = _check_payload(grid, samples, np.float64, self.rank, grid.shape)
+        self.samples = _check_payload(samples, np.float64, self.rank, grid.shape)
 
     @classmethod
     def from_half_spectrum(cls, grid: Grid, half: np.ndarray):
@@ -257,7 +276,7 @@ class _BaseField:
         mirror is dropped unchecked in :attr:`samples`."""
         field = cls.__new__(cls)
         field.grid = grid
-        field.half = _check_payload(grid, half, np.complex128, cls.rank, grid.half_shape)
+        field.half = _check_payload(half, np.complex128, cls.rank, grid.half_shape)
         return field
 
     @cached_property

@@ -30,12 +30,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-# bytes of one component of a slab of x-planes, in which the propagator and the
-# pointwise source work walk each worker's half of the lattice: 7 complex half
-# planes or 8 real ones at N = 64.  On a 2-core Xeon (numpy 2.4.6) 128 and 256 KiB
-# tie on one worker; on two, 128 KiB calls are too short to overlap (GIL hand-offs)
-_SLAB_BYTES = 1 << 18
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -129,13 +123,6 @@ class Grid:
         """Spherical 2/3-rule mask, |k| <= N/3."""
         kx, ky, kz = self._k()
         return _freeze(kx**2 + ky**2 + kz**2 <= (self.n / 3.0) ** 2)
-
-    def slabs(self, plane_bytes: int, parts: int = 1) -> list[slice]:
-        """Slices of the first lattice axis into slabs of about 256 KiB per component,
-        given the bytes of one plane, one at least, within ``parts`` equal runs."""
-        width, run = max(1, _SLAB_BYTES // plane_bytes), self.n // parts
-        return [slice(lo, min(lo + width, end)) for end in range(run, self.n + 1, run)
-                for lo in range(end - run, end, width)]
 
     def xi_max(self) -> float:
         """Largest per-axis wavevector magnitude after Nyquist zeroing."""

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .fields import each, workers
+from .fields import each_slab
 from .grid import Grid
 from .params import ModelParams
 from .state import FlowState, state_from_spectra
@@ -154,8 +154,8 @@ class LinearPropagator:
     entries gathered through the grid's radius index and its unit wavevectors
     cast to complex once, into a slab-sized output: no temporary spans the
     lattice.  ``apply_spectra`` writes each slab into new halves, ``add_to``
-    into a midpoint sum of ``stepping.step``, each worker (``fields.each``) on
-    one half of the kx-planes; the slab width lives here only.
+    into a midpoint sum of ``stepping.step``, each worker on its run of the
+    kx-planes.  Its plane size lives here; ``fields`` cuts the slabs.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, t: float):
@@ -176,29 +176,23 @@ class LinearPropagator:
             dtype=np.complex128,
         )
 
-    def _slabs(self) -> list[slice]:
-        """The slabs of kx-planes that ``_apply_slab`` takes, the widest first."""
-        return self.grid.slabs(16 * self._index[0].size, workers(self.grid))
-
     def apply_spectra(self, *spectra):
         """Advance the kz >= 0 halves (n, v, E), shaped (..., N, N, N/2 + 1), by t;
         returns new halves."""
         out = tuple(np.empty(f.shape, dtype=np.complex128) for f in spectra)
-        each(self.grid, lambda x, _: self._apply_slab(x, spectra, tuple(f[..., x, :, :] for f in out)),
-             self._slabs())
+        each_slab(self.grid, 16 * self._index[0].size,
+                  lambda x, _: self._apply_slab(x, spectra, tuple(f[..., x, :, :] for f in out)))
         return out
 
     def add_to(self, acc, scale, spectra) -> None:
         """acc <- scale * acc + K(t) spectra in place on halves (n, v, E), a slab at a
         time (acc *= scale; acc += K(t) slab), one slab-sized scratch set per worker."""
-        slabs = self._slabs()
-
         def update(x, scratch):
             for a, k in zip((f[..., x, :, :] for f in acc), self._apply_slab(x, spectra, scratch)):
                 a *= scale
                 a += k
-        each(self.grid, update, slabs,
-             lambda: tuple(np.empty_like(f[..., slabs[0], :, :]) for f in spectra))
+        each_slab(self.grid, 16 * self._index[0].size, update,
+                  lambda widest: tuple(np.empty_like(f[..., widest, :, :]) for f in spectra))
 
     def _apply_slab(self, x, spectra, out) -> tuple:
         """Advance slab ``x`` of the halves ``spectra`` = (n, v, E) by t, written

@@ -22,7 +22,7 @@ Every gradient, here and in r2, comes from ``fields.samples_and_gradient``,
 which forms a component's samples and its three derivatives from one shared
 tree of inverse passes.  The sources take E one column at a time, so E and
 grad E are never held whole, and run their pointwise products one slab of
-x-planes at a time (``Grid.slabs``, on the workers of ``fields.each``).
+x-planes at a time (``fields.each_slab``, which cuts the slabs for the workers).
 
 Constraint residuals, reported as L2 norms:
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import each, product, samples_and_gradient, to_half_spectrum, workers
+from .fields import each, each_slab, product, samples_and_gradient, to_half_spectrum
 from .grid import Grid
 from .operators import half_sum
 from .params import ModelParams, guard_positive_density, pressure_coefficient
@@ -80,7 +80,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     grid = state.grid
     n = state.n.samples
     cells = grid.shape
-    slabs = grid.slabs(8 * grid.n**2, workers(grid))
+    plane = 8 * grid.n**2  # bytes of one real x-plane
     v_hat, e_hat, xi = state.v.half, state.E.half, grid.xi  # fetched before any job reads them
 
     # dn[l] = d_l n, dv[l, i] = d_l v^i
@@ -93,7 +93,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
     def f_slab(x, _):
         np.multiply(-n[x], dv[0, 0, x] + dv[1, 1, x] + dv[2, 2, x], out=f[x])
         f[x] -= np.einsum("j...,j...->...", v[:, x], dn[:, x])
-    each(grid, f_slab, slabs)
+    each_slab(grid, plane, f_slab)
     g_n = _dealiased(grid, f, dealias)
     del f
 
@@ -110,7 +110,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
             h[i, k, x] -= np.einsum("j...,j...->...", v[:, x], de[:, i, x])
     for k in range(3):
         _gradients(grid, [(e_hat[i, k], e[i], de[:, i]) for i in range(3)])
-        each(grid, column_slab, slabs)
+        each_slab(grid, plane, column_slab)
     del e, de
     g_e = _dealiased(grid, h, dealias)
     del h
@@ -132,7 +132,7 @@ def rhs_spectra(state: FlowState, params: ModelParams, dealias: bool = True):
         gx -= product(n[x] / rho[x], visc[:, x])
         gx -= np.einsum("j...,ji...->i...", v[:, x], dv[:, :, x])
         gx -= product(pressure_coefficient(rho[x], params), dn[:, x])
-    each(grid, g_slab, slabs)
+    each_slab(grid, plane, g_slab)
     del rho, visc, dn, dv, v
     return g_n, _dealiased(grid, g, dealias), g_e
 

@@ -13,7 +13,8 @@ lattice that the grid's kz >= 0 lattice and the full-spectrum oracles are
 built from, the separate-pass gradient that ``samples_and_gradient`` is
 checked against, its three scratch buffers and the strided-correction kernel
 its bits are pinned to, the per-call row that ``sample_row``'s bits are
-pinned to, and the counter of the inverse passes that the sources run."""
+pinned to, the counter of the inverse passes that the sources run, and the
+slabs that ``fields.each_slab`` walks."""
 
 import contextlib
 import dataclasses
@@ -53,6 +54,7 @@ from veflow import (
 from veflow.diagnostics import D2, _cross_curl
 from veflow.errors import FieldError, GridMismatchError
 from veflow.fields import (
+    each_slab,
     half_to_full,
     product,
     samples_and_gradient,
@@ -629,6 +631,14 @@ def lattice_retained(n: int) -> int:
             value = tuple(value.values())
         cached += value if isinstance(value, tuple) else [value]
     return sum(a.nbytes for a in cached if isinstance(a, np.ndarray))
+
+
+def walked_slabs(grid: Grid, plane_bytes: int) -> list:
+    """The slabs that ``fields.each_slab`` walks for planes of ``plane_bytes``,
+    in plane order."""
+    walked = []
+    each_slab(grid, plane_bytes, lambda x, _: walked.append(x))
+    return sorted(walked, key=lambda x: x.start)
 
 
 def inverse_passes(fn) -> int:

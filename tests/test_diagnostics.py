@@ -144,7 +144,11 @@ class TestDecayFit:
         ys = (1.0 + ts) ** -1.25
         fit = decay_fit(ts, ys, window=(100.0, 10000.0))
         assert fit.window == (100.0, 10000.0)
-        assert fit.n_samples < 60
+        sel = (ts >= 100.0) & (ts <= 10000.0)
+        assert sel.sum() < 60
+        inside = decay_fit(ts[sel], ys[sel])  # the fit of the window's samples alone
+        for name in ("slope", "intercept", "r_squared"):
+            assert getattr(fit, name) == getattr(inside, name)
         assert fit.slope == pytest.approx(-1.25, abs=1e-10)
 
     def test_rejects_nonpositive_values(self):

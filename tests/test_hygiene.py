@@ -1,6 +1,8 @@
 """Code hygiene of ``src/veflow``: no unused import, no public name or method
-that nothing in ``src/`` or the benchmark calls, no private name imported
-from another module, and no lattice array of ``Grid`` sliced by hand.  Test oracles live in the test suite
+that nothing in ``src/`` or the benchmark calls, no dataclass field that
+nothing reads, no parameter that a module-level private function never reads,
+no private name imported from another module, and no lattice array of
+``Grid`` sliced by hand.  Test oracles live in the test suite
 (``tests/helpers.py``), so nothing is exempt.
 
 Parsed with the standard library's ``ast``; ``__init__.py`` is skipped because
@@ -41,6 +43,14 @@ def _used_names(tree: ast.AST) -> set:
 def _attributes(tree: ast.AST) -> Counter:
     """How often a module looks up each name as an attribute, ``x.name``."""
     return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _attribute_lookups() -> Counter:
+    """How often the modules and the benchmark together look up each attribute."""
+    lookups = Counter()
+    for path in MODULES + BENCHMARK:
+        lookups += _attributes(_tree(path))
+    return lookups
 
 
 def _patched_attributes() -> set:
@@ -125,9 +135,7 @@ def test_every_public_method_has_a_user():
     itself: ``FlowState.zero`` calling ``ScalarField.zero`` is no caller of
     ``FlowState.zero``."""
     patched = _patched_attributes()
-    lookups = Counter()
-    for path in MODULES + BENCHMARK:
-        lookups += _attributes(_tree(path))
+    lookups = _attribute_lookups()
     unused = [
         f"{path.name}:{method.lineno}: {cls}.{method.name}"
         for path in MODULES
@@ -136,6 +144,54 @@ def test_every_public_method_has_a_user():
         and lookups[method.name] <= _attributes(method)[method.name]
     ]
     assert not unused, "public methods that no module or benchmark uses:\n" + "\n".join(unused)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field name, line) of every annotated field of a ``@dataclass``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each field of a dataclass is looked up as an attribute (``x.name``)
+    somewhere in a module or the benchmark, the name-based count of the
+    methods rule: a field that is only ever passed to the constructor holds a
+    value that no one reads."""
+    lookups = _attribute_lookups()
+    unread = [
+        f"{path.name}:{line}: {cls}.{name}"
+        for path in MODULES
+        for cls, name, line in _dataclass_fields(_tree(path))
+        if not lookups[name]
+    ]
+    assert not unread, "dataclass fields that no module or benchmark reads:\n" + "\n".join(unread)
+
+
+def test_private_functions_read_every_parameter():
+    """A module-level private function reads each of its parameters.  Public
+    functions are left out, as their signatures are what callers outside the
+    package, the benchmark among them, are written against, and so are nested
+    helpers, which may share one signature with their siblings."""
+    unread = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                read = {
+                    n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                unread += [f"{path.name}:{node.lineno}: {node.name}({a.arg})"
+                           for a in params if a.arg not in read]
+    assert not unread, "parameters that a private function never reads:\n" + "\n".join(unread)
 
 
 def _is_private(name: str) -> bool:

@@ -28,9 +28,10 @@ from helpers import (
     smooth_state,
     valid_params,
     vector_form_apply,
+    walked_slabs,
     zero_state,
 )
-import veflow.grid
+import veflow.fields
 from veflow import (
     BlockSystem,
     Grid,
@@ -462,8 +463,8 @@ class TestComponentApply:
         half = n // 2 + 1
         width = n // 2 - 1
         assert -(-n // width) == 3 and n % width != 0
-        for slab_bytes in (veflow.grid._SLAB_BYTES, width * 16 * n * half):
-            monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", slab_bytes)
+        for slab_bytes in (veflow.fields._SLAB_BYTES, width * 16 * n * half):
+            monkeypatch.setattr(veflow.fields, "_SLAB_BYTES", slab_bytes)
             for seed in range(2):
                 spectra = random_spectra(grid, seed)
                 masked = tuple(x * full_lattice(grid).dealias_mask for x in spectra)
@@ -485,9 +486,9 @@ class TestComponentApply:
         dt = cfl_dt(grid, params)
         half = n // 2 + 1
         width = n // 2 - 1
-        for slab_bytes, count in ((veflow.grid._SLAB_BYTES, 1), (width * 16 * n * half, 3)):
-            monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", slab_bytes)
-            assert len(grid.slabs(16 * n * half)) == count
+        for slab_bytes, count in ((veflow.fields._SLAB_BYTES, 1), (width * 16 * n * half, 3)):
+            monkeypatch.setattr(veflow.fields, "_SLAB_BYTES", slab_bytes)
+            assert len(walked_slabs(grid, 16 * n * half)) == count
             for seed in range(2):
                 spectra = random_spectra(grid, seed)
                 masked = tuple(x * full_lattice(grid).dealias_mask for x in spectra)

@@ -20,6 +20,7 @@ from helpers import (
     smooth_state,
     source_passes,
     valid_params,
+    walked_slabs,
     zero_field,
     zero_state,
 )
@@ -37,7 +38,6 @@ from veflow import (
     piola_ic,
 )
 import veflow.fields
-import veflow.grid
 import veflow.sources
 from veflow.diagnostics import sample_row
 from veflow.fields import half_to_full, samples_and_gradient, to_samples
@@ -149,11 +149,11 @@ class TestEvaluateSources:
         as the whole-lattice contractions of the field-wrapped form."""
         width = n // 2 - 1
         assert -(-n // width) == 3 and n % width != 0
-        monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", width * 8 * n * n)
+        monkeypatch.setattr(veflow.fields, "_SLAB_BYTES", width * 8 * n * n)
         grid = Grid(n)
         params = make_params(gamma=1.4, lam=0.3, alpha=1.7)
         st = smooth_state(grid, np.random.default_rng(n), amp=0.2, kmax=n // 3)
-        assert len(grid.slabs(8 * n * n)) == 3
+        assert len(walked_slabs(grid, 8 * n * n)) == 3
         for dealias in (True, False):
             for g, want in zip(rhs_spectra(st, params, dealias), field_wrapped_rhs_spectra(st, params, dealias)):
                 assert same_bits(g, want)

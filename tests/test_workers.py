@@ -1,8 +1,9 @@
 """The two workers of the transform layer (``fields.each``): the helper itself,
-and every output that runs on it, bit for bit the same on one worker and on
-two.  Each comparison forces the worker count by patching
-``veflow.fields.WORKERS``, so it holds on a one-CPU host too, and runs two
-workers on every grid, below ``fields._PARALLEL_N`` too, by patching that."""
+the slabs that ``fields.each_slab`` cuts for it, and every output that runs
+on it, bit for bit the same on one worker and on two.  Each comparison forces
+the worker count by patching ``veflow.fields.WORKERS``, so it holds on a
+one-CPU host too, and runs two workers on every grid, below
+``fields._PARALLEL_N`` too, by patching that."""
 
 import os
 import select
@@ -14,14 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import generic_piola_spec, inverse_passes, random_spectra, same_bits, smooth_state
+from helpers import generic_piola_spec, inverse_passes, random_spectra, same_bits, smooth_state, walked_slabs
 from veflow import Grid, constraint_residuals, make_params, phys_to_pert, piola_ic, sample_row, step
-from veflow.fields import each, to_half_spectrum, to_samples, to_spectrum
+from veflow.fields import each, each_slab, to_half_spectrum, to_samples, to_spectrum
 from veflow.semigroup import LinearPropagator
 from veflow.sources import rhs_spectra
 from veflow.stepping import cfl_dt
 import veflow.fields
-import veflow.grid
 
 
 def test_workers_follow_the_cpu_affinity():
@@ -140,33 +140,84 @@ def test_a_forked_child_makes_its_own_pool_thread(monkeypatch):
     assert got == b"1"
 
 
+def _slabs_given_to_each(monkeypatch) -> list:
+    """Every list of slabs that ``fields.each`` receives from here on, in order."""
+    original, cuts = veflow.fields.each, []
+
+    def spy(grid, job, items, scratch=lambda: None):
+        items = list(items)
+        if items and isinstance(items[0], slice):
+            cuts.append(items)
+        original(grid, job, items, scratch)
+    monkeypatch.setattr(veflow.fields, "each", spy)
+    return cuts
+
+
+def assert_cut(slabs, n, plane_bytes, count):
+    """``slabs`` cover the n kx-planes once and in order, in ``count`` equal runs
+    cut alike, each slab max(1, _SLAB_BYTES // plane_bytes) planes wide but the
+    last of a run, which is the rest of it."""
+    width, run = max(1, veflow.fields._SLAB_BYTES // plane_bytes), n // count
+    assert [plane for x in slabs for plane in range(n)[x]] == list(range(n))
+    assert all(x.step is None for x in slabs)
+    for x in slabs:
+        end = run * (x.start // run + 1)  # of the run that the slab starts in
+        assert x.stop - x.start == min(width, end - x.start)
+    runs = [[(x.start - lo, x.stop - lo) for x in slabs if lo <= x.start < lo + run]
+            for lo in range(0, n, run)]
+    assert len(runs) == count and all(part == runs[0] for part in runs)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("slab_bytes", ["default", "ragged", "one plane"])
+def test_each_slab_cuts_equal_runs_of_planes(monkeypatch, count, n, slab_bytes):
+    """For the sources' real planes and the propagator's complex half planes,
+    at the default slab bytes, at n/2 - 1 propagator planes (ragged runs) and
+    at 1 byte (a plane a slab), the slabs of ``each_slab`` cut each worker's
+    equal run of planes, and each worker makes its scratch once, for the
+    first, widest slab."""
+    monkeypatch.setattr(veflow.fields, "WORKERS", count)
+    monkeypatch.setattr(veflow.fields, "_PARALLEL_N", 4)
+    if slab_bytes == "ragged":
+        monkeypatch.setattr(veflow.fields, "_SLAB_BYTES", (n // 2 - 1) * 16 * n * (n // 2 + 1))
+    elif slab_bytes == "one plane":
+        monkeypatch.setattr(veflow.fields, "_SLAB_BYTES", 1)
+    cuts = _slabs_given_to_each(monkeypatch)
+    for plane_bytes in (8 * n * n, 16 * n * (n // 2 + 1)):
+        made, walked = [], []
+        each_slab(Grid(n), plane_bytes, lambda x, own: walked.append((x, own)),
+                  lambda widest: made.append((widest, threading.get_ident())) or widest)
+        slabs = cuts.pop()
+        assert not cuts
+        assert_cut(slabs, n, plane_bytes, count)
+        assert slabs[0].stop - slabs[0].start == max(x.stop - x.start for x in slabs)
+        assert [widest for widest, _ in made] == [slabs[0]] * count
+        assert len({ident for _, ident in made}) == count
+        assert sorted((x.start for x, _ in walked)) == [x.start for x in slabs]
+        assert all(own is slabs[0] for _, own in walked)
+
+
 @pytest.mark.parametrize("count", [1, 2])
 def test_slabs_follow_the_patched_worker_count(monkeypatch, count):
     """With ``WORKERS`` patched, the slabs that ``rhs_spectra``, ``apply_spectra``
-    and ``add_to`` walk are cut in ``count`` equal runs of planes, one per chunk
-    of ``each``: the count is read where the work is split, not copied at import."""
+    and ``add_to`` hand to ``each`` are cut in ``count`` equal runs of planes, one
+    per chunk of ``each``: the count is read where the work is split, not copied
+    at import."""
     monkeypatch.setattr(veflow.fields, "WORKERS", count)
     grid, params = GRID, make_params()
-    original = veflow.grid.Grid.slabs
-    walked = []
-
-    def slabs(self, plane_bytes, parts=1):
-        out = original(self, plane_bytes, parts)
-        walked.append((plane_bytes, parts, out))
-        return out
-    monkeypatch.setattr(veflow.grid.Grid, "slabs", slabs)
     state = smooth_state(grid, np.random.default_rng(grid.n), amp=0.2, kmax=grid.n // 3)
     halves = tuple(f.half for f in state.fields())
-    rhs_spectra(state, params)
     prop = LinearPropagator(grid, params, cfl_dt(grid, params))
+    cuts = _slabs_given_to_each(monkeypatch)
+    rhs_spectra(state, params)
     prop.apply_spectra(*halves)
     prop.add_to(tuple(h.copy() for h in halves), 0.5, halves)
-    assert len(walked) == 3  # one cut for the three slab loops of rhs_spectra, one per propagator call
-    for plane_bytes, parts, out in walked:
-        assert parts == count
+    assert len(cuts) == 7  # the five slab loops of rhs_spectra, then one per propagator call
+    for out, plane_bytes in zip(cuts, [8 * grid.n**2] * 5 + [16 * grid.n * (grid.n // 2 + 1)] * 2):
         first = out[: -(-len(out) // count)]  # the chunk of ``each`` on this thread
         assert first[0].start == 0 and first[-1].stop == grid.n // count
-        assert out == original(grid, plane_bytes, count)
+        assert_cut(out, grid.n, plane_bytes, count)
 
 
 def _on_workers(monkeypatch, fn, count):
@@ -197,8 +248,8 @@ def assert_same_bits_on_one_and_two_workers(monkeypatch, fn):
 
 
 # default slabs, and ragged ones: n/2 - 1 kx-planes a slab, so each worker's
-# half of the lattice ends in a slab of one plane, for the propagator's planes
-# and the sources' alike
+# half of the lattice ends in a slab of one plane on two workers, for the
+# propagator's planes and the sources' alike
 SLABS = ["default", "ragged"]
 
 
@@ -210,8 +261,11 @@ def n(request):
 @pytest.fixture(params=SLABS)
 def grid(request, monkeypatch, n):
     if request.param == "ragged":
-        monkeypatch.setattr(veflow.grid, "_SLAB_BYTES", (n // 2 - 1) * 16 * n * (n // 2 + 1))
-        slabs = Grid(n).slabs(16 * n * (n // 2 + 1), 2) + Grid(n).slabs(8 * n * n, 2)
+        monkeypatch.setattr(veflow.fields, "_SLAB_BYTES", (n // 2 - 1) * 16 * n * (n // 2 + 1))
+        with monkeypatch.context() as two:  # as ``_on_workers`` runs them: below N = 32 one run else
+            two.setattr(veflow.fields, "WORKERS", 2)
+            two.setattr(veflow.fields, "_PARALLEL_N", 4)
+            slabs = walked_slabs(Grid(n), 16 * n * (n // 2 + 1)) + walked_slabs(Grid(n), 8 * n * n)
         assert {x.stop - x.start for x in slabs} == {n // 2 - 1, 1}
     return Grid(n)
 
